@@ -9,29 +9,27 @@
 #   native    -march=native + undefined sanitizer, kernel suite: exercises
 #             the widest backend the host offers (AVX2 where available)
 #             with FMA contraction on, under UBSan
-#   lockdep   SCIDOCK_LOCKDEP=ON: full suite (the analyzer rides along
-#             under every test), the lockdep negative controls, and the
-#             bench_lockdep overhead gate at the real 10x42 workload
-#   racer     SCIDOCK_RACER=ON: full suite (the happens-before analyzer
-#             rides along under every test, asserting the default suite
-#             racer-clean), the planted-race negative controls, and the
-#             bench_racer overhead gate at the real 10x42 workload
+#   sync      SCIDOCK_SYNC_ANALYSIS=ON: full suite (lockdep and racer
+#             ride along under every test, asserting the default suite
+#             clean), their negative controls, and the bench_sync_analysis
+#             overhead gates (lockdep < 5%, racer < 10%) at the real 10x42
+#             workload
 #   clang     clang++ + -Wthread-safety -Werror=thread-safety (wired in
 #             CMakeLists.txt for any Clang build): the GUARDED_BY audit
 #             as a hard compile gate. Skips with a notice when clang++
 #             is not installed.
-#   asan      address sanitizer  + lockdep, concurrency-heavy labels
-#   ubsan     undefined sanitizer + lockdep, concurrency-heavy labels
-#   tsan      thread sanitizer   + lockdep, concurrency-heavy labels
-#   racer_tsan  cross-check leg: the planted-race fixtures run under the
-#             racer AND ThreadSanitizer in one binary; each fixture must
-#             be flagged by both detectors (a finding one sees and the
-#             other misses fails the leg)
+#   asan      address sanitizer   + sync analysis, concurrency-heavy labels
+#   ubsan     undefined sanitizer + sync analysis, concurrency-heavy labels
+#   tsan      thread sanitizer    + sync analysis, concurrency-heavy labels,
+#             then the cross-check: every planted fixture (the ww/rw/publish
+#             races and the lock-order inversion of tests/sync_planted, and
+#             the in-process inversion cases labelled sync-inversion) must
+#             be flagged by both the analyzer and ThreadSanitizer
 #
 # The sanitizer stages run the concurrency-heavy labels only
-# (chaos/kernels/lockdep/racer/prov-recovery): those are the suites that
-# stress the executors, the docking kernels, the lock/race discipline and
-# the WAL group-commit/recovery path, where sanitizers earn their ~10x
+# (chaos/kernels/sync/prov-recovery): those are the suites that stress
+# the executors, the docking kernels, the lock/race discipline and the
+# WAL group-commit/recovery path, where sanitizers earn their ~10x
 # slowdown.
 #
 # Usage: ci/check.sh [stage ...]     (default: all stages, in order)
@@ -41,7 +39,7 @@ set -euo pipefail
 
 REPO_ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 JOBS="${JOBS:-$(nproc)}"
-SANITIZER_LABELS='chaos|kernels|lockdep|racer|prov-recovery'
+SANITIZER_LABELS='chaos|kernels|sync|prov-recovery'
 
 run_ctest() { # dir, extra ctest args...
   local dir="$1"
@@ -86,22 +84,14 @@ stage_native() {
   run_ctest "$dir" -L kernels
 }
 
-stage_lockdep() {
-  local dir="$REPO_ROOT/build-ci-lockdep"
-  configure_and_build "$dir" -DSCIDOCK_LOCKDEP=ON
+stage_sync() {
+  local dir="$REPO_ROOT/build-ci-sync"
+  configure_and_build "$dir" -DSCIDOCK_SYNC_ANALYSIS=ON
   run_ctest "$dir" -LE bench-smoke
-  # Acceptance gate: the enabled analyzer stays within 5% of baseline on
-  # the full screen; writes BENCH_lockdep.json into the build tree.
-  (cd "$dir" && ./bench/bench_lockdep)
-}
-
-stage_racer() {
-  local dir="$REPO_ROOT/build-ci-racer"
-  configure_and_build "$dir" -DSCIDOCK_RACER=ON
-  run_ctest "$dir" -LE bench-smoke
-  # Acceptance gate: the enabled analyzer stays within 10% of baseline on
-  # the full screen; writes BENCH_racer.json into the build tree.
-  (cd "$dir" && ./bench/bench_racer)
+  # Acceptance gate: lockdep stays within 5% and racer within 10% of the
+  # uninstrumented baseline on the full screen; writes
+  # BENCH_sync_analysis.json into the build tree.
+  (cd "$dir" && ./bench/bench_sync_analysis)
 }
 
 stage_clang() {
@@ -115,63 +105,92 @@ stage_clang() {
   # access to a SCIDOCK_GUARDED_BY member fails right here. Tests are
   # covered by the GCC legs; compiling the whole tree (tests and bench
   # included) is what exercises every annotation.
-  configure_and_build "$dir" -DCMAKE_CXX_COMPILER=clang++     -DSCIDOCK_LOCKDEP=ON -DSCIDOCK_RACER=ON
-  run_ctest "$dir" -L 'lockdep|racer'
+  configure_and_build "$dir" -DCMAKE_CXX_COMPILER=clang++ \
+    -DSCIDOCK_SYNC_ANALYSIS=ON
+  run_ctest "$dir" -L sync
 }
 
-stage_racer_tsan() {
-  local dir="$REPO_ROOT/build-ci-racer-tsan"
-  configure_and_build "$dir"     -DSCIDOCK_RACER=ON -DSCIDOCK_SANITIZE=thread     -DSCIDOCK_BUILD_BENCH=OFF -DSCIDOCK_BUILD_EXAMPLES=OFF
-  # Cross-check: each planted fixture contains a REAL race. The racer
-  # must name the RC code on stdout and ThreadSanitizer must print its
-  # own data-race warning on stderr — one binary, two detectors, and a
-  # finding that only one of them sees fails the leg.
-  local fixture rc_code out err
-  for fixture in ww:RC001 rw:RC002 publish:RC003; do
-    rc_code="${fixture#*:}"
-    out="$dir/racer-planted-${fixture%%:*}.out"
-    err="$dir/racer-planted-${fixture%%:*}.err"
-    # TSan must not kill the process (the racer report comes after the
-    # race); halt_on_error=0 + exitcode=0 turn the warning into log-only.
-    TSAN_OPTIONS='halt_on_error=0 exitcode=0'       "$dir/tests/racer_planted" "${fixture%%:*}" >"$out" 2>"$err"
-    grep -q "$rc_code" "$out" || {
-      echo "ci/check.sh: racer_tsan: racer missed $rc_code in fixture"            "${fixture%%:*}" >&2
-      cat "$out" "$err" >&2
-      exit 1
-    }
-    grep -q 'WARNING: ThreadSanitizer: data race' "$err" || {
-      echo "ci/check.sh: racer_tsan: TSan missed the race in fixture"            "${fixture%%:*} (racer reported $rc_code)" >&2
-      cat "$out" "$err" >&2
-      exit 1
-    }
-    echo "racer_tsan: fixture ${fixture%%:*} flagged by both detectors"          "($rc_code + TSan)"
-  done
-}
-
-stage_sanitizer() { # name, cmake SCIDOCK_SANITIZE value
+stage_sanitizer() { # name, cmake SCIDOCK_SANITIZE value, extra ctest args...
   local name="$1" sanitize="$2"
+  shift 2
   local dir="$REPO_ROOT/build-ci-$name"
   configure_and_build "$dir" \
-    -DSCIDOCK_SANITIZE="$sanitize" -DSCIDOCK_LOCKDEP=ON \
+    -DSCIDOCK_SANITIZE="$sanitize" -DSCIDOCK_SYNC_ANALYSIS=ON \
     -DSCIDOCK_BUILD_BENCH=OFF -DSCIDOCK_BUILD_EXAMPLES=OFF
-  run_ctest "$dir" -L "$SANITIZER_LABELS"
+  run_ctest "$dir" -L "$SANITIZER_LABELS" "$@"
 }
 
 stage_asan() { stage_sanitizer asan address; }
 stage_ubsan() { stage_sanitizer ubsan undefined; }
-stage_tsan() { stage_sanitizer tsan thread; }
+
+tsan_fail() { # message, log files...
+  echo "ci/check.sh: tsan: $1" >&2
+  shift
+  cat "$@" >&2
+  exit 1
+}
+
+stage_tsan() {
+  local dir="$REPO_ROOT/build-ci-tsan"
+  # The planted inversions are real lock-order inversions, which TSan's
+  # deadlock detector correctly reports; they run only in the cross-check
+  # below.
+  stage_sanitizer tsan thread -LE sync-inversion
+
+  # Cross-check: each planted fixture holds a REAL race or inversion. The
+  # analyzer must name the rule on stdout and TSan must print its own
+  # warning on stderr — one binary, two detectors, and a finding that only
+  # one of them sees fails the stage. TSan must not kill the process (the
+  # analyzer's report comes after the race); halt_on_error=0 + exitcode=0
+  # turn its warning into log-only.
+  local fixture name rule warning out err
+  for fixture in ww:RC001 rw:RC002 publish:RC003 inversion:LD001; do
+    name="${fixture%%:*}"
+    rule="${fixture#*:}"
+    warning='data race'
+    [ "$name" = inversion ] && warning='lock-order-inversion'
+    out="$dir/sync-planted-$name.out"
+    err="$dir/sync-planted-$name.err"
+    TSAN_OPTIONS='halt_on_error=0 exitcode=0' \
+      "$dir/tests/sync_planted" "$name" >"$out" 2>"$err" ||
+      tsan_fail "sync_planted $name failed" "$out" "$err"
+    grep -q "$rule" "$out" ||
+      tsan_fail "the analyzer missed $rule in fixture $name" "$out" "$err"
+    grep -q "WARNING: ThreadSanitizer: $warning" "$err" ||
+      tsan_fail "TSan missed the $warning in fixture $name" "$out" "$err"
+    echo "tsan: fixture $name flagged by both detectors ($rule + TSan)"
+  done
+
+  # The in-process inversion cases assert lockdep's exact LD001 cycle and
+  # sites themselves; TSan must see each inversion too, and must report no
+  # data race.
+  local test log
+  for test in $(cd "$dir" && ctest -N -L sync-inversion |
+    sed -n 's/^ *Test *#[0-9]*: //p'); do
+    log="$dir/sync-inversion-$test.log"
+    (cd "$dir" && TSAN_OPTIONS='halt_on_error=0 exitcode=0' \
+      ctest -V -R "^$test\$") >"$log" 2>&1 ||
+      tsan_fail "$test failed" "$log"
+    grep -q 'WARNING: ThreadSanitizer: lock-order-inversion' "$log" ||
+      tsan_fail "TSan missed the inversion in $test" "$log"
+    if grep -q 'WARNING: ThreadSanitizer: data race' "$log"; then
+      tsan_fail "TSan found a data race in $test" "$log"
+    fi
+    echo "tsan: $test passed and TSan reported its inversion"
+  done
+}
 
 STAGES=("$@")
 if [ "${#STAGES[@]}" -eq 0 ]; then
-  STAGES=(default scalar native lockdep racer clang asan ubsan tsan racer_tsan)
+  STAGES=(default scalar native sync clang asan ubsan tsan)
 fi
 
 for stage in "${STAGES[@]}"; do
   case "$stage" in
-    default | scalar | native | lockdep | racer | clang | asan | ubsan | tsan | racer_tsan) ;;
+    default | scalar | native | sync | clang | asan | ubsan | tsan) ;;
     *)
       echo "ci/check.sh: unknown stage '$stage'" >&2
-      echo "stages: default scalar native lockdep racer clang asan ubsan tsan racer_tsan" >&2
+      echo "stages: default scalar native sync clang asan ubsan tsan" >&2
       exit 2
       ;;
   esac

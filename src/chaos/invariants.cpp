@@ -499,29 +499,16 @@ bool InvariantChecker::check_recovery(prov::ProvenanceStore& store) {
   return ok;
 }
 
-bool InvariantChecker::check_lockdep() {
-  if (!lockdep::compiled_in()) return true;
-  if (lockdep::clean()) return true;
-  // One violation per error finding, each carrying the full cycle /
-  // call-site detail the analyzer assembled.
+bool InvariantChecker::check_sync() {
   bool ok = true;
+  // rule_id returns a view of a string literal, so .data() is
+  // NUL-terminated.
   for (const lockdep::Finding& f : lockdep::findings()) {
     if (!f.is_error) continue;
-    // rule_id returns a view of a string literal, so .data() is
-    // NUL-terminated.
     ok = fail(strformat("lockdep %s: %s\n%s", lockdep::rule_id(f.kind).data(),
                         f.message.c_str(), f.details.c_str())) &&
          ok;
   }
-  return ok;
-}
-
-bool InvariantChecker::check_racer() {
-  if (!racer::compiled_in()) return true;
-  if (racer::clean()) return true;
-  // One violation per error report, each carrying both access sites and
-  // the missing-edge diagnosis the analyzer assembled.
-  bool ok = true;
   for (const racer::Finding& f : racer::findings()) {
     if (!f.is_error) continue;
     ok = fail(strformat("racer %s: %s\n%s", racer::rule_id(f.kind).data(),

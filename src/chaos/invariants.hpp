@@ -90,22 +90,16 @@ class InvariantChecker {
   /// ProvenanceStore::abort_open_activations before resuming the run.
   bool check_recovery(prov::ProvenanceStore& store);
 
-  /// Invariant (e), lock discipline: the runtime lock-order analyzer
-  /// (util/lockdep, DESIGN.md §11) recorded no error-severity hazard —
-  /// no lock-order inversion, pool self-wait or wait-while-holding —
-  /// over everything executed so far in this process. Warnings (e.g. a
-  /// long hold) are reported in the violation text but tolerated.
-  /// Trivially true when the analyzer is compiled out.
-  bool check_lockdep();
-
-  /// Invariant (f), race freedom: the happens-before race analyzer
-  /// (util/racer, DESIGN.md §14) recorded no error-severity report — no
-  /// RC001/RC002 data race, RC003 unsynchronized publish or RC004 keyed
-  /// reduction divergence — over everything executed so far in this
-  /// process. Warnings (order-digest-only divergence, i.e. floating-
-  /// point summation order) are reported in the violation text but
-  /// tolerated. Trivially true when the analyzer is compiled out.
-  bool check_racer();
+  /// Invariant (e), synchronisation discipline: neither runtime analyzer
+  /// (util/sync_events.hpp, DESIGN.md §11) recorded an error-severity
+  /// finding over everything executed so far in this process — no
+  /// lock-order inversion, pool self-wait or wait-while-holding from
+  /// lockdep, no RC001/RC002 data race, RC003 unsynchronized publish or
+  /// RC004 keyed reduction divergence from racer. Warnings (a long hold,
+  /// an order-only reduction digest difference) are tolerated. One
+  /// violation per error finding, carrying the analyzer's evidence.
+  /// Trivially true when the analyzers are compiled out.
+  bool check_sync();
 
   bool ok() const { return violations_.empty(); }
   const std::vector<std::string>& violations() const { return violations_; }

@@ -8,7 +8,6 @@
 #include "dock/energy.hpp"
 #include "mol/molecule.hpp"
 #include "util/error.hpp"
-#include "util/thread_pool.hpp"
 
 namespace scidock::dock {
 
@@ -34,8 +33,8 @@ DockingResult VinaEngine::dock(const mol::PreparedReceptor& receptor,
   };
   std::vector<ChainResult> chains(static_cast<std::size_t>(config_.exhaustiveness));
 
-  // Each chain gets a forked RNG so the parallel and serial paths produce
-  // the same set of results regardless of scheduling.
+  // Each chain gets a forked RNG, so a chain's result does not depend on
+  // how many chains ran before it.
   std::vector<Rng> chain_rngs;
   chain_rngs.reserve(chains.size());
   for (std::size_t c = 0; c < chains.size(); ++c) {
@@ -44,8 +43,8 @@ DockingResult VinaEngine::dock(const mol::PreparedReceptor& receptor,
 
   auto run_chain = [&](std::size_t c) {
     Rng& crng = chain_rngs[c];
-    // Each chain evaluates through its own model instance: the evaluation
-    // counter is not thread-safe and cross-chain sharing would race.
+    // Each chain evaluates through its own model instance, so its
+    // evaluation count is its own.
     VinaEnergyModel chain_model(receptor, ligand, box);
     DockPose current =
         DockPose::random(box, chain_model.reference_center(), n_tors, crng);
@@ -75,12 +74,7 @@ DockingResult VinaEngine::dock(const mol::PreparedReceptor& receptor,
     chains[c] = ChainResult{std::move(best), refined_e, chain_model.evaluations()};
   };
 
-  if (threads > 1) {
-    ThreadPool pool(static_cast<std::size_t>(threads));
-    pool.parallel_for(chains.size(), [&](std::size_t c) { run_chain(c); });
-  } else {
-    for (std::size_t c = 0; c < chains.size(); ++c) run_chain(c);
-  }
+  for (std::size_t c = 0; c < chains.size(); ++c) run_chain(c);
 
   DockingResult result;
   result.receptor_name = receptor.molecule.name();

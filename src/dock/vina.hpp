@@ -4,8 +4,8 @@
 /// AutoDock Vina analog (Trott & Olson 2010): iterated-local-search
 /// Monte Carlo with Metropolis acceptance and Solis-Wets refinement,
 /// scored by the Vina empirical function via direct pairwise evaluation.
-/// Independent chains ("exhaustiveness") optionally run on a thread pool —
-/// Vina's headline multithreading.
+/// Independent chains ("exhaustiveness") run one after another inside the
+/// activation; parallelism comes from the executor running many pairs.
 
 #include "dock/dpf.hpp"
 #include "dock/engine.hpp"
@@ -27,8 +27,6 @@ class VinaEngine : public DockingEngine {
   /// Monte-Carlo steps per chain; exposed for tests/benches that need
   /// fast runs.
   int steps_per_chain = 200;
-  /// Number of worker threads for the exhaustiveness chains (1 = serial).
-  int threads = 1;
 
  private:
   VinaConfig config_;

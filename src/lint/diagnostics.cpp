@@ -98,7 +98,7 @@ const std::vector<RuleInfo>& rule_catalog() {
       {"SQL008", "unknown reconciled metric (a '-- reconciles: <name>' "
                  "annotation names a counter no scidock_* series "
                  "registers)"},
-      // ---- runtime lock-discipline findings (util/lockdep bridge) ----
+      // ---- runtime lock-discipline findings (lint/sync_lint bridge) ----
       {"LD001", "lock-order inversion (a new acquisition edge closes a "
                 "cycle in the global lock-order graph)"},
       {"LD002", "pool self-wait (a worker thread blocks on work scheduled "
@@ -109,7 +109,7 @@ const std::vector<RuleInfo>& rule_catalog() {
       {"LD005", "duplicate lock-class name (the same Mutex name registered "
                 "from two declaration sites, which would merge unrelated "
                 "order graphs)"},
-      // ---- runtime happens-before findings (util/racer bridge) ----
+      // ---- runtime happens-before findings (lint/sync_lint bridge) ----
       {"RC001", "write-write race (two writes to a tracked cell with no "
                 "happens-before edge between them)"},
       {"RC002", "read-write race (a read and a write to a tracked cell "

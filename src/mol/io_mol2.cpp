@@ -84,6 +84,9 @@ Molecule read_mol2(std::string_view text, std::string_view name) {
         if (a < 1 || a > m.atom_count() || b < 1 || b > m.atom_count()) {
           throw ParseError("MOL2", "bond index out of range: " + line);
         }
+        if (a == b) {
+          throw ParseError("MOL2", "bond joins an atom to itself: " + line);
+        }
         m.add_bond(a - 1, b - 1, order);
         break;
       }

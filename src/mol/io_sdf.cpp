@@ -46,6 +46,7 @@ Molecule parse_record(const std::vector<std::string>& lines,
     if (a < 1 || a > natoms || b < 1 || b > natoms) {
       throw ParseError("SDF", "bond atom index out of range: " + line);
     }
+    if (a == b) throw ParseError("SDF", "bond joins an atom to itself: " + line);
     BondOrder order = BondOrder::Single;
     if (t == 2) order = BondOrder::Double;
     else if (t == 3) order = BondOrder::Triple;

@@ -3,62 +3,54 @@
 #include <string_view>
 #include <vector>
 
-#include "util/lockdep.hpp"
-#include "util/racer.hpp"
+#include "util/sync_events.hpp"
 
 namespace scidock::obs {
 
-void publish_lockdep_metrics(MetricsRegistry& registry) {
-  if (!lockdep::compiled_in()) return;
-  const lockdep::CounterSnapshot snap = lockdep::counters();
+void publish_sync_metrics(MetricsRegistry& registry) {
+  if (!sync::compiled_in()) return;
+  const auto publish = [&registry](const char* name, const char* help,
+                                   long long value) {
+    Counter& c = registry.counter(name, help);
+    c.inc(value - c.value());  // delta: repeated publishes stay monotone
+  };
+
+  const lockdep::CounterSnapshot ld = lockdep::counters();
   registry
       .gauge(kLockdepLockClasses, "distinct named lock classes registered")
-      .set(static_cast<double>(snap.lock_classes));
-  const auto publish = [&registry](const char* name, const char* help,
-                                   long long value) {
-    Counter& c = registry.counter(name, help);
-    c.inc(value - c.value());  // delta: repeated publishes stay monotone
-  };
+      .set(static_cast<double>(ld.lock_classes));
   publish(kLockdepAcquisitions, "instrumented lock acquisitions",
-          snap.acquisitions);
+          ld.acquisitions);
   publish(kLockdepOrderEdges, "distinct lock-order graph edges",
-          snap.order_edges);
-  publish(kLockdepCondWaits, "CondVar::wait hazard checks", snap.cond_waits);
+          ld.order_edges);
+  publish(kLockdepCondWaits, "CondVar::wait hazard checks", ld.cond_waits);
   publish(kLockdepPoolWaitChecks, "parallel_for self-wait checks",
-          snap.pool_wait_checks);
+          ld.pool_wait_checks);
   publish(kLockdepBlockingWaits, "annotated blocking-wait checks",
-          snap.blocking_waits);
+          ld.blocking_waits);
   publish(kLockdepFindingsError, "error-severity hazard findings",
-          snap.findings_error);
+          ld.findings_error);
   publish(kLockdepFindingsWarning, "warning-severity hazard findings",
-          snap.findings_warning);
-}
+          ld.findings_warning);
 
-void publish_racer_metrics(MetricsRegistry& registry) {
-  if (!racer::compiled_in()) return;
-  const racer::CounterSnapshot snap = racer::counters();
+  const racer::CounterSnapshot rc = racer::counters();
   registry.gauge(kRacerThreads, "threads with a racer vector-clock slot")
-      .set(static_cast<double>(snap.threads));
+      .set(static_cast<double>(rc.threads));
   registry.gauge(kRacerSyncObjects, "registered named sync objects")
-      .set(static_cast<double>(snap.sync_objects));
+      .set(static_cast<double>(rc.sync_objects));
   registry.gauge(kRacerTrackedCells, "shadow-tracked cells (ever seen)")
-      .set(static_cast<double>(snap.cells));
-  const auto publish = [&registry](const char* name, const char* help,
-                                   long long value) {
-    Counter& c = registry.counter(name, help);
-    c.inc(value - c.value());  // delta: repeated publishes stay monotone
-  };
-  publish(kRacerReads, "instrumented shadow-cell reads", snap.reads);
-  publish(kRacerWrites, "instrumented shadow-cell writes", snap.writes);
-  publish(kRacerMutexEdges, "mutex release->acquire joins", snap.mutex_edges);
-  publish(kRacerTaskEdges, "task fork/finish/join edges", snap.task_edges);
-  publish(kRacerHbEdges, "explicit publish handshake edges", snap.hb_edges);
+      .set(static_cast<double>(rc.cells));
+  publish(kRacerReads, "instrumented shadow-cell reads", rc.reads);
+  publish(kRacerWrites, "instrumented shadow-cell writes", rc.writes);
+  publish(kRacerMutexEdges, "mutex release->acquire joins", rc.mutex_edges);
+  publish(kRacerTaskEdges, "task fork/finish/join edges", rc.task_edges);
+  publish(kRacerHbEdges, "explicit publish handshake edges", rc.hb_edges);
   publish(kRacerReductionRecords, "reduction digest records",
-          snap.reduction_records);
+          rc.reduction_records);
   publish(kRacerFindingsError, "error-severity race findings",
-          snap.findings_error);
+          rc.findings_error);
   publish(kRacerFindingsWarning, "warning-severity race findings",
-          snap.findings_warning);
+          rc.findings_warning);
 }
 
 const std::vector<std::string_view>& known_metric_names() {

@@ -69,10 +69,10 @@ inline constexpr const char* kKernelAutogridSlabs =
 inline constexpr const char* kKernelAutogridSlabSeconds =
     "scidock_kernel_autogrid_slab_seconds";
 
-// ---- lockdep analyzer series (DESIGN.md §11) ----
-// Published from the util/lockdep counter snapshot by
-// publish_lockdep_metrics(); all zero (and absent) when the analyzer is
-// compiled out (SCIDOCK_LOCKDEP=OFF).
+// ---- sync-analysis series (DESIGN.md §11) ----
+// Published from the util/lockdep and util/racer counter snapshots by
+// publish_sync_metrics(); absent when the analyzers are compiled out
+// (SCIDOCK_SYNC_ANALYSIS=OFF).
 inline constexpr const char* kLockdepLockClasses =
     "scidock_lockdep_lock_classes";
 inline constexpr const char* kLockdepAcquisitions =
@@ -90,16 +90,6 @@ inline constexpr const char* kLockdepFindingsError =
 inline constexpr const char* kLockdepFindingsWarning =
     "scidock_lockdep_findings_warning_total";
 
-/// Mirror the lockdep analyzer's internal counters into `registry` (the
-/// classes series is a gauge, the rest are counters bumped by the delta
-/// since the last publish, so repeated calls stay monotone). No-op when
-/// the analyzer is compiled out.
-void publish_lockdep_metrics(MetricsRegistry& registry);
-
-// ---- racer analyzer series (DESIGN.md §14) ----
-// Published from the util/racer counter snapshot by
-// publish_racer_metrics(); all zero (and absent) when the analyzer is
-// compiled out (SCIDOCK_RACER=OFF).
 inline constexpr const char* kRacerThreads = "scidock_racer_threads";
 inline constexpr const char* kRacerSyncObjects = "scidock_racer_sync_objects";
 inline constexpr const char* kRacerTrackedCells =
@@ -118,10 +108,11 @@ inline constexpr const char* kRacerFindingsError =
 inline constexpr const char* kRacerFindingsWarning =
     "scidock_racer_findings_warning_total";
 
-/// Mirror the racer's internal counters into `registry` (threads /
-/// sync-objects / cells are gauges, the rest delta-published counters,
-/// same contract as publish_lockdep_metrics). No-op when compiled out.
-void publish_racer_metrics(MetricsRegistry& registry);
+/// Mirror both analyzers' internal counters into `registry`. Lockdep's
+/// classes and racer's threads / sync-objects / cells series are gauges;
+/// the rest are counters bumped by the delta since the last publish, so
+/// repeated calls stay monotone. No-op when compiled out.
+void publish_sync_metrics(MetricsRegistry& registry);
 
 /// Every canonical scidock_* series name the codebase registers, sorted.
 /// The lint SQL008 rule validates `-- reconciles: <metric>` annotations in

@@ -172,7 +172,7 @@ ProvenanceStore::~ProvenanceStore() {
     }
     flusher_cv_.notify_one();
     flusher_.join();
-    racer::on_task_join(flusher_edge_);
+    sync::on_join(flusher_edge_, sync::Site::current());
   }
   for (const auto& shard : shards_) SCIDOCK_RACER_UNTRACK(shard->writer);
 }
@@ -785,12 +785,12 @@ void ProvenanceStore::prune_orphans() {
 }
 
 void ProvenanceStore::start_flusher() {
-  flusher_edge_ = racer::on_task_spawn();
+  flusher_edge_ = sync::on_spawn(sync::Site::current());
   flusher_ = std::thread([this] { flusher_main(); });
 }
 
 void ProvenanceStore::flusher_main() {
-  racer::TaskRun racer_run(flusher_edge_);
+  sync::TaskScope task_scope(flusher_edge_);
   const auto interval =
       std::chrono::milliseconds(std::max(options_.group_commit_interval_ms, 1));
   for (;;) {

@@ -312,9 +312,9 @@ class ProvenanceStore {
   long long flush_tickets_ SCIDOCK_GUARDED_BY(flusher_mutex_) = 0;
   long long flush_completed_ SCIDOCK_GUARDED_BY(flusher_mutex_) = 0;
   std::thread flusher_;
-  /// Racer fork/join edge for flusher_: records logged before the spawn
+  /// Fork/join edge for flusher_: records logged before the spawn
   /// happen-before the flusher's commits; join lands in the destructor.
-  racer::TaskEdge flusher_edge_;
+  sync::TaskEdge flusher_edge_;
 };
 
 }  // namespace scidock::prov

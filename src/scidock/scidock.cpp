@@ -71,68 +71,55 @@ std::pair<ArtifactCache::MapsPtr, CacheOutcome>
 ArtifactCache::get_or_compute_maps(
     const std::string& key,
     const std::function<dock::GridMapSet()>& compute) {
+  static constexpr const char* kFlight = "scidock.gridmaps.single_flight";
   std::shared_future<MapsPtr> future;
   std::shared_ptr<std::promise<MapsPtr>> owner;
   CacheOutcome outcome = CacheOutcome::kMiss;
-  /// Racer HB id for the flight handoff: the promise the owner fulfils.
-  const void* flight_sync = nullptr;
-#if SCIDOCK_LOCKDEP_ENABLED
-  const void* flight_owner_pool = nullptr;
-#endif
+  // The flight's identity for the analyzers: the promise the owner fulfils.
+  const void* flight = nullptr;
+  sync::FlightOwner flight_owner;
   {
     MutexLock lock(mutex_);
     const auto it = map_flights_.find(key);
     if (it != map_flights_.end()) {
       future = it->second.future;
-      flight_sync = it->second.promise.get();
+      flight = it->second.promise.get();
+      flight_owner = it->second.owner;
       outcome = future.wait_for(std::chrono::seconds(0)) ==
                         std::future_status::ready
                     ? CacheOutcome::kHit
                     : CacheOutcome::kInflightWait;
-#if SCIDOCK_LOCKDEP_ENABLED
-      flight_owner_pool = it->second.owner_pool;
-#endif
     } else {
       owner = std::make_shared<std::promise<MapsPtr>>();
-      MapFlight flight{owner, owner->get_future().share()};
-      future = flight.future;
-      flight_sync = owner.get();
-#if SCIDOCK_LOCKDEP_ENABLED
-      // Remember which pool (if any) the owner is a worker of, so a
-      // concurrent waiter from the same pool can be flagged (LD002).
-      flight.owner_pool = lockdep::current_pool();
-#endif
-      map_flights_.emplace(key, std::move(flight));
+      flight = owner.get();
+      MapFlight entry{owner, owner->get_future().share(),
+                      sync::on_flight_claim(sync::Site::current())};
+      future = entry.future;
+      map_flights_.emplace(key, std::move(entry));
     }
   }
-  if (owner) {
-    try {
-      auto maps = std::make_shared<const dock::GridMapSet>(compute());
-      // Everything compute() wrote happens-before any waiter that gets
-      // the future: release on the promise, acquire after future.get().
-      racer::on_hb_release(flight_sync, "scidock.gridmaps.single_flight");
-      owner->set_value(std::move(maps));
-    } catch (...) {
-      // Waiters already holding the future see the exception; erasing the
-      // flight lets the executor's retry (or a later tuple) recompute.
-      owner->set_exception(std::current_exception());
-      MutexLock lock(mutex_);
-      map_flights_.erase(key);
-      throw;
-    }
-  }
-#if SCIDOCK_LOCKDEP_ENABLED
-  if (!owner && outcome == CacheOutcome::kInflightWait) {
-    lockdep::on_blocking_wait("scidock.gridmaps.single_flight",
-                              flight_owner_pool,
-                              std::source_location::current());
-  }
-#endif
-  MapsPtr result = future.get();  // blocks inflight waiters; rethrows
   if (!owner) {
-    racer::on_hb_acquire(flight_sync, "scidock.gridmaps.single_flight");
+    // Blocks inflight waiters; rethrows the owner's exception.
+    return {sync::await_flight(future, flight, flight_owner, kFlight,
+                               outcome == CacheOutcome::kInflightWait,
+                               sync::Site::current()),
+            outcome};
   }
-  return {std::move(result), outcome};
+  try {
+    auto maps = std::make_shared<const dock::GridMapSet>(compute());
+    // Everything compute() wrote happens-before any waiter that gets the
+    // future.
+    sync::on_flight_publish(flight, kFlight, sync::Site::current());
+    owner->set_value(std::move(maps));
+  } catch (...) {
+    // Waiters already holding the future see the exception; erasing the
+    // flight lets the executor's retry (or a later tuple) recompute.
+    owner->set_exception(std::current_exception());
+    MutexLock lock(mutex_);
+    map_flights_.erase(key);
+    throw;
+  }
+  return {future.get(), outcome};
 }
 
 std::shared_ptr<ArtifactCache> make_artifact_cache() {

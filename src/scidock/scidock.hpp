@@ -102,12 +102,7 @@ class ArtifactCache {
   struct MapFlight {
     std::shared_ptr<std::promise<MapsPtr>> promise;
     std::shared_future<MapsPtr> future;
-#if SCIDOCK_LOCKDEP_ENABLED
-    /// ThreadPool the flight owner was a worker of (nullptr when the
-    /// owner ran outside any pool); lets lockdep flag waiters that block
-    /// on a flight owned by their own pool (DESIGN.md §11).
-    const void* owner_pool = nullptr;
-#endif
+    [[no_unique_address]] sync::FlightOwner owner;
   };
 
   Mutex mutex_{"scidock.cache"};

@@ -32,8 +32,7 @@
 
 #include "chaos/invariants.hpp"
 #include "data/table2.hpp"
-#include "lint/lockdep_lint.hpp"
-#include "lint/racer_lint.hpp"
+#include "lint/sync_lint.hpp"
 #include "dock/autodock4.hpp"
 #include "dock/dlg.hpp"
 #include "dock/vina.hpp"
@@ -64,12 +63,10 @@ int usage() {
                "screen/sweep also take:\n"
                "  --trace-out FILE    Chrome chrome://tracing JSON\n"
                "  --metrics-out FILE  Prometheus text metrics\n"
-               "  --lockdep-report    print the lock-discipline report after\n"
-               "                      the run (needs -DSCIDOCK_LOCKDEP=ON;\n"
-               "                      exit 1 on any error-severity hazard)\n"
-               "  --racer-report      print the happens-before race report\n"
-               "                      after the run (needs -DSCIDOCK_RACER=ON;\n"
-               "                      exit 1 on any report)\n");
+               "  --sync-report       print the lockdep and racer reports after\n"
+               "                      the run (needs -DSCIDOCK_SYNC_ANALYSIS=ON;\n"
+               "                      exit 1 on any lockdep error or any racer\n"
+               "                      finding)\n");
   return 2;
 }
 
@@ -90,35 +87,21 @@ bool has_switch(const std::vector<std::string>& args, const std::string& name) {
   return false;
 }
 
-/// Print the lockdep report when --lockdep-report was passed; mirrors the
-/// analyzer counters into the metrics sink (if any) first so the
-/// scidock_lockdep_* series land in --metrics-out. Returns non-zero when
-/// the analyzer found an error-severity hazard — hazards fail the
-/// command just like a broken trace self-check does.
-int maybe_lockdep_report(const std::vector<std::string>& args,
-                         obs::MetricsRegistry* metrics) {
-  if (!has_switch(args, "lockdep-report")) return 0;
-  if (metrics != nullptr) obs::publish_lockdep_metrics(*metrics);
-  std::printf("%s", lockdep::format_report().c_str());
-  const lint::Report report = lint::lockdep_report();
+/// Print both sync analyzers' reports when --sync-report was passed;
+/// mirrors their counters into the metrics sink (if any) first so the
+/// scidock_lockdep_* / scidock_racer_* series land in --metrics-out.
+/// Returns non-zero on any error-severity lockdep hazard and on any racer
+/// finding at all: a warning-severity racer report (order-digest
+/// divergence) still means the run was not proven deterministic.
+int maybe_sync_report(const std::vector<std::string>& args,
+                      obs::MetricsRegistry* metrics) {
+  if (!has_switch(args, "sync-report")) return 0;
+  if (metrics != nullptr) obs::publish_sync_metrics(*metrics);
+  std::printf("%s%s", lockdep::format_report().c_str(),
+              racer::format_report().c_str());
+  const lint::Report report = lint::sync_report();
   if (!report.clean()) std::printf("%s", report.format().c_str());
-  return report.error_count() > 0 ? 1 : 0;
-}
-
-/// Print the racer report when --racer-report was passed; mirrors the
-/// analyzer counters into the metrics sink (if any) first so the
-/// scidock_racer_* series land in --metrics-out. Returns non-zero when
-/// the analyzer reported anything at all — a warning-severity report
-/// (order-digest divergence) still means the run was not proven
-/// deterministic, so the gate is stricter than the lockdep one.
-int maybe_racer_report(const std::vector<std::string>& args,
-                       obs::MetricsRegistry* metrics) {
-  if (!has_switch(args, "racer-report")) return 0;
-  if (metrics != nullptr) obs::publish_racer_metrics(*metrics);
-  std::printf("%s", racer::format_report().c_str());
-  const lint::Report report = lint::racer_report();
-  if (!report.clean()) std::printf("%s", report.format().c_str());
-  return report.clean() ? 0 : 1;
+  return !lockdep::clean() || !racer::findings().empty() ? 1 : 0;
 }
 
 /// Observability sinks requested on the command line. Null members mean
@@ -250,10 +233,7 @@ int cmd_screen(const std::vector<std::string>& args) {
     std::printf("metrics reconcile with provenance (%lld activations)\n",
                 sinks.metrics->counter_value(obs::kActivationsStarted));
   }
-  if (const int rc = maybe_lockdep_report(args, sinks.metrics.get()); rc != 0) {
-    return rc;
-  }
-  if (const int rc = maybe_racer_report(args, sinks.metrics.get()); rc != 0) {
+  if (const int rc = maybe_sync_report(args, sinks.metrics.get()); rc != 0) {
     return rc;
   }
   if (const int rc = flush_obs(sinks); rc != 0) return rc;
@@ -302,10 +282,7 @@ int cmd_sweep(const std::vector<std::string>& args) {
                 human_duration(r.total_execution_time_s).c_str(),
                 r.cloud_cost_usd);
   }
-  if (const int rc = maybe_lockdep_report(args, sinks.metrics.get()); rc != 0) {
-    return rc;
-  }
-  if (const int rc = maybe_racer_report(args, sinks.metrics.get()); rc != 0) {
+  if (const int rc = maybe_sync_report(args, sinks.metrics.get()); rc != 0) {
     return rc;
   }
   return flush_obs(sinks);

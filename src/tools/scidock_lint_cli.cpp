@@ -3,8 +3,8 @@
 // checker (rules WF001..WF010) walks the XML spec's dataflow, the SQL
 // semantic checker (SQL001..SQL008) resolves queries against the PROV-Wf
 // or relation catalog and validates `-- reconciles:` metric annotations.
-// The LD rules in the catalog are emitted by the *runtime* lockdep
-// analyzer (scidock_cli --lockdep-report), not by this tool. Exit codes:
+// The LD and RC rules in the catalog are emitted by the *runtime* sync
+// analyzers (scidock_cli --sync-report), not by this tool. Exit codes:
 // 0 = clean, 1 = diagnostics found, 2 = usage / I/O error.
 //
 //   scidock-lint workflow <spec.xml> [more.xml ...]

@@ -390,8 +390,6 @@ PoolWorkerScope::PoolWorkerScope(const void* pool) : previous_(t_worker_pool) {
 
 PoolWorkerScope::~PoolWorkerScope() { t_worker_pool = previous_; }
 
-const void* current_pool() { return t_worker_pool; }
-
 void on_pool_wait(const void* pool, std::source_location site) {
   Global& g = global();
   if (!g.enabled.load(std::memory_order_relaxed)) return;
@@ -451,6 +449,8 @@ void on_blocking_wait(const char* what, const void* owner_pool,
     }
   }
 }
+
+FlightOwner on_flight_claim() { return {t_worker_pool}; }
 
 std::vector<Finding> findings() {
   Global& g = global();

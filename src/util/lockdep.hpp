@@ -22,25 +22,26 @@
 ///     an unrelated lock,
 ///   - locks held longer than a configurable threshold (warning).
 ///
-/// Compile-time gated: with the SCIDOCK_LOCKDEP CMake option OFF (the
-/// default) every hook in this header is an empty inline and the
-/// primitives carry no extra state — zero bookkeeping on the hot path.
-/// With it ON the checks run on every acquisition, cheap enough to leave
-/// on for the whole test suite (bench_lockdep gates the overhead <= 5%
-/// on the full screen).
+/// The primitives reach these hooks only through the sync-event layer
+/// (util/sync_events.hpp). Compile-time gated by the SCIDOCK_SYNC_ANALYSIS
+/// CMake option, together with racer: OFF (the default) compiles the
+/// analyzer out, and the primitives carry no extra state — zero
+/// bookkeeping on the hot path. With it ON the checks run on every
+/// acquisition, cheap enough to leave on for the whole test suite
+/// (bench_sync_analysis gates the overhead <= 5% on the full screen).
 ///
 /// Findings carry stable rule IDs through the lint::Diagnostics
-/// machinery (LD001..LD004, see lint::rule_catalog() and
-/// lint/lockdep_lint.hpp); chaos::InvariantChecker::check_lockdep
-/// asserts a clean report after every sweep.
+/// machinery (LD001..LD005, see lint::rule_catalog() and
+/// lint/sync_lint.hpp); chaos::InvariantChecker::check_sync asserts a
+/// clean report after every sweep.
 
+#include <source_location>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#if defined(SCIDOCK_LOCKDEP)
+#if defined(SCIDOCK_SYNC_ANALYSIS)
 #define SCIDOCK_LOCKDEP_ENABLED 1
-#include <source_location>
 #else
 #define SCIDOCK_LOCKDEP_ENABLED 0
 #endif
@@ -82,7 +83,7 @@ struct Finding {
 };
 
 /// Monotone bookkeeping counters, exported through obs::MetricsRegistry
-/// by obs::publish_lockdep_metrics (scidock_lockdep_* series).
+/// by obs::publish_sync_metrics (scidock_lockdep_* series).
 struct CounterSnapshot {
   long long lock_classes = 0;
   long long acquisitions = 0;
@@ -94,7 +95,7 @@ struct CounterSnapshot {
   long long findings_warning = 0;
 };
 
-/// True when the analyzer was compiled in (SCIDOCK_LOCKDEP=ON).
+/// True when the analyzer was compiled in (SCIDOCK_SYNC_ANALYSIS=ON).
 constexpr bool compiled_in() { return SCIDOCK_LOCKDEP_ENABLED != 0; }
 
 #if SCIDOCK_LOCKDEP_ENABLED
@@ -116,8 +117,9 @@ inline constexpr int kAnonymousClass = 0;
 int register_class(const char* name,
                    std::source_location site = std::source_location::current());
 
-/// Runtime kill-switch (compiled-in builds only): bench_lockdep measures
-/// its baseline with checks off. Enabled by default.
+/// Runtime kill-switch (compiled-in builds only): bench_sync_analysis
+/// turns lockdep off for its baseline and racer-only arms. Enabled by
+/// default.
 void set_enabled(bool enabled);
 bool enabled();
 
@@ -157,9 +159,6 @@ class PoolWorkerScope {
   const void* previous_;
 };
 
-/// The pool this thread is a worker of, or nullptr.
-const void* current_pool();
-
 /// Called by ThreadPool::parallel_for before blocking on its futures:
 /// LD002 when the calling thread is a worker of the same pool (the
 /// chunks it is about to wait for sit behind it in its own queue).
@@ -173,6 +172,13 @@ void on_pool_wait(const void* pool, std::source_location site);
 /// schedules into that pool, so the report keeps the pattern visible.
 void on_blocking_wait(const char* what, const void* owner_pool,
                       std::source_location site);
+
+/// Single-flight owner, as its flight keeps it for the waiters.
+struct FlightOwner {
+  const void* pool = nullptr;  ///< pool the owner is a worker of, if any
+};
+/// The calling thread became the owner of a single-flight result.
+FlightOwner on_flight_claim();
 
 // ---- reporting ----
 
@@ -189,20 +195,29 @@ std::string format_report();
 /// untouched — call between runs, not mid-critical-section.
 void reset();
 
-#else  // ---- SCIDOCK_LOCKDEP off: every hook is a no-op ----
+#else  // ---- SCIDOCK_SYNC_ANALYSIS off: every hook is a no-op ----
 
 inline constexpr int kAnonymousClass = 0;
-inline int register_class(const char*) { return 0; }
 inline void set_enabled(bool) {}
 inline bool enabled() { return false; }
 inline void set_long_hold_threshold(double) {}
 inline double long_hold_threshold() { return 0.0; }
 
+inline void on_acquire(int, const void*, std::source_location) {}
+inline void on_try_acquired(int, const void*, std::source_location) {}
+inline void on_release(const void*) {}
+inline void on_cond_wait(const void*, std::source_location) {}
+
 class PoolWorkerScope {
  public:
   explicit PoolWorkerScope(const void*) {}
 };
-inline const void* current_pool() { return nullptr; }
+inline void on_pool_wait(const void*, std::source_location) {}
+inline void on_blocking_wait(const char*, const void*, std::source_location) {}
+struct FlightOwner {
+  static constexpr const void* pool = nullptr;
+};
+inline FlightOwner on_flight_claim() { return {}; }
 
 inline std::vector<Finding> findings() { return {}; }
 inline std::size_t finding_count(HazardKind) { return 0; }
@@ -210,7 +225,7 @@ inline CounterSnapshot counters() { return {}; }
 inline bool clean() { return true; }
 inline std::string format_report() {
   return "lockdep: disabled at build time (configure with "
-         "-DSCIDOCK_LOCKDEP=ON)\n";
+         "-DSCIDOCK_SYNC_ANALYSIS=ON)\n";
 }
 inline void reset() {}
 

@@ -106,7 +106,7 @@ struct TaskEdgeState {
 /// All analyzer state behind one raw std::mutex (never a scidock::Mutex:
 /// the hooks must not re-enter themselves). Tracked accesses are rare
 /// relative to docking compute, so a single lock is far below the
-/// bench_racer 10% overhead gate. Meyer singleton for static-init order.
+/// racer's 10% overhead gate. Meyer singleton for static-init order.
 struct Global {
   std::mutex mu;
   std::vector<std::unique_ptr<ThreadState>> threads;

@@ -33,29 +33,31 @@
 ///     the comparison records an informational note (benign for
 ///     commutative merges, the smoking gun for float accumulation).
 ///
-/// Compile-time gated like lockdep: with the SCIDOCK_RACER CMake option
-/// OFF (the default) every hook in this header is an empty inline, the
-/// Cell<T> wrapper is exactly a T, and no shadow state exists — zero
-/// cost on the hot path. With it ON the checks run on every tracked
-/// access (bench_racer gates the overhead <= 10% on the full screen).
+/// The primitives reach the sync hooks only through the sync-event layer
+/// (util/sync_events.hpp). Compile-time gated together with lockdep by
+/// the SCIDOCK_SYNC_ANALYSIS CMake option: OFF (the default) makes every
+/// hook in this header an empty inline, the Cell<T> wrapper exactly a T,
+/// and leaves no shadow state — zero cost on the hot path. With it ON
+/// the checks run on every tracked access (bench_sync_analysis gates the
+/// overhead <= 10% on the full screen).
 ///
 /// Findings carry stable rule IDs through lint::Diagnostics (RC001..
-/// RC004, see lint::rule_catalog() and lint/racer_lint.hpp);
-/// chaos::InvariantChecker::check_racer asserts a clean report after
+/// RC004, see lint::rule_catalog() and lint/sync_lint.hpp);
+/// chaos::InvariantChecker::check_sync asserts a clean report after
 /// every sweep, and chaos_profile_racer() perturbs task completion
 /// order under a fixed seed so interleaving coverage is reproducible.
 
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <source_location>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
-#if defined(SCIDOCK_RACER)
+#if defined(SCIDOCK_SYNC_ANALYSIS)
 #define SCIDOCK_RACER_ENABLED 1
-#include <source_location>
 #else
 #define SCIDOCK_RACER_ENABLED 0
 #endif
@@ -87,7 +89,7 @@ struct Finding {
 };
 
 /// Monotone bookkeeping counters, exported through obs::MetricsRegistry
-/// by obs::publish_racer_metrics (scidock_racer_* series).
+/// by obs::publish_sync_metrics (scidock_racer_* series).
 struct CounterSnapshot {
   long long threads = 0;         ///< thread slots ever registered
   long long sync_objects = 0;    ///< mutexes + ad-hoc HB ids seen
@@ -112,13 +114,14 @@ struct ReductionDigest {
 /// name → digest, as captured by reduction_snapshot().
 using ReductionSnapshot = std::map<std::string, ReductionDigest>;
 
-/// True when the analyzer was compiled in (SCIDOCK_RACER=ON).
+/// True when the analyzer was compiled in (SCIDOCK_SYNC_ANALYSIS=ON).
 constexpr bool compiled_in() { return SCIDOCK_RACER_ENABLED != 0; }
 
 #if SCIDOCK_RACER_ENABLED
 
-/// Runtime kill-switch (compiled-in builds only): bench_racer measures
-/// its baseline with checks off. Enabled by default.
+/// Runtime kill-switch (compiled-in builds only): bench_sync_analysis
+/// turns racer off for its baseline and lockdep-only arms. Enabled by
+/// default.
 void set_enabled(bool enabled);
 bool enabled();
 
@@ -234,7 +237,7 @@ std::string format_report();
 /// threads) — call between runs, not mid-flight.
 void reset();
 
-#else  // ---- SCIDOCK_RACER off: every hook is a no-op ----
+#else  // ---- SCIDOCK_SYNC_ANALYSIS off: every hook is a no-op ----
 
 inline void set_enabled(bool) {}
 inline bool enabled() { return false; }
@@ -248,8 +251,6 @@ inline void on_hb_acquire(const void*, const char*) {}
 
 struct TaskEdge {};
 inline TaskEdge on_task_spawn() { return {}; }
-inline void on_task_start(const TaskEdge&) {}
-inline void on_task_finish(const TaskEdge&) {}
 inline void on_task_join(const TaskEdge&) {}
 class TaskRun {
  public:
@@ -275,7 +276,7 @@ inline CounterSnapshot counters() { return {}; }
 inline bool clean() { return true; }
 inline std::string format_report() {
   return "racer: disabled at build time (configure with "
-         "-DSCIDOCK_RACER=ON)\n";
+         "-DSCIDOCK_SYNC_ANALYSIS=ON)\n";
 }
 inline void reset() {}
 

@@ -12,12 +12,13 @@
 /// the capability attributes) every macro expands to nothing and Mutex /
 /// MutexLock behave exactly like std::mutex / std::lock_guard.
 ///
-/// With the SCIDOCK_LOCKDEP CMake option ON the same primitives also
-/// feed the runtime lock-order analyzer (util/lockdep.hpp): construct a
-/// Mutex with a name — `Mutex mutex_{"prov.store"}` — to give it a lock
-/// class; acquisitions then record order edges with the call site
-/// (std::source_location) and inversions/hazards are reported with full
-/// cycles. With the option OFF (default) the name is discarded and the
+/// Every lock, unlock and wait is also one sync event, with its call site,
+/// for the runtime analyzers (util/sync_events.hpp). With the
+/// SCIDOCK_SYNC_ANALYSIS CMake option ON, construct a Mutex with a name —
+/// `Mutex mutex_{"prov.store"}` — to give it a lockdep lock class;
+/// acquisitions then record order edges and happens-before edges, and
+/// inversions, hazards and races are reported with their sites. With the
+/// option OFF (default) the name and sites are discarded and the
 /// primitives compile down to exactly the std equivalents.
 ///
 /// Reference: https://clang.llvm.org/docs/ThreadSafetyAnalysis.html
@@ -26,8 +27,7 @@
 #include <condition_variable>
 #include <mutex>
 
-#include "util/lockdep.hpp"
-#include "util/racer.hpp"
+#include "util/sync_events.hpp"
 
 #if defined(__clang__)
 #define SCIDOCK_THREAD_ANNOTATION(x) __attribute__((x))
@@ -75,91 +75,43 @@ namespace scidock {
 class SCIDOCK_CAPABILITY("mutex") Mutex {
  public:
   Mutex() = default;
-  /// The defaulted source_location lands on the declaration that invokes
-  /// this constructor (the member initializer / variable definition) —
+  /// The defaulted site lands on the declaration that invokes this
+  /// constructor (the member initializer / variable definition) —
   /// lockdep keys lock classes on (name, site) so a second declaration
   /// reusing a name is an LD005 error, and racer names its
   /// release→acquire edges after the same string.
-#if SCIDOCK_LOCKDEP_ENABLED
-  explicit Mutex(const char* name,
-                 std::source_location site = std::source_location::current())
-      : class_id_(lockdep::register_class(name, site)) {
-    racer::register_sync(this, name);
-  }
-#else
-  explicit Mutex([[maybe_unused]] const char* name) {
-    racer::register_sync(this, name);
-  }
-#endif
-  ~Mutex() { racer::unregister_sync(this); }
+  explicit Mutex(const char* name, sync::Site site = sync::Site::current())
+      : class_(sync::on_mutex_create(this, name, site)) {}
+  ~Mutex() { sync::on_mutex_destroy(this, sync::Site::current()); }
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;
 
-  // Racer hooks sit *inside* the critical section (acquire: after the
-  // lock lands; release: before it drops) so the vector-clock transfer
-  // through the lock's release clock is itself race-free.
-#if SCIDOCK_LOCKDEP_ENABLED
-  void lock(std::source_location site = std::source_location::current())
-      SCIDOCK_ACQUIRE() {
-    lockdep::on_acquire(class_id_, this, site);  // before: edge + cycle check
-    m_.lock();
-    racer::on_mutex_acquire(this);
+  void lock(sync::Site site = sync::Site::current()) SCIDOCK_ACQUIRE() {
+    sync::lock(m_, this, class_, site);
   }
-  void unlock() SCIDOCK_RELEASE() {
-    lockdep::on_release(this);
-    racer::on_mutex_release(this);
-    m_.unlock();
+  void unlock(sync::Site site = sync::Site::current()) SCIDOCK_RELEASE() {
+    sync::unlock(m_, this, site);
   }
-  bool try_lock(std::source_location site = std::source_location::current())
+  bool try_lock(sync::Site site = sync::Site::current())
       SCIDOCK_TRY_ACQUIRE(true) {
-    const bool acquired = m_.try_lock();
-    if (acquired) {
-      lockdep::on_try_acquired(class_id_, this, site);
-      racer::on_mutex_acquire(this);
-    }
-    return acquired;
+    return sync::try_lock(m_, this, class_, site);
   }
-  int lockdep_class_id() const { return class_id_; }
-#else
-  void lock() SCIDOCK_ACQUIRE() {
-    m_.lock();
-    racer::on_mutex_acquire(this);
-  }
-  void unlock() SCIDOCK_RELEASE() {
-    racer::on_mutex_release(this);
-    m_.unlock();
-  }
-  bool try_lock() SCIDOCK_TRY_ACQUIRE(true) {
-    const bool acquired = m_.try_lock();
-    if (acquired) racer::on_mutex_acquire(this);
-    return acquired;
-  }
-#endif
 
  private:
   std::mutex m_;
-#if SCIDOCK_LOCKDEP_ENABLED
-  int class_id_ = lockdep::kAnonymousClass;
-#endif
+  [[no_unique_address]] sync::LockClass class_;
 };
 
 /// RAII lock for Mutex — the annotated counterpart of std::lock_guard.
 class SCIDOCK_SCOPED_CAPABILITY MutexLock {
  public:
-#if SCIDOCK_LOCKDEP_ENABLED
-  /// The defaulted source_location captures the MutexLock statement
-  /// itself — that is the site lockdep prints in cycle reports.
-  explicit MutexLock(Mutex& mutex,
-                     std::source_location site = std::source_location::current())
+  /// The defaulted site captures the MutexLock statement itself — that is
+  /// the site lockdep prints in cycle reports.
+  explicit MutexLock(Mutex& mutex, sync::Site site = sync::Site::current())
       SCIDOCK_ACQUIRE(mutex)
       : mutex_(mutex) {
     mutex_.lock(site);
   }
-#else
-  explicit MutexLock(Mutex& mutex) SCIDOCK_ACQUIRE(mutex) : mutex_(mutex) {
-    mutex_.lock();
-  }
-#endif
   ~MutexLock() SCIDOCK_RELEASE() { mutex_.unlock(); }
 
   MutexLock(const MutexLock&) = delete;
@@ -178,39 +130,25 @@ class SCIDOCK_SCOPED_CAPABILITY MutexLock {
 class CondVar {
  public:
   /// Atomically release `mutex`, sleep, and re-acquire before returning.
-  /// Under lockdep, entering a wait while holding any *other* tracked
-  /// lock is reported (LD003); the release/re-acquire bookkeeping flows
-  /// through the instrumented unlock()/lock() the wait performs.
-#if SCIDOCK_LOCKDEP_ENABLED
-  void wait(Mutex& mutex,
-            std::source_location site = std::source_location::current())
+  /// Entering a wait while holding any *other* tracked lock is LD003; the
+  /// release/re-acquire bookkeeping flows through the instrumented
+  /// unlock()/lock() the wait performs.
+  void wait(Mutex& mutex, sync::Site site = sync::Site::current())
       SCIDOCK_REQUIRES(mutex) {
-    lockdep::on_cond_wait(&mutex, site);
+    sync::on_cond_wait(&mutex, site);
     cv_.wait(mutex);
   }
-#else
-  void wait(Mutex& mutex) SCIDOCK_REQUIRES(mutex) { cv_.wait(mutex); }
-#endif
 
   /// Timed wait (group-commit flusher heartbeats). Same hazard checks as
   /// wait(); returns std::cv_status::timeout when the duration elapsed.
-#if SCIDOCK_LOCKDEP_ENABLED
-  template <class Rep, class Period>
-  std::cv_status wait_for(
-      Mutex& mutex, const std::chrono::duration<Rep, Period>& rel_time,
-      std::source_location site = std::source_location::current())
-      SCIDOCK_REQUIRES(mutex) {
-    lockdep::on_cond_wait(&mutex, site);
-    return cv_.wait_for(mutex, rel_time);
-  }
-#else
   template <class Rep, class Period>
   std::cv_status wait_for(Mutex& mutex,
-                          const std::chrono::duration<Rep, Period>& rel_time)
+                          const std::chrono::duration<Rep, Period>& rel_time,
+                          sync::Site site = sync::Site::current())
       SCIDOCK_REQUIRES(mutex) {
+    sync::on_cond_wait(&mutex, site);
     return cv_.wait_for(mutex, rel_time);
   }
-#endif
 
   void notify_one() { cv_.notify_one(); }
   void notify_all() { cv_.notify_all(); }

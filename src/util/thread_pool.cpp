@@ -34,10 +34,10 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::worker_loop() {
-  // Lockdep: tasks run below can tell they execute inside this pool, so
-  // blocking on work queued into it (nested parallel_for, single-flight
-  // waits) is reportable as a self-wait hazard.
-  lockdep::PoolWorkerScope worker_scope(this);
+  // Tasks run below can tell they execute inside this pool, so blocking
+  // on work queued into it (nested parallel_for, single-flight waits) is
+  // reportable as a self-wait hazard.
+  sync::WorkerScope worker_scope(this);
   for (;;) {
     std::function<void()> task;
     {
@@ -51,24 +51,18 @@ void ThreadPool::worker_loop() {
   }
 }
 
-#if SCIDOCK_LOCKDEP_ENABLED
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& fn,
-                              std::size_t grain, std::source_location site) {
-  if (n > 0) lockdep::on_pool_wait(this, site);
-#else
-void ThreadPool::parallel_for(std::size_t n,
-                              const std::function<void(std::size_t)>& fn,
-                              std::size_t grain) {
-#endif
+                              std::size_t grain, sync::Site site) {
+  if (n > 0) sync::on_pool_wait(this, site);
   grain = std::max<std::size_t>(grain, 1);
   std::vector<std::future<void>> futures;
-  std::vector<racer::TaskEdge> edges;
+  std::vector<sync::TaskEdge> edges;
   futures.reserve((n + grain - 1) / grain);
   edges.reserve(futures.capacity());
   for (std::size_t begin = 0; begin < n; begin += grain) {
     const std::size_t end = std::min(begin + grain, n);
-    edges.push_back(racer::on_task_spawn());
+    edges.push_back(sync::on_spawn(site));
     futures.push_back(submit_with_edge(
         [&fn, begin, end] {
           for (std::size_t i = begin; i < end; ++i) fn(i);
@@ -84,7 +78,7 @@ void ThreadPool::parallel_for(std::size_t n,
     }
     // The chunk's writes happen-before everything after this join — the
     // edge that makes the caller's post-loop reads race-free.
-    racer::on_task_join(edges[i]);
+    sync::on_join(edges[i], site);
   }
   if (first_error) std::rethrow_exception(first_error);
 }

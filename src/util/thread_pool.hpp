@@ -1,13 +1,13 @@
 #pragma once
 
 /// \file thread_pool.hpp
-/// Work-queue thread pool used by the native workflow executor and by the
-/// Vina engine's exhaustiveness-level parallelism.
+/// Work-queue thread pool used by the native workflow executor and by
+/// AutoGrid's z-slab loop.
 ///
 /// Design: a single mutex-protected FIFO. The pool is small (it models
 /// "virtual cores" of one VM, typically 2-16), so a sharded/stealing deque
 /// would be complexity without measurable benefit; tasks in scidock are
-/// coarse (whole activity executions or whole MC chains).
+/// coarse (whole activity executions or batches of grid slabs).
 
 #include <chrono>
 #include <cstddef>
@@ -58,16 +58,17 @@ class ThreadPool {
 
   /// Enqueue a task; the future reports its result or exception.
   template <typename F>
-  auto submit(F&& fn) -> std::future<std::invoke_result_t<F>> {
-    return submit_with_edge(std::forward<F>(fn), racer::on_task_spawn());
+  auto submit(F&& fn, sync::Site site = sync::Site::current())
+      -> std::future<std::invoke_result_t<F>> {
+    return submit_with_edge(std::forward<F>(fn), sync::on_spawn(site));
   }
 
-  /// submit() with a caller-held racer fork token: the racer analyzer
-  /// sees submit→run as a happens-before edge automatically, but only
-  /// the holder of the edge can record the run→join edge after
-  /// future.get() (parallel_for does; see racer::on_task_join).
+  /// submit() with a caller-held fork token: the analyzers see submit→run
+  /// as a happens-before edge automatically, but only the holder of the
+  /// edge can record the run→join edge after future.get() (parallel_for
+  /// does; see sync::on_join).
   template <typename F>
-  auto submit_with_edge(F&& fn, racer::TaskEdge edge)
+  auto submit_with_edge(F&& fn, sync::TaskEdge edge)
       -> std::future<std::invoke_result_t<F>> {
     using R = std::invoke_result_t<F>;
     TaskHook hook;
@@ -82,10 +83,10 @@ class ThreadPool {
         [hook = std::move(hook), finished = std::move(stats.finished),
          enqueued_at, edge = std::move(edge),
          fn = std::forward<F>(fn)]() mutable -> R {
-          // TaskRun joins this worker's clock with the spawner's fork
-          // snapshot on entry and publishes the finish snapshot on exit
-          // (its destructor runs before the future becomes ready).
-          racer::TaskRun racer_run(edge);
+          // The task scope joins the spawner's fork on entry and
+          // publishes the finish on exit (its destructor runs before the
+          // future becomes ready).
+          sync::TaskScope task_scope(edge);
           TaskTimer timer{std::move(finished), enqueued_at,
                           std::chrono::steady_clock::now()};
           if (hook) hook();
@@ -114,14 +115,9 @@ class ThreadPool {
   /// behind the calling task and then blocks on them — a deadlock once
   /// every worker does it. Lockdep reports exactly that as LD002
   /// (pool self-wait) with the caller's site.
-#if SCIDOCK_LOCKDEP_ENABLED
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
                     std::size_t grain = 1,
-                    std::source_location site = std::source_location::current());
-#else
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
-                    std::size_t grain = 1);
-#endif
+                    sync::Site site = sync::Site::current());
 
  private:
   /// Fires `finished` (if set) when the task body leaves scope — normal

@@ -1,5 +1,6 @@
 #include "wf/native_executor.hpp"
 
+#include <algorithm>
 #include <chrono>
 
 #include "util/error.hpp"
@@ -219,29 +220,28 @@ NativeReport NativeExecutor::run(const Relation& input,
     for (std::size_t i = 0; i < input.size(); ++i) process_tuple(i);
   }
 
-  // Assemble the output relation from the first completed tuple's schema.
+  // The output schema is the union of every completed tuple's fields, in
+  // first-seen order: branches of a routed pipeline (AD4's dpf_file,
+  // Vina's conf_file) carry different fields, and a tuple lacking one of
+  // them still belongs in the output, with an empty cell.
   std::vector<std::string> fields;
   for (const auto& bucket : final_tuples) {
-    if (!bucket.empty()) {
-      for (const auto& [k, v] : bucket.front().fields()) fields.push_back(k);
-      break;
+    SCIDOCK_RACER_READ(bucket);
+    for (const Tuple& t : bucket) {
+      for (const auto& [k, v] : t.fields()) {
+        if (std::find(fields.begin(), fields.end(), k) == fields.end()) {
+          fields.push_back(k);
+        }
+      }
     }
   }
   report.output = Relation(fields);
   for (auto& bucket : final_tuples) {
-    SCIDOCK_RACER_READ(bucket);
     for (Tuple& t : bucket) {
-      Tuple projected;
-      bool complete = true;
       for (const std::string& f : fields) {
-        const auto v = t.get(f);
-        if (!v) {
-          complete = false;
-          break;
-        }
-        projected.set(f, *v);
+        if (!t.has(f)) t.set(f, "");
       }
-      if (complete) report.output.add(std::move(projected));
+      report.output.add(std::move(t));
     }
   }
 

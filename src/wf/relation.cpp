@@ -68,7 +68,7 @@ Relation Relation::from_file_text(std::string_view text) {
   if (!std::getline(in, line)) throw ParseError("relation", "empty file");
   Relation rel{split(trim(line), '\t')};
   while (std::getline(in, line)) {
-    if (trim(line).empty()) continue;
+    if (line.empty()) continue;
     const auto cells = split(line, '\t');
     if (cells.size() != rel.field_names().size()) {
       throw ParseError("relation", "row width mismatch: " + line);

@@ -124,8 +124,7 @@ TEST(ChaosSweep, SimulatedExecutorHoldsInvariants) {
       checker.check_conservation(sa);
       checker.check_provenance(sa, store_a, tag, /*chain_length=*/2);
       checker.check_replay(sa, sb);
-      checker.check_lockdep();
-      checker.check_racer();
+      checker.check_sync();
       ASSERT_TRUE(checker.ok())
           << "seed=" << seed << " profile=" << engine.profile().name
           << " policy=" << policy << "\n" << checker.to_string();
@@ -179,8 +178,7 @@ TEST(ChaosSweep, NativeExecutorHoldsInvariants) {
     checker.check_conservation(sa);
     checker.check_provenance(sa, store_a, tag, /*chain_length=*/2);
     checker.check_replay(sa, sb);
-    checker.check_lockdep();
-    checker.check_racer();
+    checker.check_sync();
     ASSERT_TRUE(checker.ok())
         << "seed=" << seed << " profile=" << profile.name
         << " threads=" << threads << "\n" << checker.to_string();

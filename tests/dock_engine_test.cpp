@@ -223,25 +223,6 @@ TEST(VinaEngine, ProducesModesWithinEnergyRange) {
   EXPECT_EQ(result.engine_name, "Vina");
 }
 
-TEST(VinaEngine, ThreadedAndSerialAgree) {
-  const Fixture fx = make_fixture();
-  VinaConfig cfg;
-  cfg.exhaustiveness = 3;
-  VinaEngine serial(cfg);
-  serial.steps_per_chain = 10;
-  serial.threads = 1;
-  VinaEngine threaded(cfg);
-  threaded.steps_per_chain = 10;
-  threaded.threads = 3;
-  Rng r1(4), r2(4);
-  const DockingResult a = serial.dock(fx.receptor, fx.ligand, fx.box, r1);
-  const DockingResult b = threaded.dock(fx.receptor, fx.ligand, fx.box, r2);
-  ASSERT_EQ(a.conformations.size(), b.conformations.size());
-  for (std::size_t i = 0; i < a.conformations.size(); ++i) {
-    EXPECT_NEAR(a.conformations[i].feb, b.conformations[i].feb, 1e-9);
-  }
-}
-
 TEST(VinaEngine, FindsBetterPosesWithMoreEffort) {
   const Fixture fx = make_fixture();
   VinaConfig lo_cfg;

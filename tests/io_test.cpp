@@ -122,6 +122,17 @@ TEST(SdfIo, RejectsOutOfRangeBondIndices) {
   EXPECT_THROW(read_sdf(bad), ParseError);
 }
 
+// A self-bond line used to reach Molecule::add_bond's assert and abort the
+// whole process; it must fail the one parse instead.
+TEST(SdfIo, RejectsSelfBond) {
+  const std::string bad =
+      "m\n\n\n  2  1  0  0  0  0  0  0  0  0999 V2000\n"
+      "    0.0000    0.0000    0.0000 C   0  0\n"
+      "    1.5000    0.0000    0.0000 C   0  0\n"
+      "  1  1  1  0\nM  END\n$$$$\n";
+  EXPECT_THROW(read_sdf(bad), ParseError);
+}
+
 // ---------------------------------------------------------------- MOL2
 
 TEST(Mol2Io, RoundTripPreservesStructure) {
@@ -153,6 +164,16 @@ TEST(Mol2Io, ParsesSybylTypes) {
   EXPECT_EQ(m.atom(1).element, Element::N);
   EXPECT_EQ(m.bonds()[0].order, BondOrder::Aromatic);
   EXPECT_EQ(m.name(), "mini");
+}
+
+TEST(Mol2Io, RejectsSelfBond) {
+  const std::string bad =
+      "@<TRIPOS>MOLECULE\nmini\n 2 1 1 0 0\nSMALL\nNONE\n\n"
+      "@<TRIPOS>ATOM\n"
+      "1 C1 0.0 0.0 0.0 C.3 1 LIG 0.0\n"
+      "2 C2 1.5 0.0 0.0 C.3 1 LIG 0.0\n"
+      "@<TRIPOS>BOND\n1 2 2 1\n";
+  EXPECT_THROW(read_mol2(bad), ParseError);
 }
 
 TEST(Mol2Io, RejectsMissingAtomSection) {

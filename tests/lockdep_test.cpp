@@ -1,16 +1,24 @@
-// Lock-discipline suite (DESIGN.md §11). The negative controls provoke
+// Lock-discipline suite (DESIGN.md §11.1). The negative controls provoke
 // the real hazards on purpose — an A->B / B->A lock-order inversion and
 // a ThreadPool worker blocking on its own pool — and assert on the exact
 // cycle, rule IDs and call sites the analyzer reports. The remaining
 // tests cover the CondVar / blocking-wait hazards, the long-hold
-// warning, the runtime kill-switch, and the three bridges out of the
-// analyzer: obs::publish_lockdep_metrics, InvariantChecker::check_lockdep
-// and lint::lockdep_report. Provocation tests skip unless built with
-// -DSCIDOCK_LOCKDEP=ON; the disabled-behavior tests run (only) when it
-// is compiled out, so both configurations exercise this binary.
+// warning, the runtime kill-switch, and lockdep's side of the three
+// shared sync-analysis bridges: obs::publish_sync_metrics,
+// InvariantChecker::check_sync and lint::sync_report. Provocation tests
+// skip unless built with -DSCIDOCK_SYNC_ANALYSIS=ON; the
+// disabled-behavior tests run (only) when it is compiled out, so both
+// configurations exercise this binary.
+//
+// Cases that plant a real inversion use the LockdepInversionTest
+// fixture: ThreadSanitizer's deadlock detector (correctly) flags them
+// too, so the TSan leg of ci/check.sh runs them only as a cross-check
+// (ctest label sync-inversion) that requires both detectors to see the
+// cycle.
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <optional>
 #include <string>
 #include <thread>
@@ -20,10 +28,11 @@
 
 #include "chaos/invariants.hpp"
 #include "lint/diagnostics.hpp"
-#include "lint/lockdep_lint.hpp"
+#include "lint/sync_lint.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "util/lockdep.hpp"
+#include "util/racer.hpp"
 #include "util/thread_annotations.hpp"
 #include "util/thread_pool.hpp"
 
@@ -51,7 +60,7 @@ TEST(LockdepRules, StableRuleIds) {
 
 TEST(LockdepDisabled, AllBridgesAreInertWhenCompiledOut) {
   if (lockdep::compiled_in()) {
-    GTEST_SKIP() << "built with SCIDOCK_LOCKDEP=ON";
+    GTEST_SKIP() << "built with SCIDOCK_SYNC_ANALYSIS=ON";
   }
   EXPECT_NE(lockdep::format_report().find("disabled"), std::string::npos);
   EXPECT_TRUE(lockdep::clean());
@@ -60,32 +69,34 @@ TEST(LockdepDisabled, AllBridgesAreInertWhenCompiledOut) {
   EXPECT_FALSE(lockdep::enabled());
 
   chaos::InvariantChecker checker;
-  EXPECT_TRUE(checker.check_lockdep());
+  EXPECT_TRUE(checker.check_sync());
   EXPECT_TRUE(checker.ok());
 
-  EXPECT_TRUE(lint::lockdep_report().clean());
+  EXPECT_TRUE(lint::sync_report().clean());
 
   obs::MetricsRegistry registry;
-  obs::publish_lockdep_metrics(registry);
+  obs::publish_sync_metrics(registry);
   EXPECT_EQ(registry.counter_value(obs::kLockdepAcquisitions), 0);
   EXPECT_EQ(registry.series_count(), 0u);
 }
 
 // ---------------------------------------------------------------------------
-// Compiled-in configuration. Each test resets the analyzer and uses lock
-// classes named after itself: classes are global and live for the
-// process, so sharing names across tests would entangle their graphs.
+// Compiled-in configuration. Each test resets both analyzers (the
+// bridges report them together) and uses lock classes named after
+// itself: classes are global and live for the process, so sharing names
+// across tests would entangle their graphs.
 
 class LockdepTest : public ::testing::Test {
  protected:
   void SetUp() override {
     if (!lockdep::compiled_in()) {
-      GTEST_SKIP() << "requires -DSCIDOCK_LOCKDEP=ON";
+      GTEST_SKIP() << "requires -DSCIDOCK_SYNC_ANALYSIS=ON";
     }
 #if SCIDOCK_LOCKDEP_ENABLED
     lockdep::reset();
     lockdep::set_enabled(true);
     lockdep::set_long_hold_threshold(1.0);
+    racer::reset();
 #endif
   }
 
@@ -95,9 +106,13 @@ class LockdepTest : public ::testing::Test {
     lockdep::set_long_hold_threshold(1.0);
     lockdep::set_enabled(true);
     lockdep::reset();
+    racer::reset();
 #endif
   }
 };
+
+/// Cases that plant a real A->B / B->A inversion (see the file comment).
+class LockdepInversionTest : public LockdepTest {};
 
 #if SCIDOCK_LOCKDEP_ENABLED
 
@@ -135,7 +150,7 @@ TEST_F(LockdepTest, ConsistentOrderIsClean) {
 // Negative control 1 (ISSUE acceptance): a genuine A->B / B->A inversion
 // must be reported as LD001 with the complete two-edge cycle and the
 // file:line of all four acquisitions.
-TEST_F(LockdepTest, InversionReportsFullCycleWithCallSites) {
+TEST_F(LockdepInversionTest, InversionReportsFullCycleWithCallSites) {
 #if SCIDOCK_LOCKDEP_ENABLED
   Mutex a{"test.inv.a"};
   Mutex b{"test.inv.b"};
@@ -199,7 +214,7 @@ TEST_F(LockdepTest, InversionReportsFullCycleWithCallSites) {
 
 // The inversion is a property of lock *classes*, so two distinct threads
 // (never holding both locks at once, never colliding) still trip it.
-TEST_F(LockdepTest, InversionAcrossThreadsIsDetected) {
+TEST_F(LockdepInversionTest, InversionAcrossThreadsIsDetected) {
 #if SCIDOCK_LOCKDEP_ENABLED
   Mutex a{"test.xthread.a"};
   Mutex b{"test.xthread.b"};
@@ -238,7 +253,7 @@ TEST_F(LockdepTest, InversionAcrossThreadsIsDetected) {
 
 // Anonymous (unnamed) mutexes are excluded from the order graph: one
 // shared class over unrelated instances would invent impossible cycles.
-TEST_F(LockdepTest, AnonymousMutexesRecordNoOrderEdges) {
+TEST_F(LockdepInversionTest, AnonymousMutexesRecordNoOrderEdges) {
 #if SCIDOCK_LOCKDEP_ENABLED
   Mutex a;
   Mutex b;
@@ -390,13 +405,28 @@ TEST_F(LockdepTest, BlockingWaitWhileHoldingLockIsLD003) {
 
 // Same-pool single-flight wait: flagged as an LD002 *warning* — safe
 // today because the owning task computes inline, but worth keeping
-// visible. clean() stays true (warnings are tolerated).
+// visible. clean() stays true (warnings are tolerated). Waits on a flight
+// claimed outside the waiter's pool stay silent.
 TEST_F(LockdepTest, BlockingWaitOnOwnPoolIsAWarningNotAnError) {
 #if SCIDOCK_LOCKDEP_ENABLED
   int pool_tag = 0;
-  lockdep::PoolWorkerScope scope(&pool_tag);
-  lockdep::on_blocking_wait("test.flight", &pool_tag,
-                            std::source_location::current());
+  int other_pool = 0;
+  std::promise<int> done;
+  const std::shared_future<int> result = done.get_future().share();
+  done.set_value(7);
+  const auto claim_in = [](const void* pool) {
+    lockdep::PoolWorkerScope scope(pool);
+    return sync::on_flight_claim(std::source_location::current());
+  };
+  const auto wait_in_own_pool = [&](sync::FlightOwner owner, const char* what) {
+    lockdep::PoolWorkerScope scope(&pool_tag);
+    return sync::await_flight(result, &done, owner, what, true,
+                              std::source_location::current());
+  };
+  EXPECT_EQ(wait_in_own_pool(claim_in(nullptr), "test.quiet"), 7);
+  EXPECT_EQ(wait_in_own_pool(claim_in(&other_pool), "test.quiet"), 7);
+  EXPECT_TRUE(lockdep::findings().empty()) << lockdep::format_report();
+  EXPECT_EQ(wait_in_own_pool(claim_in(&pool_tag), "test.flight"), 7);
   const auto f = first_finding(lockdep::HazardKind::kPoolSelfWait);
   ASSERT_TRUE(f.has_value());
   EXPECT_FALSE(f->is_error);
@@ -436,7 +466,7 @@ TEST_F(LockdepTest, LongHoldEmitsWarning) {
 
 // Runtime kill-switch: with checks disabled (the bench baseline) the
 // same inversion records nothing.
-TEST_F(LockdepTest, KillSwitchSuppressesAllBookkeeping) {
+TEST_F(LockdepInversionTest, KillSwitchSuppressesAllBookkeeping) {
 #if SCIDOCK_LOCKDEP_ENABLED
   lockdep::set_enabled(false);
   Mutex a{"test.kill.a"};
@@ -464,7 +494,7 @@ TEST_F(LockdepTest, PublishMetricsExportsAllSeries) {
     MutexLock la(a);
   }
   obs::MetricsRegistry registry;
-  obs::publish_lockdep_metrics(registry);
+  obs::publish_sync_metrics(registry);
   EXPECT_GT(registry.gauge_value(obs::kLockdepLockClasses), 0.0);
   EXPECT_GT(registry.counter_value(obs::kLockdepAcquisitions), 0);
   EXPECT_EQ(registry.counter_value(obs::kLockdepFindingsError), 0);
@@ -478,7 +508,7 @@ TEST_F(LockdepTest, PublishMetricsExportsAllSeries) {
   {
     MutexLock la(a);
   }
-  obs::publish_lockdep_metrics(registry);
+  obs::publish_sync_metrics(registry);
   const long long after_second =
       registry.counter_value(obs::kLockdepAcquisitions);
   EXPECT_GE(after_second, after_first + 1);
@@ -495,11 +525,11 @@ TEST_F(LockdepTest, PublishMetricsExportsAllSeries) {
 #endif
 }
 
-TEST_F(LockdepTest, InvariantCheckerFlagsErrorsAndToleratesWarnings) {
+TEST_F(LockdepInversionTest, InvariantCheckerFlagsErrorsAndToleratesWarnings) {
 #if SCIDOCK_LOCKDEP_ENABLED
   {
     chaos::InvariantChecker checker;
-    EXPECT_TRUE(checker.check_lockdep());
+    EXPECT_TRUE(checker.check_sync());
   }
 
   // A warning alone keeps the invariant green.
@@ -511,7 +541,7 @@ TEST_F(LockdepTest, InvariantCheckerFlagsErrorsAndToleratesWarnings) {
   }
   {
     chaos::InvariantChecker checker;
-    EXPECT_TRUE(checker.check_lockdep()) << checker.to_string();
+    EXPECT_TRUE(checker.check_sync()) << checker.to_string();
   }
 
   // An inversion breaks it, and the violation names the rule.
@@ -526,7 +556,7 @@ TEST_F(LockdepTest, InvariantCheckerFlagsErrorsAndToleratesWarnings) {
     MutexLock la(a);
   }
   chaos::InvariantChecker checker;
-  EXPECT_FALSE(checker.check_lockdep());
+  EXPECT_FALSE(checker.check_sync());
   EXPECT_FALSE(checker.ok());
   ASSERT_FALSE(checker.violations().empty());
   EXPECT_NE(checker.to_string().find("LD001"), std::string::npos)
@@ -534,9 +564,9 @@ TEST_F(LockdepTest, InvariantCheckerFlagsErrorsAndToleratesWarnings) {
 #endif
 }
 
-TEST_F(LockdepTest, LintBridgeMapsFindingsToDiagnostics) {
+TEST_F(LockdepInversionTest, LintBridgeMapsFindingsToDiagnostics) {
 #if SCIDOCK_LOCKDEP_ENABLED
-  EXPECT_TRUE(lint::lockdep_report().clean());
+  EXPECT_TRUE(lint::sync_report().clean());
 
   Mutex a{"test.lint.a"};
   Mutex b{"test.lint.b"};
@@ -555,7 +585,7 @@ TEST_F(LockdepTest, LintBridgeMapsFindingsToDiagnostics) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
 
-  const lint::Report report = lint::lockdep_report();
+  const lint::Report report = lint::sync_report();
   EXPECT_FALSE(report.clean());
   EXPECT_TRUE(report.has("LD001"));
   EXPECT_TRUE(report.has("LD004"));
@@ -566,7 +596,7 @@ TEST_F(LockdepTest, LintBridgeMapsFindingsToDiagnostics) {
 #endif
 }
 
-TEST_F(LockdepTest, ResetClearsFindingsAndGraph) {
+TEST_F(LockdepInversionTest, ResetClearsFindingsAndGraph) {
 #if SCIDOCK_LOCKDEP_ENABLED
   Mutex a{"test.reset.a"};
   Mutex b{"test.reset.b"};
@@ -597,7 +627,7 @@ TEST_F(LockdepTest, ResetClearsFindingsAndGraph) {
 // (an inversion between the two impostors looked like self-order noise).
 // Now the second declaration gets its own class plus an LD005 error
 // naming both sites.
-TEST_F(LockdepTest, DuplicateClassNameIsRejectedAcrossDeclarations) {
+TEST_F(LockdepInversionTest, DuplicateClassNameIsRejectedAcrossDeclarations) {
 #if SCIDOCK_LOCKDEP_ENABLED
   const int first_line = __LINE__ + 1;
   Mutex a{"test.ld005.dup"};
@@ -638,7 +668,7 @@ TEST_F(LockdepTest, DuplicateClassNameIsRejectedAcrossDeclarations) {
       << inversion->details;
 
   // And the bridge speaks LD005.
-  const lint::Report report = lint::lockdep_report();
+  const lint::Report report = lint::sync_report();
   EXPECT_TRUE(report.has("LD005")) << report.format();
 #endif
 }

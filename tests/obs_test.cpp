@@ -461,8 +461,7 @@ TEST(Reconciliation, SimCountersMatchProvenanceAcrossSeeds) {
     InvariantChecker checker;
     checker.check_conservation(summary);
     checker.check_metrics(summary, metrics, store, "obs-sim");
-    checker.check_lockdep();
-    checker.check_racer();
+    checker.check_sync();
     ASSERT_TRUE(checker.ok()) << "seed=" << seed << "\n"
                               << checker.to_string();
     faults_seen += report.activations_failed + report.activations_hung;
@@ -499,8 +498,7 @@ TEST(Reconciliation, NativeCountersMatchProvenanceAcrossSeeds) {
     InvariantChecker checker;
     checker.check_conservation(summary);
     checker.check_metrics(summary, metrics, store, "obs-native");
-    checker.check_lockdep();
-    checker.check_racer();
+    checker.check_sync();
     ASSERT_TRUE(checker.ok()) << "seed=" << seed << " threads=" << opts.threads
                               << "\n"
                               << checker.to_string();

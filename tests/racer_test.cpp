@@ -1,4 +1,4 @@
-// Race-freedom suite (DESIGN.md §14). The negative controls plant the
+// Race-freedom suite (DESIGN.md §11.2). The negative controls plant the
 // real hazard *shapes* on purpose — an unguarded counter (RC001), reads
 // racing writes (RC002), an object published across threads with no
 // happens-before edge (RC003) and an order-sensitive reduction (RC004) —
@@ -7,13 +7,14 @@
 // sequenced with *real but uninstrumented* synchronisation (std::thread
 // join, seq_cst flags), so each report is deterministic and the test
 // binary itself is ThreadSanitizer-clean; the genuinely racy fixtures
-// for the TSan cross-check live in racer_planted_main.cpp instead.
+// for the TSan cross-check live in sync_planted_main.cpp instead.
 // Positive controls prove the owned edges (named Mutex, ThreadPool
 // fork/join, on_hb_* handshake) silence the same shapes, and the bridge
-// tests cover obs::publish_racer_metrics, InvariantChecker::check_racer
-// and lint::racer_report. Provocation tests skip unless built with
-// -DSCIDOCK_RACER=ON; the disabled-behavior test runs (only) when it is
-// compiled out, so both configurations exercise this binary.
+// tests cover racer's side of the shared sync-analysis bridges:
+// obs::publish_sync_metrics, InvariantChecker::check_sync and
+// lint::sync_report. Provocation tests skip unless built with
+// -DSCIDOCK_SYNC_ANALYSIS=ON; the disabled-behavior test runs (only) when
+// it is compiled out, so both configurations exercise this binary.
 
 #include <array>
 #include <atomic>
@@ -29,10 +30,11 @@
 #include "chaos/invariants.hpp"
 #include "data/table2.hpp"
 #include "lint/diagnostics.hpp"
-#include "lint/racer_lint.hpp"
+#include "lint/sync_lint.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "scidock/experiment.hpp"
+#include "util/lockdep.hpp"
 #include "util/racer.hpp"
 #include "util/thread_annotations.hpp"
 #include "util/thread_pool.hpp"
@@ -64,7 +66,7 @@ TEST(RacerRules, StableRuleIds) {
 
 TEST(RacerDisabled, AllBridgesAreInertWhenCompiledOut) {
   if (racer::compiled_in()) {
-    GTEST_SKIP() << "built with SCIDOCK_RACER=ON";
+    GTEST_SKIP() << "built with SCIDOCK_SYNC_ANALYSIS=ON";
   }
   EXPECT_NE(racer::format_report().find("disabled"), std::string::npos);
   EXPECT_TRUE(racer::clean());
@@ -95,30 +97,32 @@ TEST(RacerDisabled, AllBridgesAreInertWhenCompiledOut) {
   EXPECT_EQ(racer::compare_reduction_snapshots({}, {}, "a", "b"), 0);
 
   chaos::InvariantChecker checker;
-  EXPECT_TRUE(checker.check_racer());
+  EXPECT_TRUE(checker.check_sync());
   EXPECT_TRUE(checker.ok());
 
-  EXPECT_TRUE(lint::racer_report().clean());
+  EXPECT_TRUE(lint::sync_report().clean());
 
   obs::MetricsRegistry registry;
-  obs::publish_racer_metrics(registry);
+  obs::publish_sync_metrics(registry);
   EXPECT_EQ(registry.series_count(), 0u);
 }
 
 // ---------------------------------------------------------------------------
-// Compiled-in configuration. Each test resets the analyzer; tracked
-// objects and reductions are named after their test so shadow state
-// can never entangle across tests.
+// Compiled-in configuration. Each test resets both analyzers (the
+// bridges report them together); tracked objects and reductions are
+// named after their test so shadow state can never entangle across
+// tests.
 
 class RacerTest : public ::testing::Test {
  protected:
   void SetUp() override {
     if (!racer::compiled_in()) {
-      GTEST_SKIP() << "requires -DSCIDOCK_RACER=ON";
+      GTEST_SKIP() << "requires -DSCIDOCK_SYNC_ANALYSIS=ON";
     }
 #if SCIDOCK_RACER_ENABLED
     racer::reset();
     racer::set_enabled(true);
+    lockdep::reset();
 #endif
   }
 
@@ -127,6 +131,7 @@ class RacerTest : public ::testing::Test {
     if (!racer::compiled_in()) return;
     racer::set_enabled(true);
     racer::reset();
+    lockdep::reset();
 #endif
   }
 };
@@ -557,7 +562,7 @@ TEST_F(RacerTest, DockingReductionsAreThreadCountInvariant) {
 #endif
 }
 
-// Runtime kill-switch: with checks disabled (the bench_racer baseline)
+// Runtime kill-switch: with checks disabled (a bench_sync_analysis arm)
 // the same shapes record nothing at all.
 TEST_F(RacerTest, KillSwitchSuppressesAllBookkeeping) {
 #if SCIDOCK_RACER_ENABLED
@@ -604,7 +609,7 @@ TEST_F(RacerTest, PublishMetricsExportsAllSeries) {
   (void)cell.read();
   racer::on_reduction("test.metrics.red", 1, 0x1);
   obs::MetricsRegistry registry;
-  obs::publish_racer_metrics(registry);
+  obs::publish_sync_metrics(registry);
   EXPECT_GT(registry.gauge_value(obs::kRacerThreads), 0.0);
   EXPECT_GT(registry.gauge_value(obs::kRacerTrackedCells), 0.0);
   EXPECT_GE(registry.counter_value(obs::kRacerWrites), 1);
@@ -615,7 +620,7 @@ TEST_F(RacerTest, PublishMetricsExportsAllSeries) {
   // never doubles it, and never runs ahead of it.
   const long long after_first = registry.counter_value(obs::kRacerWrites);
   cell.write(2);
-  obs::publish_racer_metrics(registry);
+  obs::publish_sync_metrics(registry);
   const long long after_second = registry.counter_value(obs::kRacerWrites);
   EXPECT_GE(after_second, after_first + 1);
   EXPECT_LE(after_second, racer::counters().writes);
@@ -636,7 +641,7 @@ TEST_F(RacerTest, InvariantCheckerFlagsErrorsAndToleratesWarnings) {
 #if SCIDOCK_RACER_ENABLED
   {
     chaos::InvariantChecker checker;
-    EXPECT_TRUE(checker.check_racer());
+    EXPECT_TRUE(checker.check_sync());
   }
 
   // An order-digest warning alone keeps the invariant green.
@@ -650,7 +655,7 @@ TEST_F(RacerTest, InvariantCheckerFlagsErrorsAndToleratesWarnings) {
   racer::compare_reduction_snapshots(forward, reversed, "a", "b");
   {
     chaos::InvariantChecker checker;
-    EXPECT_TRUE(checker.check_racer()) << checker.to_string();
+    EXPECT_TRUE(checker.check_sync()) << checker.to_string();
   }
 
   // A planted publish breaks it, and the violation names the rule.
@@ -658,7 +663,7 @@ TEST_F(RacerTest, InvariantCheckerFlagsErrorsAndToleratesWarnings) {
   std::thread t([&] { (void)obj.read(); });
   t.join();
   chaos::InvariantChecker checker;
-  EXPECT_FALSE(checker.check_racer());
+  EXPECT_FALSE(checker.check_sync());
   EXPECT_FALSE(checker.ok());
   ASSERT_FALSE(checker.violations().empty());
   EXPECT_NE(checker.to_string().find("RC003"), std::string::npos)
@@ -668,7 +673,7 @@ TEST_F(RacerTest, InvariantCheckerFlagsErrorsAndToleratesWarnings) {
 
 TEST_F(RacerTest, LintBridgeMapsFindingsToDiagnostics) {
 #if SCIDOCK_RACER_ENABLED
-  EXPECT_TRUE(lint::racer_report().clean());
+  EXPECT_TRUE(lint::sync_report().clean());
 
   racer::Cell<int> counter{0, "test.lint.counter"};
   racer::TaskEdge edge = racer::on_task_spawn();
@@ -681,7 +686,7 @@ TEST_F(RacerTest, LintBridgeMapsFindingsToDiagnostics) {
   racer::on_reduction("test.lint.red", 1, 0xA);
   racer::on_reduction("test.lint.red", 1, 0xB);  // RC004
 
-  const lint::Report report = lint::racer_report();
+  const lint::Report report = lint::sync_report();
   EXPECT_FALSE(report.clean());
   EXPECT_TRUE(report.has("RC001"));
   EXPECT_TRUE(report.has("RC004"));

@@ -2,8 +2,13 @@
 // activities with real docking) over a small slice of the Table 2
 // dataset, native and simulated, plus the paper's provenance queries.
 
+#include <set>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "data/generator.hpp"
 #include "data/table2.hpp"
 #include "dock/grid.hpp"
 #include "mol/io_pdbqt.hpp"
@@ -38,19 +43,37 @@ std::vector<std::string> some_receptors(int n) {
   return {all.begin(), all.begin() + n};
 }
 
+// Adaptive routing sends each pair down the AD4 or the Vina branch by
+// receptor size, and the branches add different fields (dpf_file vs
+// conf_file). Every pair must still reach the output or be recorded as
+// lost.
 TEST(ScidockIntegration, NativeRunProducesDockedPairs) {
-  auto exp = core::make_experiment(some_receptors(3), {"042", "074"}, 0,
-                                   fast_options());
-  ASSERT_EQ(exp.pairs.size(), 6u);
+  const core::ScidockOptions opts = fast_options();
+  // Two receptors on each side of the routing threshold.
+  std::vector<std::string> small, large;
+  for (const std::string& code : data::table2_receptors()) {
+    const bool vina = data::receptor_residue_count(code, opts.dataset) >
+                      data::vina_size_threshold(opts.dataset);
+    std::vector<std::string>& side = vina ? large : small;
+    if (side.size() < 2) side.push_back(code);
+  }
+  std::vector<std::string> receptors = small;
+  receptors.insert(receptors.end(), large.begin(), large.end());
+  ASSERT_EQ(receptors.size(), 4u);
+  auto exp = core::make_experiment(receptors, {"042", "074"}, 0, opts);
+  ASSERT_EQ(exp.pairs.size(), 8u);
   const wf::NativeReport report = core::run_native(exp, /*threads=*/2);
-  // Every surviving pair carries FEB/RMSD fields.
-  EXPECT_GT(report.output.size(), 0u);
+  EXPECT_EQ(report.output.size() + static_cast<std::size_t>(report.tuples_lost),
+            exp.pairs.size());
+  std::set<std::string> engines;
   for (const wf::Tuple& t : report.output.tuples()) {
+    engines.insert(t.require("engine"));
     EXPECT_TRUE(t.has("feb"));
     EXPECT_TRUE(t.has("rmsd"));
     EXPECT_TRUE(t.has("dlg_file"));
     EXPECT_TRUE(exp.fs->exists(t.require("dlg_file")));
   }
+  EXPECT_EQ(engines, (std::set<std::string>{"ad4", "vina"}));
   EXPECT_GT(report.activations_finished, 0);
 }
 

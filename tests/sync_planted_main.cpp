@@ -1,19 +1,22 @@
-// Planted-race fixtures for the racer × ThreadSanitizer cross-check leg
-// (ci/check.sh stage racer_tsan). Unlike racer_test.cpp — whose planted
-// shapes are sequenced with real synchronisation so gtest stays
-// TSan-clean — each fixture here contains a REAL data race on a tracked
-// object. Built with -DSCIDOCK_RACER=ON and -fsanitize=thread, one
-// process runs both detectors: the racer must name the RC code on
-// stdout and TSan must print its own data-race warning on stderr; the
-// CI stage diffs the two and fails if either detector misses.
+// Planted fixtures for the sync-analysis × ThreadSanitizer cross-check
+// (ci/check.sh stage tsan). Unlike racer_test.cpp — whose planted shapes
+// are sequenced with real synchronisation so gtest stays TSan-clean —
+// each race fixture here contains a REAL data race on a tracked object,
+// and the inversion fixture a real lock-order inversion. Built with
+// -DSCIDOCK_SYNC_ANALYSIS=ON and -fsanitize=thread, one process runs the
+// analyzer and TSan: the analyzer must name the rule on stdout and TSan
+// must print its own warning on stderr; the CI stage fails if either
+// detector misses.
 //
-//   racer_planted ww       write-write race        -> RC001
-//   racer_planted rw       read racing a write     -> RC002
-//   racer_planted publish  relaxed-flag publication -> RC003
+//   sync_planted ww         write-write race         -> RC001 + data race
+//   sync_planted rw         read racing a write      -> RC002 + data race
+//   sync_planted publish    relaxed-flag publication -> RC003 + data race
+//   sync_planted inversion  A->B then B->A           -> LD001 +
+//                                                       lock-order-inversion
 //
-// The races are benign in practice (torn int stores at worst), so the
-// process always reaches its report and exits 0 when the expected RC
-// code was found.
+// The races are benign in practice (torn int stores at worst) and the two
+// lock orders run one after the other, so the process always reaches its
+// report and exits 0 when the expected rule was found.
 
 #include <atomic>
 #include <cstdio>
@@ -21,31 +24,40 @@
 #include <string_view>
 #include <thread>
 
+#include "util/lockdep.hpp"
 #include "util/racer.hpp"
+#include "util/thread_annotations.hpp"
 
 namespace {
 
+using scidock::lockdep::HazardKind;
 using scidock::racer::ReportKind;
 
 volatile int g_sink = 0;  // defeats dead-access elimination
 
-int finish(ReportKind expected) {
+/// Print both reports, then whether the analyzer found the planted rule.
+int finish(bool found, std::string_view rule) {
+  std::fputs(scidock::lockdep::format_report().c_str(), stdout);
   std::fputs(scidock::racer::format_report().c_str(), stdout);
-  if (!scidock::racer::compiled_in()) {
-    std::fputs("racer_planted: analyzer compiled out -- rebuild with "
-               "-DSCIDOCK_RACER=ON\n",
+  if (!scidock::sync::compiled_in()) {
+    std::fputs("sync_planted: analyzers compiled out -- rebuild with "
+               "-DSCIDOCK_SYNC_ANALYSIS=ON\n",
                stdout);
     return 2;
   }
-  if (scidock::racer::finding_count(expected) == 0) {
+  if (!found) {
     // Deliberately does not echo the rule ID: the CI grep must only
     // match when the analyzer itself reported it.
-    std::fputs("racer_planted: expected report missing\n", stdout);
+    std::fputs("sync_planted: expected report missing\n", stdout);
     return 1;
   }
-  std::printf("racer_planted: flagged %s\n",
-              std::string(scidock::racer::rule_id(expected)).c_str());
+  std::printf("sync_planted: flagged %s\n", std::string(rule).c_str());
   return 0;
+}
+
+int finish(ReportKind expected) {
+  return finish(scidock::racer::finding_count(expected) > 0,
+                scidock::racer::rule_id(expected));
 }
 
 /// RC001: two unsynchronized writer loops. The fork edge orders the
@@ -137,8 +149,28 @@ int fixture_publish() {
   return finish(ReportKind::kUnsyncPublish);
 }
 
+/// LD001: two named locks taken in both orders, one order after the
+/// other, so nothing ever blocks. Both detectors judge the lock graph,
+/// not an actual deadlock: lockdep closes a cycle in its class order
+/// graph, TSan's deadlock detector in its mutex graph.
+int fixture_inversion() {
+  scidock::Mutex a{"planted.inversion.a"};
+  scidock::Mutex b{"planted.inversion.b"};
+  {
+    scidock::MutexLock la(a);
+    scidock::MutexLock lb(b);
+  }
+  {
+    scidock::MutexLock lb(b);
+    scidock::MutexLock la(a);
+  }
+  return finish(
+      scidock::lockdep::finding_count(HazardKind::kLockInversion) > 0,
+      scidock::lockdep::rule_id(HazardKind::kLockInversion));
+}
+
 int usage() {
-  std::fputs("usage: racer_planted <ww|rw|publish>\n", stderr);
+  std::fputs("usage: sync_planted <ww|rw|publish|inversion>\n", stderr);
   return 2;
 }
 
@@ -150,5 +182,6 @@ int main(int argc, char** argv) {
   if (fixture == "ww") return fixture_ww();
   if (fixture == "rw") return fixture_rw();
   if (fixture == "publish") return fixture_publish();
+  if (fixture == "inversion") return fixture_inversion();
   return usage();
 }

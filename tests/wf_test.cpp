@@ -64,6 +64,31 @@ TEST(Relation, FileRoundTrip) {
   EXPECT_EQ(back.tuples()[2].require("pair"), "p2");
 }
 
+// Routed pipelines give the output relation cells some tuples leave empty
+// (an AD4 pair has no conf_file); they must survive the file round trip,
+// including in the last column and in a row with no value at all.
+TEST(Relation, FileRoundTripKeepsEmptyCells) {
+  Relation rel{{"pair", "dpf_file", "conf_file"}};
+  const std::vector<std::vector<std::string>> rows = {
+      {"ad4", "a.dpf", ""}, {"vina", "", "v.conf"}, {"", "", ""}};
+  for (const auto& row : rows) {
+    Tuple t;
+    for (std::size_t i = 0; i < row.size(); ++i) {
+      t.set(rel.field_names()[i], row[i]);
+    }
+    rel.add(std::move(t));
+  }
+  const Relation back = Relation::from_file_text(rel.to_file_text());
+  EXPECT_EQ(back.field_names(), rel.field_names());
+  ASSERT_EQ(back.size(), rows.size());
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    for (std::size_t i = 0; i < rows[r].size(); ++i) {
+      EXPECT_EQ(back.tuples()[r].require(rel.field_names()[i]), rows[r][i])
+          << "row " << r << " field " << rel.field_names()[i];
+    }
+  }
+}
+
 TEST(Relation, FromFileRejectsBadRows) {
   EXPECT_THROW(Relation::from_file_text(""), ParseError);
   EXPECT_THROW(Relation::from_file_text("a\tb\n1\n"), ParseError);
