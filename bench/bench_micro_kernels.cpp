@@ -3,15 +3,12 @@
 // torsion application, parsers and the SQL engine.
 //
 // After the google-benchmark tables, main() runs the kernel perf report:
-// timed analytic-vs-LUT comparisons, scalar-vs-SIMD batched kernels,
-// serial-vs-parallel AutoGrid and the grid-map-reuse pipeline A/B, written
-// to BENCH_kernels.json with the acceptance gates enforced (LUT >= 3x on
-// the AD4 pair kernel; batched AD4 pair term and batched trilinear
-// sampling >= 2x over scalar on a wide-SIMD build, non-regression
-// within timing noise otherwise;
-// >= 30% lower AutoGrid time at 8 threads; cache hit rate at the level
-// the workload's pair/receptor counts make attainable, with counters
-// reconciled against PROV-Wf by the chaos InvariantChecker).
+// timed analytic-vs-LUT comparisons, fused-vs-separate map sampling, the
+// AutoGrid map-set time and the grid-map-reuse pipeline A/B, written to
+// BENCH_kernels.json with the acceptance gates enforced (LUT >= 3x on the
+// AD4 pair kernel; cache hit rate at the level the workload's
+// pair/receptor counts make attainable, with counters reconciled against
+// PROV-Wf by the chaos InvariantChecker).
 //
 // Knobs: SCIDOCK_KERNEL_RECEPTORS / SCIDOCK_KERNEL_LIGANDS shrink the
 // pipeline A/B workload for smoke runs.
@@ -25,7 +22,6 @@
 #include <cstdio>
 #include <functional>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -35,7 +31,6 @@
 #include "data/table2.hpp"
 #include "dock/autogrid.hpp"
 #include "dock/energy_lut.hpp"
-#include "util/aligned.hpp"
 #include "util/simd.hpp"
 #include "mol/charges.hpp"
 #include "dock/energy.hpp"
@@ -50,7 +45,6 @@
 #include "sql/engine.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
-#include "util/thread_pool.hpp"
 #include "wf/spec.hpp"
 #include "xml/xml.hpp"
 
@@ -321,9 +315,8 @@ std::vector<PairSample> make_pair_samples() {
 int run_kernel_report() {
   using scidock::bench::env_int;
   bench::print_header("SciDock bench: docking kernels",
-                      "perf_opt acceptance: LUT >= 3x, SIMD batch >= 2x "
-                      "(wide) / no regression, AutoGrid -30% @ 8t, cache "
-                      "hit rate >= (pairs - receptors) / pairs");
+                      "perf_opt acceptance: LUT >= 3x, cache hit rate >= "
+                      "(pairs - receptors) / pairs");
   int failures = 0;
   const auto gate = [&failures](bool ok, const char* what) {
     if (!ok) {
@@ -336,31 +329,7 @@ int run_kernel_report() {
   const auto samples = make_pair_samples();
   const dock::Ad4Weights ad4_w;
   const auto ad4_tables = dock::Ad4PairTables::shared(ad4_w);
-  // The SIMD gates assume real vector width + hardware FMA; narrower
-  // backends (2-lane SSE2/NEON, forced scalar) must simply not regress.
-  // The batched trilinear sampler is genuinely break-even at 2 lanes
-  // (per-lane corner gathers eat the lerp savings), so the non-wide
-  // gate carries a 10% allowance for timer noise — it catches real
-  // regressions, not scheduler jitter on loaded machines.
-  const double simd_threshold = scidock::simd::wide_backend() ? 2.0 : 0.9;
-  constexpr int W = scidock::simd::f64x::kWidth;
-  const std::size_t nsamp = samples.size();  // 4096: a lane multiple
-  std::vector<const double*> batch_rows(nsamp);
-  util::aligned_vector<double> batch_qq(nsamp), batch_solv(nsamp),
-      batch_r2(nsamp);
-  for (std::size_t i = 0; i < nsamp; ++i) {
-    const PairSample& s = samples[i];
-    batch_rows[i] = ad4_tables->vdw_row(s.ti, s.tj);
-    batch_qq[i] = s.qi * s.qj;
-    constexpr double kQasp = 0.01097;
-    const auto& pi = mol::ad_type_params(s.ti);
-    const auto& pj = mol::ad_type_params(s.tj);
-    batch_solv[i] = (pi.solpar + kQasp * std::abs(s.qi)) * pj.volume +
-                    (pj.solpar + kQasp * std::abs(s.qj)) * pi.volume;
-    batch_r2[i] = s.r2;
-  }
-  // Analytic vs scalar LUT vs batched LUT, interleaved: both gates below
-  // are *ratios* of these three.
+  // Analytic vs LUT, interleaved: the gate below is their ratio.
   const std::vector<double> ad4_ns = interleaved_ns_per_eval(
       samples.size(),
       {[&] {
@@ -377,38 +346,14 @@ int run_kernel_report() {
            acc += ad4_tables->pair_energy(s.ti, s.qi, s.tj, s.qj, s.r2);
          }
          benchmark::DoNotOptimize(acc);
-       },
-       [&] {
-         scidock::simd::f64x acc;
-         for (std::size_t i = 0; i < nsamp; i += W) {
-           acc += ad4_tables->pair_energy_lanes(
-               batch_rows.data() + i,
-               scidock::simd::f64x::load(batch_qq.data() + i),
-               scidock::simd::f64x::load(batch_solv.data() + i),
-               scidock::simd::f64x::load(batch_r2.data() + i));
-         }
-         benchmark::DoNotOptimize(acc.hsum());
        }});
   const double ad4_analytic_ns = ad4_ns[0];
   const double ad4_lut_ns = ad4_ns[1];
-  const double ad4_batch_ns = ad4_ns[2];
   const double ad4_speedup = ad4_analytic_ns / ad4_lut_ns;
   bench::print_compare("AD4 pair kernel ns/eval",
                        strformat("%.1f analytic", ad4_analytic_ns),
                        strformat("%.1f LUT (%.1fx)", ad4_lut_ns, ad4_speedup));
   gate(ad4_speedup >= 3.0, "AD4 LUT must be >= 3x faster than analytic");
-
-  // ---- batched (SoA/SIMD) pair term vs the scalar LUT path --------
-  const double ad4_batch_speedup = ad4_lut_ns / ad4_batch_ns;
-  bench::print_compare(
-      "AD4 batched pair ns/eval",
-      strformat("%.1f scalar LUT", ad4_lut_ns),
-      strformat("%.1f %s x%d (%.1fx)", ad4_batch_ns,
-                scidock::simd::backend_name(), W, ad4_batch_speedup));
-  gate(ad4_batch_speedup >= simd_threshold,
-       scidock::simd::wide_backend()
-           ? "batched AD4 pair term must be >= 2x the scalar LUT path"
-           : "batched AD4 pair term must not regress vs the scalar LUT path");
 
   const dock::VinaWeights vina_w;
   const auto vina_tables = dock::VinaPairTables::shared(vina_w);
@@ -448,15 +393,6 @@ int run_kernel_report() {
                         rng.uniform(b.lo.z, b.hi.z)});
     }
   }
-  const std::size_t npts = points.size();  // 2048: a lane multiple
-  util::aligned_vector<double> pxs(npts), pys(npts), pzs(npts);
-  for (std::size_t i = 0; i < npts; ++i) {
-    pxs[i] = points[i].x;
-    pys[i] = points[i].y;
-    pzs[i] = points[i].z;
-  }
-  // Separate vs fused vs batched sampling, interleaved for the ratio
-  // gates (same reasoning as the AD4 trio above).
   const std::vector<double> sample3_ns = interleaved_ns_per_eval(
       points.size(),
       {[&] {
@@ -477,64 +413,27 @@ int run_kernel_report() {
            }
          }
          benchmark::DoNotOptimize(acc);
-       },
-       [&] {
-         scidock::simd::f64x acc;
-         for (std::size_t i = 0; i < npts; i += W) {
-           const dock::TrilinearSamplerLanes s(fx.box, pxs.data() + i,
-                                               pys.data() + i, pzs.data() + i);
-           acc += s.apply(m0) + s.apply(fused_maps.electrostatic) +
-                  s.apply(fused_maps.desolvation);
-         }
-         benchmark::DoNotOptimize(acc.hsum());
        }});
   const double unfused_ns = sample3_ns[0];
   const double fused_ns = sample3_ns[1];
-  const double sample3_batch_ns = sample3_ns[2];
   bench::print_compare("3-map sampling ns/point",
                        strformat("%.1f separate", unfused_ns),
                        strformat("%.1f fused (%.1fx)", fused_ns,
                                  unfused_ns / fused_ns));
 
-  // ---- batched trilinear sampling vs the fused scalar sampler -----
-  const double sample3_batch_speedup = fused_ns / sample3_batch_ns;
-  bench::print_compare(
-      "3-map batched ns/point", strformat("%.1f fused scalar", fused_ns),
-      strformat("%.1f %s x%d (%.1fx)", sample3_batch_ns,
-                scidock::simd::backend_name(), W, sample3_batch_speedup));
-  gate(sample3_batch_speedup >= simd_threshold,
-       scidock::simd::wide_backend()
-           ? "batched trilinear sampling must be >= 2x the fused scalar path"
-           : "batched trilinear sampling must not regress vs fused scalar");
-
-  // ---- AutoGrid: serial vs 8-thread z-slab fan-out ----------------
-  const auto time_autogrid = [&](ThreadPool* pool) {
-    using clock = std::chrono::steady_clock;
-    double best = 1e300;
-    for (int rep = 0; rep < 3; ++rep) {
-      const auto t0 = clock::now();
-      benchmark::DoNotOptimize(
-          fx_calc.calculate(fx.box, dock::screening_ligand_types(), pool));
-      best = std::min(
-          best, std::chrono::duration<double>(clock::now() - t0).count());
-    }
-    return best;
-  };
-  const double autogrid_serial_s = time_autogrid(nullptr);
-  ThreadPool pool8(8);
-  const double autogrid_8t_s = time_autogrid(&pool8);
-  bench::print_compare(
-      "AutoGrid map set (19 types)",
-      strformat("%.0f ms serial", autogrid_serial_s * 1e3),
-      strformat("%.0f ms @ 8 threads (%.1fx)", autogrid_8t_s * 1e3,
-                autogrid_serial_s / autogrid_8t_s));
-  // The z-slab fan-out can only show a wall-clock win on real cores.
-  if (std::thread::hardware_concurrency() > 1) {
-    gate(autogrid_8t_s <= 0.7 * autogrid_serial_s,
-         "8-thread AutoGrid must be >= 30% faster than serial");
-  } else {
-    std::printf("(parallel AutoGrid gate skipped: single-core machine)\n");
+  // ---- AutoGrid: one full map set ----------------------------------
+  double autogrid_serial_s = 1e300;
+  for (int rep = 0; rep < 3; ++rep) {
+    const auto t0 = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(
+        fx_calc.calculate(fx.box, dock::screening_ligand_types()));
+    autogrid_serial_s = std::min(
+        autogrid_serial_s,
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count());
   }
+  bench::print_compare("AutoGrid map set (19 types)", "-",
+                       strformat("%.0f ms", autogrid_serial_s * 1e3));
 
   // ---- pipeline A/B: grid-map reuse off vs on ---------------------
   // Small structures so the default 10 x 42 campaign stays quick; the
@@ -655,22 +554,15 @@ int run_kernel_report() {
       "kernels",
       {{"simd_backend",
         std::string("\"") + scidock::simd::backend_name() + "\""},
-       {"simd_lane_width", strformat("%d", W)},
+       {"simd_lane_width", strformat("%d", scidock::simd::f64x::kWidth)},
        {"ad4_pair_ns_analytic", strformat("%.2f", ad4_analytic_ns)},
        {"ad4_pair_ns_lut", strformat("%.2f", ad4_lut_ns)},
        {"ad4_pair_speedup", strformat("%.2f", ad4_speedup)},
-       {"ad4_pair_ns_batch", strformat("%.2f", ad4_batch_ns)},
-       {"ad4_pair_batch_speedup", strformat("%.2f", ad4_batch_speedup)},
        {"vina_pair_ns_analytic", strformat("%.2f", vina_analytic_ns)},
        {"vina_pair_ns_lut", strformat("%.2f", vina_lut_ns)},
        {"sample3_ns_separate", strformat("%.2f", unfused_ns)},
        {"sample3_ns_fused", strformat("%.2f", fused_ns)},
-       {"sample3_ns_batch", strformat("%.2f", sample3_batch_ns)},
-       {"sample3_batch_speedup", strformat("%.2f", sample3_batch_speedup)},
        {"autogrid_ms_serial", strformat("%.2f", autogrid_serial_s * 1e3)},
-       {"autogrid_ms_8t", strformat("%.2f", autogrid_8t_s * 1e3)},
-       {"autogrid_parallel_speedup",
-        strformat("%.2f", autogrid_serial_s / autogrid_8t_s)},
        {"pipeline_pairs", strformat("%zu", input_tuples)},
        {"pipeline_autogrid_s_reuse_off", strformat("%.3f", stage_off)},
        {"pipeline_autogrid_s_reuse_on", strformat("%.3f", stage_on)},

@@ -5,10 +5,11 @@
 #   default   plain build, full suite minus bench-smoke — the tier-1 gate
 #   scalar    SCIDOCK_SIMD_SCALAR=ON: the forced-scalar reference backend
 #             of util/simd.hpp, full suite minus bench-smoke — proves the
-#             batched docking path is equivalent without any vector ISA
-#   native    -march=native + undefined sanitizer, kernel suite: exercises
-#             the widest backend the host offers (AVX2 where available)
-#             with FMA contraction on, under UBSan
+#             two lane kernels (AutoGrid channel sweep, Vina neighbour
+#             blocks) are equivalent without any vector ISA
+#   native    -march=native + undefined sanitizer, kernel suite: runs those
+#             lane kernels on the widest backend the host offers (AVX2
+#             where available) with FMA contraction on, under UBSan
 #   sync      SCIDOCK_SYNC_ANALYSIS=ON: full suite (lockdep and racer
 #             ride along under every test, asserting the default suite
 #             clean), their negative controls, and the bench_sync_analysis
@@ -67,9 +68,8 @@ stage_scalar() {
   local dir="$REPO_ROOT/build-ci-scalar"
   configure_and_build "$dir" -DSCIDOCK_SIMD_SCALAR=ON
   run_ctest "$dir" -LE bench-smoke
-  # The kernel bench still runs under the scalar backend (its SIMD
-  # speedup gates auto-relax to >= 1x there) so the JSON records the
-  # reference-backend numbers alongside the vector ones.
+  # The kernel bench still runs under the scalar backend so the JSON
+  # records the reference-backend numbers alongside the vector ones.
   (cd "$dir" && ./bench/bench_micro_kernels)
 }
 

@@ -47,25 +47,15 @@ DockingResult Autodock4Engine::dock_with_maps(const GridMapSet& maps,
     double energy = 0.0;
   };
 
-  std::vector<DockPose> winners;
-  winners.reserve(static_cast<std::size_t>(params_.ga_runs));
   for (int run = 0; run < params_.ga_runs; ++run) {
     // --- initial population ---
-    // Draw every pose first (the RNG stream is identical either way:
-    // evaluation consumes no draws), then score the whole population
-    // through the SoA/SIMD batch path in one call.
     std::vector<Individual> population;
     population.reserve(static_cast<std::size_t>(params_.ga_pop_size));
-    std::vector<DockPose> seed_poses;
-    seed_poses.reserve(population.capacity());
     for (int i = 0; i < params_.ga_pop_size; ++i) {
-      seed_poses.push_back(
-          DockPose::random(maps.box, model.reference_center(), n_tors, rng));
-    }
-    const std::vector<double> seed_energies = model.evaluate_batch(seed_poses);
-    for (int i = 0; i < params_.ga_pop_size; ++i) {
-      population.push_back({std::move(seed_poses[static_cast<std::size_t>(i)]),
-                            seed_energies[static_cast<std::size_t>(i)]});
+      DockPose pose =
+          DockPose::random(maps.box, model.reference_center(), n_tors, rng);
+      const double energy = model(pose);
+      population.push_back({std::move(pose), energy});
     }
 
     const long long eval_budget = params_.ga_num_evals;
@@ -91,13 +81,7 @@ DockingResult Autodock4Engine::dock_with_maps(const GridMapSet& maps,
         return population[a].energy < population[b].energy ? population[a]
                                                            : population[b];
       };
-      // Breed the whole generation first, then batch-evaluate the
-      // offspring in one SoA pass (breeding and evaluation draw from
-      // disjoint sources, so the RNG stream matches the interleaved
-      // scalar loop exactly).
-      std::vector<DockPose> offspring;
-      offspring.reserve(population.size() - 1);
-      while (next.size() + offspring.size() < population.size()) {
+      while (next.size() < population.size()) {
         const Individual& pa = tournament();
         const Individual& pb = tournament();
         DockPose child = rng.chance(params_.ga_crossover_rate)
@@ -106,11 +90,8 @@ DockingResult Autodock4Engine::dock_with_maps(const GridMapSet& maps,
         if (rng.chance(params_.ga_mutation_rate * 10.0)) {
           child.mutate_one(1.0, 0.3, 0.5, rng);
         }
-        offspring.push_back(std::move(child));
-      }
-      const std::vector<double> energies = model.evaluate_batch(offspring);
-      for (std::size_t i = 0; i < offspring.size(); ++i) {
-        next.push_back({std::move(offspring[i]), energies[i]});
+        const double energy = model(child);
+        next.push_back({std::move(child), energy});
       }
       population = std::move(next);
 
@@ -132,14 +113,9 @@ DockingResult Autodock4Engine::dock_with_maps(const GridMapSet& maps,
     double polished_energy = 0.0;
     best_it->pose = solis_wets(best_it->pose, model, rng,
                                params_.sw_max_its * 4, polished_energy, 0.5);
-    best_it->energy = polished_energy;
-    winners.push_back(best_it->pose);
+    result.conformations.push_back(
+        score_conformation(model, best_it->pose, input_coords, run));
   }
-
-  // One batched inter/intra scoring pass over all run winners (run index =
-  // pose index, matching the loop order above).
-  append_batch_conformations(model, winners, input_coords,
-                             result.conformations);
 
   cluster_conformations(result.conformations, params_.rmstol);
   result.energy_evaluations = model.evaluations();

@@ -9,8 +9,8 @@
 
 #include "util/aligned.hpp"
 #include "util/error.hpp"
+#include "util/racer.hpp"
 #include "util/strings.hpp"
-#include "util/thread_pool.hpp"
 
 namespace scidock::dock {
 
@@ -37,8 +37,7 @@ GridMapCalculator::GridMapCalculator(const mol::Molecule& receptor,
 }
 
 GridMapSet GridMapCalculator::calculate(
-    const GridBox& box, const std::vector<mol::AdType>& ligand_types,
-    ThreadPool* pool) const {
+    const GridBox& box, const std::vector<mol::AdType>& ligand_types) const {
   GridMapSet set;
   set.box = box;
   set.electrostatic = GridMap(box, "e");
@@ -105,12 +104,9 @@ GridMapSet GridMapCalculator::calculate(
     racer_set_key = h;
   }
 
-  // One z-slab: every write lands in the slab's own index range of each
-  // map, so slabs compute independently and the result is bit-identical
-  // across thread counts.
-  const auto slab = [&](std::size_t slab_iz) {
-    const int iz = static_cast<int>(slab_iz);
-    util::aligned_vector<double> acc(nchan_padded, 0.0);
+  util::aligned_vector<double> acc(nchan_padded, 0.0);
+  for (int iz = 0; iz < box.npts[2]; ++iz) {
+    const auto t0 = std::chrono::steady_clock::now();
     for (int iy = 0; iy < box.npts[1]; ++iy) {
       for (int ix = 0; ix < box.npts[0]; ++ix) {
         const mol::Vec3 p{origin.x + ix * box.spacing,
@@ -144,9 +140,9 @@ GridMapSet GridMapCalculator::calculate(
     }
 
     // Racer determinism digest: the slab's full content, keyed by
-    // (map-set identity, iz). If a SIMD or threading change makes any
-    // slab's bits depend on the schedule, comparing snapshots across
-    // thread counts yields an RC004 naming this reduction and slab.
+    // (map-set identity, iz). If a SIMD change makes any slab's bits
+    // depend on the schedule, comparing snapshots across executor thread
+    // counts yields an RC004 naming this reduction and slab.
     if (racer::enabled()) {
       std::uint64_t h = 1469598103934665603ULL;
       const auto fold = [&h](double v) {
@@ -163,32 +159,14 @@ GridMapSet GridMapCalculator::calculate(
       }
       racer::on_reduction(
           "dock.autogrid.slab_merge",
-          racer_set_key ^ (0x9e3779b97f4a7c15ULL * (slab_iz + 1)), h);
+          racer_set_key ^ (0x9e3779b97f4a7c15ULL *
+                           (static_cast<std::uint64_t>(iz) + 1)), h);
     }
-  };
-
-  const auto timed_slab = [&](std::size_t iz) {
-    if (!opts_.slab_observer) {
-      slab(iz);
-      return;
+    if (opts_.slab_observer) {
+      opts_.slab_observer(iz, std::chrono::duration<double>(
+                                  std::chrono::steady_clock::now() - t0)
+                                  .count());
     }
-    const auto t0 = std::chrono::steady_clock::now();
-    slab(iz);
-    opts_.slab_observer(
-        static_cast<int>(iz),
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count());
-  };
-
-  const auto nz = static_cast<std::size_t>(box.npts[2]);
-  if (pool != nullptr && pool->thread_count() > 1 && nz > 1) {
-    // A couple of chunks per worker balances load (outer slabs see fewer
-    // receptor atoms) without paying one dispatch per slab.
-    const std::size_t grain =
-        std::max<std::size_t>(1, nz / (pool->thread_count() * 4));
-    pool->parallel_for(nz, timed_slab, grain);
-  } else {
-    for (std::size_t iz = 0; iz < nz; ++iz) timed_slab(iz);
   }
   return set;
 }
@@ -225,12 +203,12 @@ GridParameterFile GridParameterFile::parse(std::string_view text) {
     const auto fields = split_ws(line);
     if (fields.empty() || fields[0][0] == '#') continue;
     if (fields[0] == "npts" && fields.size() >= 4) {
-      gpf.box.npts = {static_cast<int>(parse_int(fields[1], "gpf npts")) + 1,
-                      static_cast<int>(parse_int(fields[2], "gpf npts")) + 1,
-                      static_cast<int>(parse_int(fields[3], "gpf npts")) + 1};
+      gpf.box.npts = {parse_grid_points(fields[1], "gpf npts"),
+                      parse_grid_points(fields[2], "gpf npts"),
+                      parse_grid_points(fields[3], "gpf npts")};
       saw_npts = true;
     } else if (fields[0] == "spacing" && fields.size() >= 2) {
-      gpf.box.spacing = parse_double(fields[1], "gpf spacing");
+      gpf.box.spacing = parse_grid_spacing(fields[1], "gpf spacing");
     } else if (fields[0] == "gridcenter" && fields.size() >= 4) {
       gpf.box.center = {parse_double(fields[1], "gpf center"),
                         parse_double(fields[2], "gpf center"),

@@ -9,9 +9,9 @@
 /// AutoDock 4 then scores poses by trilinear interpolation into these maps.
 ///
 /// The per-point kernel reads the radial LUTs (energy_lut.hpp) indexed by
-/// squared distance, and the z-slab loop optionally fans out over a
-/// ThreadPool. Each slab writes a disjoint range of every map, so the
-/// result is bit-identical for any thread count.
+/// squared distance and sweeps every map's channel lane-parallel. The
+/// calculator runs serially inside one activation; parallelism comes from
+/// the executor running many activations.
 
 #include <functional>
 
@@ -20,19 +20,14 @@
 #include "dock/scoring.hpp"
 #include "mol/molecule.hpp"
 
-namespace scidock {
-
-class ThreadPool;
-
-namespace dock {
+namespace scidock::dock {
 
 struct AutogridOptions {
   double cutoff = 8.0;  ///< Å interaction cutoff (AutoGrid's NBC)
   Ad4Weights weights{};
   /// Called after each z-slab finishes with (slab index, wall seconds).
-  /// Invoked from pool workers when calculate() runs parallel, so it must
-  /// be thread-safe; the scidock AutoGrid stage installs one that feeds
-  /// the obs metrics/trace layer.
+  /// The scidock AutoGrid stage installs one that feeds the obs
+  /// metrics/trace layer.
   std::function<void(int iz, double seconds)> slab_observer;
 };
 
@@ -41,12 +36,9 @@ class GridMapCalculator {
   /// `receptor` must be prepared (typed + charged).
   GridMapCalculator(const mol::Molecule& receptor, AutogridOptions opts = {});
 
-  /// Compute maps over `box` for the given ligand atom types. With a
-  /// `pool`, z-slabs are chunked across its workers; per-slab writes are
-  /// disjoint, so output is bit-identical to the serial path.
+  /// Compute maps over `box` for the given ligand atom types.
   GridMapSet calculate(const GridBox& box,
-                       const std::vector<mol::AdType>& ligand_types,
-                       ThreadPool* pool = nullptr) const;
+                       const std::vector<mol::AdType>& ligand_types) const;
 
  private:
   const mol::Molecule& receptor_;
@@ -96,5 +88,4 @@ GridParameterFile make_screening_gpf(const mol::Molecule& receptor,
 /// All supported AutoDock types (the screening GPF's ligand_types).
 const std::vector<mol::AdType>& screening_ligand_types();
 
-}  // namespace dock
-}  // namespace scidock
+}  // namespace scidock::dock

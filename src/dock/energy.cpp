@@ -104,111 +104,6 @@ double Ad4EnergyModel::operator()(const DockPose& pose) const {
   return intermolecular(coords) + intramolecular(coords);
 }
 
-void Ad4EnergyModel::pack_batch(const std::vector<DockPose>& poses) const {
-  batch_.resize(static_cast<int>(poses.size()),
-                ligand_.molecule.atom_count());
-  for (int p = 0; p < static_cast<int>(poses.size()); ++p) {
-    batch_.set_pose(p, coords_for(poses[static_cast<std::size_t>(p)]));
-  }
-  batch_.pad_tail();
-}
-
-void Ad4EnergyModel::intermolecular_batch(std::vector<double>& out) const {
-  constexpr int W = PoseBatch::kLaneWidth;
-  out.resize(static_cast<std::size_t>(batch_.pose_count()));
-  for (int b = 0; b < batch_.lane_blocks(); ++b) {
-    // Each lane is one pose: accumulating per atom in the scalar model's
-    // order keeps every lane bit-equal to intermolecular() (the lanes
-    // sampler reproduces TrilinearSampler, including the out-of-box
-    // penalty blended per channel before the charge/solv factors).
-    simd::f64x acc;
-    for (int a = 0; a < batch_.atom_count(); ++a) {
-      const AtomChannels& ch = channels_[static_cast<std::size_t>(a)];
-      const TrilinearSamplerLanes s(maps_.box, batch_.x_plane(b, a),
-                                    batch_.y_plane(b, a),
-                                    batch_.z_plane(b, a));
-      acc += s.apply(*ch.affinity);
-      acc += simd::f64x(ch.charge) * s.apply(maps_.electrostatic);
-      acc += simd::f64x(ch.solv) * s.apply(maps_.desolvation);
-    }
-    for (int l = 0; l < batch_.lanes_in_block(b); ++l) {
-      out[static_cast<std::size_t>(b * W + l)] = acc.lane(l);
-    }
-  }
-}
-
-void Ad4EnergyModel::intramolecular_batch(std::vector<double>& out) const {
-  constexpr int W = PoseBatch::kLaneWidth;
-  out.resize(static_cast<std::size_t>(batch_.pose_count()));
-  const Ad4PairTables& t = *tables_;
-  const simd::f64x cutoff(Ad4PairTables::cutoff_sq());
-  alignas(64) const double* rows[W];
-  for (int b = 0; b < batch_.lane_blocks(); ++b) {
-    simd::f64x acc;
-    for (const IntraPair& p : intra_pairs_) {
-      const simd::f64x dx = simd::f64x::load(batch_.x_plane(b, p.i)) -
-                            simd::f64x::load(batch_.x_plane(b, p.j));
-      const simd::f64x dy = simd::f64x::load(batch_.y_plane(b, p.i)) -
-                            simd::f64x::load(batch_.y_plane(b, p.j));
-      const simd::f64x dz = simd::f64x::load(batch_.z_plane(b, p.i)) -
-                            simd::f64x::load(batch_.z_plane(b, p.j));
-      // Same association as Vec3::dot, so the table-vs-tail branch below
-      // sees the scalar path's d² bit for bit.
-      const simd::f64x d2 = dx * dx + dy * dy + dz * dz;
-      for (int l = 0; l < W; ++l) rows[l] = p.row;
-      const simd::f64x inside = simd::less_than(d2, cutoff);
-      if (simd::all(inside)) {
-        acc += t.pair_energy_lanes(rows, simd::f64x(p.qq),
-                                   simd::f64x(p.solv), d2);
-        continue;
-      }
-      // Mixed block: evaluate the table on clamped lanes, then patch the
-      // beyond-cutoff lanes with the scalar analytic tail (rare — only
-      // extended ligand pairs leave the 8 Å domain).
-      const simd::f64x lanes = t.pair_energy_lanes(
-          rows, simd::f64x(p.qq), simd::f64x(p.solv), simd::min(d2, cutoff));
-      alignas(64) double ev[W], d2v[W];
-      lanes.store(ev);
-      d2.store(d2v);
-      for (int l = 0; l < W; ++l) {
-        if (!(d2v[l] < Ad4PairTables::cutoff_sq())) {
-          ev[l] = ad4_pair_energy(p.ti, p.qi, p.tj, p.qj, std::sqrt(d2v[l]),
-                                  weights_);
-        }
-      }
-      acc += simd::f64x::load(ev);
-    }
-    for (int l = 0; l < batch_.lanes_in_block(b); ++l) {
-      out[static_cast<std::size_t>(b * W + l)] = acc.lane(l);
-    }
-  }
-}
-
-std::vector<double> Ad4EnergyModel::evaluate_batch(
-    const std::vector<DockPose>& poses) const {
-  if (poses.empty()) return {};
-  evaluations_ += static_cast<long long>(poses.size());
-  pack_batch(poses);
-  std::vector<double> inter, intra;
-  intermolecular_batch(inter);
-  intramolecular_batch(intra);
-  for (std::size_t i = 0; i < inter.size(); ++i) inter[i] += intra[i];
-  return inter;
-}
-
-void Ad4EnergyModel::score_batch(const std::vector<DockPose>& poses,
-                                 std::vector<double>* inter,
-                                 std::vector<double>* intra) const {
-  if (poses.empty()) {
-    if (inter) inter->clear();
-    if (intra) intra->clear();
-    return;
-  }
-  pack_batch(poses);
-  if (inter) intermolecular_batch(*inter);
-  if (intra) intramolecular_batch(*intra);
-}
-
 double Ad4EnergyModel::feb(double inter) const {
   return inter + weights_.tors * static_cast<double>(ligand_.torsions.torsion_count());
 }
@@ -301,76 +196,6 @@ double VinaEnergyModel::operator()(const DockPose& pose) const {
   ++evaluations_;
   const std::vector<mol::Vec3> coords = coords_for(pose);
   return intermolecular(coords) + intramolecular(coords);
-}
-
-void VinaEnergyModel::intramolecular_batch(std::vector<double>& out) const {
-  constexpr int W = PoseBatch::kLaneWidth;
-  out.resize(static_cast<std::size_t>(batch_.pose_count()));
-  alignas(64) const double* rows[W];
-  for (int b = 0; b < batch_.lane_blocks(); ++b) {
-    simd::f64x acc;
-    for (const VinaIntraPair& p : intra_pairs_) {
-      const simd::f64x dx = simd::f64x::load(batch_.x_plane(b, p.i)) -
-                            simd::f64x::load(batch_.x_plane(b, p.j));
-      const simd::f64x dy = simd::f64x::load(batch_.y_plane(b, p.i)) -
-                            simd::f64x::load(batch_.y_plane(b, p.j));
-      const simd::f64x dz = simd::f64x::load(batch_.z_plane(b, p.i)) -
-                            simd::f64x::load(batch_.z_plane(b, p.j));
-      const simd::f64x d2 = dx * dx + dy * dy + dz * dz;
-      for (int l = 0; l < W; ++l) rows[l] = p.row;
-      acc += tables_->pair_energy_lanes(rows, d2);
-    }
-    for (int l = 0; l < batch_.lanes_in_block(b); ++l) {
-      out[static_cast<std::size_t>(b * W + l)] = acc.lane(l);
-    }
-  }
-}
-
-std::vector<double> VinaEnergyModel::evaluate_batch(
-    const std::vector<DockPose>& poses) const {
-  if (poses.empty()) return {};
-  evaluations_ += static_cast<long long>(poses.size());
-  batch_.resize(static_cast<int>(poses.size()),
-                ligand_.molecule.atom_count());
-  std::vector<double> out(poses.size());
-  // The intermolecular term vectorizes within a pose (over neighbour
-  // blocks, whose population differs per pose), so it runs per pose on the
-  // same coordinates that fill the SoA batch; only the fixed-topology
-  // intramolecular pair loop lane-parallelizes across poses.
-  for (int p = 0; p < static_cast<int>(poses.size()); ++p) {
-    const std::vector<mol::Vec3> coords =
-        coords_for(poses[static_cast<std::size_t>(p)]);
-    batch_.set_pose(p, coords);
-    out[static_cast<std::size_t>(p)] = intermolecular(coords);
-  }
-  batch_.pad_tail();
-  std::vector<double> intra;
-  intramolecular_batch(intra);
-  for (std::size_t i = 0; i < out.size(); ++i) out[i] += intra[i];
-  return out;
-}
-
-void VinaEnergyModel::score_batch(const std::vector<DockPose>& poses,
-                                  std::vector<double>* inter,
-                                  std::vector<double>* intra) const {
-  if (poses.empty()) {
-    if (inter) inter->clear();
-    if (intra) intra->clear();
-    return;
-  }
-  batch_.resize(static_cast<int>(poses.size()),
-                ligand_.molecule.atom_count());
-  if (inter) inter->resize(poses.size());
-  for (int p = 0; p < static_cast<int>(poses.size()); ++p) {
-    const std::vector<mol::Vec3> coords =
-        coords_for(poses[static_cast<std::size_t>(p)]);
-    batch_.set_pose(p, coords);
-    if (inter) {
-      (*inter)[static_cast<std::size_t>(p)] = intermolecular(coords);
-    }
-  }
-  batch_.pad_tail();
-  if (intra) intramolecular_batch(*intra);
 }
 
 double VinaEnergyModel::feb(double inter) const {

@@ -12,7 +12,6 @@
 #include "dock/conformation.hpp"
 #include "dock/energy_lut.hpp"
 #include "dock/grid.hpp"
-#include "dock/pose_batch.hpp"
 #include "dock/scoring.hpp"
 #include "mol/prepare.hpp"
 #include "util/aligned.hpp"
@@ -33,19 +32,6 @@ class Ad4EnergyModel {
 
   /// Objective on a pose; also counts one energy evaluation.
   double operator()(const DockPose& pose) const;
-
-  /// Batched objective through the SoA/SIMD path: applies the torsion
-  /// tree per pose, packs a PoseBatch (kWidth poses per lane block) and
-  /// evaluates the grid-sampling and intra-pair kernels lane-parallel.
-  /// Counts one energy evaluation per pose. Lane-for-lane equivalent to
-  /// operator() within the documented kernel tolerance (exact on backends
-  /// without FMA contraction).
-  std::vector<double> evaluate_batch(const std::vector<DockPose>& poses) const;
-
-  /// Batched scoring with the inter/intra split the engines report.
-  /// Does not count evaluations (reporting path, not search path).
-  void score_batch(const std::vector<DockPose>& poses,
-                   std::vector<double>* inter, std::vector<double>* intra) const;
 
   /// Reported FEB: best intermolecular + torsional entropy penalty
   /// (AD4's DeltaG = inter + tors * N_tors; intra cancels in the bound/
@@ -75,11 +61,6 @@ class Ad4EnergyModel {
     const double* row;  ///< the pair's vdW/H-bond LUT channel
   };
 
-  /// Apply the torsion tree per pose and repack into the SoA scratch.
-  void pack_batch(const std::vector<DockPose>& poses) const;
-  void intermolecular_batch(std::vector<double>& out) const;
-  void intramolecular_batch(std::vector<double>& out) const;
-
   const GridMapSet& maps_;
   const mol::PreparedLigand& ligand_;
   Ad4Weights weights_;
@@ -88,8 +69,6 @@ class Ad4EnergyModel {
   mol::Vec3 reference_center_{};
   std::vector<AtomChannels> channels_;
   std::vector<IntraPair> intra_pairs_;
-  mutable PoseBatch batch_;  ///< reused SoA scratch (same discipline as
-                             ///< evaluations_: one model per thread)
   mutable long long evaluations_ = 0;
 };
 
@@ -103,17 +82,6 @@ class VinaEnergyModel {
   double intermolecular(const std::vector<mol::Vec3>& coords) const;
   double intramolecular(const std::vector<mol::Vec3>& coords) const;
   double operator()(const DockPose& pose) const;
-
-  /// Batched objective (see Ad4EnergyModel::evaluate_batch). The
-  /// intermolecular term vectorizes over each atom's neighbour block and
-  /// the intramolecular term lane-parallelizes across poses; both are
-  /// equivalent to operator() within the documented kernel tolerance.
-  /// Counts one energy evaluation per pose.
-  std::vector<double> evaluate_batch(const std::vector<DockPose>& poses) const;
-
-  /// Batched inter/intra scoring without touching the evaluation count.
-  void score_batch(const std::vector<DockPose>& poses,
-                   std::vector<double>* inter, std::vector<double>* intra) const;
 
   /// Vina's reported affinity from the best intermolecular energy.
   double feb(double inter) const;
@@ -129,8 +97,6 @@ class VinaEnergyModel {
     int i, j;
     const double* row;
   };
-
-  void intramolecular_batch(std::vector<double>& out) const;
 
   const mol::PreparedReceptor& receptor_;
   const mol::PreparedLigand& ligand_;
@@ -148,7 +114,6 @@ class VinaEnergyModel {
   /// its channel with one indexed load instead of a pair_index() per hit.
   std::vector<const double*> lig_rows_;
   std::vector<int> rec_types_;  ///< receptor atom AdType as int, hoisted
-  mutable PoseBatch batch_;     ///< reused SoA scratch (one model per thread)
   /// Neighbour-block scratch for the vectorized intermolecular term: the
   /// (r², channel) pairs of one ligand atom, padded to a lane multiple.
   mutable util::aligned_vector<double> d2_scratch_;

@@ -75,8 +75,8 @@ inline constexpr int kPairCount =
 /// One lane-batch of interpolation bins: every table in this module shares
 /// the same resolution and domain, so the (bin, fraction) computation for a
 /// vector of squared distances is done once and reused across channels —
-/// the vdW row, the Coulomb channel and the desolvation Gaussian all index
-/// with the same LaneBins (and in AutoGrid, so does every ligand-type row).
+/// AutoGrid sweeps the Coulomb, desolvation and every ligand-type vdW row
+/// of one receptor atom with the same LaneBins.
 struct LaneBins {
   std::int32_t lo[simd::f64x::kWidth];  ///< bin index per lane
   std::int32_t hi[simd::f64x::kWidth];  ///< bin index + 1 per lane
@@ -102,17 +102,11 @@ inline LaneBins lane_bins(simd::f64x r2) {
   return b;
 }
 
-/// Lane-parallel linear blend from one shared channel. Same association as
-/// the scalar interpolate() — a + (b - a) * t — so each lane is bit-equal
-/// to the scalar path on backends without FMA contraction.
-inline simd::f64x interpolate(const double* samples, const LaneBins& b) {
-  const simd::f64x a = simd::gather(samples, b.lo);
-  const simd::f64x c = simd::gather(samples, b.hi);
-  return a + (c - a) * b.t;
-}
-
 /// Lane-parallel blend where every lane reads a different channel (one
-/// vdW row per type pair): per-lane base pointers, shared bins.
+/// LUT row per lane): per-lane base pointers, shared bins. Same
+/// association as the scalar interpolate() — a + (b - a) * t — so each
+/// lane is bit-equal to the scalar path on backends without FMA
+/// contraction.
 inline simd::f64x interpolate_rows(const double* const* rows,
                                    const LaneBins& b) {
   alignas(64) double a[simd::f64x::kWidth];
@@ -177,29 +171,6 @@ class Ad4PairTables {
   double pair_energy(mol::AdType ti, double qi, mol::AdType tj, double qj,
                      double r2) const;
 
-  /// Lane-batched pair term: kWidth independent (pair, r²) evaluations
-  /// with the distance-independent factors hoisted SoA-style. `vdw_rows`
-  /// holds one vdw_row() pointer per lane, `qq` the charge products and
-  /// `solv` the symmetric solvation cross terms. Every lane of `r2` must
-  /// lie in [0, cutoff_sq()] — callers peel tail lanes to pair_energy().
-  simd::f64x pair_energy_lanes(const double* const* vdw_rows, simd::f64x qq,
-                               simd::f64x solv, simd::f64x r2) const {
-    const lut::LaneBins bins = lut::lane_bins(r2);
-    simd::f64x e = lut::interpolate_rows(vdw_rows, bins);
-    e += qq * lut::interpolate(coulomb_.data(), bins);
-    e += solv * lut::interpolate(gauss_.data(), bins);
-    return e;
-  }
-
-  /// Shared-channel batch factors for callers that vectorize over
-  /// same-type-pair distances (the AutoGrid point loop).
-  simd::f64x coulomb_factor_lanes(const lut::LaneBins& bins) const {
-    return lut::interpolate(coulomb_.data(), bins);
-  }
-  simd::f64x desolv_gauss_lanes(const lut::LaneBins& bins) const {
-    return lut::interpolate(gauss_.data(), bins);
-  }
-
  private:
   Ad4Weights weights_;
   std::vector<double> vdw_;      ///< kPairCount channels
@@ -236,10 +207,11 @@ class VinaPairTables {
                               (lut::kEntries + 1);
   }
 
-  /// Lane-batched pair term with per-lane row() pointers. Unlike the AD4
-  /// variant this accepts any non-negative r²: lanes at or beyond the
-  /// cutoff are clamped into the table domain and then masked to the
-  /// analytic zero, so neighbour-block tails can pad with kCutoffSq.
+  /// Lane-batched pair term with per-lane row() pointers, for the
+  /// neighbour-block loop of VinaEnergyModel::intermolecular. Accepts any
+  /// non-negative r²: lanes at or beyond the cutoff are clamped into the
+  /// table domain and then masked to the analytic zero, so neighbour-block
+  /// tails can pad with kCutoffSq.
   simd::f64x pair_energy_lanes(const double* const* rows,
                                simd::f64x r2) const {
     const simd::f64x cutoff(lut::kCutoffSq);

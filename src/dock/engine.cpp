@@ -1,29 +1,8 @@
 #include "dock/engine.hpp"
 
-#include "mol/molecule.hpp"
 #include "util/error.hpp"
 
 namespace scidock::dock {
-
-std::vector<Conformation> build_conformations(
-    std::vector<std::vector<mol::Vec3>>&& coords,
-    const std::vector<double>& inter, const std::vector<double>& intra,
-    const std::vector<double>& febs,
-    const std::vector<mol::Vec3>& input_coords) {
-  std::vector<Conformation> out;
-  out.reserve(coords.size());
-  for (std::size_t p = 0; p < coords.size(); ++p) {
-    Conformation conf;
-    conf.coords = std::move(coords[p]);
-    conf.intermolecular = inter[p];
-    conf.intramolecular = intra[p];
-    conf.feb = febs[p];
-    conf.rmsd_from_input = mol::rmsd(conf.coords, input_coords);
-    conf.run = static_cast<int>(p);
-    out.push_back(std::move(conf));
-  }
-  return out;
-}
 
 const Conformation& DockingResult::best() const {
   SCIDOCK_REQUIRE(!conformations.empty(), "docking result has no conformations");

@@ -11,6 +11,7 @@
 #include "dock/conformation.hpp"
 #include "dock/grid.hpp"
 #include "mol/geometry.hpp"
+#include "mol/molecule.hpp"
 #include "mol/prepare.hpp"
 #include "util/rng.hpp"
 
@@ -44,38 +45,23 @@ struct DockingResult {
   double mean_rmsd() const;
 };
 
-/// Assemble scored Conformations from pre-computed batch outputs: one per
-/// pose, `run` set to the pose's index (engines batch the complete run/
-/// chain set in order). Non-template half of append_batch_conformations.
-std::vector<Conformation> build_conformations(
-    std::vector<std::vector<mol::Vec3>>&& coords,
-    const std::vector<double>& inter, const std::vector<double>& intra,
-    const std::vector<double>& febs,
-    const std::vector<mol::Vec3>& input_coords);
-
-/// Score the winning poses of all runs/chains through the model's batched
-/// SoA/SIMD path (one score_batch call instead of 2N scalar evaluations)
-/// and append one Conformation per pose to `out`. `Model` is an energy
-/// model exposing score_batch / coords_for / feb (Ad4EnergyModel,
-/// VinaEnergyModel).
+/// Score one pose for the report as the Conformation of `run`: its
+/// coordinates, the inter/intra split, the FEB and the RMSD against
+/// `input_coords`. Reporting path, not search path: it calls
+/// intermolecular/intramolecular directly, so the model's evaluation count
+/// does not move. `Model` is Ad4EnergyModel or VinaEnergyModel.
 template <typename Model>
-void append_batch_conformations(const Model& model,
-                                const std::vector<DockPose>& poses,
+Conformation score_conformation(const Model& model, const DockPose& pose,
                                 const std::vector<mol::Vec3>& input_coords,
-                                std::vector<Conformation>& out) {
-  if (poses.empty()) return;
-  std::vector<double> inter, intra;
-  model.score_batch(poses, &inter, &intra);
-  std::vector<std::vector<mol::Vec3>> coords;
-  coords.reserve(poses.size());
-  std::vector<double> febs(poses.size());
-  for (std::size_t p = 0; p < poses.size(); ++p) {
-    coords.push_back(model.coords_for(poses[p]));
-    febs[p] = model.feb(inter[p]);
-  }
-  std::vector<Conformation> confs = build_conformations(
-      std::move(coords), inter, intra, febs, input_coords);
-  for (Conformation& c : confs) out.push_back(std::move(c));
+                                int run = 0) {
+  Conformation conf;
+  conf.coords = model.coords_for(pose);
+  conf.intermolecular = model.intermolecular(conf.coords);
+  conf.intramolecular = model.intramolecular(conf.coords);
+  conf.feb = model.feb(conf.intermolecular);
+  conf.rmsd_from_input = mol::rmsd(conf.coords, input_coords);
+  conf.run = run;
+  return conf;
 }
 
 /// Interface shared by the AD4 and Vina engines.

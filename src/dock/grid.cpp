@@ -20,6 +20,26 @@ GridBox GridBox::around(const mol::Vec3& center, double half_extent,
   return box;
 }
 
+int parse_grid_points(std::string_view intervals, std::string_view context) {
+  constexpr long long kMaxIntervals = 1LL << 20;
+  const long long n = parse_int(intervals, context);
+  if (n < 1 || n > kMaxIntervals) {
+    throw ParseError(context,
+                     strformat("%lld grid intervals on an axis, need 1 to %lld",
+                               n, kMaxIntervals));
+  }
+  return static_cast<int>(n) + 1;
+}
+
+double parse_grid_spacing(std::string_view field, std::string_view context) {
+  const double spacing = parse_double(field, context);
+  if (!std::isfinite(spacing) || spacing <= 0.0) {
+    throw ParseError(context,
+                     strformat("grid spacing %g is not positive", spacing));
+  }
+  return spacing;
+}
+
 GridMap::GridMap(GridBox box, std::string label)
     : box_(box), label_(std::move(label)), values_(box.total_points(), 0.0) {
   SCIDOCK_ASSERT(box.npts[0] >= 2 && box.npts[1] >= 2 && box.npts[2] >= 2);
@@ -68,60 +88,6 @@ TrilinearSampler::TrilinearSampler(const GridBox& box, const mol::Vec3& p) {
   in_box_ = true;
 }
 
-TrilinearSamplerLanes::TrilinearSamplerLanes(const GridBox& box,
-                                             const double* xs,
-                                             const double* ys,
-                                             const double* zs) {
-  SCIDOCK_ASSERT(box.npts[0] >= 2 && box.npts[1] >= 2 && box.npts[2] >= 2);
-  constexpr int W = simd::f64x::kWidth;
-  const mol::Vec3 o = box.origin();
-  const simd::f64x spacing(box.spacing);
-  // Same division as the scalar sampler: per-lane IEEE division keeps the
-  // in/out-of-box boundary decisions bit-identical to TrilinearSampler.
-  const simd::f64x fx = (simd::f64x::load(xs) - simd::f64x(o.x)) / spacing;
-  const simd::f64x fy = (simd::f64x::load(ys) - simd::f64x(o.y)) / spacing;
-  const simd::f64x fz = (simd::f64x::load(zs) - simd::f64x(o.z)) / spacing;
-
-  sy_ = static_cast<std::size_t>(box.npts[0]);
-  sz_ = sy_ * static_cast<std::size_t>(box.npts[1]);
-
-  alignas(64) double fxa[W], fya[W], fza[W];
-  fx.store(fxa);
-  fy.store(fya);
-  fz.store(fza);
-  alignas(64) double txa[W], tya[W], tza[W], mask[W];
-  bool all_in = true;
-  for (int l = 0; l < W; ++l) {
-    const bool in = !(fxa[l] < 0 || fya[l] < 0 || fza[l] < 0 ||
-                      fxa[l] > box.npts[0] - 1 || fya[l] > box.npts[1] - 1 ||
-                      fza[l] > box.npts[2] - 1);
-    mask[l] = simd::mask_value(in);
-    if (!in) {
-      // Out-of-box lane: read cell 0 with zero weights (valid memory, no
-      // branches in apply); the mask blends the penalty in afterwards.
-      base_[l] = 0;
-      txa[l] = tya[l] = tza[l] = 0.0;
-      all_in = false;
-      continue;
-    }
-    const int ix = std::min(static_cast<int>(fxa[l]), box.npts[0] - 2);
-    const int iy = std::min(static_cast<int>(fya[l]), box.npts[1] - 2);
-    const int iz = std::min(static_cast<int>(fza[l]), box.npts[2] - 2);
-    txa[l] = fxa[l] - ix;
-    tya[l] = fya[l] - iy;
-    tza[l] = fza[l] - iz;
-    base_[l] = static_cast<std::size_t>(ix) +
-               sy_ * static_cast<std::size_t>(iy) +
-               sz_ * static_cast<std::size_t>(iz);
-    any_in_box_ = true;
-  }
-  tx_ = simd::f64x::load(txa);
-  ty_ = simd::f64x::load(tya);
-  tz_ = simd::f64x::load(tza);
-  in_mask_ = simd::f64x::load(mask);
-  all_in_box_ = all_in;
-}
-
 std::string GridMap::to_map_file() const {
   std::string out;
   out += "GRID_PARAMETER_FILE scidock.gpf\n";
@@ -149,11 +115,11 @@ GridMap GridMap::from_map_file(std::string_view text) {
     if (fields[0] == "LABEL" && fields.size() >= 2) {
       label = fields[1];
     } else if (fields[0] == "SPACING" && fields.size() >= 2) {
-      box.spacing = parse_double(fields[1], "map SPACING");
+      box.spacing = parse_grid_spacing(fields[1], "map SPACING");
     } else if (fields[0] == "NELEMENTS" && fields.size() >= 4) {
-      box.npts = {static_cast<int>(parse_int(fields[1], "map nx")) + 1,
-                  static_cast<int>(parse_int(fields[2], "map ny")) + 1,
-                  static_cast<int>(parse_int(fields[3], "map nz")) + 1};
+      box.npts = {parse_grid_points(fields[1], "map nx"),
+                  parse_grid_points(fields[2], "map ny"),
+                  parse_grid_points(fields[3], "map nz")};
     } else if (fields[0] == "CENTER" && fields.size() >= 4) {
       box.center = {parse_double(fields[1], "map cx"),
                     parse_double(fields[2], "map cy"),

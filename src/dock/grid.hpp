@@ -8,12 +8,11 @@
 #include <array>
 #include <cstddef>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "mol/atom_typing.hpp"
 #include "mol/geometry.hpp"
-#include "util/aligned.hpp"
-#include "util/simd.hpp"
 
 namespace scidock::dock {
 
@@ -49,6 +48,18 @@ struct GridBox {
                         double spacing = 0.375);
 };
 
+/// Field readers for the box records of GPF (`npts`, `spacing`) and .map
+/// (`NELEMENTS`, `SPACING`) files. Each throws ParseError tagged `context`
+/// unless the value gives the shape GridMap and the samplers require, so a
+/// malformed file fails its activation instead of aborting the process.
+///
+/// parse_grid_points: points on one axis from its interval count (the
+/// files store points - 1); at least 2 points, and at most 2^20 + 1 so
+/// total_points() cannot overflow (real maps have ~10^2 points per axis).
+/// parse_grid_spacing: spacing in Å, positive and finite.
+int parse_grid_points(std::string_view intervals, std::string_view context);
+double parse_grid_spacing(std::string_view field, std::string_view context);
+
 /// One scalar field over the box. Storage is x-fastest (AutoGrid order).
 class GridMap {
  public:
@@ -73,10 +84,8 @@ class GridMap {
   /// per-corner `SCIDOCK_ASSERT`s stay out of the inner loop.
   double value_unchecked(std::size_t linear) const { return values_[linear]; }
 
-  /// Storage is cache-line aligned (util::aligned_vector) so lane-width
-  /// SIMD loads in the batched samplers never straddle cache lines.
-  util::aligned_vector<double>& values() { return values_; }
-  const util::aligned_vector<double>& values() const { return values_; }
+  std::vector<double>& values() { return values_; }
+  const std::vector<double>& values() const { return values_; }
 
   /// Serialise in (abbreviated) AutoGrid .map format: header + one value
   /// per line. parse() round-trips.
@@ -88,7 +97,7 @@ class GridMap {
 
   GridBox box_;
   std::string label_;
-  util::aligned_vector<double> values_;
+  std::vector<double> values_;
 };
 
 /// Trilinear cell + weights for one position in one box, computed once and
@@ -129,73 +138,6 @@ class TrilinearSampler {
   double ty_ = 0.0;
   double tz_ = 0.0;
   bool in_box_ = false;
-};
-
-/// Lane-parallel fused sampling: one trilinear cell/weight computation for
-/// simd::f64x::kWidth positions at once (SoA x/y/z planes, one lane per
-/// pose in a PoseBatch), applied to any number of maps sharing the box.
-/// The cell math — including the spacing division, so in/out-of-box
-/// decisions match exactly — and the nested-lerp blend reproduce
-/// TrilinearSampler lane for lane; only the eight corner loads stay
-/// per-lane (the cells differ across poses). Out-of-box lanes read cell 0
-/// with zero weights and apply() blends in kOutOfBoxPenalty, mirroring the
-/// scalar model's penalty accumulation.
-class TrilinearSamplerLanes {
- public:
-  /// `xs`/`ys`/`zs` each hold kWidth coordinates (padding lanes allowed:
-  /// they compute like any other lane and callers ignore the results).
-  TrilinearSamplerLanes(const GridBox& box, const double* xs,
-                        const double* ys, const double* zs);
-
-  /// All-false when every lane fell outside the box (callers can skip the
-  /// corner loads entirely and add the penalty channel-wise).
-  bool any_in_box() const { return any_in_box_; }
-  bool all_in_box() const { return all_in_box_; }
-  simd::f64x in_box_mask() const { return in_mask_; }
-
-  /// Interpolate `map` across the lanes; out-of-box lanes yield
-  /// GridMap::kOutOfBoxPenalty. Same contract as TrilinearSampler::apply:
-  /// the map must share the constructor box.
-  simd::f64x apply(const GridMap& map) const {
-    const double* g = map.values().data();
-    alignas(64) double c[8][simd::f64x::kWidth];
-    for (int l = 0; l < simd::f64x::kWidth; ++l) {
-      const std::size_t b = base_[l];
-      const std::size_t sy = sy_, sz = sz_;
-      c[0][l] = g[b];
-      c[1][l] = g[b + 1];
-      c[2][l] = g[b + sy];
-      c[3][l] = g[b + sy + 1];
-      c[4][l] = g[b + sz];
-      c[5][l] = g[b + sz + 1];
-      c[6][l] = g[b + sy + sz];
-      c[7][l] = g[b + sy + sz + 1];
-    }
-    const auto lerp = [](simd::f64x a, simd::f64x b, simd::f64x t) {
-      return a + (b - a) * t;  // scalar association, no FMA: bit-stable
-    };
-    const simd::f64x c00 =
-        lerp(simd::f64x::load(c[0]), simd::f64x::load(c[1]), tx_);
-    const simd::f64x c10 =
-        lerp(simd::f64x::load(c[2]), simd::f64x::load(c[3]), tx_);
-    const simd::f64x c01 =
-        lerp(simd::f64x::load(c[4]), simd::f64x::load(c[5]), tx_);
-    const simd::f64x c11 =
-        lerp(simd::f64x::load(c[6]), simd::f64x::load(c[7]), tx_);
-    const simd::f64x interpolated =
-        lerp(lerp(c00, c10, ty_), lerp(c01, c11, ty_), tz_);
-    return simd::blend(in_mask_, interpolated,
-                       simd::f64x(GridMap::kOutOfBoxPenalty));
-  }
-
- private:
-  std::size_t base_[simd::f64x::kWidth] = {};
-  std::size_t sy_ = 0;
-  std::size_t sz_ = 0;
-  simd::f64x tx_, ty_, tz_;
-  simd::f64x in_mask_;
-  bool any_in_box_ = false;
-  bool all_in_box_ = false;
 };
 
 /// The full AutoGrid output for one receptor/box: one affinity map per

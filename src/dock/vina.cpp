@@ -26,29 +26,20 @@ DockingResult VinaEngine::dock(const mol::PreparedReceptor& receptor,
   const std::vector<mol::Vec3> input_coords = ligand.molecule.coordinates();
   const int n_tors = ligand.torsions.torsion_count();
 
-  struct ChainResult {
-    DockPose pose;
-    double energy = 0.0;
-    long long evaluations = 0;
-  };
-  std::vector<ChainResult> chains(static_cast<std::size_t>(config_.exhaustiveness));
+  DockingResult result;
+  result.receptor_name = receptor.molecule.name();
+  result.ligand_name = ligand.molecule.name();
+  result.engine_name = name();
 
-  // Each chain gets a forked RNG, so a chain's result does not depend on
-  // how many chains ran before it.
-  std::vector<Rng> chain_rngs;
-  chain_rngs.reserve(chains.size());
-  for (std::size_t c = 0; c < chains.size(); ++c) {
-    chain_rngs.push_back(rng.fork("vina-chain-" + std::to_string(c)));
-  }
-
-  auto run_chain = [&](std::size_t c) {
-    Rng& crng = chain_rngs[c];
-    // Each chain evaluates through its own model instance, so its
-    // evaluation count is its own.
-    VinaEnergyModel chain_model(receptor, ligand, box);
+  // Every chain searches through the one model: it holds no state across
+  // evaluations besides the counter, so the chains stay independent.
+  for (int c = 0; c < config_.exhaustiveness; ++c) {
+    // Each chain gets a forked RNG, so a chain's result does not depend on
+    // how many chains ran before it.
+    Rng crng = rng.fork("vina-chain-" + std::to_string(c));
     DockPose current =
-        DockPose::random(box, chain_model.reference_center(), n_tors, crng);
-    double current_e = chain_model(current);
+        DockPose::random(box, model.reference_center(), n_tors, crng);
+    double current_e = model(current);
     DockPose best = current;
     double best_e = current_e;
 
@@ -57,7 +48,7 @@ DockingResult VinaEngine::dock(const mol::PreparedReceptor& receptor,
       DockPose candidate = current;
       candidate.mutate_one(2.0, 0.5, 1.0, crng);
       double cand_e = 0.0;
-      candidate = solis_wets(candidate, chain_model, crng, 40, cand_e, 0.5);
+      candidate = solis_wets(candidate, model, crng, 40, cand_e, 0.5);
       const double delta = cand_e - current_e;
       if (delta < 0.0 || crng.chance(std::exp(-delta / kTemperature))) {
         current = candidate;
@@ -70,26 +61,11 @@ DockingResult VinaEngine::dock(const mol::PreparedReceptor& receptor,
     }
     // Final refinement of the chain's best.
     double refined_e = 0.0;
-    best = solis_wets(best, chain_model, crng, 120, refined_e, 0.3);
-    chains[c] = ChainResult{std::move(best), refined_e, chain_model.evaluations()};
-  };
-
-  for (std::size_t c = 0; c < chains.size(); ++c) run_chain(c);
-
-  DockingResult result;
-  result.receptor_name = receptor.molecule.name();
-  result.ligand_name = ligand.molecule.name();
-  result.engine_name = name();
-  // Rescore every chain's best in one batched pass (run index = chain
-  // index, matching the order the chains were launched in).
-  std::vector<DockPose> best_poses;
-  best_poses.reserve(chains.size());
-  for (std::size_t c = 0; c < chains.size(); ++c) {
-    best_poses.push_back(chains[c].pose);
-    result.energy_evaluations += chains[c].evaluations;
+    best = solis_wets(best, model, crng, 120, refined_e, 0.3);
+    result.conformations.push_back(
+        score_conformation(model, best, input_coords, c));
   }
-  append_batch_conformations(model, best_poses, input_coords,
-                             result.conformations);
+  result.energy_evaluations = model.evaluations();
 
   cluster_conformations(result.conformations, 2.0);
 
@@ -137,13 +113,8 @@ DockingResult redock(const mol::PreparedReceptor& receptor,
   result.receptor_name = receptor.molecule.name();
   result.ligand_name = ligand.molecule.name();
   result.engine_name = "Vina-redock";
-  Conformation out;
-  out.coords = model.coords_for(refined);
-  out.intermolecular = model.intermolecular(out.coords);
-  out.intramolecular = model.intramolecular(out.coords);
-  out.feb = model.feb(out.intermolecular);
-  out.rmsd_from_input = mol::rmsd(out.coords, pose.coords);
-  result.conformations.push_back(std::move(out));
+  result.conformations.push_back(
+      score_conformation(model, refined, pose.coords));
   result.energy_evaluations = model.evaluations();
   return result;
 }

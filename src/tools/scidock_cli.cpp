@@ -9,7 +9,8 @@
 //
 // `dock` and `screen` run the real docking engines natively; `sweep`,
 // `query` and `prov-export` replay on the cloud simulator with full
-// provenance capture.
+// provenance capture. Every `screen` checks conservation (each pair is in
+// the output or recorded as lost) and exits 1 on a violation.
 //
 // `screen` and `sweep` accept --trace-out FILE (Chrome chrome://tracing
 // JSON) and --metrics-out FILE (Prometheus text). Both outputs are
@@ -217,19 +218,23 @@ int cmd_screen(const std::vector<std::string>& args) {
   std::printf("%zu pairs docked in %.1f s (%lld lost)\n",
               report.output.size(), report.wall_seconds, report.tuples_lost);
 
-  // With metrics on, prove the counters against the provenance store
-  // before reporting success (the paper's provenance is the ground truth).
+  // Prove the run before reporting success: every pair is either in the
+  // output or recorded as lost, and with metrics on, the counters match
+  // the provenance store (the paper's provenance is the ground truth).
+  chaos::InvariantChecker checker;
+  wf::NativeExecutorOptions defaults;  // run_native used these defaults
+  const chaos::RunSummary run =
+      chaos::summarize(report, defaults, exp.pairs.size());
+  checker.check_conservation(run);
   if (sinks.metrics != nullptr) {
-    chaos::InvariantChecker checker;
-    wf::NativeExecutorOptions defaults;  // run_native used these defaults
-    const chaos::RunSummary summary =
-        chaos::summarize(report, defaults, exp.pairs.size());
-    if (!checker.check_metrics(summary, *sinks.metrics, *exp.prov,
-                               "SciDock")) {
-      std::fprintf(stderr, "scidock_cli: metrics reconciliation failed:\n%s",
-                   checker.to_string().c_str());
-      return 1;
-    }
+    checker.check_metrics(run, *sinks.metrics, *exp.prov, "SciDock");
+  }
+  if (!checker.ok()) {
+    std::fprintf(stderr, "scidock_cli: screen self-check failed:\n%s",
+                 checker.to_string().c_str());
+    return 1;
+  }
+  if (sinks.metrics != nullptr) {
     std::printf("metrics reconcile with provenance (%lld activations)\n",
                 sinks.metrics->counter_value(obs::kActivationsStarted));
   }

@@ -6,8 +6,9 @@
 /// `util::aligned_vector<double>` is a drop-in std::vector whose storage
 /// starts on a 64-byte boundary, so full-width simd::f64x loads at lane
 /// offsets 0, W, 2W, ... never straddle a cache line (and never fault on
-/// ISAs with alignment-checked vector loads). GridMap values and PoseBatch
-/// coordinate planes use it; everything else keeps the default allocator.
+/// ISAs with alignment-checked vector loads). AutoGrid's channel
+/// accumulators and Vina's neighbour-block scratch use it; everything else
+/// keeps the default allocator.
 
 #include <cstddef>
 #include <cstdlib>

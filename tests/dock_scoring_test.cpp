@@ -96,6 +96,23 @@ TEST(GridMap, FromMapFileRejectsCountMismatch) {
   EXPECT_THROW(GridMap::from_map_file(text), ParseError);
 }
 
+TEST(GridMap, FromMapFileRejectsDegenerateBox) {
+  GridBox box;
+  box.npts = {2, 2, 2};
+  const std::string text = GridMap(box, "C").to_map_file();
+  // NELEMENTS 0 0 0 is a one-point box; before the check it reached
+  // GridMap's npts >= 2 assertion and aborted the process.
+  std::string one_point = text;
+  one_point.replace(one_point.find("NELEMENTS 1 1 1"), 15, "NELEMENTS 0 0 0");
+  EXPECT_THROW(GridMap::from_map_file(one_point), ParseError);
+  for (const char* spacing : {"SPACING 0.0000", "SPACING -0.3750",
+                              "SPACING nan"}) {
+    std::string bad = text;
+    bad.replace(bad.find("SPACING 0.3750"), 14, spacing);
+    EXPECT_THROW(GridMap::from_map_file(bad), ParseError) << spacing;
+  }
+}
+
 // -------------------------------------------------------------- scoring
 
 TEST(Scoring, DielectricIncreasesWithDistance) {
@@ -294,6 +311,23 @@ TEST(Gpf, RoundTrip) {
 
 TEST(Gpf, ParseRejectsMissingNpts) {
   EXPECT_THROW(GridParameterFile::parse("spacing 0.375\n"), ParseError);
+}
+
+TEST(Gpf, ParseRejectsDegenerateBox) {
+  // npts 0 0 0 parses into a one-point box, which used to abort the
+  // process in GridMap's constructor instead of failing the activation.
+  EXPECT_THROW(GridParameterFile::parse("npts 0 0 0\nspacing 0.375\n"),
+               ParseError);
+  EXPECT_THROW(GridParameterFile::parse("npts 40 0 40\nspacing 0.375\n"),
+               ParseError);
+  EXPECT_THROW(  // points - 1 = INT_MAX: the + 1 would overflow an int
+      GridParameterFile::parse("npts 2147483647 40 40\nspacing 0.375\n"),
+      ParseError);
+  EXPECT_THROW(GridParameterFile::parse("npts 40 40 40\nspacing 0\n"),
+               ParseError);
+  EXPECT_THROW(GridParameterFile::parse("npts 40 40 40\nspacing -0.5\n"),
+               ParseError);
+  EXPECT_NO_THROW(GridParameterFile::parse("npts 1 1 1\nspacing 0.375\n"));
 }
 
 // ----------------------------------------------------------------- DPF

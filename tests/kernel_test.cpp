@@ -3,11 +3,11 @@
 //   - radial LUTs track the analytic scoring terms within a documented
 //     tolerance (and exactly reproduce clamp/cutoff behaviour);
 //   - fused trilinear sampling is bit-identical to per-map sampling;
-//   - the lane-parallel SIMD kernels (lane_bins/interpolate, batched
-//     pair terms, TrilinearSamplerLanes) match their scalar references
-//     per lane, and the batched pose evaluation (PoseBatch +
-//     evaluate_batch/score_batch) matches pose-at-a-time evaluation;
-//   - AutoGrid maps are bit-identical across thread counts;
+//   - the lane-parallel SIMD kernels (lane_bins/interpolate_rows, the
+//     Vina neighbour-block pair term) match their scalar references per
+//     lane;
+//   - AutoGrid reports every z-slab to its observer, and scoring a pose
+//     for the report does not count as an energy evaluation;
 //   - the single-flight grid-map cache computes once per key, propagates
 //     exceptions, and leaves pipeline outputs (FEB/RMSD, map files)
 //     bit-identical to cache-off runs.
@@ -29,6 +29,7 @@
 #include "dock/conformation.hpp"
 #include "dock/energy.hpp"
 #include "dock/energy_lut.hpp"
+#include "dock/engine.hpp"
 #include "dock/grid.hpp"
 #include "dock/scoring.hpp"
 #include "mol/prepare.hpp"
@@ -36,7 +37,6 @@
 #include "scidock/experiment.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
-#include "util/thread_pool.hpp"
 
 namespace scidock::dock {
 namespace {
@@ -194,43 +194,12 @@ TEST(SimdKernels, LaneBinsInterpolateMatchesScalar) {
       r2[kLanes - 1] = lut::kCutoffSq;  // top-bin clamp lane
     }
     const lut::LaneBins bins = lut::lane_bins(simd::f64x::load(r2));
-    const simd::f64x shared = lut::interpolate(samples.data(), bins);
     const double* rows[kLanes];
     for (const double*& row : rows) row = samples.data();
     const simd::f64x per_row = lut::interpolate_rows(rows, bins);
     for (int l = 0; l < kLanes; ++l) {
       const double scalar = lut::interpolate(samples.data(), r2[l]);
-      expect_lane_near(shared.lane(l), scalar, "shared-channel", l);
       expect_lane_near(per_row.lane(l), scalar, "per-row", l);
-    }
-  }
-}
-
-TEST(SimdKernels, Ad4PairEnergyLanesMatchesScalarComposition) {
-  const Ad4Weights w;
-  const auto tables = Ad4PairTables::shared(w);
-  const AdType types[] = {AdType::C, AdType::OA, AdType::HD, AdType::N};
-  Rng rng(29);
-  for (int rep = 0; rep < 200; ++rep) {
-    const double* rows[kLanes];
-    double qq[kLanes], solv[kLanes], r2[kLanes];
-    for (int l = 0; l < kLanes; ++l) {
-      const AdType ti = types[rng.below(4)];
-      const AdType tj = types[rng.below(4)];
-      rows[l] = tables->vdw_row(ti, tj);
-      qq[l] = rng.uniform(-0.2, 0.2);
-      solv[l] = rng.uniform(-0.05, 0.05);
-      r2[l] = rng.uniform(0.0, lut::kCutoffSq);
-    }
-    const simd::f64x e = tables->pair_energy_lanes(
-        rows, simd::f64x::load(qq), simd::f64x::load(solv),
-        simd::f64x::load(r2));
-    for (int l = 0; l < kLanes; ++l) {
-      // Same hoisted factors fed through the scalar LUT kernels.
-      const double scalar = lut::interpolate(rows[l], r2[l]) +
-                            qq[l] * tables->coulomb_factor(r2[l]) +
-                            solv[l] * tables->desolv_gauss(r2[l]);
-      expect_lane_near(e.lane(l), scalar, "ad4 pair", l);
     }
   }
 }
@@ -265,40 +234,7 @@ TEST(SimdKernels, VinaPairEnergyLanesMatchesScalarAndMasksCutoff) {
   }
 }
 
-TEST(SimdKernels, TrilinearSamplerLanesMatchesScalarSampler) {
-  const GridBox box = GridBox::around({1.0, -2.0, 3.0}, 6.0, 0.5);
-  Rng rng(37);
-  GridMap a(box, "A"), b(box, "e");
-  for (auto* m : {&a, &b}) {
-    for (double& v : m->values()) v = rng.uniform(-10.0, 10.0);
-  }
-  for (int rep = 0; rep < 200; ++rep) {
-    double xs[kLanes], ys[kLanes], zs[kLanes];
-    for (int l = 0; l < kLanes; ++l) {
-      xs[l] = rng.uniform(-3.0, 5.0);
-      ys[l] = rng.uniform(-6.0, 2.0);
-      zs[l] = rng.uniform(-1.0, 7.0);
-    }
-    if (rep % 3 == 0) xs[kLanes - 1] = 100.0;  // out-of-box penalty lane
-    const TrilinearSamplerLanes lanes(box, xs, ys, zs);
-    const simd::f64x va = lanes.apply(a);
-    const simd::f64x vb = lanes.apply(b);
-    for (int l = 0; l < kLanes; ++l) {
-      const TrilinearSampler scalar(box, {xs[l], ys[l], zs[l]});
-      if (!scalar.in_box()) {
-        EXPECT_EQ(va.lane(l), GridMap::kOutOfBoxPenalty) << "lane " << l;
-        EXPECT_EQ(vb.lane(l), GridMap::kOutOfBoxPenalty) << "lane " << l;
-        continue;
-      }
-      // The lane ctor reproduces the scalar boundary decisions and weight
-      // computation exactly, so in-box lanes are bit-equal per map.
-      EXPECT_DOUBLE_EQ(va.lane(l), scalar.apply(a)) << "lane " << l;
-      EXPECT_DOUBLE_EQ(vb.lane(l), scalar.apply(b)) << "lane " << l;
-    }
-  }
-}
-
-// ------------------------------------------------------ parallel AutoGrid
+// ------------------------------------------------- AutoGrid slab observer
 
 data::GeneratorOptions tiny() {
   data::GeneratorOptions o;
@@ -308,30 +244,6 @@ data::GeneratorOptions tiny() {
   o.max_ligand_atoms = 12;
   o.hg_fraction = 0.0;
   return o;
-}
-
-TEST(ParallelAutogrid, BitIdenticalAcrossThreadCounts) {
-  const mol::PreparedReceptor rec =
-      mol::prepare_receptor(data::make_receptor("1KER", tiny()));
-  const GridMapCalculator calc(rec.molecule);
-  const GridBox box = GridBox::around(rec.molecule.center(), 7.0, 0.6);
-  const std::vector<AdType> types = {AdType::C, AdType::OA, AdType::HD,
-                                     AdType::N};
-  const GridMapSet serial = calc.calculate(box, types);
-  for (std::size_t threads : {1u, 2u, 8u}) {
-    ThreadPool pool(threads);
-    const GridMapSet parallel = calc.calculate(box, types, &pool);
-    EXPECT_EQ(parallel.electrostatic.values(), serial.electrostatic.values())
-        << threads << " threads";
-    EXPECT_EQ(parallel.desolvation.values(), serial.desolvation.values());
-    ASSERT_EQ(parallel.affinity.size(), serial.affinity.size());
-    for (std::size_t t = 0; t < serial.affinity.size(); ++t) {
-      EXPECT_EQ(parallel.affinity[t].second.values(),
-                serial.affinity[t].second.values())
-          << "type " << mol::ad_type_name(serial.affinity[t].first) << ", "
-          << threads << " threads";
-    }
-  }
 }
 
 TEST(ParallelAutogrid, SlabObserverFiresOncePerSlab) {
@@ -347,93 +259,12 @@ TEST(ParallelAutogrid, SlabObserverFiresOncePerSlab) {
   };
   const GridMapCalculator calc(rec.molecule, opts);
   const GridBox box = GridBox::around(rec.molecule.center(), 6.0, 0.75);
-  ThreadPool pool(4);
-  calc.calculate(box, {AdType::C}, &pool);
+  calc.calculate(box, {AdType::C});
   EXPECT_EQ(slabs.load(), box.npts[2]);
   EXPECT_FALSE(negative.load());
 }
 
-// --------------------------------------------------- batched pose scoring
-
-/// Random poses over the model box, with a couple translated far outside
-/// so the out-of-box penalty lanes are exercised, and an odd count so the
-/// PoseBatch tail padding is exercised.
-template <typename Model>
-std::vector<DockPose> make_poses(const GridBox& box, const Model& model,
-                                 int torsion_count, int n, Rng& rng) {
-  std::vector<DockPose> poses;
-  for (int i = 0; i < n; ++i) {
-    poses.push_back(
-        DockPose::random(box, model.reference_center(), torsion_count, rng));
-  }
-  poses[static_cast<std::size_t>(n) - 1].rigid.translation +=
-      mol::Vec3{300.0, 0.0, 0.0};
-  return poses;
-}
-
-TEST(BatchedScoring, Ad4EvaluateBatchMatchesPoseAtATime) {
-  const auto opts = tiny();
-  const mol::PreparedReceptor rec =
-      mol::prepare_receptor(data::make_receptor("1AIM", opts));
-  const mol::PreparedLigand lig =
-      mol::prepare_ligand(data::make_ligand("042", opts));
-  const GridBox box = GridBox::around(rec.molecule.center(), 9.0, 0.75);
-  GridMapCalculator calc(rec.molecule);
-  mol::Molecule typed = lig.molecule;
-  typed.perceive();
-  const GridMapSet maps = calc.calculate(box, typed.ad_types_present());
-  const Ad4EnergyModel model(maps, lig);
-  Rng rng(41);
-  // Odd, non-lane-multiple counts: 1 (all-padding block), 7 and W+1.
-  for (int n : {1, 7, simd::f64x::kWidth + 1}) {
-    const auto poses =
-        make_poses(box, model, lig.torsions.torsion_count(), n, rng);
-    const auto batched = model.evaluate_batch(poses);
-    ASSERT_EQ(batched.size(), poses.size());
-    std::vector<double> inter, intra;
-    model.score_batch(poses, &inter, &intra);
-    for (std::size_t p = 0; p < poses.size(); ++p) {
-      const auto coords = model.coords_for(poses[p]);
-      const double scalar_inter = model.intermolecular(coords);
-      const double scalar_intra = model.intramolecular(coords);
-      EXPECT_TRUE(within_tolerance(batched[p], scalar_inter + scalar_intra))
-          << "pose " << p << " of " << n << ": batched=" << batched[p]
-          << " scalar=" << scalar_inter + scalar_intra;
-      EXPECT_TRUE(within_tolerance(inter[p], scalar_inter)) << "pose " << p;
-      EXPECT_TRUE(within_tolerance(intra[p], scalar_intra)) << "pose " << p;
-      // operator() must agree with its batched counterpart too.
-      EXPECT_TRUE(within_tolerance(batched[p], model(poses[p])));
-    }
-  }
-}
-
-TEST(BatchedScoring, VinaEvaluateBatchMatchesPoseAtATime) {
-  const auto opts = tiny();
-  const mol::PreparedReceptor rec =
-      mol::prepare_receptor(data::make_receptor("1AIM", opts));
-  const mol::PreparedLigand lig =
-      mol::prepare_ligand(data::make_ligand("074", opts));
-  const GridBox box = GridBox::around(rec.molecule.center(), 9.0, 0.75);
-  const VinaEnergyModel model(rec, lig, box);
-  Rng rng(43);
-  for (int n : {1, 7, simd::f64x::kWidth + 1}) {
-    const auto poses =
-        make_poses(box, model, lig.torsions.torsion_count(), n, rng);
-    const auto batched = model.evaluate_batch(poses);
-    ASSERT_EQ(batched.size(), poses.size());
-    std::vector<double> inter, intra;
-    model.score_batch(poses, &inter, &intra);
-    for (std::size_t p = 0; p < poses.size(); ++p) {
-      const auto coords = model.coords_for(poses[p]);
-      EXPECT_TRUE(within_tolerance(inter[p], model.intermolecular(coords)))
-          << "pose " << p;
-      EXPECT_TRUE(within_tolerance(intra[p], model.intramolecular(coords)))
-          << "pose " << p;
-      EXPECT_TRUE(within_tolerance(batched[p], model(poses[p])))
-          << "pose " << p << " of " << n;
-    }
-  }
-}
+// ------------------------------------------------- evaluation counting
 
 TEST(BatchedScoring, EvaluationCountingMatchesScalarDiscipline) {
   const auto opts = tiny();
@@ -444,13 +275,22 @@ TEST(BatchedScoring, EvaluationCountingMatchesScalarDiscipline) {
   const GridBox box = GridBox::around(rec.molecule.center(), 9.0, 0.75);
   const VinaEnergyModel model(rec, lig, box);
   Rng rng(47);
-  const auto poses =
-      make_poses(box, model, lig.torsions.torsion_count(), 5, rng);
+  std::vector<DockPose> poses;
+  for (int i = 0; i < 5; ++i) {
+    poses.push_back(DockPose::random(box, model.reference_center(),
+                                     lig.torsions.torsion_count(), rng));
+  }
   EXPECT_EQ(model.evaluations(), 0);
-  model.evaluate_batch(poses);  // search path: one count per pose
+  std::vector<double> energies;
+  for (const DockPose& pose : poses) {
+    energies.push_back(model(pose));  // search path: one count per pose
+  }
   EXPECT_EQ(model.evaluations(), 5);
-  std::vector<double> inter, intra;
-  model.score_batch(poses, &inter, &intra);  // reporting path: no counts
+  const auto input = lig.molecule.coordinates();
+  for (std::size_t p = 0; p < poses.size(); ++p) {  // reporting path
+    const Conformation conf = score_conformation(model, poses[p], input);
+    EXPECT_EQ(conf.intermolecular + conf.intramolecular, energies[p]);
+  }
   EXPECT_EQ(model.evaluations(), 5);
 }
 

@@ -1,9 +1,8 @@
-// Exhaustive lane-op unit tests for the portable SIMD wrappers
-// (util/simd.hpp). Runs under whichever backend the build selected —
-// ci/check.sh runs the suite under both the native backend and the
-// forced-scalar reference build (-DSCIDOCK_SIMD_SCALAR=ON), so every
-// backend's load/store/arithmetic/mask/gather semantics are pinned to the
-// same expectations (ctest -L kernels).
+// Lane-op unit tests for the portable SIMD wrapper (util/simd.hpp). Runs
+// under whichever backend the build selected — ci/check.sh runs the suite
+// under both the native backend and the forced-scalar reference build
+// (-DSCIDOCK_SIMD_SCALAR=ON), so every backend's load/store/arithmetic/
+// mask semantics are pinned to the same expectations (ctest -L kernels).
 
 #include <gtest/gtest.h>
 
@@ -41,10 +40,6 @@ TEST(SimdBackend, NameAndWidthAreConsistent) {
   if (forced_scalar()) {
     EXPECT_EQ(name, "scalar");
   }
-  if (wide_backend()) {
-    EXPECT_EQ(name, "avx2");
-  }
-  EXPECT_GE(f32x::kWidth, f64x::kWidth);
 }
 
 TEST(SimdF64, DefaultConstructorIsZero) {
@@ -86,7 +81,6 @@ TEST(SimdF64, LanewiseArithmeticMatchesScalar) {
     EXPECT_EQ((a + b).lane(l), a_in[l] + b_in[l]);
     EXPECT_EQ((a - b).lane(l), a_in[l] - b_in[l]);
     EXPECT_EQ((a * b).lane(l), a_in[l] * b_in[l]);
-    EXPECT_EQ((a / b).lane(l), a_in[l] / b_in[l]);
   }
   f64x acc = a;
   acc += b;
@@ -100,22 +94,6 @@ TEST(SimdF64, MinMaxSqrtPerLane) {
   const f64x b = f64x::load(b_in);
   for (int l = 0; l < W; ++l) {
     EXPECT_EQ(min(a, b).lane(l), std::min(a_in[l], b_in[l]));
-    EXPECT_EQ(max(a, b).lane(l), std::max(a_in[l], b_in[l]));
-    EXPECT_EQ(sqrt(max(a, f64x())).lane(l),
-              std::sqrt(std::max(a_in[l], 0.0)));
-  }
-}
-
-TEST(SimdF64, FmaddIsMulAddWithinOneUlp) {
-  double a_in[4] = {1.25, -3.5, 1e3, 0.0};
-  double b_in[4] = {2.5, 0.5, 1e-3, 7.0};
-  double c_in[4] = {-1.0, 2.0, 4.0, 1.0};
-  const f64x r = fmadd(f64x::load(a_in), f64x::load(b_in), f64x::load(c_in));
-  for (int l = 0; l < W; ++l) {
-    // Contracted (single-rounding) and separate mul+add may differ by at
-    // most one rounding of the product term.
-    const double expect = a_in[l] * b_in[l] + c_in[l];
-    EXPECT_NEAR(r.lane(l), expect, 1e-12 * (1.0 + std::abs(expect)));
   }
 }
 
@@ -133,42 +111,24 @@ TEST(SimdF64, ComparisonMasksAreFullWidth) {
   double a_in[4] = {1.0, 5.0, 3.0, 3.0};
   double b_in[4] = {2.0, 4.0, 3.0, -1.0};
   const f64x lt = less_than(f64x::load(a_in), f64x::load(b_in));
-  const f64x ge = greater_equal(f64x::load(a_in), f64x::load(b_in));
   for (int l = 0; l < W; ++l) {
-    std::uint64_t lt_bits = 0, ge_bits = 0;
-    const double lt_lane = lt.lane(l), ge_lane = ge.lane(l);
+    std::uint64_t lt_bits = 0;
+    const double lt_lane = lt.lane(l);
     std::memcpy(&lt_bits, &lt_lane, sizeof lt_bits);
-    std::memcpy(&ge_bits, &ge_lane, sizeof ge_bits);
     EXPECT_EQ(lt_bits, a_in[l] < b_in[l] ? ~std::uint64_t{0} : 0) << l;
-    EXPECT_EQ(ge_bits, a_in[l] >= b_in[l] ? ~std::uint64_t{0} : 0) << l;
   }
 }
 
 TEST(SimdF64, BlendSelectsPerLane) {
   double a_in[4] = {1.0, 2.0, 3.0, 4.0};
   double b_in[4] = {-1.0, -2.0, -3.0, -4.0};
-  double m_in[4];
-  for (int l = 0; l < W; ++l) m_in[l] = mask_value(l % 2 == 0);
-  const f64x r =
-      blend(f64x::load(m_in), f64x::load(a_in), f64x::load(b_in));
+  // Even lanes true (0 < 1), odd lanes false (1 < 1).
+  double parity[4] = {0.0, 1.0, 0.0, 1.0};
+  const f64x mask = less_than(f64x::load(parity), f64x(1.0));
+  const f64x r = blend(mask, f64x::load(a_in), f64x::load(b_in));
   for (int l = 0; l < W; ++l) {
     EXPECT_EQ(r.lane(l), l % 2 == 0 ? a_in[l] : b_in[l]);
   }
-}
-
-TEST(SimdF64, AnyAllOverHandBuiltMasks) {
-  double none[4], some[4], every[4];
-  for (int l = 0; l < W; ++l) {
-    none[l] = mask_value(false);
-    some[l] = mask_value(l == W - 1);
-    every[l] = mask_value(true);
-  }
-  EXPECT_FALSE(any(f64x::load(none)));
-  EXPECT_FALSE(all(f64x::load(none)));
-  EXPECT_TRUE(any(f64x::load(some)));
-  EXPECT_FALSE(all(f64x::load(some)));
-  EXPECT_TRUE(any(f64x::load(every)));
-  EXPECT_TRUE(all(f64x::load(every)));
 }
 
 TEST(SimdF64, NanPropagatesThroughArithmeticAndFailsComparisons) {
@@ -185,15 +145,11 @@ TEST(SimdF64, NanPropagatesThroughArithmeticAndFailsComparisons) {
   // IEEE: every ordered comparison with a NaN operand is false, exactly
   // like the scalar operators — blend() must then take the fallback.
   const f64x lt = less_than(a, b);
-  const f64x ge = greater_equal(a, b);
   for (int l = 0; l < W; ++l) {
     if (std::isnan(a_in[l]) || std::isnan(b_in[l])) {
       std::uint64_t bits = 1;
       const double lane = lt.lane(l);
       std::memcpy(&bits, &lane, sizeof bits);
-      EXPECT_EQ(bits, 0u) << l;
-      const double glane = ge.lane(l);
-      std::memcpy(&bits, &glane, sizeof bits);
       EXPECT_EQ(bits, 0u) << l;
     }
   }
@@ -205,18 +161,6 @@ TEST(SimdF64, NanPropagatesThroughArithmeticAndFailsComparisons) {
   }
 }
 
-TEST(SimdF64, GatherReadsPerLaneIndices) {
-  std::vector<double> table(64);
-  for (std::size_t i = 0; i < table.size(); ++i) {
-    table[i] = static_cast<double>(i) * 1.5;
-  }
-  std::int32_t idx[4] = {0, 63, 17, 4};
-  const f64x g = gather(table.data(), idx);
-  for (int l = 0; l < W; ++l) {
-    EXPECT_EQ(g.lane(l), table[static_cast<std::size_t>(idx[l])]);
-  }
-}
-
 TEST(SimdF64, TruncateToIntRoundsTowardZero) {
   double in[4] = {0.0, 2.9, 4095.999, 17.0};
   std::int32_t out[4] = {-1, -1, -1, -1};
@@ -224,31 +168,6 @@ TEST(SimdF64, TruncateToIntRoundsTowardZero) {
   for (int l = 0; l < W; ++l) {
     EXPECT_EQ(out[l], static_cast<std::int32_t>(in[l])) << l;
   }
-}
-
-TEST(SimdF32, CoreOpsMatchScalar) {
-  constexpr int WF = f32x::kWidth;
-  std::vector<float> a_in(static_cast<std::size_t>(WF)),
-      b_in(static_cast<std::size_t>(WF));
-  for (int l = 0; l < WF; ++l) {
-    a_in[static_cast<std::size_t>(l)] = 0.5f * static_cast<float>(l) - 1.0f;
-    b_in[static_cast<std::size_t>(l)] = 2.0f - static_cast<float>(l);
-  }
-  const f32x a = f32x::load(a_in.data());
-  const f32x b = f32x::load(b_in.data());
-  float expect_sum = 0.0f;
-  for (int l = 0; l < WF; ++l) {
-    const auto i = static_cast<std::size_t>(l);
-    EXPECT_EQ((a + b).lane(l), a_in[i] + b_in[i]);
-    EXPECT_EQ((a - b).lane(l), a_in[i] - b_in[i]);
-    EXPECT_EQ((a * b).lane(l), a_in[i] * b_in[i]);
-    EXPECT_NEAR(fmadd(a, b, a).lane(l), a_in[i] * b_in[i] + a_in[i], 1e-5f);
-    expect_sum += a_in[i];
-  }
-  EXPECT_NEAR(a.hsum(), expect_sum, 1e-5f);
-  std::vector<float> out(static_cast<std::size_t>(WF), -9.0f);
-  a.store(out.data());
-  EXPECT_EQ(out, a_in);
 }
 
 }  // namespace
