@@ -31,7 +31,6 @@
 #include "data/table2.hpp"
 #include "dock/autogrid.hpp"
 #include "dock/energy_lut.hpp"
-#include "util/simd.hpp"
 #include "mol/charges.hpp"
 #include "dock/energy.hpp"
 #include "dock/vina.hpp"
@@ -552,10 +551,7 @@ int run_kernel_report() {
 
   const std::string path = bench::write_bench_json(
       "kernels",
-      {{"simd_backend",
-        std::string("\"") + scidock::simd::backend_name() + "\""},
-       {"simd_lane_width", strformat("%d", scidock::simd::f64x::kWidth)},
-       {"ad4_pair_ns_analytic", strformat("%.2f", ad4_analytic_ns)},
+      {{"ad4_pair_ns_analytic", strformat("%.2f", ad4_analytic_ns)},
        {"ad4_pair_ns_lut", strformat("%.2f", ad4_lut_ns)},
        {"ad4_pair_speedup", strformat("%.2f", ad4_speedup)},
        {"vina_pair_ns_analytic", strformat("%.2f", vina_analytic_ns)},

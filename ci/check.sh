@@ -3,13 +3,6 @@
 #
 # Stages (each one configure + build + ctest in its own build tree):
 #   default   plain build, full suite minus bench-smoke — the tier-1 gate
-#   scalar    SCIDOCK_SIMD_SCALAR=ON: the forced-scalar reference backend
-#             of util/simd.hpp, full suite minus bench-smoke — proves the
-#             two lane kernels (AutoGrid channel sweep, Vina neighbour
-#             blocks) are equivalent without any vector ISA
-#   native    -march=native + undefined sanitizer, kernel suite: runs those
-#             lane kernels on the widest backend the host offers (AVX2
-#             where available) with FMA contraction on, under UBSan
 #   sync      SCIDOCK_SYNC_ANALYSIS=ON: full suite (lockdep and racer
 #             ride along under every test, asserting the default suite
 #             clean), their negative controls, and the bench_sync_analysis
@@ -34,7 +27,7 @@
 # slowdown.
 #
 # Usage: ci/check.sh [stage ...]     (default: all stages, in order)
-#   e.g. ci/check.sh scalar tsan
+#   e.g. ci/check.sh default tsan
 
 set -euo pipefail
 
@@ -62,26 +55,6 @@ stage_default() {
   # Acceptance gate: the crash-recovery matrix runs (and is reported) as
   # its own leg, so a recovery regression is unmissable in the CI log.
   run_ctest "$dir" -L prov-recovery
-}
-
-stage_scalar() {
-  local dir="$REPO_ROOT/build-ci-scalar"
-  configure_and_build "$dir" -DSCIDOCK_SIMD_SCALAR=ON
-  run_ctest "$dir" -LE bench-smoke
-  # The kernel bench still runs under the scalar backend so the JSON
-  # records the reference-backend numbers alongside the vector ones.
-  (cd "$dir" && ./bench/bench_micro_kernels)
-}
-
-stage_native() {
-  local dir="$REPO_ROOT/build-ci-native"
-  configure_and_build "$dir" \
-    -DSCIDOCK_NATIVE_ARCH=ON -DSCIDOCK_SANITIZE=undefined \
-    -DSCIDOCK_BUILD_BENCH=OFF -DSCIDOCK_BUILD_EXAMPLES=OFF
-  # Kernels only: this leg exists to run the widest SIMD backend (and the
-  # FMA-contracted scalar reference) under UBSan, not to re-run the
-  # whole matrix with non-portable codegen.
-  run_ctest "$dir" -L kernels
 }
 
 stage_sync() {
@@ -182,15 +155,15 @@ stage_tsan() {
 
 STAGES=("$@")
 if [ "${#STAGES[@]}" -eq 0 ]; then
-  STAGES=(default scalar native sync clang asan ubsan tsan)
+  STAGES=(default sync clang asan ubsan tsan)
 fi
 
 for stage in "${STAGES[@]}"; do
   case "$stage" in
-    default | scalar | native | sync | clang | asan | ubsan | tsan) ;;
+    default | sync | clang | asan | ubsan | tsan) ;;
     *)
       echo "ci/check.sh: unknown stage '$stage'" >&2
-      echo "stages: default scalar native sync clang asan ubsan tsan" >&2
+      echo "stages: default sync clang asan ubsan tsan" >&2
       exit 2
       ;;
   esac

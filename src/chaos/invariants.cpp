@@ -475,11 +475,15 @@ bool InvariantChecker::check_recovery(prov::ProvenanceStore& store) {
         ok = fail(strformat("recovery: duplicate fileid %lld",
                             static_cast<long long>(row[0].as_int())));
       }
-      if (!taskids.contains(row[3].as_int())) {
+      // taskid 0: a workflow-level file (input/output relation).
+      const long long taskid = row[3].as_int();
+      if (taskid == 0 ? !wkfids.contains(row[1].as_int())
+                      : !taskids.contains(taskid)) {
         ok = fail(strformat(
-            "recovery: hfile %lld references missing activation %lld",
-            static_cast<long long>(row[0].as_int()),
-            static_cast<long long>(row[3].as_int())));
+            "recovery: hfile %lld references missing activation %lld or "
+            "workflow %lld",
+            static_cast<long long>(row[0].as_int()), taskid,
+            static_cast<long long>(row[1].as_int())));
       }
     }
     std::set<long long> valueids;

@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <sstream>
 
-#include "util/aligned.hpp"
 #include "util/error.hpp"
 #include "util/racer.hpp"
 #include "util/strings.hpp"
@@ -46,36 +45,20 @@ GridMapSet GridMapCalculator::calculate(
     set.affinity.emplace_back(t, GridMap(box, std::string(mol::ad_type_name(t))));
   }
 
-  // Hoist every per-(receptor atom) LUT channel to a flat pointer array,
-  // SoA by atom: slot 0 is the Coulomb channel (factor = atom charge),
-  // slot 1 the desolvation Gaussian (factor = atom volume), slots 2.. the
-  // per-ligand-type vdW rows (factor = 1), padded to a lane multiple with
-  // an all-zero channel. Every table shares the LUT resolution, so the
-  // inner loop computes one LaneBins per (point, atom) squared distance
-  // and sweeps all channels with lane-parallel interpolations — where the
-  // scalar loop paid one bin computation per channel per contribution.
-  constexpr int W = simd::f64x::kWidth;
+  // Hoist every receptor atom's per-ligand-type vdW row to a flat pointer
+  // array. Every table shares the LUT resolution, so the inner loop
+  // computes one bin per (point, atom) squared distance and reads the
+  // Coulomb, desolvation and every vdW channel with it.
   const std::size_t natoms = type_.size();
   const std::size_t ntypes = ligand_types.size();
-  const std::size_t nchan = ntypes + 2;
-  const std::size_t nchan_padded = (nchan + W - 1) / W * W;
-  const std::vector<double> zero_channel(lut::kEntries + 1, 0.0);
-  std::vector<const double*> rows(natoms * nchan_padded, zero_channel.data());
-  util::aligned_vector<double> factors(natoms * nchan_padded, 0.0);
+  std::vector<const double*> vdw_rows(natoms * ntypes);
   for (std::size_t a = 0; a < natoms; ++a) {
-    const std::size_t base = a * nchan_padded;
-    rows[base + 0] = tables_->coulomb_channel();
-    factors[base + 0] = charge_[a];
-    // Receptor-side volume term only; the ligand atom's solvation
-    // parameter (solpar_i + qasp*|q_i|) multiplies in at sample time
-    // (AD4 map semantics; the product is O(0.01) per contact).
-    rows[base + 1] = tables_->desolv_channel();
-    factors[base + 1] = volume_[a];
     for (std::size_t t = 0; t < ntypes; ++t) {
-      rows[base + 2 + t] = tables_->vdw_row(ligand_types[t], type_[a]);
-      factors[base + 2 + t] = 1.0;
+      vdw_rows[a * ntypes + t] = tables_->vdw_row(ligand_types[t], type_[a]);
     }
   }
+  const double* coulomb = tables_->coulomb_channel();
+  const double* desolv = tables_->desolv_channel();
 
   const mol::Vec3 origin = box.origin();
 
@@ -104,7 +87,7 @@ GridMapSet GridMapCalculator::calculate(
     racer_set_key = h;
   }
 
-  util::aligned_vector<double> acc(nchan_padded, 0.0);
+  std::vector<double> vdw(ntypes);
   for (int iz = 0; iz < box.npts[2]; ++iz) {
     const auto t0 = std::chrono::steady_clock::now();
     for (int iy = 0; iy < box.npts[1]; ++iy) {
@@ -112,35 +95,34 @@ GridMapSet GridMapCalculator::calculate(
         const mol::Vec3 p{origin.x + ix * box.spacing,
                           origin.y + iy * box.spacing,
                           origin.z + iz * box.spacing};
-        std::fill(acc.begin(), acc.end(), 0.0);
+        double elec = 0.0;
+        double dsolv = 0.0;
+        std::fill(vdw.begin(), vdw.end(), 0.0);
 
         neighbors_.for_each_within(p, [&](int ai, double d2) {
           const auto a = static_cast<std::size_t>(ai);
-          // Broadcast bins: one (bin, fraction) computation serves every
-          // channel. Each accumulator lane adds factor * interpolate in
-          // the scalar loop's per-atom order, so the maps stay
-          // bit-identical to the unbatched path.
-          const lut::LaneBins bins = lut::lane_bins(simd::f64x(d2));
-          const double* const* row = rows.data() + a * nchan_padded;
-          const double* factor = factors.data() + a * nchan_padded;
-          for (std::size_t c = 0; c < nchan_padded; c += W) {
-            simd::f64x sum = simd::f64x::load(acc.data() + c);
-            sum += simd::f64x::load(factor + c) *
-                   lut::interpolate_rows(row + c, bins);
-            sum.store(acc.data() + c);
+          const lut::Bin bin = lut::bin(d2);
+          elec += charge_[a] * lut::interpolate(coulomb, bin);
+          // Receptor-side volume term only; the ligand atom's solvation
+          // parameter (solpar_i + qasp*|q_i|) multiplies in at sample
+          // time (AD4 map semantics; the product is O(0.01) per contact).
+          dsolv += volume_[a] * lut::interpolate(desolv, bin);
+          const double* const* rows = vdw_rows.data() + a * ntypes;
+          for (std::size_t t = 0; t < ntypes; ++t) {
+            vdw[t] += lut::interpolate(rows[t], bin);
           }
         });
 
-        set.electrostatic.at(ix, iy, iz) = acc[0];
-        set.desolvation.at(ix, iy, iz) = acc[1];
+        set.electrostatic.at(ix, iy, iz) = elec;
+        set.desolvation.at(ix, iy, iz) = dsolv;
         for (std::size_t t = 0; t < ntypes; ++t) {
-          set.affinity[t].second.at(ix, iy, iz) = acc[2 + t];
+          set.affinity[t].second.at(ix, iy, iz) = vdw[t];
         }
       }
     }
 
     // Racer determinism digest: the slab's full content, keyed by
-    // (map-set identity, iz). If a SIMD change makes any slab's bits
+    // (map-set identity, iz). If a kernel change makes any slab's bits
     // depend on the schedule, comparing snapshots across executor thread
     // counts yields an RC004 naming this reduction and slab.
     if (racer::enabled()) {

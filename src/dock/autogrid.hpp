@@ -9,9 +9,9 @@
 /// AutoDock 4 then scores poses by trilinear interpolation into these maps.
 ///
 /// The per-point kernel reads the radial LUTs (energy_lut.hpp) indexed by
-/// squared distance and sweeps every map's channel lane-parallel. The
-/// calculator runs serially inside one activation; parallelism comes from
-/// the executor running many activations.
+/// squared distance, with one bin per neighbour shared by every map's
+/// channel. The calculator runs serially inside one activation;
+/// parallelism comes from the executor running many activations.
 
 #include <functional>
 

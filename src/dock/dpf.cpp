@@ -1,5 +1,6 @@
 #include "dock/dpf.hpp"
 
+#include <cmath>
 #include <sstream>
 
 #include "util/error.hpp"
@@ -50,6 +51,11 @@ DockingParameterFile DockingParameterFile::parse(std::string_view text) {
     else if (f[0] == "ga_run" && f.size() >= 2) dpf.ga_runs = static_cast<int>(parse_int(f[1], "dpf"));
   }
   SCIDOCK_REQUIRE(dpf.ga_runs > 0 && dpf.ga_pop_size > 1, "invalid DPF GA parameters");
+  // Clustering requires a positive tolerance; NaN fails this test too.
+  if (!(dpf.rmstol > 0.0 && std::isfinite(dpf.rmstol))) {
+    throw ParseError("DPF", strformat("rmstol %g is not positive and finite",
+                                      dpf.rmstol));
+  }
   return dpf;
 }
 
@@ -94,10 +100,14 @@ VinaConfig VinaConfig::parse(std::string_view text) {
     else if (key == "energy_range") cfg.energy_range = parse_double(value, "vina cfg");
     else if (key == "seed") cfg.seed = static_cast<unsigned long long>(parse_int(value, "vina cfg"));
   }
-  cfg.box.npts = {static_cast<int>(size.x / spacing) + 1,
-                  static_cast<int>(size.y / spacing) + 1,
-                  static_cast<int>(size.z / spacing) + 1};
+  cfg.box.npts = {grid_points_for_size(size.x, spacing, "vina cfg size_x"),
+                  grid_points_for_size(size.y, spacing, "vina cfg size_y"),
+                  grid_points_for_size(size.z, spacing, "vina cfg size_z")};
   SCIDOCK_REQUIRE(cfg.exhaustiveness > 0, "invalid Vina exhaustiveness");
+  if (cfg.num_modes < 1) {
+    throw ParseError("vina cfg",
+                     strformat("num_modes %d is below 1", cfg.num_modes));
+  }
   return cfg;
 }
 

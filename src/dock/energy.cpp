@@ -143,7 +143,6 @@ VinaEnergyModel::VinaEnergyModel(const mol::PreparedReceptor& receptor,
 }
 
 double VinaEnergyModel::intermolecular(const std::vector<mol::Vec3>& coords) const {
-  constexpr int W = simd::f64x::kWidth;
   double e = 0.0;
   for (int i = 0; i < ligand_.molecule.atom_count(); ++i) {
     const mol::Vec3& p = coords[static_cast<std::size_t>(i)];
@@ -154,30 +153,20 @@ double VinaEnergyModel::intermolecular(const std::vector<mol::Vec3>& coords) con
       e += 10.0 * mol::distance_sq(p, c);
       continue;
     }
-    // Collect the atom's neighbour block (squared distances straight from
-    // the cell list — the table is indexed by r², so no sqrt — plus the
-    // per-hit LUT channel), pad to a lane multiple with r² = cutoff²
-    // (pair_energy_lanes masks those lanes to the analytic zero), then
-    // accumulate lane-parallel and reduce once per atom.
-    d2_scratch_.clear();
-    row_scratch_.clear();
+    // Squared distances come straight from the cell list (the table is
+    // indexed by r², so no sqrt). Two partial sums alternating per
+    // neighbour: the association of the former two-lane SIMD loop, kept so
+    // energies stay bit-identical to it.
     const double* const* rows_for_atom =
         lig_rows_.data() + static_cast<std::size_t>(i) * mol::kAdTypeCount;
+    double acc[2] = {0.0, 0.0};
+    std::size_t k = 0;
     neighbors_.for_each_within(p, [&](int ri, double d2) {
-      d2_scratch_.push_back(d2);
-      row_scratch_.push_back(
-          rows_for_atom[rec_types_[static_cast<std::size_t>(ri)]]);
+      const double* row =
+          rows_for_atom[rec_types_[static_cast<std::size_t>(ri)]];
+      acc[k++ & 1] += d2 < lut::kCutoffSq ? lut::interpolate(row, d2) : 0.0;
     });
-    while (d2_scratch_.size() % W != 0) {
-      d2_scratch_.push_back(lut::kCutoffSq);
-      row_scratch_.push_back(rows_for_atom[0]);
-    }
-    simd::f64x acc;
-    for (std::size_t k = 0; k < d2_scratch_.size(); k += W) {
-      acc += tables_->pair_energy_lanes(row_scratch_.data() + k,
-                                        simd::f64x::load(d2_scratch_.data() + k));
-    }
-    e += acc.hsum();
+    e += acc[0] + acc[1];
   }
   return e;
 }

@@ -14,7 +14,6 @@
 #include "dock/grid.hpp"
 #include "dock/scoring.hpp"
 #include "mol/prepare.hpp"
-#include "util/aligned.hpp"
 
 namespace scidock::dock {
 
@@ -114,10 +113,6 @@ class VinaEnergyModel {
   /// its channel with one indexed load instead of a pair_index() per hit.
   std::vector<const double*> lig_rows_;
   std::vector<int> rec_types_;  ///< receptor atom AdType as int, hoisted
-  /// Neighbour-block scratch for the vectorized intermolecular term: the
-  /// (r², channel) pairs of one ligand atom, padded to a lane multiple.
-  mutable util::aligned_vector<double> d2_scratch_;
-  mutable std::vector<const double*> row_scratch_;
   mutable long long evaluations_ = 0;
 };
 

@@ -26,13 +26,11 @@
 /// weight vector (`shared()`), so per-activation model construction costs
 /// one mutex-guarded lookup instead of a rebuild.
 
-#include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "dock/scoring.hpp"
 #include "mol/atom_typing.hpp"
-#include "util/simd.hpp"
 
 namespace scidock::dock {
 
@@ -45,15 +43,32 @@ inline constexpr double kCutoff = 8.0;
 inline constexpr double kCutoffSq = kCutoff * kCutoff;
 inline constexpr int kEntries = 4096;
 
-/// Linear interpolation into one channel of kEntries + 1 samples uniform
-/// in r². `r2` must lie in [0, kCutoffSq].
-inline double interpolate(const double* samples, double r2) {
+/// Interpolation bin of a squared distance: samples[lo] and samples[lo + 1]
+/// blended by t. Every table shares one resolution and domain, so one bin
+/// serves every channel at that distance (AutoGrid's channel sweep).
+struct Bin {
+  int lo;
+  double t;
+};
+
+/// `r2` must lie in [0, kCutoffSq]; r2 == kCutoffSq lands in the top bin
+/// with t == 1.
+inline Bin bin(double r2) {
   constexpr double kInvStep = kEntries / kCutoffSq;
   const double x = r2 * kInvStep;
-  int i = static_cast<int>(x);
-  if (i >= kEntries) i = kEntries - 1;  // r2 == kCutoffSq lands here
-  const double t = x - static_cast<double>(i);
-  return samples[i] + (samples[i + 1] - samples[i]) * t;
+  int lo = static_cast<int>(x);
+  if (lo >= kEntries) lo = kEntries - 1;
+  return {lo, x - static_cast<double>(lo)};
+}
+
+/// Linear interpolation into one channel of kEntries + 1 samples uniform
+/// in r².
+inline double interpolate(const double* samples, Bin b) {
+  return samples[b.lo] + (samples[b.lo + 1] - samples[b.lo]) * b.t;
+}
+
+inline double interpolate(const double* samples, double r2) {
+  return interpolate(samples, bin(r2));
 }
 
 /// Triangular index of the unordered type pair (ti, tj) into a flat array
@@ -71,54 +86,6 @@ inline int pair_index(mol::AdType ti, mol::AdType tj) {
 
 inline constexpr int kPairCount =
     mol::kAdTypeCount * (mol::kAdTypeCount + 1) / 2;
-
-/// One lane-batch of interpolation bins: every table in this module shares
-/// the same resolution and domain, so the (bin, fraction) computation for a
-/// vector of squared distances is done once and reused across channels —
-/// AutoGrid sweeps the Coulomb, desolvation and every ligand-type vdW row
-/// of one receptor atom with the same LaneBins.
-struct LaneBins {
-  std::int32_t lo[simd::f64x::kWidth];  ///< bin index per lane
-  std::int32_t hi[simd::f64x::kWidth];  ///< bin index + 1 per lane
-  simd::f64x t;                         ///< blend fraction per lane
-};
-
-/// Bin/fraction computation for kWidth squared distances. Lanes must lie
-/// in [0, kCutoffSq] (callers clamp or peel out-of-domain lanes first);
-/// each lane reproduces the scalar interpolate() indexing exactly,
-/// including the top-bin clamp at r2 == kCutoffSq.
-inline LaneBins lane_bins(simd::f64x r2) {
-  constexpr double kInvStep = kEntries / kCutoffSq;
-  const simd::f64x x = r2 * simd::f64x(kInvStep);
-  alignas(64) double xi[simd::f64x::kWidth];
-  LaneBins b;
-  simd::truncate_to_int(x, b.lo);
-  for (int l = 0; l < simd::f64x::kWidth; ++l) {
-    if (b.lo[l] >= kEntries) b.lo[l] = kEntries - 1;
-    b.hi[l] = b.lo[l] + 1;
-    xi[l] = static_cast<double>(b.lo[l]);
-  }
-  b.t = x - simd::f64x::load(xi);
-  return b;
-}
-
-/// Lane-parallel blend where every lane reads a different channel (one
-/// LUT row per lane): per-lane base pointers, shared bins. Same
-/// association as the scalar interpolate() — a + (b - a) * t — so each
-/// lane is bit-equal to the scalar path on backends without FMA
-/// contraction.
-inline simd::f64x interpolate_rows(const double* const* rows,
-                                   const LaneBins& b) {
-  alignas(64) double a[simd::f64x::kWidth];
-  alignas(64) double c[simd::f64x::kWidth];
-  for (int l = 0; l < simd::f64x::kWidth; ++l) {
-    a[l] = rows[l][b.lo[l]];
-    c[l] = rows[l][b.hi[l]];
-  }
-  const simd::f64x av = simd::f64x::load(a);
-  const simd::f64x cv = simd::f64x::load(c);
-  return av + (cv - av) * b.t;
-}
 
 }  // namespace lut
 
@@ -161,8 +128,8 @@ class Ad4PairTables {
     return lut::interpolate(gauss_.data(), r2);
   }
 
-  /// Raw channel base pointers, for callers that interleave these with
-  /// per-pair vdW rows in one lane-parallel channel sweep (AutoGrid).
+  /// Raw channel base pointers, for AutoGrid's sweep that reads these and
+  /// the vdW rows with one lut::bin per neighbour.
   const double* coulomb_channel() const { return coulomb_.data(); }
   const double* desolv_channel() const { return gauss_.data(); }
 
@@ -205,20 +172,6 @@ class VinaPairTables {
   const double* row(mol::AdType ti, mol::AdType tj) const {
     return pair_.data() + static_cast<std::size_t>(lut::pair_index(ti, tj)) *
                               (lut::kEntries + 1);
-  }
-
-  /// Lane-batched pair term with per-lane row() pointers, for the
-  /// neighbour-block loop of VinaEnergyModel::intermolecular. Accepts any
-  /// non-negative r²: lanes at or beyond the cutoff are clamped into the
-  /// table domain and then masked to the analytic zero, so neighbour-block
-  /// tails can pad with kCutoffSq.
-  simd::f64x pair_energy_lanes(const double* const* rows,
-                               simd::f64x r2) const {
-    const simd::f64x cutoff(lut::kCutoffSq);
-    const simd::f64x inside = simd::less_than(r2, cutoff);
-    const lut::LaneBins bins = lut::lane_bins(simd::min(r2, cutoff));
-    return simd::blend(inside, lut::interpolate_rows(rows, bins),
-                       simd::f64x());
   }
 
  private:

@@ -20,15 +20,30 @@ GridBox GridBox::around(const mol::Vec3& center, double half_extent,
   return box;
 }
 
-int parse_grid_points(std::string_view intervals, std::string_view context) {
-  constexpr long long kMaxIntervals = 1LL << 20;
-  const long long n = parse_int(intervals, context);
-  if (n < 1 || n > kMaxIntervals) {
+namespace {
+
+/// Points on one axis from its (possibly fractional) interval count.
+/// Rejects NaN, fewer than 1 interval and more than 2^20.
+int checked_grid_points(double intervals, std::string_view context) {
+  constexpr double kMaxIntervals = 1 << 20;
+  if (!(intervals >= 1.0 && intervals <= kMaxIntervals)) {
     throw ParseError(context,
-                     strformat("%lld grid intervals on an axis, need 1 to %lld",
-                               n, kMaxIntervals));
+                     strformat("%g grid intervals on an axis, need 1 to %.0f",
+                               intervals, kMaxIntervals));
   }
-  return static_cast<int>(n) + 1;
+  return static_cast<int>(intervals) + 1;
+}
+
+}  // namespace
+
+int parse_grid_points(std::string_view intervals, std::string_view context) {
+  return checked_grid_points(
+      static_cast<double>(parse_int(intervals, context)), context);
+}
+
+int grid_points_for_size(double size, double spacing,
+                         std::string_view context) {
+  return checked_grid_points(size / spacing, context);
 }
 
 double parse_grid_spacing(std::string_view field, std::string_view context) {

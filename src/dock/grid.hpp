@@ -57,8 +57,13 @@ struct GridBox {
 /// files store points - 1); at least 2 points, and at most 2^20 + 1 so
 /// total_points() cannot overflow (real maps have ~10^2 points per axis).
 /// parse_grid_spacing: spacing in Å, positive and finite.
+/// grid_points_for_size: points on one axis of a box `size` Å long (Vina
+/// configs store sizes), truncated to whole intervals, with the bounds of
+/// parse_grid_points; a non-finite size is rejected.
 int parse_grid_points(std::string_view intervals, std::string_view context);
 double parse_grid_spacing(std::string_view field, std::string_view context);
+int grid_points_for_size(double size, double spacing,
+                         std::string_view context);
 
 /// One scalar field over the box. Storage is x-fastest (AutoGrid order).
 class GridMap {

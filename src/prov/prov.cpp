@@ -772,8 +772,14 @@ void ProvenanceStore::prune_orphans() {
     for (const sql::Row& row : act.rows()) {
       taskids.insert(row[kActTaskid].as_int());
     }
+    // Workflow-level files (the input and output relations) carry taskid
+    // 0 and reference their workflow only.
     recovery_.orphan_rows += shard.db.table("hfile").erase_if(
-        [&](const sql::Row& row) { return !taskids.contains(row[3].as_int()); });
+        [&](const sql::Row& row) {
+          const long long taskid = row[3].as_int();
+          return taskid == 0 ? !wkfids.contains(row[1].as_int())
+                             : !taskids.contains(taskid);
+        });
     recovery_.orphan_rows += shard.db.table("hvalue").erase_if(
         [&](const sql::Row& row) { return !taskids.contains(row[1].as_int()); });
     shard.activation_rows.clear();

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <string>
 
 #include "dock/autogrid.hpp"
 #include "dock/dpf.hpp"
@@ -347,6 +349,33 @@ TEST(Dpf, RoundTrip) {
   EXPECT_EQ(back.ga_pop_size, 33);
   EXPECT_EQ(back.ga_num_evals, 12345);
   EXPECT_EQ(back.seed, 99u);
+}
+
+TEST(Dpf, ParseRejectsNonPositiveRmstol) {
+  // Clustering asserts a positive tolerance, so these used to abort the
+  // process after parsing instead of failing the activation.
+  DockingParameterFile dpf;
+  const std::string base = dpf.to_text();
+  for (const char* bad : {"rmstol 0\n", "rmstol -1.5\n", "rmstol nan\n",
+                          "rmstol inf\n"}) {
+    EXPECT_THROW(DockingParameterFile::parse(base + bad), ParseError) << bad;
+  }
+  EXPECT_DOUBLE_EQ(DockingParameterFile::parse(base + "rmstol 0.5\n").rmstol,
+                   0.5);
+}
+
+TEST(VinaConfigFile, ParseRejectsDegenerateBox) {
+  const std::string base = "exhaustiveness = 8\n";
+  for (const char* bad :
+       {"size_x = -4\n", "size_y = 0\n", "size_z = 0.2\n", "size_x = nan\n",
+        "size_y = inf\n", "size_z = 1e300\n", "num_modes = 0\n",
+        "num_modes = -1\n"}) {
+    EXPECT_THROW(VinaConfig::parse(base + bad), ParseError) << bad;
+  }
+  // One interval (two points) per axis is the smallest valid box.
+  const VinaConfig smallest =
+      VinaConfig::parse(base + "size_x = 0.4\nsize_y = 0.4\nsize_z = 0.4\n");
+  EXPECT_EQ(smallest.box.npts, (std::array<int, 3>{2, 2, 2}));
 }
 
 TEST(VinaConfigFile, RoundTrip) {

@@ -3,9 +3,8 @@
 //   - radial LUTs track the analytic scoring terms within a documented
 //     tolerance (and exactly reproduce clamp/cutoff behaviour);
 //   - fused trilinear sampling is bit-identical to per-map sampling;
-//   - the lane-parallel SIMD kernels (lane_bins/interpolate_rows, the
-//     Vina neighbour-block pair term) match their scalar references per
-//     lane;
+//   - AutoGrid's channel sweep and Vina's neighbour loop equal
+//     brute-force sums of the pair tables over every receptor atom;
 //   - AutoGrid reports every z-slab to its observer, and scoring a pose
 //     for the report does not count as an energy evaluation;
 //   - the single-flight grid-map cache computes once per key, propagates
@@ -36,7 +35,6 @@
 #include "obs/obs.hpp"
 #include "scidock/experiment.hpp"
 #include "util/rng.hpp"
-#include "util/simd.hpp"
 
 namespace scidock::dock {
 namespace {
@@ -90,6 +88,16 @@ TEST(EnergyLut, Ad4AnalyticTailBeyondCutoff) {
     EXPECT_DOUBLE_EQ(tables->pair_energy(AdType::C, 0.2, AdType::OA, -0.3, r * r),
                      ad4_pair_energy(AdType::C, 0.2, AdType::OA, -0.3, r, w));
   }
+  // AutoGrid's neighbour list includes r² == kCutoffSq and reads the
+  // channels there directly: the top-bin clamp lands on the last sample,
+  // which is the analytic term at 8 Å.
+  const lut::Bin top = lut::bin(lut::kCutoffSq);
+  EXPECT_EQ(top.lo, lut::kEntries - 1);
+  EXPECT_EQ(top.t, 1.0);
+  EXPECT_DOUBLE_EQ(tables->vdw_hbond(AdType::C, AdType::OA, lut::kCutoffSq),
+                   ad4_vdw_hbond(AdType::C, AdType::OA, 8.0, w));
+  EXPECT_DOUBLE_EQ(tables->coulomb_factor(lut::kCutoffSq),
+                   w.estat * 332.06 / (mehler_solmajer_dielectric(8.0) * 8.0));
 }
 
 TEST(EnergyLut, Ad4SubClampRegionConstant) {
@@ -164,76 +172,6 @@ TEST(TrilinearSampler, BitIdenticalToPerMapSample) {
   EXPECT_FALSE(outside.in_box());
 }
 
-// ---------------------------------------------------- lane-parallel kernels
-//
-// The SIMD kernels use the same interpolation association as the scalar
-// path (a + (b - a) * t, no FMA), so on the portable build every lane is
-// bit-equal to the scalar reference. The bounds below leave headroom for
-// FMA contraction under -march=native builds only.
-
-constexpr int kLanes = simd::f64x::kWidth;
-
-void expect_lane_near(double lane, double scalar, const char* what, int l) {
-  EXPECT_NEAR(lane, scalar, 1e-10 * (1.0 + std::abs(scalar)))
-      << what << " lane " << l;
-}
-
-TEST(SimdKernels, LaneBinsInterpolateMatchesScalar) {
-  // A synthetic channel with curvature so interpolation actually blends.
-  std::vector<double> samples(lut::kEntries + 1);
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    const double x = static_cast<double>(i) / lut::kEntries;
-    samples[i] = std::sin(7.0 * x) / (0.05 + x);
-  }
-  Rng rng(23);
-  for (int rep = 0; rep < 200; ++rep) {
-    double r2[kLanes];
-    for (double& v : r2) v = rng.uniform(0.0, lut::kCutoffSq);
-    if (rep == 0) {
-      r2[0] = 0.0;                  // first bin
-      r2[kLanes - 1] = lut::kCutoffSq;  // top-bin clamp lane
-    }
-    const lut::LaneBins bins = lut::lane_bins(simd::f64x::load(r2));
-    const double* rows[kLanes];
-    for (const double*& row : rows) row = samples.data();
-    const simd::f64x per_row = lut::interpolate_rows(rows, bins);
-    for (int l = 0; l < kLanes; ++l) {
-      const double scalar = lut::interpolate(samples.data(), r2[l]);
-      expect_lane_near(per_row.lane(l), scalar, "per-row", l);
-    }
-  }
-}
-
-TEST(SimdKernels, VinaPairEnergyLanesMatchesScalarAndMasksCutoff) {
-  const VinaWeights w;
-  const auto tables = VinaPairTables::shared(w);
-  const AdType types[] = {AdType::C, AdType::A, AdType::OA, AdType::NA};
-  Rng rng(31);
-  for (int rep = 0; rep < 200; ++rep) {
-    const double* rows[kLanes];
-    AdType ti[kLanes], tj[kLanes];
-    double r2[kLanes];
-    for (int l = 0; l < kLanes; ++l) {
-      ti[l] = types[rng.below(4)];
-      tj[l] = types[rng.below(4)];
-      rows[l] = tables->row(ti[l], tj[l]);
-      // Past-cutoff lanes (the neighbour-block tail padding) mixed in
-      // with in-domain ones: the kernel must mask them to exactly zero.
-      r2[l] = rng.uniform(0.0, 1.5 * lut::kCutoffSq);
-    }
-    if (rep == 0) r2[0] = lut::kCutoffSq;  // boundary is already outside
-    const simd::f64x e = tables->pair_energy_lanes(rows, simd::f64x::load(r2));
-    for (int l = 0; l < kLanes; ++l) {
-      const double scalar = tables->pair_energy(ti[l], tj[l], r2[l]);
-      if (r2[l] >= lut::kCutoffSq) {
-        EXPECT_EQ(e.lane(l), 0.0) << "lane " << l;
-      } else {
-        expect_lane_near(e.lane(l), scalar, "vina pair", l);
-      }
-    }
-  }
-}
-
 // ------------------------------------------------- AutoGrid slab observer
 
 data::GeneratorOptions tiny() {
@@ -262,6 +200,96 @@ TEST(ParallelAutogrid, SlabObserverFiresOncePerSlab) {
   calc.calculate(box, {AdType::C});
   EXPECT_EQ(slabs.load(), box.npts[2]);
   EXPECT_FALSE(negative.load());
+}
+
+// ------------------------------------------ kernels against brute force
+//
+// Both loops visit neighbours in cell-list order, the brute-force sums in
+// atom order over every receptor atom, hence a relative bound. Snapping
+// coordinates to multiples of 1/64 Å lets receptor atom 0 sit exactly on
+// the 8 Å cutoff.
+
+std::vector<mol::Vec3> snapped(std::vector<mol::Vec3> coords) {
+  for (mol::Vec3& c : coords) {
+    c = {std::round(c.x * 64.0) / 64.0, std::round(c.y * 64.0) / 64.0,
+         std::round(c.z * 64.0) / 64.0};
+  }
+  return coords;
+}
+
+TEST(KernelBruteForce, AutogridPointMatchesSumOverReceptorAtoms) {
+  mol::PreparedReceptor rec =
+      mol::prepare_receptor(data::make_receptor("1BRF", tiny()));
+  std::vector<mol::Vec3> rec_coords = snapped(rec.molecule.coordinates());
+  const GridBox box = GridBox::around(rec_coords[1], 2.0, 0.5);
+  const int ix = 3, iy = 4, iz = 5;
+  const mol::Vec3 p = box.origin() + mol::Vec3{ix * 0.5, iy * 0.5, iz * 0.5};
+  rec_coords[0] = p + mol::Vec3{8.0, 0, 0};
+  rec.molecule.set_coordinates(rec_coords);
+  const GridMapSet maps =
+      GridMapCalculator(rec.molecule).calculate(box, {AdType::C, AdType::OA});
+
+  const auto tables = Ad4PairTables::shared(Ad4Weights{});
+  double elec = 0.0, desolv = 0.0, oa = 0.0, scale = 1.0;
+  int at_cutoff = 0, past_cutoff = 0;
+  for (const mol::Atom& a : rec.molecule.atoms()) {
+    const double d2 = mol::distance_sq(a.pos, p);
+    at_cutoff += d2 == lut::kCutoffSq;
+    past_cutoff += d2 > lut::kCutoffSq;
+    if (d2 > lut::kCutoffSq) continue;
+    const double terms[] = {
+        a.partial_charge * tables->coulomb_factor(d2),
+        mol::ad_type_params(a.ad_type).volume * tables->desolv_gauss(d2),
+        tables->vdw_hbond(AdType::OA, a.ad_type, d2)};
+    elec += terms[0];
+    desolv += terms[1];
+    oa += terms[2];
+    for (double t : terms) scale += std::abs(t);
+  }
+  ASSERT_EQ(at_cutoff, 1);
+  ASSERT_GT(past_cutoff, 0);
+  EXPECT_NEAR(maps.electrostatic.at(ix, iy, iz), elec, 1e-9 * scale);
+  EXPECT_NEAR(maps.desolvation.at(ix, iy, iz), desolv, 1e-9 * scale);
+  EXPECT_NEAR(maps.affinity_for(AdType::OA)->at(ix, iy, iz), oa, 1e-9 * scale);
+}
+
+TEST(KernelBruteForce, VinaIntermolecularMatchesPairEnergySum) {
+  const auto opts = tiny();
+  mol::PreparedReceptor rec =
+      mol::prepare_receptor(data::make_receptor("1BRF", opts));
+  const mol::PreparedLigand lig =
+      mol::prepare_ligand(data::make_ligand("0E6", opts));
+  // The ligand sits on the receptor's centre, and receptor atom 0 exactly
+  // 8 Å from ligand atom 0: the neighbour list reports that pair and the
+  // table masks it to zero.
+  std::vector<mol::Vec3> rec_coords = snapped(rec.molecule.coordinates());
+  std::vector<mol::Vec3> coords = snapped(lig.molecule.coordinates());
+  const mol::Vec3 shift = rec_coords[1] - coords[0];
+  for (mol::Vec3& c : coords) c = c + shift;
+  rec_coords[0] = coords[0] + mol::Vec3{8.0, 0, 0};
+  rec.molecule.set_coordinates(rec_coords);
+  const GridBox box = GridBox::around(coords[0], 16.0, 1.0);
+  const VinaEnergyModel model(rec, lig, box);
+
+  const auto tables = VinaPairTables::shared(VinaWeights{});
+  double brute = 0.0, scale = 0.0;
+  int at_cutoff = 0, past_cutoff = 0;
+  for (std::size_t i = 0; i < coords.size(); ++i) {
+    ASSERT_TRUE(box.contains(coords[i]));
+    for (const mol::Atom& a : rec.molecule.atoms()) {
+      const double d2 = mol::distance_sq(coords[i], a.pos);
+      at_cutoff += d2 == lut::kCutoffSq;
+      past_cutoff += d2 > lut::kCutoffSq;
+      const double e = tables->pair_energy(
+          lig.molecule.atom(static_cast<int>(i)).ad_type, a.ad_type, d2);
+      brute += e;
+      scale += std::abs(e);
+    }
+  }
+  ASSERT_GE(at_cutoff, 1);
+  ASSERT_GT(past_cutoff, 0);
+  ASSERT_GT(scale, 0.0);
+  EXPECT_NEAR(model.intermolecular(coords), brute, 1e-9 * scale);
 }
 
 // ------------------------------------------------- evaluation counting

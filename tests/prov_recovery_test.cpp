@@ -11,6 +11,7 @@
 //   - abort_open_activations closes every RUNNING row the crash left;
 //   - the store accepts new work after recovery, and a further reopen
 //     replays the recovered + resumed history byte-identically.
+// Files recorded at workflow level (taskid 0) survive a reopen.
 // A negative control corrupts a sealed segment's tail directly and
 // asserts replay truncates exactly at the last valid record, and that the
 // on-disk repair makes the next reopen a clean no-op.
@@ -267,6 +268,31 @@ std::size_t build_clean_log(const ProvenanceStoreOptions& options,
   EXPECT_EQ(base.last_recovery().truncated_bytes, 0u);
   *digest = base.content_digest();
   return base.last_recovery().records;
+}
+
+TEST(ProvRecovery, WorkflowLevelFilesSurviveReopen) {
+  // A native run records its input and output relations with actid and
+  // taskid 0: they belong to the workflow, not to an activation, and
+  // recovery must keep them.
+  vfs::SharedFileSystem fs;
+  const ProvenanceStoreOptions options = durable_options(fs, 2, true);
+  std::string live_digest;
+  {
+    ProvenanceStore store(options);
+    run_campaign(store, 20);
+    const long long wkf =
+        store.begin_workflow("relations", "workflow-level files", "/exp", 0.0);
+    store.record_file(wkf, 0, 0, "input_1.txt", 512, "/exp/relations");
+    store.record_file(wkf, 0, 0, "output_1.txt", 256, "/exp/relations");
+    store.end_workflow(wkf, 1.0);
+    store.flush();
+    live_digest = store.content_digest();
+  }
+  ProvenanceStore reopened(options);
+  EXPECT_EQ(reopened.last_recovery().orphan_rows, 0u);
+  EXPECT_EQ(reopened.content_digest(), live_digest);
+  chaos::InvariantChecker checker;
+  EXPECT_TRUE(checker.check_recovery(reopened)) << checker.to_string();
 }
 
 TEST(ProvRecovery, CorruptedTailTruncatesAtLastValidRecord) {
