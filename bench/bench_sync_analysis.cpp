@@ -1,24 +1,21 @@
 // Sync-analysis overhead gate: the full native screen (default 10
 // receptors x 42 ligands, the paper's Table 2 dataset) must stay within
-// 5% of the uninstrumented baseline with lockdep on and within 10% with
-// racer on — the design goal that both analyzers are cheap enough to
-// leave on for the whole test suite (DESIGN.md §11). Racer's budget is
-// double lockdep's: every tracked access pays a shadow-state check, not
-// just every lock acquisition.
+// 5% of the uninstrumented baseline with lockdep on — the design goal
+// that the analyzer is cheap enough to leave on for the whole test suite
+// (DESIGN.md §11).
 //
-// One binary, four arms, chosen with the analyzers' runtime kill
-// switches: both off (the baseline), lockdep only, racer only, and both
-// on (printed, not gated). Every arm runs the same code, so the
-// comparison isolates the bookkeeping, not codegen differences. Each rep
-// runs every arm once, rotating which goes first; an arm's time is its
-// minimum over reps, which cancels scheduler noise better than the mean
-// on shared machines. The instrumented arms must end with a clean report.
+// One binary, two arms, chosen with lockdep's runtime kill switch: off
+// (the baseline) and on. Both arms run the same code, so the comparison
+// isolates the bookkeeping, not codegen differences. Each rep runs both
+// arms, alternating which goes first; an arm's time is its minimum over
+// reps, which cancels scheduler noise better than the mean on shared
+// machines. The instrumented arm must end with a clean report.
 //
 // Built without -DSCIDOCK_SYNC_ANALYSIS=ON there is nothing to measure:
 // the bench prints "skipped" and records "status": "skipped".
 //
 // Knobs: SCIDOCK_SYNC_RECEPTORS / _LIGANDS / _REPS, and
-// SCIDOCK_SYNC_MAX_OVERHEAD_PCT, which when set replaces both gates.
+// SCIDOCK_SYNC_MAX_OVERHEAD_PCT, which when set replaces the gate.
 //
 // Writes BENCH_sync_analysis.json.
 
@@ -33,9 +30,7 @@
 #include "data/table2.hpp"
 #include "scidock/experiment.hpp"
 #include "util/lockdep.hpp"
-#include "util/racer.hpp"
 #include "util/strings.hpp"
-#include "util/sync_events.hpp"
 
 namespace {
 
@@ -66,8 +61,6 @@ std::pair<double, std::size_t> run_screen(
 struct Arm {
   const char* name;
   bool lockdep;
-  bool racer;
-  int gate;  // overhead gate in %; < 0: not gated
   double best_s = 0.0;
   std::size_t rows = 0;
 };
@@ -76,10 +69,10 @@ struct Arm {
 
 int main() {
   bench::print_header("SciDock bench: sync-analysis overhead",
-                      "design goal: both analyzers cheap enough to leave on");
+                      "design goal: lockdep cheap enough to leave on");
 
-  if (!sync::compiled_in()) {
-    std::printf("skipped: analyzers compiled out (configure with "
+  if (!lockdep::compiled_in()) {
+    std::printf("skipped: lockdep compiled out (configure with "
                 "-DSCIDOCK_SYNC_ANALYSIS=ON)\n");
     const std::string path = bench::write_bench_json(
         "sync_analysis", {{"status", "\"skipped\""}, {"compiled_in", "false"}});
@@ -89,111 +82,80 @@ int main() {
   const int n_receptors = bench::env_int("SCIDOCK_SYNC_RECEPTORS", 10);
   const int n_ligands = bench::env_int("SCIDOCK_SYNC_LIGANDS", 42);
   const int reps = std::max(bench::env_int("SCIDOCK_SYNC_REPS", 3), 1);
-  const int forced_gate = bench::env_int("SCIDOCK_SYNC_MAX_OVERHEAD_PCT", -1);
-  const int lockdep_gate = forced_gate >= 0 ? forced_gate : 5;
-  const int racer_gate = forced_gate >= 0 ? forced_gate : 10;
+  const int gate = bench::env_int("SCIDOCK_SYNC_MAX_OVERHEAD_PCT", 5);
   const std::vector<std::string> receptors =
       take(data::table2_receptors(), n_receptors);
   const std::vector<std::string> ligands =
       take(data::table2_ligands(), n_ligands);
   std::printf("workload: %zu receptors x %zu ligands, %d threads, %d reps, "
-              "gates: lockdep < %d%%, racer < %d%%\n\n",
-              receptors.size(), ligands.size(), kThreads, reps, lockdep_gate,
-              racer_gate);
+              "gate: lockdep < %d%%\n\n",
+              receptors.size(), ligands.size(), kThreads, reps, gate);
 
-  std::vector<Arm> arms = {{"off", false, false, -1},
-                           {"lockdep", true, false, lockdep_gate},
-                           {"racer", false, true, racer_gate},
-                           {"both", true, true, -1}};
+  Arm arms[] = {{"off", false}, {"lockdep", true}};
+  Arm& off = arms[0];
+  Arm& on = arms[1];
 
-  std::printf("%4s", "rep");
-  for (const Arm& arm : arms) std::printf(" | %10s", arm.name);
-  std::printf("\n%s\n", std::string(4 + 13 * arms.size(), '-').c_str());
+  std::printf("%4s | %10s | %10s\n%s\n", "rep", off.name, on.name,
+              std::string(30, '-').c_str());
   for (int rep = 0; rep < reps; ++rep) {
-    std::vector<double> wall(arms.size());
-    for (std::size_t i = 0; i < arms.size(); ++i) {
-      const std::size_t a = (static_cast<std::size_t>(rep) + i) % arms.size();
+    double wall[2] = {0.0, 0.0};
+    for (int i = 0; i < 2; ++i) {
+      const int a = (rep + i) % 2;
       Arm& arm = arms[a];
       lockdep::set_enabled(arm.lockdep);
-      racer::set_enabled(arm.racer);
       const auto [seconds, rows] = run_screen(receptors, ligands);
       arm.best_s = rep == 0 ? seconds : std::min(arm.best_s, seconds);
       arm.rows = rows;
       wall[a] = seconds;
     }
-    std::printf("%4d", rep);
-    for (const double seconds : wall) std::printf(" | %9.3fs", seconds);
-    std::printf("\n");
+    std::printf("%4d | %9.3fs | %9.3fs\n", rep, wall[0], wall[1]);
   }
   lockdep::set_enabled(true);
-  racer::set_enabled(true);
 
-  const Arm& off = arms[0];
-  for (const Arm& arm : arms) {
-    if (arm.rows != off.rows || arm.rows == 0) {
-      std::fprintf(stderr,
-                   "FAIL: arms disagree on the screen itself (off: %zu, "
-                   "%s: %zu output rows)\n",
-                   off.rows, arm.name, arm.rows);
-      return 1;
-    }
+  if (on.rows != off.rows || off.rows == 0) {
+    std::fprintf(stderr,
+                 "FAIL: arms disagree on the screen itself (off: %zu, "
+                 "lockdep: %zu output rows)\n",
+                 off.rows, on.rows);
+    return 1;
   }
-  // An error-severity finding here is a genuine lock-discipline or
-  // concurrency regression in the product.
-  if (!lockdep::clean() || !racer::clean()) {
-    std::fprintf(stderr, "FAIL: the instrumented arms are not clean:\n%s%s",
-                 lockdep::format_report().c_str(),
-                 racer::format_report().c_str());
+  // An error-severity finding here is a genuine lock-discipline
+  // regression in the product.
+  if (!lockdep::clean()) {
+    std::fprintf(stderr, "FAIL: the instrumented arm is not clean:\n%s",
+                 lockdep::format_report().c_str());
     return 1;
   }
 
   const lockdep::CounterSnapshot ld = lockdep::counters();
-  const racer::CounterSnapshot rc = racer::counters();
-  std::printf("\nlockdep: %lld acquisitions, %lld order edges checked; "
-              "racer: %lld reads + %lld writes checked over %lld cells, "
-              "%lld mutex + %lld task edges\n",
-              ld.acquisitions, ld.order_edges, rc.reads, rc.writes, rc.cells,
-              rc.mutex_edges, rc.task_edges);
+  std::printf("\nlockdep: %lld acquisitions, %lld order edges checked\n",
+              ld.acquisitions, ld.order_edges);
 
-  std::vector<bench::JsonField> fields = {
-      {"status", ""},
-      {"compiled_in", "true"},
-      {"receptors", strformat("%zu", receptors.size())},
-      {"ligands", strformat("%zu", ligands.size())},
-      {"threads", strformat("%d", kThreads)},
-      {"reps", strformat("%d", reps)},
-      {"output_rows", strformat("%zu", off.rows)},
-      {"acquisitions", strformat("%lld", ld.acquisitions)},
-      {"tracked_accesses", strformat("%lld", rc.reads + rc.writes)},
-  };
-  std::string failures;
-  std::printf("overhead:");
-  for (const Arm& arm : arms) {
-    fields.push_back(
-        {strformat("wall_%s_s", arm.name), strformat("%.4f", arm.best_s)});
-    if (&arm == &off) continue;
-    const double pct = 100.0 * (arm.best_s - off.best_s) / off.best_s;
-    fields.push_back(
-        {strformat("%s_overhead_pct", arm.name), strformat("%.3f", pct)});
-    if (arm.gate < 0) {
-      std::printf(" %s %.2f%% (not gated)", arm.name, pct);
-      continue;
-    }
-    std::printf(" %s %.2f%% (gate < %d%%)", arm.name, pct, arm.gate);
-    fields.push_back(
-        {strformat("%s_gate_pct", arm.name), strformat("%d", arm.gate)});
-    if (pct >= arm.gate) {
-      failures += strformat("FAIL: %s overhead %.2f%% >= %d%%\n", arm.name,
-                            pct, arm.gate);
-    }
-  }
-  std::printf("\n");
-  fields[0].value = failures.empty() ? "\"passed\"" : "\"failed\"";
-
-  const std::string path = bench::write_bench_json("sync_analysis", fields);
+  const double pct = 100.0 * (on.best_s - off.best_s) / off.best_s;
+  std::printf("overhead: lockdep %.2f%% (gate < %d%%)\n", pct, gate);
+  const bool passed = pct < gate;
+  const std::string path = bench::write_bench_json(
+      "sync_analysis",
+      {
+          {"status", passed ? "\"passed\"" : "\"failed\""},
+          {"compiled_in", "true"},
+          {"receptors", strformat("%zu", receptors.size())},
+          {"ligands", strformat("%zu", ligands.size())},
+          {"threads", strformat("%d", kThreads)},
+          {"reps", strformat("%d", reps)},
+          {"output_rows", strformat("%zu", off.rows)},
+          {"acquisitions", strformat("%lld", ld.acquisitions)},
+          {"wall_off_s", strformat("%.4f", off.best_s)},
+          {"wall_lockdep_s", strformat("%.4f", on.best_s)},
+          {"lockdep_overhead_pct", strformat("%.3f", pct)},
+          {"lockdep_gate_pct", strformat("%d", gate)},
+      });
   if (path.empty()) return 1;
   std::printf("wrote %s\n", path.c_str());
 
-  std::fprintf(stderr, "%s", failures.c_str());
-  return failures.empty() ? 0 : 1;
+  if (!passed) {
+    std::fprintf(stderr, "FAIL: lockdep overhead %.2f%% >= %d%%\n", pct,
+                 gate);
+  }
+  return passed ? 0 : 1;
 }

@@ -69,15 +69,6 @@ ChaosProfile chaos_profile_heavy() {
   return p;
 }
 
-ChaosProfile chaos_profile_racer() {
-  ChaosProfile p;
-  p.name = "racer";
-  p.pool.delay_probability = 1.0;  // every task gets a perturbed start
-  p.pool.delay_ms = 0.0;
-  p.pool.delay_jitter_ms = 2.0;
-  return p;
-}
-
 struct ChaosEngine::State {
   Mutex mutex{"chaos.state"};
   /// Accesses so far per (op, path); a faulty path fails while this is
@@ -191,13 +182,8 @@ ThreadPool::TaskHook ChaosEngine::pool_hook() const {
         unit(mix(mix(seed, fnv1a64("pool-delay")), n)) <
             pool.delay_probability) {
       state->pool_delays.fetch_add(1);
-      double ms = pool.delay_ms;
-      if (pool.delay_jitter_ms > 0.0) {
-        ms += pool.delay_jitter_ms *
-              unit(mix(mix(seed, fnv1a64("pool-jitter")), n));
-      }
       std::this_thread::sleep_for(
-          std::chrono::duration<double, std::milli>(ms));
+          std::chrono::duration<double, std::milli>(pool.delay_ms));
     }
   };
 }

@@ -56,11 +56,6 @@ struct VfsFaultProfile {
 struct PoolFaultProfile {
   double delay_probability = 0.0;
   double delay_ms = 1.0;
-  /// Seed-deterministic per-ticket extra delay in [0, delay_jitter_ms):
-  /// spreads task start times apart so schedule-dependent bugs (races,
-  /// order-nondeterministic reductions) get shaken into different
-  /// interleavings per seed while each seed stays exactly replayable.
-  double delay_jitter_ms = 0.0;
   double exception_probability = 0.0;
 };
 
@@ -82,11 +77,6 @@ struct ChaosProfile {
 ChaosProfile chaos_profile_off();
 ChaosProfile chaos_profile_light();   ///< the paper's ~10 % failure regime
 ChaosProfile chaos_profile_heavy();   ///< well past the paper's rates
-/// Schedule-perturbation profile for the racer (src/util/racer): no
-/// faults, every task delayed by a seeded jitter so happens-before gaps
-/// surface under many interleavings. Different seeds explore different
-/// schedules; the same seed replays the same one.
-ChaosProfile chaos_profile_racer();
 
 /// Exception type injected by the pool hook, so tests can tell injected
 /// chaos apart from genuine task failures.

@@ -6,7 +6,6 @@
 
 #include "obs/obs.hpp"
 #include "util/lockdep.hpp"
-#include "util/racer.hpp"
 #include "util/strings.hpp"
 
 namespace scidock::chaos {
@@ -510,12 +509,6 @@ bool InvariantChecker::check_sync() {
   for (const lockdep::Finding& f : lockdep::findings()) {
     if (!f.is_error) continue;
     ok = fail(strformat("lockdep %s: %s\n%s", lockdep::rule_id(f.kind).data(),
-                        f.message.c_str(), f.details.c_str())) &&
-         ok;
-  }
-  for (const racer::Finding& f : racer::findings()) {
-    if (!f.is_error) continue;
-    ok = fail(strformat("racer %s: %s\n%s", racer::rule_id(f.kind).data(),
                         f.message.c_str(), f.details.c_str())) &&
          ok;
   }

@@ -90,15 +90,12 @@ class InvariantChecker {
   /// ProvenanceStore::abort_open_activations before resuming the run.
   bool check_recovery(prov::ProvenanceStore& store);
 
-  /// Invariant (e), synchronisation discipline: neither runtime analyzer
-  /// (util/sync_events.hpp, DESIGN.md §11) recorded an error-severity
-  /// finding over everything executed so far in this process — no
-  /// lock-order inversion, pool self-wait or wait-while-holding from
-  /// lockdep, no RC001/RC002 data race, RC003 unsynchronized publish or
-  /// RC004 keyed reduction divergence from racer. Warnings (a long hold,
-  /// an order-only reduction digest difference) are tolerated. One
-  /// violation per error finding, carrying the analyzer's evidence.
-  /// Trivially true when the analyzers are compiled out.
+  /// Invariant (e), synchronisation discipline: lockdep
+  /// (util/lockdep.hpp, DESIGN.md §11) recorded no error-severity finding
+  /// over everything executed so far in this process — no lock-order
+  /// inversion, pool self-wait or wait-while-holding. Warnings (a long
+  /// hold) are tolerated. One violation per error finding, carrying
+  /// lockdep's evidence. Trivially true when lockdep is compiled out.
   bool check_sync();
 
   bool ok() const { return violations_.empty(); }

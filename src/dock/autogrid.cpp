@@ -1,14 +1,11 @@
 #include "dock/autogrid.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <cmath>
-#include <cstdint>
 #include <sstream>
 
 #include "util/error.hpp"
-#include "util/racer.hpp"
 #include "util/strings.hpp"
 
 namespace scidock::dock {
@@ -62,31 +59,6 @@ GridMapSet GridMapCalculator::calculate(
 
   const mol::Vec3 origin = box.origin();
 
-  // Racer (RC004) reduction identity for this map set: deterministic
-  // across runs (never an address) and distinct across the receptors and
-  // boxes of one campaign, so per-slab digests from different calculate()
-  // calls never collide on a key.
-  std::uint64_t racer_set_key = 0;
-  if (racer::enabled()) {
-    std::uint64_t h = 1469598103934665603ULL;
-    const auto fold = [&h](std::uint64_t v) {
-      h = (h ^ v) * 1099511628211ULL;
-    };
-    fold(std::bit_cast<std::uint64_t>(origin.x));
-    fold(std::bit_cast<std::uint64_t>(origin.y));
-    fold(std::bit_cast<std::uint64_t>(origin.z));
-    fold(std::bit_cast<std::uint64_t>(box.spacing));
-    fold(static_cast<std::uint64_t>(box.npts[0]));
-    fold(static_cast<std::uint64_t>(box.npts[1]));
-    fold(static_cast<std::uint64_t>(box.npts[2]));
-    fold(natoms);
-    fold(ntypes);
-    for (std::size_t a = 0; a < natoms; ++a) {
-      fold(std::bit_cast<std::uint64_t>(charge_[a]));
-    }
-    racer_set_key = h;
-  }
-
   std::vector<double> vdw(ntypes);
   for (int iz = 0; iz < box.npts[2]; ++iz) {
     const auto t0 = std::chrono::steady_clock::now();
@@ -121,29 +93,6 @@ GridMapSet GridMapCalculator::calculate(
       }
     }
 
-    // Racer determinism digest: the slab's full content, keyed by
-    // (map-set identity, iz). If a kernel change makes any slab's bits
-    // depend on the schedule, comparing snapshots across executor thread
-    // counts yields an RC004 naming this reduction and slab.
-    if (racer::enabled()) {
-      std::uint64_t h = 1469598103934665603ULL;
-      const auto fold = [&h](double v) {
-        h = (h ^ std::bit_cast<std::uint64_t>(v)) * 1099511628211ULL;
-      };
-      for (int iy = 0; iy < box.npts[1]; ++iy) {
-        for (int ix = 0; ix < box.npts[0]; ++ix) {
-          fold(set.electrostatic.at(ix, iy, iz));
-          fold(set.desolvation.at(ix, iy, iz));
-          for (std::size_t t = 0; t < ntypes; ++t) {
-            fold(set.affinity[t].second.at(ix, iy, iz));
-          }
-        }
-      }
-      racer::on_reduction(
-          "dock.autogrid.slab_merge",
-          racer_set_key ^ (0x9e3779b97f4a7c15ULL *
-                           (static_cast<std::uint64_t>(iz) + 1)), h);
-    }
     if (opts_.slab_observer) {
       opts_.slab_observer(iz, std::chrono::duration<double>(
                                   std::chrono::steady_clock::now() - t0)

@@ -109,16 +109,6 @@ const std::vector<RuleInfo>& rule_catalog() {
       {"LD005", "duplicate lock-class name (the same Mutex name registered "
                 "from two declaration sites, which would merge unrelated "
                 "order graphs)"},
-      // ---- runtime happens-before findings (lint/sync_lint bridge) ----
-      {"RC001", "write-write race (two writes to a tracked cell with no "
-                "happens-before edge between them)"},
-      {"RC002", "read-write race (a read and a write to a tracked cell "
-                "with no happens-before edge between them)"},
-      {"RC003", "unsynchronized publish (first cross-thread access to a "
-                "tracked cell arrives with no ordering edge from its "
-                "construction)"},
-      {"RC004", "order-nondeterminism (a named reduction produced "
-                "different per-key digests across runs or thread counts)"},
   };
   return catalog;
 }

@@ -3,12 +3,12 @@
 #include <string_view>
 #include <vector>
 
-#include "util/sync_events.hpp"
+#include "util/lockdep.hpp"
 
 namespace scidock::obs {
 
 void publish_sync_metrics(MetricsRegistry& registry) {
-  if (!sync::compiled_in()) return;
+  if (!lockdep::compiled_in()) return;
   const auto publish = [&registry](const char* name, const char* help,
                                    long long value) {
     Counter& c = registry.counter(name, help);
@@ -32,25 +32,6 @@ void publish_sync_metrics(MetricsRegistry& registry) {
           ld.findings_error);
   publish(kLockdepFindingsWarning, "warning-severity hazard findings",
           ld.findings_warning);
-
-  const racer::CounterSnapshot rc = racer::counters();
-  registry.gauge(kRacerThreads, "threads with a racer vector-clock slot")
-      .set(static_cast<double>(rc.threads));
-  registry.gauge(kRacerSyncObjects, "registered named sync objects")
-      .set(static_cast<double>(rc.sync_objects));
-  registry.gauge(kRacerTrackedCells, "shadow-tracked cells (ever seen)")
-      .set(static_cast<double>(rc.cells));
-  publish(kRacerReads, "instrumented shadow-cell reads", rc.reads);
-  publish(kRacerWrites, "instrumented shadow-cell writes", rc.writes);
-  publish(kRacerMutexEdges, "mutex release->acquire joins", rc.mutex_edges);
-  publish(kRacerTaskEdges, "task fork/finish/join edges", rc.task_edges);
-  publish(kRacerHbEdges, "explicit publish handshake edges", rc.hb_edges);
-  publish(kRacerReductionRecords, "reduction digest records",
-          rc.reduction_records);
-  publish(kRacerFindingsError, "error-severity race findings",
-          rc.findings_error);
-  publish(kRacerFindingsWarning, "warning-severity race findings",
-          rc.findings_warning);
 }
 
 const std::vector<std::string_view>& known_metric_names() {
@@ -110,18 +91,6 @@ const std::vector<std::string_view>& known_metric_names() {
       "scidock_prov_wal_records_total",
       "scidock_prov_wal_rotations_total",
       "scidock_prov_workflow_rows_total",
-      // racer analyzer
-      kRacerFindingsError,
-      kRacerFindingsWarning,
-      kRacerHbEdges,
-      kRacerMutexEdges,
-      kRacerReads,
-      kRacerReductionRecords,
-      kRacerSyncObjects,
-      kRacerTaskEdges,
-      kRacerThreads,
-      kRacerTrackedCells,
-      kRacerWrites,
       // simulated scheduler
       "scidock_sched_mean_queue_length",
       "scidock_sched_overhead_seconds",

@@ -70,8 +70,8 @@ inline constexpr const char* kKernelAutogridSlabSeconds =
     "scidock_kernel_autogrid_slab_seconds";
 
 // ---- sync-analysis series (DESIGN.md §11) ----
-// Published from the util/lockdep and util/racer counter snapshots by
-// publish_sync_metrics(); absent when the analyzers are compiled out
+// Published from the util/lockdep counter snapshot by
+// publish_sync_metrics(); absent when lockdep is compiled out
 // (SCIDOCK_SYNC_ANALYSIS=OFF).
 inline constexpr const char* kLockdepLockClasses =
     "scidock_lockdep_lock_classes";
@@ -90,28 +90,9 @@ inline constexpr const char* kLockdepFindingsError =
 inline constexpr const char* kLockdepFindingsWarning =
     "scidock_lockdep_findings_warning_total";
 
-inline constexpr const char* kRacerThreads = "scidock_racer_threads";
-inline constexpr const char* kRacerSyncObjects = "scidock_racer_sync_objects";
-inline constexpr const char* kRacerTrackedCells =
-    "scidock_racer_tracked_cells";
-inline constexpr const char* kRacerReads = "scidock_racer_reads_total";
-inline constexpr const char* kRacerWrites = "scidock_racer_writes_total";
-inline constexpr const char* kRacerMutexEdges =
-    "scidock_racer_mutex_edges_total";
-inline constexpr const char* kRacerTaskEdges =
-    "scidock_racer_task_edges_total";
-inline constexpr const char* kRacerHbEdges = "scidock_racer_hb_edges_total";
-inline constexpr const char* kRacerReductionRecords =
-    "scidock_racer_reduction_records_total";
-inline constexpr const char* kRacerFindingsError =
-    "scidock_racer_findings_error_total";
-inline constexpr const char* kRacerFindingsWarning =
-    "scidock_racer_findings_warning_total";
-
-/// Mirror both analyzers' internal counters into `registry`. Lockdep's
-/// classes and racer's threads / sync-objects / cells series are gauges;
-/// the rest are counters bumped by the delta since the last publish, so
-/// repeated calls stay monotone. No-op when compiled out.
+/// Mirror lockdep's internal counters into `registry`. The lock-class
+/// series is a gauge; the rest are counters bumped by the delta since the
+/// last publish, so repeated calls stay monotone. No-op when compiled out.
 void publish_sync_metrics(MetricsRegistry& registry);
 
 /// Every canonical scidock_* series name the codebase registers, sorted.

@@ -172,9 +172,7 @@ ProvenanceStore::~ProvenanceStore() {
     }
     flusher_cv_.notify_one();
     flusher_.join();
-    sync::on_join(flusher_edge_, sync::Site::current());
   }
-  for (const auto& shard : shards_) SCIDOCK_RACER_UNTRACK(shard->writer);
 }
 
 ProvenanceStore::Shard& ProvenanceStore::fact_shard(long long taskid) {
@@ -277,7 +275,6 @@ void ProvenanceStore::log_record(Shard& shard, const WalRecord& r) {
     return;
   }
   // Synchronous mode: the record is durable before the call returns.
-  SCIDOCK_RACER_WRITE(shard.writer);
   const std::size_t rotations_before = shard.writer->rotations();
   try {
     shard.writer->append(frame, 0.0);
@@ -730,10 +727,6 @@ void ProvenanceStore::recover() {
     }
     shard.writer = std::make_unique<wal::SegmentWriter>(
         fs, shard_dir(k), options_.segment_max_bytes, replay.next_index);
-    // Shadow-track the writer so racer can prove the documented
-    // discipline: flusher thread (group commit) or under shard.mutex
-    // (synchronous mode), never both.
-    SCIDOCK_RACER_TRACK(shard.writer, "prov.shard.writer");
   }
   // Dimension records are logged by shard 0 only; replicate its replayed
   // copies into the other shards so per-shard joins stay complete.
@@ -791,12 +784,10 @@ void ProvenanceStore::prune_orphans() {
 }
 
 void ProvenanceStore::start_flusher() {
-  flusher_edge_ = sync::on_spawn(sync::Site::current());
   flusher_ = std::thread([this] { flusher_main(); });
 }
 
 void ProvenanceStore::flusher_main() {
-  sync::TaskScope task_scope(flusher_edge_);
   const auto interval =
       std::chrono::milliseconds(std::max(options_.group_commit_interval_ms, 1));
   for (;;) {
@@ -866,7 +857,6 @@ bool ProvenanceStore::commit_once() {
   try {
     for (std::size_t k = 0; k < n; ++k) {
       if (batches[k].empty()) continue;
-      SCIDOCK_RACER_WRITE(shards_[k]->writer);
       const std::size_t before = shards_[k]->writer->rotations();
       shards_[k]->writer->append(batches[k], 0.0);
       rotated += static_cast<long long>(shards_[k]->writer->rotations() - before);

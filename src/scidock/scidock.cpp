@@ -1,7 +1,6 @@
 #include "scidock/scidock.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <tuple>
 #include <unordered_map>
@@ -71,19 +70,15 @@ std::pair<ArtifactCache::MapsPtr, CacheOutcome>
 ArtifactCache::get_or_compute_maps(
     const std::string& key,
     const std::function<dock::GridMapSet()>& compute) {
-  static constexpr const char* kFlight = "scidock.gridmaps.single_flight";
   std::shared_future<MapsPtr> future;
   std::shared_ptr<std::promise<MapsPtr>> owner;
   CacheOutcome outcome = CacheOutcome::kMiss;
-  // The flight's identity for the analyzers: the promise the owner fulfils.
-  const void* flight = nullptr;
-  sync::FlightOwner flight_owner;
+  lockdep::FlightOwner flight_owner;
   {
     MutexLock lock(mutex_);
     const auto it = map_flights_.find(key);
     if (it != map_flights_.end()) {
       future = it->second.future;
-      flight = it->second.promise.get();
       flight_owner = it->second.owner;
       outcome = future.wait_for(std::chrono::seconds(0)) ==
                         std::future_status::ready
@@ -91,26 +86,21 @@ ArtifactCache::get_or_compute_maps(
                     : CacheOutcome::kInflightWait;
     } else {
       owner = std::make_shared<std::promise<MapsPtr>>();
-      flight = owner.get();
       MapFlight entry{owner, owner->get_future().share(),
-                      sync::on_flight_claim(sync::Site::current())};
+                      lockdep::on_flight_claim()};
       future = entry.future;
       map_flights_.emplace(key, std::move(entry));
     }
   }
   if (!owner) {
     // Blocks inflight waiters; rethrows the owner's exception.
-    return {sync::await_flight(future, flight, flight_owner, kFlight,
-                               outcome == CacheOutcome::kInflightWait,
-                               sync::Site::current()),
+    return {lockdep::await_flight(future, flight_owner,
+                                  "scidock.gridmaps.single_flight",
+                                  outcome == CacheOutcome::kInflightWait),
             outcome};
   }
   try {
-    auto maps = std::make_shared<const dock::GridMapSet>(compute());
-    // Everything compute() wrote happens-before any waiter that gets the
-    // future.
-    sync::on_flight_publish(flight, kFlight, sync::Site::current());
-    owner->set_value(std::move(maps));
+    owner->set_value(std::make_shared<const dock::GridMapSet>(compute()));
   } catch (...) {
     // Waiters already holding the future see the exception; erasing the
     // flight lets the executor's retry (or a later tuple) recompute.
@@ -450,14 +440,6 @@ wf::Pipeline build_scidock_pipeline(const ScidockOptions& opts,
         const double feb = result.empty() ? 0.0 : result.best().feb;
         // AD4's RMSD table is measured against the input reference frame.
         const double rmsd = result.mean_rmsd();
-        // Racer determinism digest: the per-pair score is a slot in the
-        // campaign-wide FEB reduction — any schedule- or thread-count-
-        // dependence in the bit pattern is an RC004 with this pair named.
-        racer::on_reduction("dock.score.feb",
-                            fnv1a64(in.require("pair")) ^ fnv1a64(kAutodock4),
-                            std::bit_cast<std::uint64_t>(feb) +
-                                0x9e3779b97f4a7c15ULL *
-                                    std::bit_cast<std::uint64_t>(rmsd));
         ctx.emit_value("FEB", feb, "kcal/mol");
         ctx.emit_value("RMSD", rmsd, "A");
         Tuple out = in;
@@ -507,11 +489,6 @@ wf::Pipeline build_scidock_pipeline(const ScidockOptions& opts,
           }
           rmsd /= static_cast<double>(result.conformations.size() - 1);
         }
-        racer::on_reduction("dock.score.feb",
-                            fnv1a64(in.require("pair")) ^ fnv1a64(kAutodockVina),
-                            std::bit_cast<std::uint64_t>(feb) +
-                                0x9e3779b97f4a7c15ULL *
-                                    std::bit_cast<std::uint64_t>(rmsd));
         ctx.emit_value("FEB", feb, "kcal/mol");
         ctx.emit_value("RMSD", rmsd, "A");
         Tuple out = in;

@@ -102,7 +102,7 @@ class ArtifactCache {
   struct MapFlight {
     std::shared_ptr<std::promise<MapsPtr>> promise;
     std::shared_future<MapsPtr> future;
-    [[no_unique_address]] sync::FlightOwner owner;
+    [[no_unique_address]] lockdep::FlightOwner owner;
   };
 
   Mutex mutex_{"scidock.cache"};

@@ -1,6 +1,5 @@
 #include "sql/sharded.hpp"
 
-#include <bit>
 #include <cmath>
 #include <functional>
 #include <map>
@@ -9,8 +8,6 @@
 
 #include "sql/parser.hpp"
 #include "util/error.hpp"
-#include "util/racer.hpp"
-#include "util/rng.hpp"
 #include "util/strings.hpp"
 
 namespace scidock::sql {
@@ -69,46 +66,6 @@ ExprPtr agg_over(std::string fn, std::string column) {
   std::vector<ExprPtr> args;
   args.push_back(bare_column(std::move(column)));
   return Expr::make_call(std::move(fn), std::move(args));
-}
-
-/// Racer (RC004) reduction identity for one merge execution: the partial
-/// statement's text plus the engine's query ordinal, so distinct queries
-/// (and re-runs against a mutated store) occupy distinct key ranges.
-std::uint64_t racer_query_key(const SelectStmt& partial, std::uint64_t seq) {
-  std::uint64_t h = 1469598103934665603ULL ^ seq;
-  const auto fold = [&h](std::string_view text) {
-    h = (h ^ fnv1a64(text)) * 1099511628211ULL;
-  };
-  for (const SelectItem& item : partial.items) {
-    fold(item.expr->to_string());
-    fold(item.alias);
-  }
-  for (const TableRef& ref : partial.from) fold(ref.table);
-  if (partial.where) fold(partial.where->to_string());
-  for (const ExprPtr& g : partial.group_by) fold(g->to_string());
-  return h;
-}
-
-/// Content digest of one shard's partial result (exact bit patterns for
-/// doubles — the whole point is catching last-bit drift).
-std::uint64_t racer_rows_hash(const std::vector<Row>& rows) {
-  std::uint64_t h = 1469598103934665603ULL;
-  const auto fold = [&h](std::uint64_t v) { h = (h ^ v) * 1099511628211ULL; };
-  for (const Row& row : rows) {
-    for (const Value& v : row) {
-      if (v.is_null()) {
-        fold(0x6e756c6cULL);
-      } else if (v.is_int()) {
-        fold(static_cast<std::uint64_t>(v.as_int()) ^
-             (std::uint64_t{1} << 62));
-      } else if (v.is_double()) {
-        fold(std::bit_cast<std::uint64_t>(v.as_double()));
-      } else {
-        fold(fnv1a64(v.as_string()));
-      }
-    }
-  }
-  return h;
 }
 
 /// Shallow statement pieces shared by both merge plans.
@@ -218,20 +175,11 @@ ResultSet ShardedEngine::merge_scan(const SelectStmt& stmt) {
     columns.push_back(strformat("m%zu", i));
   }
   Table& table = merged.create_table("__rows", columns);
-  const std::uint64_t qkey = racer::enabled()
-                                 ? racer_query_key(partial, racer_query_seq_++)
-                                 : racer_query_seq_++;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    Engine engine(*shards_[s]);
-    ResultSet part = engine.execute_select(partial);
-    if (racer::enabled()) {
-      // Each shard's partial is one slot of the merge reduction: a
-      // schedule-dependent partial shows up as an RC004 naming it.
-      racer::on_reduction("sql.sharded.merge",
-                          qkey ^ (0x9e3779b97f4a7c15ULL * (s + 1)),
-                          racer_rows_hash(part.rows));
+  for (Database* shard : shards_) {
+    Engine engine(*shard);
+    for (Row& row : engine.execute_select(partial).rows) {
+      table.insert(std::move(row));
     }
-    for (Row& row : part.rows) table.insert(std::move(row));
   }
 
   SelectStmt final_stmt;
@@ -318,18 +266,11 @@ ResultSet ShardedEngine::merge_grouped(const SelectStmt& stmt) {
 
   Database merged;
   Table& table = merged.create_table("__partials", columns);
-  const std::uint64_t qkey = racer::enabled()
-                                 ? racer_query_key(partial, racer_query_seq_++)
-                                 : racer_query_seq_++;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    Engine engine(*shards_[s]);
-    ResultSet part = engine.execute_select(partial);
-    if (racer::enabled()) {
-      racer::on_reduction("sql.sharded.merge",
-                          qkey ^ (0x9e3779b97f4a7c15ULL * (s + 1)),
-                          racer_rows_hash(part.rows));
+  for (Database* shard : shards_) {
+    Engine engine(*shard);
+    for (Row& row : engine.execute_select(partial).rows) {
+      table.insert(std::move(row));
     }
-    for (Row& row : part.rows) table.insert(std::move(row));
   }
 
   // Final statement: the original shape with group keys and aggregates

@@ -26,7 +26,6 @@
 /// global join, so results match single-shard execution row for row (up
 /// to float summation order; sum/avg may differ in the last bits).
 
-#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -58,10 +57,6 @@ class ShardedEngine {
 
   std::vector<Database*> shards_;
   std::vector<std::string> replicated_tables_;
-  /// Merge-query ordinal folded into the racer RC004 reduction key, so
-  /// re-running one query against a mutated store never collides with
-  /// its earlier digest (program order is deterministic per workload).
-  std::uint64_t racer_query_seq_ = 0;
 };
 
 }  // namespace scidock::sql

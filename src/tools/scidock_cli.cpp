@@ -42,7 +42,6 @@
 #include "scidock/analysis.hpp"
 #include "scidock/experiment.hpp"
 #include "util/lockdep.hpp"
-#include "util/racer.hpp"
 #include "util/strings.hpp"
 #include "vfs/vfs.hpp"
 #include "wf/relational.hpp"
@@ -64,10 +63,9 @@ int usage() {
                "screen/sweep also take:\n"
                "  --trace-out FILE    Chrome chrome://tracing JSON\n"
                "  --metrics-out FILE  Prometheus text metrics\n"
-               "  --sync-report       print the lockdep and racer reports after\n"
-               "                      the run (needs -DSCIDOCK_SYNC_ANALYSIS=ON;\n"
-               "                      exit 1 on any lockdep error or any racer\n"
-               "                      finding)\n");
+               "  --sync-report       print the lockdep report after the run\n"
+               "                      (needs -DSCIDOCK_SYNC_ANALYSIS=ON; exit 1\n"
+               "                      on any lockdep error)\n");
   return 2;
 }
 
@@ -88,21 +86,18 @@ bool has_switch(const std::vector<std::string>& args, const std::string& name) {
   return false;
 }
 
-/// Print both sync analyzers' reports when --sync-report was passed;
-/// mirrors their counters into the metrics sink (if any) first so the
-/// scidock_lockdep_* / scidock_racer_* series land in --metrics-out.
-/// Returns non-zero on any error-severity lockdep hazard and on any racer
-/// finding at all: a warning-severity racer report (order-digest
-/// divergence) still means the run was not proven deterministic.
+/// Print lockdep's report when --sync-report was passed; mirrors its
+/// counters into the metrics sink (if any) first so the scidock_lockdep_*
+/// series land in --metrics-out. Returns non-zero on any error-severity
+/// lockdep hazard.
 int maybe_sync_report(const std::vector<std::string>& args,
                       obs::MetricsRegistry* metrics) {
   if (!has_switch(args, "sync-report")) return 0;
   if (metrics != nullptr) obs::publish_sync_metrics(*metrics);
-  std::printf("%s%s", lockdep::format_report().c_str(),
-              racer::format_report().c_str());
+  std::printf("%s", lockdep::format_report().c_str());
   const lint::Report report = lint::sync_report();
   if (!report.clean()) std::printf("%s", report.format().c_str());
-  return !lockdep::clean() || !racer::findings().empty() ? 1 : 0;
+  return lockdep::clean() ? 0 : 1;
 }
 
 /// Observability sinks requested on the command line. Null members mean

@@ -22,19 +22,23 @@
 ///     an unrelated lock,
 ///   - locks held longer than a configurable threshold (warning).
 ///
-/// The primitives reach these hooks only through the sync-event layer
-/// (util/sync_events.hpp). Compile-time gated by the SCIDOCK_SYNC_ANALYSIS
-/// CMake option, together with racer: OFF (the default) compiles the
-/// analyzer out, and the primitives carry no extra state — zero
-/// bookkeeping on the hot path. With it ON the checks run on every
+/// The primitives (Mutex/CondVar, ThreadPool, the single-flight grid-map
+/// cache) call the inline hooks at the bottom of this header with their
+/// call sites. Compile-time gated by the SCIDOCK_SYNC_ANALYSIS CMake
+/// option: OFF (the default) compiles the analyzer out, every hook is the
+/// bare operation or nothing, and the primitives carry no extra state —
+/// zero bookkeeping on the hot path. With it ON the checks run on every
 /// acquisition, cheap enough to leave on for the whole test suite
 /// (bench_sync_analysis gates the overhead <= 5% on the full screen).
+/// Data races are ThreadSanitizer's job (ci/check.sh tsan), not lockdep's.
 ///
 /// Findings carry stable rule IDs through the lint::Diagnostics
 /// machinery (LD001..LD005, see lint::rule_catalog() and
 /// lint/sync_lint.hpp); chaos::InvariantChecker::check_sync asserts a
 /// clean report after every sweep.
 
+#include <future>
+#include <mutex>
 #include <source_location>
 #include <string>
 #include <string_view>
@@ -47,6 +51,9 @@
 #endif
 
 namespace scidock::lockdep {
+
+/// Call site of a lock, wait or flight, defaulted at each primitive's API.
+using Site = std::source_location;
 
 /// Hazard classes, in rule-ID order (LD001..LD005).
 enum class HazardKind {
@@ -118,14 +125,21 @@ int register_class(const char* name,
                    std::source_location site = std::source_location::current());
 
 /// Runtime kill-switch (compiled-in builds only): bench_sync_analysis
-/// turns lockdep off for its baseline and racer-only arms. Enabled by
-/// default.
+/// turns lockdep off for its baseline arm. Enabled by default.
 void set_enabled(bool enabled);
 bool enabled();
 
 /// Hold-duration threshold for LD004 warnings, seconds. <= 0 disables.
 void set_long_hold_threshold(double seconds);
 double long_hold_threshold();
+
+/// Lock class a Mutex carries.
+struct LockClass {
+  int id = kAnonymousClass;
+};
+inline LockClass lock_class(const char* name, Site site) {
+  return {register_class(name, site)};
+}
 
 // ---- hooks wired into the primitives (not for direct use) ----
 
@@ -198,6 +212,11 @@ void reset();
 #else  // ---- SCIDOCK_SYNC_ANALYSIS off: every hook is a no-op ----
 
 inline constexpr int kAnonymousClass = 0;
+/// Empty, so a Mutex is exactly a std::mutex.
+struct LockClass {
+  static constexpr int id = kAnonymousClass;
+};
+inline LockClass lock_class(const char*, Site) { return {}; }
 inline void set_enabled(bool) {}
 inline bool enabled() { return false; }
 inline void set_long_hold_threshold(double) {}
@@ -230,5 +249,42 @@ inline std::string format_report() {
 inline void reset() {}
 
 #endif  // SCIDOCK_LOCKDEP_ENABLED
+
+// ---- the primitives' entry points ----
+
+/// Lock `m`, the std::mutex inside the Mutex at `instance`. The order edge
+/// is recorded before blocking, so an inversion is reported even on the
+/// run that deadlocks.
+inline void lock(std::mutex& m, const void* instance, LockClass cls,
+                 Site site) {
+  on_acquire(cls.id, instance, site);
+  m.lock();
+}
+
+/// A successful try_lock is recorded without an order edge: it cannot
+/// deadlock.
+inline bool try_lock(std::mutex& m, const void* instance, LockClass cls,
+                     Site site) {
+  if (!m.try_lock()) return false;
+  on_try_acquired(cls.id, instance, site);
+  return true;
+}
+
+inline void unlock(std::mutex& m, const void* instance) {
+  on_release(instance);
+  m.unlock();
+}
+
+/// A non-owner takes a single-flight `result`, rethrowing the owner's
+/// exception. When the flight was still running at lookup (`in_flight`)
+/// the call may block: LD003 if the caller holds a lock, an LD002 warning
+/// if `owner` is a worker of the caller's own pool.
+template <typename T>
+T await_flight(const std::shared_future<T>& result, FlightOwner owner,
+               const char* what, bool in_flight,
+               Site site = Site::current()) {
+  if (in_flight) on_blocking_wait(what, owner.pool, site);
+  return result.get();
+}
 
 }  // namespace scidock::lockdep

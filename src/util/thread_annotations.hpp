@@ -12,14 +12,14 @@
 /// the capability attributes) every macro expands to nothing and Mutex /
 /// MutexLock behave exactly like std::mutex / std::lock_guard.
 ///
-/// Every lock, unlock and wait is also one sync event, with its call site,
-/// for the runtime analyzers (util/sync_events.hpp). With the
+/// Every lock, unlock and wait also reaches the runtime lock-order
+/// analyzer (util/lockdep.hpp) with its call site. With the
 /// SCIDOCK_SYNC_ANALYSIS CMake option ON, construct a Mutex with a name —
 /// `Mutex mutex_{"prov.store"}` — to give it a lockdep lock class;
-/// acquisitions then record order edges and happens-before edges, and
-/// inversions, hazards and races are reported with their sites. With the
-/// option OFF (default) the name and sites are discarded and the
-/// primitives compile down to exactly the std equivalents.
+/// acquisitions then record order edges, and inversions and blocking
+/// hazards are reported with their sites. With the option OFF (default)
+/// the name and sites are discarded and the primitives compile down to
+/// exactly the std equivalents.
 ///
 /// Reference: https://clang.llvm.org/docs/ThreadSafetyAnalysis.html
 
@@ -27,7 +27,7 @@
 #include <condition_variable>
 #include <mutex>
 
-#include "util/sync_events.hpp"
+#include "util/lockdep.hpp"
 
 #if defined(__clang__)
 #define SCIDOCK_THREAD_ANNOTATION(x) __attribute__((x))
@@ -78,28 +78,25 @@ class SCIDOCK_CAPABILITY("mutex") Mutex {
   /// The defaulted site lands on the declaration that invokes this
   /// constructor (the member initializer / variable definition) —
   /// lockdep keys lock classes on (name, site) so a second declaration
-  /// reusing a name is an LD005 error, and racer names its
-  /// release→acquire edges after the same string.
-  explicit Mutex(const char* name, sync::Site site = sync::Site::current())
-      : class_(sync::on_mutex_create(this, name, site)) {}
-  ~Mutex() { sync::on_mutex_destroy(this, sync::Site::current()); }
+  /// reusing a name is an LD005 error.
+  explicit Mutex(const char* name,
+                 lockdep::Site site = lockdep::Site::current())
+      : class_(lockdep::lock_class(name, site)) {}
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;
 
-  void lock(sync::Site site = sync::Site::current()) SCIDOCK_ACQUIRE() {
-    sync::lock(m_, this, class_, site);
+  void lock(lockdep::Site site = lockdep::Site::current()) SCIDOCK_ACQUIRE() {
+    lockdep::lock(m_, this, class_, site);
   }
-  void unlock(sync::Site site = sync::Site::current()) SCIDOCK_RELEASE() {
-    sync::unlock(m_, this, site);
-  }
-  bool try_lock(sync::Site site = sync::Site::current())
+  void unlock() SCIDOCK_RELEASE() { lockdep::unlock(m_, this); }
+  bool try_lock(lockdep::Site site = lockdep::Site::current())
       SCIDOCK_TRY_ACQUIRE(true) {
-    return sync::try_lock(m_, this, class_, site);
+    return lockdep::try_lock(m_, this, class_, site);
   }
 
  private:
   std::mutex m_;
-  [[no_unique_address]] sync::LockClass class_;
+  [[no_unique_address]] lockdep::LockClass class_;
 };
 
 /// RAII lock for Mutex — the annotated counterpart of std::lock_guard.
@@ -107,7 +104,8 @@ class SCIDOCK_SCOPED_CAPABILITY MutexLock {
  public:
   /// The defaulted site captures the MutexLock statement itself — that is
   /// the site lockdep prints in cycle reports.
-  explicit MutexLock(Mutex& mutex, sync::Site site = sync::Site::current())
+  explicit MutexLock(Mutex& mutex,
+                     lockdep::Site site = lockdep::Site::current())
       SCIDOCK_ACQUIRE(mutex)
       : mutex_(mutex) {
     mutex_.lock(site);
@@ -133,9 +131,9 @@ class CondVar {
   /// Entering a wait while holding any *other* tracked lock is LD003; the
   /// release/re-acquire bookkeeping flows through the instrumented
   /// unlock()/lock() the wait performs.
-  void wait(Mutex& mutex, sync::Site site = sync::Site::current())
+  void wait(Mutex& mutex, lockdep::Site site = lockdep::Site::current())
       SCIDOCK_REQUIRES(mutex) {
-    sync::on_cond_wait(&mutex, site);
+    lockdep::on_cond_wait(&mutex, site);
     cv_.wait(mutex);
   }
 
@@ -144,9 +142,9 @@ class CondVar {
   template <class Rep, class Period>
   std::cv_status wait_for(Mutex& mutex,
                           const std::chrono::duration<Rep, Period>& rel_time,
-                          sync::Site site = sync::Site::current())
+                          lockdep::Site site = lockdep::Site::current())
       SCIDOCK_REQUIRES(mutex) {
-    sync::on_cond_wait(&mutex, site);
+    lockdep::on_cond_wait(&mutex, site);
     return cv_.wait_for(mutex, rel_time);
   }
 

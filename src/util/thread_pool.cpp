@@ -37,7 +37,7 @@ void ThreadPool::worker_loop() {
   // Tasks run below can tell they execute inside this pool, so blocking
   // on work queued into it (nested parallel_for, single-flight waits) is
   // reportable as a self-wait hazard.
-  sync::WorkerScope worker_scope(this);
+  lockdep::PoolWorkerScope worker_scope(this);
   for (;;) {
     std::function<void()> task;
     {
@@ -53,32 +53,24 @@ void ThreadPool::worker_loop() {
 
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& fn,
-                              std::size_t grain, sync::Site site) {
-  if (n > 0) sync::on_pool_wait(this, site);
+                              std::size_t grain, lockdep::Site site) {
+  if (n > 0) lockdep::on_pool_wait(this, site);
   grain = std::max<std::size_t>(grain, 1);
   std::vector<std::future<void>> futures;
-  std::vector<sync::TaskEdge> edges;
   futures.reserve((n + grain - 1) / grain);
-  edges.reserve(futures.capacity());
   for (std::size_t begin = 0; begin < n; begin += grain) {
     const std::size_t end = std::min(begin + grain, n);
-    edges.push_back(sync::on_spawn(site));
-    futures.push_back(submit_with_edge(
-        [&fn, begin, end] {
-          for (std::size_t i = begin; i < end; ++i) fn(i);
-        },
-        edges.back()));
+    futures.push_back(submit([&fn, begin, end] {
+      for (std::size_t i = begin; i < end; ++i) fn(i);
+    }));
   }
   std::exception_ptr first_error;
-  for (std::size_t i = 0; i < futures.size(); ++i) {
+  for (auto& future : futures) {
     try {
-      futures[i].get();
+      future.get();
     } catch (...) {
       if (!first_error) first_error = std::current_exception();
     }
-    // The chunk's writes happen-before everything after this join — the
-    // edge that makes the caller's post-loop reads race-free.
-    sync::on_join(edges[i], site);
   }
   if (first_error) std::rethrow_exception(first_error);
 }

@@ -1,8 +1,7 @@
 #pragma once
 
 /// \file thread_pool.hpp
-/// Work-queue thread pool used by the native workflow executor and by
-/// AutoGrid's z-slab loop.
+/// Work-queue thread pool used by the native workflow executor.
 ///
 /// Design: a single mutex-protected FIFO. The pool is small (it models
 /// "virtual cores" of one VM, typically 2-16), so a sharded/stealing deque
@@ -58,18 +57,7 @@ class ThreadPool {
 
   /// Enqueue a task; the future reports its result or exception.
   template <typename F>
-  auto submit(F&& fn, sync::Site site = sync::Site::current())
-      -> std::future<std::invoke_result_t<F>> {
-    return submit_with_edge(std::forward<F>(fn), sync::on_spawn(site));
-  }
-
-  /// submit() with a caller-held fork token: the analyzers see submit→run
-  /// as a happens-before edge automatically, but only the holder of the
-  /// edge can record the run→join edge after future.get() (parallel_for
-  /// does; see sync::on_join).
-  template <typename F>
-  auto submit_with_edge(F&& fn, sync::TaskEdge edge)
-      -> std::future<std::invoke_result_t<F>> {
+  auto submit(F&& fn) -> std::future<std::invoke_result_t<F>> {
     using R = std::invoke_result_t<F>;
     TaskHook hook;
     StatsHook stats;
@@ -81,12 +69,7 @@ class ThreadPool {
     const auto enqueued_at = std::chrono::steady_clock::now();
     auto task = std::make_shared<std::packaged_task<R()>>(
         [hook = std::move(hook), finished = std::move(stats.finished),
-         enqueued_at, edge = std::move(edge),
-         fn = std::forward<F>(fn)]() mutable -> R {
-          // The task scope joins the spawner's fork on entry and
-          // publishes the finish on exit (its destructor runs before the
-          // future becomes ready).
-          sync::TaskScope task_scope(edge);
+         enqueued_at, fn = std::forward<F>(fn)]() mutable -> R {
           TaskTimer timer{std::move(finished), enqueued_at,
                           std::chrono::steady_clock::now()};
           if (hook) hook();
@@ -106,8 +89,7 @@ class ThreadPool {
 
   /// Run `fn(i)` for i in [0, n) across the pool and wait for completion.
   /// `grain` > 1 batches that many consecutive indices into one task, so
-  /// fine-grained loops (AutoGrid z-slabs, MC chains) don't pay one
-  /// dispatch + hook invocation per index; task and stats hooks then fire
+  /// fine-grained loops don't pay one dispatch + hook invocation per index; task and stats hooks then fire
   /// once per chunk. A chunk stops at the first throwing iteration, and
   /// exceptions from any chunk are rethrown (first submitted wins).
   ///
@@ -117,7 +99,7 @@ class ThreadPool {
   /// (pool self-wait) with the caller's site.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
                     std::size_t grain = 1,
-                    sync::Site site = sync::Site::current());
+                    lockdep::Site site = lockdep::Site::current());
 
  private:
   /// Fires `finished` (if set) when the task body leaves scope — normal

@@ -59,13 +59,9 @@ NativeReport NativeExecutor::run(const Relation& input,
   NativeReport report;
   Mutex report_mutex{"wf.native.report"};
   std::vector<std::vector<Tuple>> final_tuples(input.size());
-  // Shadow-track the aggregation state: `report` must only be touched
-  // under report_mutex while tasks run; each final_tuples bucket is
-  // written by exactly one task and read after the parallel_for join.
-  SCIDOCK_RACER_TRACK(report, "wf.native.report");
-  for (auto& bucket : final_tuples) {
-    SCIDOCK_RACER_TRACK(bucket, "wf.native.final_tuples");
-  }
+  // While tasks run, `report` is only touched under report_mutex; each
+  // final_tuples bucket is written by exactly one task and read after the
+  // parallel_for join.
 
   Rng root_rng(options_.seed);
 
@@ -125,7 +121,6 @@ NativeReport NativeExecutor::run(const Relation& input,
               last_error = "injected hang at " + st.tag + " (watchdog abort)";
               {
                 MutexLock lock(report_mutex);
-                SCIDOCK_RACER_WRITE(report);
                 ++report.activations_hung;
               }
               if (counters.aborted != nullptr) counters.aborted->inc();
@@ -139,7 +134,6 @@ NativeReport NativeExecutor::run(const Relation& input,
               last_error = "injected failure at " + st.tag;
               {
                 MutexLock lock(report_mutex);
-                SCIDOCK_RACER_WRITE(report);
                 ++report.activations_failed;
               }
               if (counters.failed != nullptr) counters.failed->inc();
@@ -155,7 +149,6 @@ NativeReport NativeExecutor::run(const Relation& input,
             const double elapsed = wall_now() - t0 - start;
             {
               MutexLock lock(report_mutex);
-              SCIDOCK_RACER_WRITE(report);
               ++report.activations_finished;
               report.per_activity_seconds[st.tag].add(elapsed);
             }
@@ -173,7 +166,6 @@ NativeReport NativeExecutor::run(const Relation& input,
             last_error = e.what();
             {
               MutexLock lock(report_mutex);
-              SCIDOCK_RACER_WRITE(report);
               ++report.activations_failed;
             }
             if (counters.failed != nullptr) counters.failed->inc();
@@ -184,7 +176,6 @@ NativeReport NativeExecutor::run(const Relation& input,
         if (!done) {
           if (counters.tuples_lost != nullptr) counters.tuples_lost->inc();
           MutexLock lock(report_mutex);
-          SCIDOCK_RACER_WRITE(report);
           ++report.tuples_lost;
           report.failure_messages.push_back(last_error);
           SCIDOCK_LOG_WARN("tuple %zu lost at stage %s: %s", tuple_idx,
@@ -204,7 +195,6 @@ NativeReport NativeExecutor::run(const Relation& input,
       if (counters.tuples_completed != nullptr) {
         counters.tuples_completed->inc();
       }
-      SCIDOCK_RACER_WRITE(final_tuples[tuple_idx]);
       final_tuples[tuple_idx] = std::move(frontier);
     }
   };
@@ -226,7 +216,6 @@ NativeReport NativeExecutor::run(const Relation& input,
   // them still belongs in the output, with an empty cell.
   std::vector<std::string> fields;
   for (const auto& bucket : final_tuples) {
-    SCIDOCK_RACER_READ(bucket);
     for (const Tuple& t : bucket) {
       for (const auto& [k, v] : t.fields()) {
         if (std::find(fields.begin(), fields.end(), k) == fields.end()) {
@@ -257,8 +246,6 @@ NativeReport NativeExecutor::run(const Relation& input,
 
   report.wall_seconds = wall_now() - t0;
   prov_.end_workflow(wkfid, report.wall_seconds);
-  for (auto& bucket : final_tuples) SCIDOCK_RACER_UNTRACK(bucket);
-  SCIDOCK_RACER_UNTRACK(report);
   return report;
 }
 

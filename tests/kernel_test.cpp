@@ -8,8 +8,9 @@
 //   - AutoGrid reports every z-slab to its observer, and scoring a pose
 //     for the report does not count as an energy evaluation;
 //   - the single-flight grid-map cache computes once per key, propagates
-//     exceptions, and leaves pipeline outputs (FEB/RMSD, map files)
-//     bit-identical to cache-off runs.
+//     exceptions, and leaves pipeline outputs (FEB/RMSD, map files, every
+//     DLG, Vina log and pose file of a screen running both engines)
+//     byte-identical to cache-off runs at 1 and 4 threads.
 
 #include <gtest/gtest.h>
 
@@ -439,19 +440,40 @@ std::vector<std::string> some_receptors(int n) {
   return {all.begin(), all.begin() + n};
 }
 
+/// Under tiny() the first two Table 2 receptors (10 and 11 residues) route
+/// to AD4 and 1EWL (13 residues, threshold 12) routes to Vina, so the
+/// screen runs both engines.
+std::vector<std::string> both_engine_receptors() {
+  std::vector<std::string> receptors = some_receptors(2);
+  receptors.push_back("1EWL");
+  return receptors;
+}
+
+bool ends_with(const std::string& s, const std::string& suffix) {
+  return s.size() >= suffix.size() &&
+         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
+}
+
 struct RunArtifacts {
   std::map<std::string, std::pair<std::string, std::string>> feb_rmsd;  ///< by pair
+  std::map<std::string, int> engines;  ///< engine -> pairs it docked
   std::map<std::string, std::string> autogrid_files;  ///< path -> content
+  /// DLG, Vina log and Vina _out.pdbqt files: path -> content.
+  std::map<std::string, std::string> docking_files;
 };
 
 RunArtifacts collect(Experiment& exp, const wf::NativeReport& report) {
   RunArtifacts out;
   for (const auto& t : report.output.tuples()) {
     out.feb_rmsd[t.require("pair")] = {t.require("feb"), t.require("rmsd")};
+    ++out.engines[t.require("engine")];
   }
   for (const auto& f : exp.fs->list("/")) {
     if (f.path.find("/autogrid/") != std::string::npos) {
       out.autogrid_files[f.path] = exp.fs->read(f.path);
+    } else if (ends_with(f.path, ".dlg") || ends_with(f.path, ".log") ||
+               ends_with(f.path, "_out.pdbqt")) {
+      out.docking_files[f.path] = exp.fs->read(f.path);
     }
   }
   return out;
@@ -461,27 +483,31 @@ TEST(GridMapReuse, Table3OutputsIdenticalAcrossCacheAndThreads) {
   ScidockOptions opts;
   opts.dataset = dock::tiny();  // namespace-qualified helper above
   opts.write_map_files = true;
+  const std::vector<std::string> ligands{"042", "074", "0E6"};
 
   // Baseline: cache off, single thread.
   opts.reuse_grid_maps = false;
-  auto base_exp =
-      make_experiment(some_receptors(2), {"042", "074", "0E6"}, 0, opts);
+  auto base_exp = make_experiment(both_engine_receptors(), ligands, 0, opts);
   const wf::NativeReport base_report = run_native(base_exp, 1, "base");
   const RunArtifacts base = collect(base_exp, base_report);
-  ASSERT_EQ(base.feb_rmsd.size(), 6u);
+  ASSERT_EQ(base.feb_rmsd.size(), 9u);
+  EXPECT_EQ(base.engines, (std::map<std::string, int>{{"ad4", 6}, {"vina", 3}}));
   ASSERT_FALSE(base.autogrid_files.empty());
+  // One DLG per AD4 pair; one log and one pose file per Vina pair.
+  ASSERT_EQ(base.docking_files.size(), 12u);
 
-  // Cache on, multiple threads: FEB/RMSD (the Table 3 columns) and every
-  // AutoGrid artifact must be byte-identical.
+  // Cache on, multiple threads: FEB/RMSD (the Table 3 columns), every
+  // AutoGrid artifact and every docking output must be byte-identical.
   opts.reuse_grid_maps = true;
   for (int threads : {1, 4}) {
-    auto exp =
-        make_experiment(some_receptors(2), {"042", "074", "0E6"}, 0, opts);
+    auto exp = make_experiment(both_engine_receptors(), ligands, 0, opts);
     const wf::NativeReport report =
         run_native(exp, threads, "reuse" + std::to_string(threads));
     const RunArtifacts got = collect(exp, report);
     EXPECT_EQ(got.feb_rmsd, base.feb_rmsd) << threads << " threads";
+    EXPECT_EQ(got.engines, base.engines) << threads << " threads";
     EXPECT_EQ(got.autogrid_files, base.autogrid_files) << threads << " threads";
+    EXPECT_EQ(got.docking_files, base.docking_files) << threads << " threads";
   }
 }
 

@@ -1,11 +1,11 @@
-// Lock-discipline suite (DESIGN.md §11.1). The negative controls provoke
+// Lock-discipline suite (DESIGN.md §11). The negative controls provoke
 // the real hazards on purpose — an A->B / B->A lock-order inversion and
 // a ThreadPool worker blocking on its own pool — and assert on the exact
 // cycle, rule IDs and call sites the analyzer reports. The remaining
 // tests cover the CondVar / blocking-wait hazards, the long-hold
-// warning, the runtime kill-switch, and lockdep's side of the three
-// shared sync-analysis bridges: obs::publish_sync_metrics,
-// InvariantChecker::check_sync and lint::sync_report. Provocation tests
+// warning, the runtime kill-switch, and lockdep's three bridges:
+// obs::publish_sync_metrics, InvariantChecker::check_sync and
+// lint::sync_report. Provocation tests
 // skip unless built with -DSCIDOCK_SYNC_ANALYSIS=ON; the
 // disabled-behavior tests run (only) when it is compiled out, so both
 // configurations exercise this binary.
@@ -19,6 +19,7 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -32,7 +33,6 @@
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "util/lockdep.hpp"
-#include "util/racer.hpp"
 #include "util/thread_annotations.hpp"
 #include "util/thread_pool.hpp"
 
@@ -67,6 +67,8 @@ TEST(LockdepDisabled, AllBridgesAreInertWhenCompiledOut) {
   EXPECT_TRUE(lockdep::findings().empty());
   EXPECT_EQ(lockdep::counters().acquisitions, 0);
   EXPECT_FALSE(lockdep::enabled());
+  // Compiled out, a Mutex carries no analyzer state.
+  EXPECT_EQ(sizeof(Mutex), sizeof(std::mutex));
 
   chaos::InvariantChecker checker;
   EXPECT_TRUE(checker.check_sync());
@@ -81,10 +83,9 @@ TEST(LockdepDisabled, AllBridgesAreInertWhenCompiledOut) {
 }
 
 // ---------------------------------------------------------------------------
-// Compiled-in configuration. Each test resets both analyzers (the
-// bridges report them together) and uses lock classes named after
-// itself: classes are global and live for the process, so sharing names
-// across tests would entangle their graphs.
+// Compiled-in configuration. Each test resets lockdep and uses lock
+// classes named after itself: classes are global and live for the
+// process, so sharing names across tests would entangle their graphs.
 
 class LockdepTest : public ::testing::Test {
  protected:
@@ -96,7 +97,6 @@ class LockdepTest : public ::testing::Test {
     lockdep::reset();
     lockdep::set_enabled(true);
     lockdep::set_long_hold_threshold(1.0);
-    racer::reset();
 #endif
   }
 
@@ -106,7 +106,6 @@ class LockdepTest : public ::testing::Test {
     lockdep::set_long_hold_threshold(1.0);
     lockdep::set_enabled(true);
     lockdep::reset();
-    racer::reset();
 #endif
   }
 };
@@ -416,12 +415,12 @@ TEST_F(LockdepTest, BlockingWaitOnOwnPoolIsAWarningNotAnError) {
   done.set_value(7);
   const auto claim_in = [](const void* pool) {
     lockdep::PoolWorkerScope scope(pool);
-    return sync::on_flight_claim(std::source_location::current());
+    return lockdep::on_flight_claim();
   };
-  const auto wait_in_own_pool = [&](sync::FlightOwner owner, const char* what) {
+  const auto wait_in_own_pool = [&](lockdep::FlightOwner owner,
+                                    const char* what) {
     lockdep::PoolWorkerScope scope(&pool_tag);
-    return sync::await_flight(result, &done, owner, what, true,
-                              std::source_location::current());
+    return lockdep::await_flight(result, owner, what, true);
   };
   EXPECT_EQ(wait_in_own_pool(claim_in(nullptr), "test.quiet"), 7);
   EXPECT_EQ(wait_in_own_pool(claim_in(&other_pool), "test.quiet"), 7);

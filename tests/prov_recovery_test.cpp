@@ -6,8 +6,7 @@
 // directory with a fresh store and proves:
 //   - replay accepted a consistent prefix (InvariantChecker::check_recovery:
 //     unique ids, resolvable references, legal statuses, zero orphans);
-//   - the sync analyzers saw no error-severity finding across crash +
-//     recovery;
+//   - lockdep saw no error-severity finding across crash + recovery;
 //   - abort_open_activations closes every RUNNING row the crash left;
 //   - the store accepts new work after recovery, and a further reopen
 //     replays the recovered + resumed history byte-identically.

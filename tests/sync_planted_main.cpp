@@ -1,152 +1,90 @@
-// Planted fixtures for the sync-analysis × ThreadSanitizer cross-check
-// (ci/check.sh stage tsan). Unlike racer_test.cpp — whose planted shapes
-// are sequenced with real synchronisation so gtest stays TSan-clean —
-// each race fixture here contains a REAL data race on a tracked object,
-// and the inversion fixture a real lock-order inversion. Built with
-// -DSCIDOCK_SYNC_ANALYSIS=ON and -fsanitize=thread, one process runs the
-// analyzer and TSan: the analyzer must name the rule on stdout and TSan
-// must print its own warning on stderr; the CI stage fails if either
-// detector misses.
+// Planted fixtures for the ThreadSanitizer stage of ci/check.sh. Each race
+// fixture contains a REAL data race, and the inversion fixture a real
+// lock-order inversion. Built with -DSCIDOCK_SYNC_ANALYSIS=ON and
+// -fsanitize=thread, the stage requires TSan to print its warning on
+// stderr for every fixture, and lockdep to name LD001 on stdout for the
+// inversion; the stage fails if either detector misses.
 //
-//   sync_planted ww         write-write race         -> RC001 + data race
-//   sync_planted rw         read racing a write      -> RC002 + data race
-//   sync_planted publish    relaxed-flag publication -> RC003 + data race
-//   sync_planted inversion  A->B then B->A           -> LD001 +
+//   sync_planted ww         write-write race         -> TSan data race
+//   sync_planted rw         read racing a write      -> TSan data race
+//   sync_planted publish    relaxed-flag publication -> TSan data race
+//   sync_planted inversion  A->B then B->A           -> LD001 + TSan
 //                                                       lock-order-inversion
 //
 // The races are benign in practice (torn int stores at worst) and the two
 // lock orders run one after the other, so the process always reaches its
-// report and exits 0 when the expected rule was found.
+// report and exits 0 (the inversion: when lockdep found it).
 
 #include <atomic>
 #include <cstdio>
-#include <string>
 #include <string_view>
 #include <thread>
 
 #include "util/lockdep.hpp"
-#include "util/racer.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace {
 
 using scidock::lockdep::HazardKind;
-using scidock::racer::ReportKind;
 
-volatile int g_sink = 0;  // defeats dead-access elimination
+// Every planted victim is volatile so that each loop iteration really
+// loads or stores it: a plain int lets the compiler collapse a loop into
+// one access and move it across the handshake, hiding the race.
+volatile int g_sink = 0;
 
-/// Print both reports, then whether the analyzer found the planted rule.
-int finish(bool found, std::string_view rule) {
-  std::fputs(scidock::lockdep::format_report().c_str(), stdout);
-  std::fputs(scidock::racer::format_report().c_str(), stdout);
-  if (!scidock::sync::compiled_in()) {
-    std::fputs("sync_planted: analyzers compiled out -- rebuild with "
-               "-DSCIDOCK_SYNC_ANALYSIS=ON\n",
-               stdout);
-    return 2;
-  }
-  if (!found) {
-    // Deliberately does not echo the rule ID: the CI grep must only
-    // match when the analyzer itself reported it.
-    std::fputs("sync_planted: expected report missing\n", stdout);
-    return 1;
-  }
-  std::printf("sync_planted: flagged %s\n", std::string(rule).c_str());
+int planted(const char* fixture) {
+  std::printf("sync_planted: %s race planted; ThreadSanitizer judges it\n",
+              fixture);
   return 0;
 }
 
-int finish(ReportKind expected) {
-  return finish(scidock::racer::finding_count(expected) > 0,
-                scidock::racer::rule_id(expected));
-}
-
-/// RC001: two unsynchronized writer loops. The fork edge orders the
-/// worker's *first* write (so it is a known accessor, not an RC003
-/// publish); the loops then race for real. The post-join write is the
-/// determinism backstop: even a schedule that never interleaved the
-/// loops leaves it unordered for the racer (std::thread::join is not an
-/// instrumented edge), while TSan is guaranteed its race by the loops.
+/// Two unsynchronized writer loops. The handshake only makes the loops
+/// overlap in time; it orders nothing after it.
 int fixture_ww() {
-  static int victim = 0;
-  SCIDOCK_RACER_TRACK(victim, "planted.ww.victim");
-  SCIDOCK_RACER_WRITE(victim);
-  victim = 1;
-  scidock::racer::TaskEdge edge = scidock::racer::on_task_spawn();
+  static volatile int victim = 0;
   std::atomic<bool> entered{false};
   std::thread t([&] {
-    scidock::racer::TaskRun run(edge);
-    SCIDOCK_RACER_WRITE(victim);
-    victim = 2;  // ordered via the fork snapshot: no report here
     entered.store(true);
-    for (int i = 0; i < 200000; ++i) {
-      SCIDOCK_RACER_WRITE(victim);
-      victim = i;  // REAL race with the loop below
-    }
+    for (int i = 0; i < 200000; ++i) victim = i;  // REAL race
   });
   while (!entered.load()) std::this_thread::yield();
-  for (int i = 0; i < 200000; ++i) {
-    SCIDOCK_RACER_WRITE(victim);
-    victim = -i;
-  }
+  for (int i = 0; i < 200000; ++i) victim = -i;
   t.join();
-  SCIDOCK_RACER_WRITE(victim);  // backstop: unordered without a join edge
-  victim = 0;
   g_sink = victim;
-  return finish(ReportKind::kWriteWrite);
+  return planted("ww");
 }
 
-/// RC002: a reader loop racing a writer loop, same construction.
+/// A reader loop racing a writer loop, same construction.
 int fixture_rw() {
-  static int victim = 0;
-  SCIDOCK_RACER_TRACK(victim, "planted.rw.victim");
-  SCIDOCK_RACER_WRITE(victim);
-  victim = 1;
-  scidock::racer::TaskEdge edge = scidock::racer::on_task_spawn();
+  static volatile int victim = 0;
   std::atomic<bool> entered{false};
   std::thread t([&] {
-    scidock::racer::TaskRun run(edge);
-    SCIDOCK_RACER_READ(victim);
-    g_sink = victim;  // ordered: known accessor
     entered.store(true);
     int local = 0;
-    for (int i = 0; i < 200000; ++i) {
-      SCIDOCK_RACER_READ(victim);
-      local += victim;  // REAL read racing the writes below
-    }
+    for (int i = 0; i < 200000; ++i) local += victim;  // REAL race
     g_sink = local;
   });
   while (!entered.load()) std::this_thread::yield();
-  for (int i = 0; i < 200000; ++i) {
-    SCIDOCK_RACER_WRITE(victim);
-    victim = i;
-  }
+  for (int i = 0; i < 200000; ++i) victim = i;
   t.join();
-  SCIDOCK_RACER_WRITE(victim);  // backstop vs the worker's last read
-  victim = 0;
-  g_sink = victim;
-  return finish(ReportKind::kReadWrite);
+  return planted("rw");
 }
 
-/// RC003: the classic broken publication — payload handed to a waiting
-/// thread through a *relaxed* atomic flag, which orders nothing. The
-/// racer sees a first cross-thread access with no edge; TSan sees the
-/// genuine race (relaxed operations establish no happens-before).
+/// The classic broken publication: a payload handed to a waiting thread
+/// through a *relaxed* atomic flag, which establishes no happens-before.
 int fixture_publish() {
-  static int payload = 0;
+  static volatile int payload = 0;
   std::atomic<bool> ready{false};
   int seen = 0;
   std::thread t([&] {
     while (!ready.load(std::memory_order_relaxed)) std::this_thread::yield();
-    SCIDOCK_RACER_READ(payload);
     seen = payload;  // REAL race: the relaxed flag publishes nothing
   });
-  SCIDOCK_RACER_TRACK(payload, "planted.publish.payload");
-  SCIDOCK_RACER_WRITE(payload);
   payload = 42;
   ready.store(true, std::memory_order_relaxed);
   t.join();
   g_sink = seen;
-  return finish(ReportKind::kUnsyncPublish);
+  return planted("publish");
 }
 
 /// LD001: two named locks taken in both orders, one order after the
@@ -164,9 +102,22 @@ int fixture_inversion() {
     scidock::MutexLock lb(b);
     scidock::MutexLock la(a);
   }
-  return finish(
-      scidock::lockdep::finding_count(HazardKind::kLockInversion) > 0,
-      scidock::lockdep::rule_id(HazardKind::kLockInversion));
+  std::fputs(scidock::lockdep::format_report().c_str(), stdout);
+  if (!scidock::lockdep::compiled_in()) {
+    std::fputs("sync_planted: lockdep compiled out -- rebuild with "
+               "-DSCIDOCK_SYNC_ANALYSIS=ON\n",
+               stdout);
+    return 2;
+  }
+  if (scidock::lockdep::finding_count(HazardKind::kLockInversion) == 0) {
+    // Deliberately does not echo the rule ID: the CI grep must only
+    // match when lockdep itself reported it.
+    std::fputs("sync_planted: expected report missing\n", stdout);
+    return 1;
+  }
+  std::printf("sync_planted: flagged %s\n",
+              scidock::lockdep::rule_id(HazardKind::kLockInversion).data());
+  return 0;
 }
 
 int usage() {
