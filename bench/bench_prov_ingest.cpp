@@ -67,7 +67,6 @@ int main() {
   options.shard_count = static_cast<std::size_t>(shards);
   options.vfs = &fs;
   options.wal_dir = "/prov";
-  options.group_commit = true;
 
   // ---- ingest: a full campaign recorded through the WAL ----
   prov::DurabilityStats stats;

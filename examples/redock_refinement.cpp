@@ -63,9 +63,7 @@ int main() {
   pose.coords = models.front().molecule.coordinates();
   pose.feb = best_feb;
   Rng rng(2014);
-  const dock::DockingResult refined =
-      dock::redock(receptor, ligand, pose, rng, /*box_half_extent=*/6.0,
-                   /*refinement_steps=*/600);
+  const dock::DockingResult refined = dock::redock(receptor, ligand, pose, rng);
 
   std::printf("redocked: FEB %.2f kcal/mol (screen: %.2f), moved %.1f A "
               "from the screened pose, %lld energy evaluations\n",

@@ -75,13 +75,9 @@ struct ChaosEngine::State {
   /// below its drawn transient budget, then recovers.
   std::map<std::string, int> transient_used SCIDOCK_GUARDED_BY(mutex);
   std::atomic<long long> vfs_faults{0};
-  std::atomic<long long> torn_writes{0};
-  std::atomic<long long> pool_delays{0};
   std::atomic<long long> pool_exceptions{0};
-  std::atomic<long long> activity_faults{0};
   std::atomic<std::uint64_t> pool_ticket{0};
   std::atomic<std::uint64_t> latency_ticket{0};
-  std::atomic<std::uint64_t> torn_ticket{0};
 };
 
 ChaosEngine::ChaosEngine(ChaosProfile profile, std::uint64_t seed)
@@ -140,28 +136,6 @@ vfs::SharedFileSystem::FaultHook ChaosEngine::vfs_hook() const {
   };
 }
 
-vfs::SharedFileSystem::TornWriteHook ChaosEngine::torn_write_hook() const {
-  const VfsFaultProfile vfs = profile_.vfs;
-  const std::uint64_t seed = seed_;
-  std::shared_ptr<State> state = state_;
-  if (vfs.torn_write_probability <= 0.0) return nullptr;
-  return [vfs, seed, state](
-             vfs::FileOp, const std::string& path,
-             std::size_t bytes) -> std::optional<std::size_t> {
-    if (bytes == 0) return std::nullopt;
-    if (!vfs.path_substring.empty() &&
-        path.find(vfs.path_substring) == std::string::npos) {
-      return std::nullopt;
-    }
-    const std::uint64_t n = state->torn_ticket.fetch_add(1);
-    const std::uint64_t h = mix(mix(seed, fnv1a64("vfs-torn")), n);
-    if (unit(h) >= vfs.torn_write_probability) return std::nullopt;
-    state->torn_writes.fetch_add(1);
-    // Cut anywhere in [0, bytes): always strictly short of the end.
-    return static_cast<std::size_t>((h >> 17) % bytes);
-  };
-}
-
 ThreadPool::TaskHook ChaosEngine::pool_hook() const {
   const PoolFaultProfile pool = profile_.pool;
   const std::uint64_t seed = seed_;
@@ -181,7 +155,6 @@ ThreadPool::TaskHook ChaosEngine::pool_hook() const {
     if (pool.delay_probability > 0.0 &&
         unit(mix(mix(seed, fnv1a64("pool-delay")), n)) <
             pool.delay_probability) {
-      state->pool_delays.fetch_add(1);
       std::this_thread::sleep_for(
           std::chrono::duration<double, std::milli>(pool.delay_ms));
     }
@@ -191,14 +164,12 @@ ThreadPool::TaskHook ChaosEngine::pool_hook() const {
 wf::FaultInjectorFn ChaosEngine::activity_fault_injector() const {
   const ActivityFaultProfile activity = profile_.activity;
   const std::uint64_t seed = seed_;
-  std::shared_ptr<State> state = state_;
   if (activity.failure_probability <= 0.0 &&
       activity.hang_probability <= 0.0) {
     return nullptr;
   }
-  return [activity, seed, state](const std::string& tag,
-                                 const wf::Tuple& tuple,
-                                 int attempt) -> wf::InjectedFault {
+  return [activity, seed](const std::string& tag, const wf::Tuple& tuple,
+                          int attempt) -> wf::InjectedFault {
     // Pure in (tag, tuple, attempt): each retry redraws, so transient
     // failures clear under the attempt budget like the paper's ~10 %.
     const std::uint64_t h = mix(
@@ -206,12 +177,8 @@ wf::FaultInjectorFn ChaosEngine::activity_fault_injector() const {
             tuple_hash(tuple)),
         static_cast<std::uint64_t>(attempt));
     const double u = unit(h);
-    if (u < activity.hang_probability) {
-      state->activity_faults.fetch_add(1);
-      return wf::InjectedFault::Hang;
-    }
+    if (u < activity.hang_probability) return wf::InjectedFault::Hang;
     if (u < activity.hang_probability + activity.failure_probability) {
-      state->activity_faults.fetch_add(1);
       return wf::InjectedFault::Failure;
     }
     return wf::InjectedFault::None;
@@ -231,17 +198,8 @@ cloud::FailureModelOptions ChaosEngine::failure_options(
 long long ChaosEngine::vfs_faults_injected() const {
   return state_->vfs_faults.load();
 }
-long long ChaosEngine::torn_writes_injected() const {
-  return state_->torn_writes.load();
-}
-long long ChaosEngine::pool_delays_injected() const {
-  return state_->pool_delays.load();
-}
 long long ChaosEngine::pool_exceptions_injected() const {
   return state_->pool_exceptions.load();
-}
-long long ChaosEngine::activity_faults_injected() const {
-  return state_->activity_faults.load();
 }
 
 struct KillSwitch::State {

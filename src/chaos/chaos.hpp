@@ -43,12 +43,6 @@ struct VfsFaultProfile {
   /// tests target activity I/O while sparing the executor's own staging
   /// of input_1.txt/output_1.txt, which has no retry loop around it.
   std::string path_substring;
-  /// Byte-granular torn writes: with this probability a write/append is
-  /// cut at a random byte short of its end and fails with TornWriteError
-  /// — a partial record *smaller than one WAL frame*, which the throwing
-  /// fault hook above cannot express (it is all-or-nothing). The WAL
-  /// replay must truncate at the last intact frame.
-  double torn_write_probability = 0.0;
 };
 
 /// Thread-pool scheduling chaos: random pre-task delays and task-level
@@ -99,12 +93,6 @@ class ChaosEngine {
   /// on an injected fault so a retrying activation recovers normally.
   vfs::SharedFileSystem::FaultHook vfs_hook() const;
 
-  /// Hook for vfs::SharedFileSystem::set_torn_write_hook: cuts eligible
-  /// writes at a seed-deterministic byte offset (see
-  /// VfsFaultProfile::torn_write_probability). Returns nullptr when the
-  /// profile never tears.
-  vfs::SharedFileSystem::TornWriteHook torn_write_hook() const;
-
   /// Hook for ThreadPool::set_task_hook (delays sleep; exceptions throw
   /// ChaosInjectedError through the task's future).
   ThreadPool::TaskHook pool_hook() const;
@@ -120,10 +108,7 @@ class ChaosEngine {
 
   // ---- did chaos actually fire? (assertable by tests) ----
   long long vfs_faults_injected() const;
-  long long torn_writes_injected() const;
-  long long pool_delays_injected() const;
   long long pool_exceptions_injected() const;
-  long long activity_faults_injected() const;
 
  private:
   struct State;

@@ -6,16 +6,22 @@
 
 namespace scidock::cloud {
 
-VirtualCluster::VirtualCluster(Simulation& sim, Rng rng, ClusterOptions opts)
-    : sim_(sim), rng_(std::move(rng)), opts_(opts) {}
+namespace {
+constexpr double kBootLatencyMeanS = 75.0;   ///< EC2 instance start-up time
+constexpr double kBootLatencyJitterS = 20.0;
+constexpr double kPerformanceJitterSigma = 0.08;  ///< lognormal sigma around 1.0
+}  // namespace
+
+VirtualCluster::VirtualCluster(Simulation& sim, Rng rng)
+    : sim_(sim), rng_(std::move(rng)) {}
 
 long long VirtualCluster::acquire(const VmType& type) {
   VmInstance vm;
   vm.id = next_id_++;
   vm.type = type;
-  vm.performance_jitter = rng_.lognormal(0.0, opts_.performance_jitter_sigma);
-  const double boot = std::max(
-      1.0, rng_.normal(opts_.boot_latency_mean_s, opts_.boot_latency_jitter_s));
+  vm.performance_jitter = rng_.lognormal(0.0, kPerformanceJitterSigma);
+  const double boot =
+      std::max(1.0, rng_.normal(kBootLatencyMeanS, kBootLatencyJitterS));
   vm.boot_completed_at = sim_.now() + boot;
   instances_.push_back(vm);
   acquired_at_.push_back(sim_.now());

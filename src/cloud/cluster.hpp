@@ -14,15 +14,9 @@
 
 namespace scidock::cloud {
 
-struct ClusterOptions {
-  double boot_latency_mean_s = 75.0;   ///< EC2 instance start-up time
-  double boot_latency_jitter_s = 20.0;
-  double performance_jitter_sigma = 0.08;  ///< lognormal sigma around 1.0
-};
-
 class VirtualCluster {
  public:
-  VirtualCluster(Simulation& sim, Rng rng, ClusterOptions opts = {});
+  VirtualCluster(Simulation& sim, Rng rng);
 
   /// Request a new instance; it becomes usable after the boot latency.
   /// Returns the instance id immediately (the paper's asynchronous VM
@@ -50,7 +44,6 @@ class VirtualCluster {
 
   Simulation& sim_;
   Rng rng_;
-  ClusterOptions opts_;
   std::vector<VmInstance> instances_;
   std::vector<double> acquired_at_;  ///< parallel to instances_
   long long next_id_ = 1;

@@ -17,7 +17,6 @@ const std::vector<VmType> kCatalogue{
 
 const VmType& vm_type_m3_xlarge() { return kCatalogue[0]; }
 const VmType& vm_type_m3_2xlarge() { return kCatalogue[1]; }
-const VmType& vm_type_t1_micro() { return kCatalogue[2]; }
 
 const std::vector<VmType>& vm_catalogue() { return kCatalogue; }
 

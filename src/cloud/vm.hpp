@@ -22,11 +22,11 @@ struct VmType {
   bool operator==(const VmType&) const = default;
 };
 
-/// Table 1: the two instance types the paper used, plus the micro type it
-/// mentions for completeness of the catalogue.
+/// Table 1: the two instance types the paper used.
 const VmType& vm_type_m3_xlarge();
 const VmType& vm_type_m3_2xlarge();
-const VmType& vm_type_t1_micro();
+/// The catalogue: both m3 types plus the t1.micro type the paper mentions
+/// for completeness (reachable by name only).
 const std::vector<VmType>& vm_catalogue();
 /// Lookup by name; throws NotFoundError.
 const VmType& vm_type_by_name(std::string_view name);

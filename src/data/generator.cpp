@@ -90,7 +90,7 @@ Molecule make_receptor(std::string_view code, const GeneratorOptions& opts) {
       const Vec3 step = random_unit(rng) * 3.8;
       Vec3 candidate = pos + step;
       if (candidate.norm() > radius) candidate = candidate * (radius / candidate.norm());
-      if (candidate.norm() < opts.cavity_radius) continue;  // keep the pocket open
+      if (candidate.norm() < kCavityRadius) continue;  // keep the pocket open
       if (clashes(ca_trace, candidate, 3.4)) continue;
       pos = candidate;
       break;
@@ -131,7 +131,7 @@ Molecule make_receptor(std::string_view code, const GeneratorOptions& opts) {
   const int lining = 60 + residues;
   for (int k = 0; k < lining; ++k) {
     const Vec3 dir = random_unit(rng);
-    const Vec3 site = dir * (opts.cavity_radius + 1.3 + rng.uniform(0.0, 0.8));
+    const Vec3 site = dir * (kCavityRadius + 1.3 + rng.uniform(0.0, 0.8));
     const std::string res_name =
         kResidueNames[rng.below(std::size(kResidueNames))];
     Atom a;

@@ -31,9 +31,10 @@ struct GeneratorOptions {
   /// structures that hang preparation). Applied deterministically by code
   /// hash, so the same receptors are always affected.
   double hg_fraction = 0.03;
-  /// Binding-cavity radius carved at the receptor centre, Å.
-  double cavity_radius = 6.0;
 };
+
+/// Binding-cavity radius carved at the receptor centre, Å.
+inline constexpr double kCavityRadius = 6.0;
 
 /// Deterministic receptor for a PDB code. The molecule has residues with
 /// backbone + side-chain atoms, occasional HETATM waters, and (for the

@@ -4,22 +4,30 @@
 #include <chrono>
 #include <cmath>
 #include <sstream>
+#include <utility>
 
 #include "util/error.hpp"
 #include "util/strings.hpp"
 
 namespace scidock::dock {
 
+namespace {
+constexpr double kCutoff = 8.0;  ///< Å interaction cutoff (AutoGrid's NBC)
+// The LUT domain ends at lut::kCutoff; a wider neighbour cutoff would
+// hand the interpolator out-of-domain squared distances.
+static_assert(kCutoff <= lut::kCutoff,
+              "AutoGrid cutoff exceeds the energy-LUT domain");
+/// Screening GPF canonicalisation: half-extent floor and rounding step, Å.
+constexpr double kScreeningMinHalfExtent = 12.0;
+constexpr double kScreeningQuantum = 4.0;
+}  // namespace
+
 GridMapCalculator::GridMapCalculator(const mol::Molecule& receptor,
-                                     AutogridOptions opts)
-    : receptor_(receptor), opts_(opts),
-      tables_(Ad4PairTables::shared(opts.weights)),
-      neighbors_(receptor, opts.cutoff) {
+                                     SlabObserver slab_observer)
+    : receptor_(receptor), slab_observer_(std::move(slab_observer)),
+      tables_(Ad4PairTables::shared(Ad4Weights{})),
+      neighbors_(receptor, kCutoff) {
   SCIDOCK_ASSERT_MSG(receptor.perceived(), "prepare the receptor before AutoGrid");
-  // The LUT domain ends at lut::kCutoff; a wider neighbour cutoff would
-  // hand the interpolator out-of-domain squared distances.
-  SCIDOCK_ASSERT_MSG(opts.cutoff <= lut::kCutoff,
-                     "AutoGrid cutoff exceeds the energy-LUT domain");
   const int n = receptor.atom_count();
   charge_.reserve(static_cast<std::size_t>(n));
   volume_.reserve(static_cast<std::size_t>(n));
@@ -93,10 +101,10 @@ GridMapSet GridMapCalculator::calculate(
       }
     }
 
-    if (opts_.slab_observer) {
-      opts_.slab_observer(iz, std::chrono::duration<double>(
-                                  std::chrono::steady_clock::now() - t0)
-                                  .count());
+    if (slab_observer_) {
+      slab_observer_(iz, std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count());
     }
   }
   return set;
@@ -177,15 +185,14 @@ GridParameterFile make_gpf(const mol::Molecule& receptor,
 
 GridParameterFile make_screening_gpf(const mol::Molecule& receptor,
                                      const mol::Molecule& ligand,
-                                     double box_padding, double spacing,
-                                     double min_half_extent, double quantum) {
+                                     double box_padding, double spacing) {
   GridParameterFile gpf = make_gpf(receptor, ligand, box_padding, spacing);
   double half_extent =
       std::max(ligand.radius_of_gyration() * 2.0 + box_padding, 8.0);
-  // Canonicalise: floor + round up to the quantum so every drug-like
+  // Canonicalise: floor + round up to the step so every drug-like
   // ligand of a campaign lands on the same box for a given receptor.
-  half_extent = std::max(half_extent, min_half_extent);
-  half_extent = std::ceil(half_extent / quantum) * quantum;
+  half_extent = std::max(half_extent, kScreeningMinHalfExtent);
+  half_extent = std::ceil(half_extent / kScreeningQuantum) * kScreeningQuantum;
   gpf.box = GridBox::around(receptor.center(), half_extent, spacing);
   gpf.ligand_types = screening_ligand_types();
   return gpf;

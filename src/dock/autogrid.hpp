@@ -22,19 +22,16 @@
 
 namespace scidock::dock {
 
-struct AutogridOptions {
-  double cutoff = 8.0;  ///< Å interaction cutoff (AutoGrid's NBC)
-  Ad4Weights weights{};
-  /// Called after each z-slab finishes with (slab index, wall seconds).
-  /// The scidock AutoGrid stage installs one that feeds the obs
-  /// metrics/trace layer.
-  std::function<void(int iz, double seconds)> slab_observer;
-};
+/// Called after each z-slab finishes with (slab index, wall seconds). The
+/// scidock AutoGrid stage installs one that feeds the obs metrics/trace
+/// layer.
+using SlabObserver = std::function<void(int iz, double seconds)>;
 
 class GridMapCalculator {
  public:
   /// `receptor` must be prepared (typed + charged).
-  GridMapCalculator(const mol::Molecule& receptor, AutogridOptions opts = {});
+  explicit GridMapCalculator(const mol::Molecule& receptor,
+                             SlabObserver slab_observer = nullptr);
 
   /// Compute maps over `box` for the given ligand atom types.
   GridMapSet calculate(const GridBox& box,
@@ -42,7 +39,7 @@ class GridMapCalculator {
 
  private:
   const mol::Molecule& receptor_;
-  AutogridOptions opts_;
+  SlabObserver slab_observer_;
   std::shared_ptr<const Ad4PairTables> tables_;
   NeighborList neighbors_;
   /// Receptor-side factors hoisted out of the per-point kernel, indexed
@@ -73,17 +70,15 @@ GridParameterFile make_gpf(const mol::Molecule& receptor,
                            double box_padding = 6.0, double spacing = 0.375);
 
 /// Screening-campaign variant of make_gpf: the box half-extent is raised
-/// to at least `min_half_extent` and rounded up to a multiple of
-/// `quantum`, and the type set covers every supported AutoDock type. Any
-/// drug-like ligand of the campaign then maps to the *same* GPF for a
-/// given receptor, which is what makes receptor-level grid-map reuse
+/// to at least 12 Å and rounded up to a multiple of 4 Å, and the type set
+/// covers every supported AutoDock type. Any drug-like ligand of the
+/// campaign then maps to the *same* GPF for a given receptor, which is
+/// what makes receptor-level grid-map reuse
 /// (ArtifactCache::get_or_compute_maps) hit across ligands.
 GridParameterFile make_screening_gpf(const mol::Molecule& receptor,
                                      const mol::Molecule& ligand,
                                      double box_padding = 6.0,
-                                     double spacing = 0.375,
-                                     double min_half_extent = 12.0,
-                                     double quantum = 4.0);
+                                     double spacing = 0.375);
 
 /// All supported AutoDock types (the screening GPF's ligand_types).
 const std::vector<mol::AdType>& screening_ligand_types();

@@ -88,13 +88,14 @@ DockingResult VinaEngine::dock(const mol::PreparedReceptor& receptor,
 
 DockingResult redock(const mol::PreparedReceptor& receptor,
                      const mol::PreparedLigand& ligand,
-                     const Conformation& pose, Rng& rng,
-                     double box_half_extent, int refinement_steps) {
+                     const Conformation& pose, Rng& rng) {
+  constexpr double kBoxHalfExtent = 6.0;
+  constexpr int kRefinementSteps = 600;
   SCIDOCK_REQUIRE(pose.coords.size() ==
                       static_cast<std::size_t>(ligand.molecule.atom_count()),
                   "redock: pose does not match the ligand");
   const mol::Vec3 center = mol::centroid(pose.coords);
-  const GridBox box = GridBox::around(center, box_half_extent, 0.5);
+  const GridBox box = GridBox::around(center, kBoxHalfExtent, 0.5);
   VinaEnergyModel model(receptor, ligand, box);
 
   // Recover a pose parameterisation that lands on the docked coordinates:
@@ -107,7 +108,7 @@ DockingResult redock(const mol::PreparedReceptor& receptor,
   start.torsions.assign(
       static_cast<std::size_t>(ligand.torsions.torsion_count()), 0.0);
   double energy = 0.0;
-  DockPose refined = solis_wets(start, model, rng, refinement_steps, energy, 0.8);
+  DockPose refined = solis_wets(start, model, rng, kRefinementSteps, energy, 0.8);
 
   DockingResult result;
   result.receptor_name = receptor.molecule.name();

@@ -34,15 +34,15 @@ class VinaEngine : public DockingEngine {
 
 /// Redocking refinement (paper SS V.D: top interactions "should be refined
 /// and reinforced using alternative approaches, such as ... redocking"):
-/// restart the search from a previously docked pose inside a tighter box
-/// around it, at higher local-search effort. Only the pose's coordinates
-/// are needed (e.g. read back from an `_out.pdbqt`): the search restarts
-/// from the pose's centroid and re-derives orientation and torsions, so
-/// the refined FEB can land on either side of the screening value — a
-/// hit that survives refinement is "reinforced" in the paper's sense.
+/// restart the search from a previously docked pose inside a tight box
+/// around it (6 Å half-extent) with an intensified local search (600
+/// Solis-Wets steps). Only the pose's coordinates are needed (e.g. read
+/// back from an `_out.pdbqt`): the search restarts from the pose's
+/// centroid and re-derives orientation and torsions, so the refined FEB
+/// can land on either side of the screening value — a hit that survives
+/// refinement is "reinforced" in the paper's sense.
 DockingResult redock(const mol::PreparedReceptor& receptor,
                      const mol::PreparedLigand& ligand,
-                     const Conformation& pose, Rng& rng,
-                     double box_half_extent = 6.0, int refinement_steps = 400);
+                     const Conformation& pose, Rng& rng);
 
 }  // namespace scidock::dock

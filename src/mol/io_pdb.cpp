@@ -22,8 +22,7 @@ bool is_standard_residue(std::string_view res) {
 
 }  // namespace
 
-Molecule read_pdb(std::string_view text, std::string_view name,
-                  bool infer_bonds) {
+Molecule read_pdb(std::string_view text, std::string_view name) {
   Molecule m{std::string(name)};
   std::istringstream in{std::string(text)};
   std::string line;
@@ -65,7 +64,7 @@ Molecule read_pdb(std::string_view text, std::string_view name,
   if (m.atom_count() == 0) {
     throw ParseError("PDB", "no ATOM/HETATM records found");
   }
-  if (infer_bonds) m.infer_bonds_from_geometry();
+  m.infer_bonds_from_geometry();
   return m;
 }
 

@@ -11,10 +11,9 @@
 
 namespace scidock::mol {
 
-/// Parse PDB text. Bonds are inferred from geometry afterwards if
-/// `infer_bonds` is set (PDB carries CONECT only for hetero groups).
-Molecule read_pdb(std::string_view text, std::string_view name = "",
-                  bool infer_bonds = true);
+/// Parse PDB text. Bonds are inferred from geometry afterwards (PDB
+/// carries CONECT only for hetero groups).
+Molecule read_pdb(std::string_view text, std::string_view name = "");
 
 /// Serialise to PDB text (ATOM/HETATM + TER + END).
 std::string write_pdb(const Molecule& m);

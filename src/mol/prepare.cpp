@@ -40,13 +40,12 @@ PreparedLigand prepare_ligand(Molecule ligand) {
   return PreparedLigand{std::move(ligand), std::move(tree), std::move(pdbqt)};
 }
 
-PreparedReceptor prepare_receptor(Molecule receptor,
-                                  const ReceptorPrepareOptions& opts) {
+PreparedReceptor prepare_receptor(Molecule receptor) {
   SCIDOCK_REQUIRE(receptor.atom_count() > 0, "empty receptor");
   Molecule cleaned = strip_waters(receptor);
   SCIDOCK_REQUIRE(cleaned.atom_count() > 0, "receptor is all water");
   cleaned.perceive();
-  if (opts.reject_unparameterised_atoms && !cleaned.fully_parameterised()) {
+  if (!cleaned.fully_parameterised()) {
     throw ActivityError("prepare_receptor: receptor '" + cleaned.name() +
                         "' contains unparameterised atoms (e.g. Hg); the "
                         "real tools hang on these structures");

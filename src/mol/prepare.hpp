@@ -29,18 +29,12 @@ struct PreparedReceptor {
 /// the ligand contains atoms the force field cannot parameterise.
 PreparedLigand prepare_ligand(Molecule ligand);
 
-struct ReceptorPrepareOptions {
-  /// The paper found receptors containing Hg put the real preparation
-  /// tools into an infinite "looping state"; when this flag is set we
-  /// reject them up-front instead (the routine the authors added to
-  /// SciCumulus after diagnosing the hang via provenance queries).
-  bool reject_unparameterised_atoms = true;
-};
-
 /// Prepare a receptor: strip waters, assign charges/types, emit rigid
-/// PDBQT. Throws ActivityError on unparameterised atoms (e.g. Hg) when
-/// rejection is enabled.
-PreparedReceptor prepare_receptor(Molecule receptor,
-                                  const ReceptorPrepareOptions& opts = {});
+/// PDBQT. Throws ActivityError on unparameterised atoms (e.g. Hg): the
+/// paper found receptors containing Hg put the real preparation tools
+/// into an infinite "looping state", so they are rejected up-front (the
+/// routine the authors added to SciCumulus after diagnosing the hang via
+/// provenance queries).
+PreparedReceptor prepare_receptor(Molecule receptor);
 
 }  // namespace scidock::mol

@@ -160,7 +160,7 @@ ProvenanceStore::ProvenanceStore(ProvenanceStoreOptions options)
   recovery_.shards = shards_.size();
   if (durable()) {
     recover();
-    if (options_.group_commit) start_flusher();
+    start_flusher();
   }
 }
 
@@ -267,37 +267,14 @@ void ProvenanceStore::log_record(Shard& shard, const WalRecord& r) {
   if (!durable()) return;
   const std::string frame = wal::encode_record(r);
   records_logged_.fetch_add(1, std::memory_order_relaxed);
-  if (options_.group_commit) {
-    shard.pending += frame;
-    ++shard.pending_records;
-    pending_bytes_total_.fetch_add(static_cast<long long>(frame.size()),
-                                   std::memory_order_relaxed);
-    return;
-  }
-  // Synchronous mode: the record is durable before the call returns.
-  const std::size_t rotations_before = shard.writer->rotations();
-  try {
-    shard.writer->append(frame, 0.0);
-    shard.writer->sync();
-  } catch (...) {
-    crashed_.store(true, std::memory_order_release);
-    throw;
-  }
-  const auto rotated = static_cast<long long>(shard.writer->rotations() -
-                                              rotations_before);
-  records_durable_.fetch_add(1, std::memory_order_relaxed);
-  bytes_durable_.fetch_add(static_cast<long long>(frame.size()),
-                           std::memory_order_relaxed);
-  if (rotated > 0) {
-    rotations_total_.fetch_add(rotated, std::memory_order_relaxed);
-    bump(rates_.wal_rotations, rotated);
-  }
-  bump(rates_.wal_records);
-  bump(rates_.wal_bytes, static_cast<long long>(frame.size()));
+  shard.pending += frame;
+  ++shard.pending_records;
+  pending_bytes_total_.fetch_add(static_cast<long long>(frame.size()),
+                                 std::memory_order_relaxed);
 }
 
 void ProvenanceStore::after_record() {
-  if (!durable() || !options_.group_commit) return;
+  if (!durable()) return;
   const long long pending = pending_bytes_total_.load(std::memory_order_relaxed);
   if (obs::Gauge* g = rates_.wal_pending_bytes.load(std::memory_order_relaxed)) {
     g->set(static_cast<double>(pending));
@@ -690,7 +667,7 @@ DurabilityStats ProvenanceStore::durability_stats() const {
 
 void ProvenanceStore::flush() {
   ensure_writable();
-  if (!durable() || !options_.group_commit) return;
+  if (!durable()) return;
   MutexLock lock(flusher_mutex_);
   const long long ticket = ++flush_tickets_;
   flusher_cv_.notify_one();

@@ -23,10 +23,10 @@
 /// hvalue) are partitioned by hash(taskid); dimension tables (hworkflow,
 /// hactivity, hmachine) are replicated into every shard so per-shard
 /// joins are complete. With a VFS attached, every mutation is framed
-/// into a per-shard write-ahead log (prov/wal.hpp) — batched by a group
-/// -commit flusher thread or written synchronously — and reopening the
-/// same directory rebuilds the store by replay, truncating any torn
-/// tail the chaos harness (or a real crash) left behind.
+/// into a per-shard write-ahead log (prov/wal.hpp), batched by a group
+/// -commit flusher thread, and reopening the same directory rebuilds the
+/// store by replay, truncating any torn tail the chaos harness (or a real
+/// crash) left behind.
 
 #include <atomic>
 #include <cstddef>
@@ -82,10 +82,8 @@ struct ProvenanceStoreOptions {
   vfs::SharedFileSystem* vfs = nullptr;
   /// WAL root; shard k logs under `<wal_dir>/shard-<k>/`.
   std::string wal_dir = "/prov";
-  /// true: a dedicated flusher thread batches frames and commits them
-  /// in groups (sustained-ingest mode). false: every record is appended
-  /// and synced inline before the recording call returns.
-  bool group_commit = true;
+  // A dedicated flusher thread batches frames and commits them in
+  // groups; flush() makes everything recorded so far durable.
   /// Flusher heartbeat: a commit happens at least this often while
   /// records are pending.
   int group_commit_interval_ms = 2;
@@ -209,8 +207,7 @@ class ProvenanceStore {
 
  private:
   /// One shard: a database partition plus its WAL buffer. `writer` is
-  /// touched only by the flusher thread (group commit) or under `mutex`
-  /// (synchronous mode), never both.
+  /// touched only by the flusher thread.
   struct Shard {
     Mutex mutex{"prov.shard"};
     sql::Database db SCIDOCK_GUARDED_BY(mutex);
@@ -254,9 +251,8 @@ class ProvenanceStore {
   /// the table underneath it. Caller holds the shard lock.
   sql::Row* find_activation(Shard& shard, long long taskid);
 
-  /// Frame `record` into the shard's WAL: buffered for the flusher
-  /// (group commit) or appended + synced inline. Caller holds the shard
-  /// lock. No-op when no VFS is attached.
+  /// Frame `record` into the shard's WAL buffer for the flusher. Caller
+  /// holds the shard lock. No-op when no VFS is attached.
   void log_record(Shard& shard, const wal::WalRecord& record);
   /// Post-record hook (outside the shard lock): wakes the flusher when
   /// the pending buffer crossed the group-commit threshold.

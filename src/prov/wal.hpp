@@ -90,9 +90,8 @@ ShardReplay replay_shard(vfs::SharedFileSystem& fs, const std::string& dir,
 
 /// Appends frames to the active `seg-NNNNNN.wal.open` segment under
 /// `dir`, sealing it (sync + rename to `.wal`) and starting the next one
-/// whenever the size limit is reached. Not thread-safe: the provenance
-/// store serialises access per shard (group-commit flusher or the
-/// recording thread in synchronous mode).
+/// whenever the size limit is reached. Not thread-safe: only the
+/// provenance store's group-commit flusher drives it.
 class SegmentWriter {
  public:
   SegmentWriter(vfs::SharedFileSystem& fs, std::string dir,
@@ -107,8 +106,6 @@ class SegmentWriter {
   void sync();
 
   std::size_t rotations() const { return rotations_; }
-  std::size_t active_bytes() const { return active_bytes_; }
-  const std::string& active_path() const { return active_path_; }
 
  private:
   void seal_active(double now);

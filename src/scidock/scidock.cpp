@@ -56,11 +56,6 @@ ArtifactCache::MapsPtr ArtifactCache::maps(const std::string& key) {
   return it == maps_.end() ? nullptr : it->second;
 }
 
-void ArtifactCache::put_maps(const std::string& key, dock::GridMapSet value) {
-  MutexLock lock(mutex_);
-  maps_[key] = std::make_shared<dock::GridMapSet>(std::move(value));
-}
-
 void ArtifactCache::alias_maps(const std::string& key, MapsPtr value) {
   MutexLock lock(mutex_);
   maps_[key] = std::move(value);
@@ -270,7 +265,7 @@ wf::Pipeline build_scidock_pipeline(const ScidockOptions& opts,
 
         // Kernel observability: per-slab counter/histogram plus a trace
         // span per slab so the trace shows the AutoGrid fan-out shape.
-        dock::AutogridOptions agopts;
+        dock::SlabObserver slab_observer;
         obs::Counter* slabs = nullptr;
         obs::HistogramMetric* slab_seconds = nullptr;
         obs::Counter* mapsets = nullptr;
@@ -282,8 +277,8 @@ wf::Pipeline build_scidock_pipeline(const ScidockOptions& opts,
         }
         if (slabs != nullptr || ctx.obs.trace != nullptr) {
           obs::TraceRecorder* trace = ctx.obs.trace;
-          agopts.slab_observer = [slabs, slab_seconds, trace](int iz,
-                                                             double seconds) {
+          slab_observer = [slabs, slab_seconds, trace](int iz,
+                                                      double seconds) {
             if (slabs != nullptr) slabs->inc();
             if (slab_seconds != nullptr) slab_seconds->observe(seconds);
             if (trace != nullptr) {
@@ -297,7 +292,7 @@ wf::Pipeline build_scidock_pipeline(const ScidockOptions& opts,
         }
 
         const auto compute = [&]() {
-          const dock::GridMapCalculator calc(rec->molecule, agopts);
+          const dock::GridMapCalculator calc(rec->molecule, slab_observer);
           dock::GridMapSet maps = calc.calculate(gpf.box, gpf.ligand_types);
           // Counted at compute time (not activation end): a computation
           // whose activation later fails still happened, so the checker's

@@ -85,7 +85,6 @@ class ArtifactCache {
   std::shared_ptr<const mol::PreparedReceptor> receptor(const std::string& key);
   void put_receptor(const std::string& key, mol::PreparedReceptor value);
   MapsPtr maps(const std::string& key);
-  void put_maps(const std::string& key, dock::GridMapSet value);
   /// Register an additional name for an existing map set (the AutoGrid
   /// stage aliases its per-pair maps_prefix to the shared canonical set).
   void alias_maps(const std::string& key, MapsPtr value);

@@ -23,11 +23,16 @@
 // store; the run is then replayed from the WAL into a second store and
 // the two content digests must match before the command's output is
 // served — a crash-recovery self-check on every invocation).
+//
+// Numeric flags (--receptors, --threads, --pairs, --prov-shards and each
+// --cores entry) must be positive integers; anything else prints the
+// error and the usage and exits 2 before any work starts.
 
 #include <algorithm>
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -41,6 +46,7 @@
 #include "obs/obs.hpp"
 #include "scidock/analysis.hpp"
 #include "scidock/experiment.hpp"
+#include "util/error.hpp"
 #include "util/lockdep.hpp"
 #include "util/strings.hpp"
 #include "vfs/vfs.hpp"
@@ -76,6 +82,33 @@ std::string flag(const std::vector<std::string>& args, const std::string& name,
     if (args[i] == "--" + name) return args[i + 1];
   }
   return fallback;
+}
+
+/// A malformed command line; main prints it with the usage and exits 2.
+class UsageError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
+/// `text` as an integer > 0; throws UsageError naming `--name` otherwise.
+int positive_int(const std::string& text, const std::string& name) {
+  long long value = 0;
+  try {
+    value = parse_int(text, name);
+  } catch (const ParseError&) {
+    // value stays 0 and is rejected below, with the flag's name.
+  }
+  if (value <= 0 || value > INT_MAX) {
+    throw UsageError("--" + name + " needs a positive integer, got '" + text +
+                     "'");
+  }
+  return static_cast<int>(value);
+}
+
+/// Value of `--name` (or fallback) as an integer > 0; see positive_int.
+int positive_flag(const std::vector<std::string>& args, const std::string& name,
+                  const std::string& fallback) {
+  return positive_int(flag(args, name, fallback), name);
 }
 
 /// Presence of a valueless `--name` switch.
@@ -196,8 +229,8 @@ int cmd_dock(const std::vector<std::string>& args) {
 }
 
 int cmd_screen(const std::vector<std::string>& args) {
-  const int n = std::atoi(flag(args, "receptors", "24").c_str());
-  const int threads = std::atoi(flag(args, "threads", "2").c_str());
+  const int n = positive_flag(args, "receptors", "24");
+  const int threads = positive_flag(args, "threads", "2");
   core::ScidockOptions options;
   options.engine_mode = engine_mode(flag(args, "engine", "auto"));
   const std::vector<std::string> receptors(
@@ -252,18 +285,17 @@ int cmd_screen(const std::vector<std::string>& args) {
 }
 
 int cmd_sweep(const std::vector<std::string>& args) {
-  const int pairs = std::atoi(flag(args, "pairs", "9996").c_str());
+  const int pairs = positive_flag(args, "pairs", "9996");
+  std::vector<int> core_counts;
+  for (const std::string& spec :
+       split(flag(args, "cores", "2,4,8,16,32,64,128"), ',')) {
+    core_counts.push_back(positive_int(spec, "cores"));
+  }
   core::ScidockOptions options;
   options.engine_mode = engine_mode(flag(args, "engine", "ad4"));
   core::Experiment exp = core::make_experiment(
       data::table2_receptors(), data::table2_ligands(),
       static_cast<std::size_t>(pairs), options);
-  std::vector<int> core_counts;
-  for (const std::string& spec :
-       split(flag(args, "cores", "2,4,8,16,32,64,128"), ',')) {
-    const int cores = std::atoi(spec.c_str());
-    if (cores > 0) core_counts.push_back(cores);
-  }
   ObsSinks sinks = obs_sinks(args);
   std::printf("%6s %14s %10s\n", "cores", "TET", "cost");
   double tet2 = 0.0;
@@ -294,13 +326,13 @@ int cmd_sweep(const std::vector<std::string>& args) {
 /// second store, digests must match) before `fn` sees the data.
 template <typename F>
 int with_provenance(const std::vector<std::string>& args, F&& fn) {
-  const int pairs = std::atoi(flag(args, "pairs", "200").c_str());
-  const int shards = std::atoi(flag(args, "prov-shards", "1").c_str());
+  const int pairs = positive_flag(args, "pairs", "200");
+  const int shards = positive_flag(args, "prov-shards", "1");
   const std::string prov_dir = flag(args, "prov-dir", "");
   core::Experiment exp = core::make_experiment(
       data::table2_receptors(), data::table2_ligands(),
       static_cast<std::size_t>(pairs), {});
-  if (shards <= 1 && prov_dir.empty()) {
+  if (shards == 1 && prov_dir.empty()) {
     prov::ProvenanceStore store;
     core::run_simulated(exp, 16, &store);
     return fn(store);
@@ -308,7 +340,7 @@ int with_provenance(const std::vector<std::string>& args, F&& fn) {
 
   vfs::SharedFileSystem fs;
   prov::ProvenanceStoreOptions options;
-  options.shard_count = static_cast<std::size_t>(std::max(shards, 1));
+  options.shard_count = static_cast<std::size_t>(shards);
   options.wal_dir = prov_dir.empty() ? "/prov" : prov_dir;
   if (!prov_dir.empty()) options.vfs = &fs;
   std::string digest;
@@ -368,6 +400,9 @@ int main(int argc, char** argv) {
       std::printf("%s", wf::save_spec(core::scidock_workflow_def()).c_str());
       return 0;
     }
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "scidock_cli: %s\n", e.what());
+    return usage();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "scidock_cli: %s\n", e.what());
     return 1;

@@ -1,6 +1,5 @@
 #include "util/logging.hpp"
 
-#include <atomic>
 #include <cstdio>
 
 #include "util/thread_annotations.hpp"
@@ -8,29 +7,12 @@
 namespace scidock {
 
 namespace {
-std::atomic<int> g_level{static_cast<int>(LogLevel::Warn)};
 Mutex g_sink_mutex{"log.sink"};  ///< serialises whole lines onto stderr
-
-const char* level_name(LogLevel level) {
-  switch (level) {
-    case LogLevel::Debug: return "DEBUG";
-    case LogLevel::Info: return "INFO";
-    case LogLevel::Warn: return "WARN";
-    case LogLevel::Error: return "ERROR";
-    case LogLevel::Off: return "OFF";
-  }
-  return "?";
-}
 }  // namespace
 
-void set_log_level(LogLevel level) { g_level = static_cast<int>(level); }
-
-LogLevel log_level() { return static_cast<LogLevel>(g_level.load()); }
-
-void log_message(LogLevel level, const std::string& message) {
+void log_warning(const std::string& message) {
   MutexLock lock(g_sink_mutex);
-  std::fprintf(stderr, "[scidock %-5s] %s\n", level_name(level),
-               message.c_str());
+  std::fprintf(stderr, "[scidock WARN ] %s\n", message.c_str());
 }
 
 }  // namespace scidock

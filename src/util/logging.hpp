@@ -1,36 +1,17 @@
 #pragma once
 
 /// \file logging.hpp
-/// Minimal leveled logger. Thread-safe; writes to stderr. The default level
-/// is Warn so tests and benches stay quiet unless something is wrong.
+/// The warning sink. Thread-safe; writes whole lines to stderr.
 
 #include <string>
 
-#include "util/strings.hpp"  // strformat, used by the SCIDOCK_LOG_* macros
+#include "util/strings.hpp"  // strformat, used by SCIDOCK_LOG_WARN
 
 namespace scidock {
 
-enum class LogLevel { Debug = 0, Info = 1, Warn = 2, Error = 3, Off = 4 };
-
-/// Process-wide minimum level.
-void set_log_level(LogLevel level);
-LogLevel log_level();
-
-/// Core sink; prefer the SCIDOCK_LOG_* macros which skip argument
-/// formatting when the level is disabled.
-void log_message(LogLevel level, const std::string& message);
+/// Core sink; prefer SCIDOCK_LOG_WARN, which formats its arguments.
+void log_warning(const std::string& message);
 
 }  // namespace scidock
 
-#define SCIDOCK_LOG_AT(level, ...)                                   \
-  do {                                                               \
-    if (static_cast<int>(level) >=                                   \
-        static_cast<int>(::scidock::log_level())) {                  \
-      ::scidock::log_message(level, ::scidock::strformat(__VA_ARGS__)); \
-    }                                                                \
-  } while (false)
-
-#define SCIDOCK_LOG_DEBUG(...) SCIDOCK_LOG_AT(::scidock::LogLevel::Debug, __VA_ARGS__)
-#define SCIDOCK_LOG_INFO(...) SCIDOCK_LOG_AT(::scidock::LogLevel::Info, __VA_ARGS__)
-#define SCIDOCK_LOG_WARN(...) SCIDOCK_LOG_AT(::scidock::LogLevel::Warn, __VA_ARGS__)
-#define SCIDOCK_LOG_ERROR(...) SCIDOCK_LOG_AT(::scidock::LogLevel::Error, __VA_ARGS__)
+#define SCIDOCK_LOG_WARN(...) ::scidock::log_warning(::scidock::strformat(__VA_ARGS__))

@@ -7,14 +7,18 @@
 
 namespace scidock::wf {
 
+namespace {
+/// A VM whose slowdown() is at most this is considered "fast".
+constexpr double kFastVmThreshold = 1.0;
+}  // namespace
+
 std::size_t GreedyCostScheduler::pick_impl(
     const std::vector<PendingActivation>& queue, const cloud::VmInstance& vm) {
   SCIDOCK_ASSERT(!queue.empty());
   // Re-executions first: the paper's fault tolerance resubmits failed
   // activations promptly rather than appending them to the tail.
   std::size_t best = 0;
-  bool best_retry = queue[0].attempts > 0;
-  const bool fast_vm = vm.slowdown() <= fast_vm_threshold;
+  const bool fast_vm = vm.slowdown() <= kFastVmThreshold;
   auto better = [&](std::size_t a, std::size_t b) {
     // true if queue[a] should be preferred over queue[b]
     const bool ra = queue[a].attempts > 0;
@@ -24,12 +28,8 @@ std::size_t GreedyCostScheduler::pick_impl(
     return queue[a].expected_cost_s < queue[b].expected_cost_s;
   };
   for (std::size_t i = 1; i < queue.size(); ++i) {
-    if (better(i, best)) {
-      best = i;
-      best_retry = queue[i].attempts > 0;
-    }
+    if (better(i, best)) best = i;
   }
-  (void)best_retry;
   return best;
 }
 

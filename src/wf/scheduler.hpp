@@ -72,9 +72,6 @@ class GreedyCostScheduler : public Scheduler {
  public:
   std::string name() const override { return "greedy-cost"; }
 
-  /// A VM whose slowdown() is below this is considered "fast".
-  double fast_vm_threshold = 1.0;
-
  protected:
   std::size_t pick_impl(const std::vector<PendingActivation>& queue,
                         const cloud::VmInstance& vm) override;

@@ -4,15 +4,16 @@
 #include <cmath>
 
 #include "util/error.hpp"
-#include "util/logging.hpp"
+#include "vfs/vfs.hpp"
 
 namespace scidock::wf {
 
-double SimReport::mean_activation_seconds() const {
-  RunningStats all;
-  for (const auto& [tag, stats] : per_activity_seconds) all.merge(stats);
-  return all.mean();
-}
+namespace {
+/// Stage-in/out volume of an activity without an `io_bytes` entry.
+constexpr std::size_t kDefaultIoBytes = 256 * 1024;
+/// Prices stage-in/out on the shared filesystem.
+constexpr vfs::LatencyModel kSharedFs{};
+}  // namespace
 
 std::vector<cloud::VmType> m3_fleet_for_cores(int virtual_cores) {
   SCIDOCK_REQUIRE(virtual_cores >= 1, "need at least one core");
@@ -134,7 +135,7 @@ SimReport SimulatedExecutor::run(const Relation& input,
 
   auto io_bytes_for = [&](const std::string& tag) -> std::size_t {
     const auto it = options_.io_bytes.find(tag);
-    return it == options_.io_bytes.end() ? options_.default_io_bytes : it->second;
+    return it == options_.io_bytes.end() ? kDefaultIoBytes : it->second;
   };
 
   auto on_complete = [&](long long act_id, long long vm_id,
@@ -258,24 +259,17 @@ SimReport SimulatedExecutor::run(const Relation& input,
       const Stage& st = pipeline_.stage(pa.activity_tag);
       const Tuple& tup = tuple_of(tuple_idx);
 
-      double overhead = 0.0;
-      if (options_.charge_scheduler_overhead) {
-        const double planning = cost_model_.scheduling_overhead(
-            queue.size() + 1, static_cast<std::size_t>(cluster.alive_count()));
-        const double start_planning = std::max(sim.now(), scheduler_free_at);
-        scheduler_free_at = start_planning + planning;
-        // The slot idles from now until the serial scheduler finishes its
-        // plan for this activation.
-        overhead = scheduler_free_at - sim.now();
-        report.scheduling_overhead_s += overhead;
-      }
-      double staging = 0.0;
-      if (options_.charge_data_staging) {
-        const std::size_t bytes = io_bytes_for(pa.activity_tag);
-        staging = options_.fs_latency.read_cost(bytes) +
-                  options_.fs_latency.write_cost(bytes);
-        report.data_staging_s += staging;
-      }
+      const double planning = cost_model_.scheduling_overhead(
+          queue.size() + 1, static_cast<std::size_t>(cluster.alive_count()));
+      const double start_planning = std::max(sim.now(), scheduler_free_at);
+      scheduler_free_at = start_planning + planning;
+      // The slot idles from now until the serial scheduler finishes its
+      // plan for this activation.
+      const double overhead = scheduler_free_at - sim.now();
+      report.scheduling_overhead_s += overhead;
+      const std::size_t bytes = io_bytes_for(pa.activity_tag);
+      const double staging = kSharedFs.read_cost(bytes) + kSharedFs.write_cost(bytes);
+      report.data_staging_s += staging;
 
       const double scale = st.workload_scale ? st.workload_scale(tup) : 1.0;
       const double service =

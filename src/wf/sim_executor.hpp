@@ -37,8 +37,6 @@ struct SimExecutorOptions {
   /// aborted *before* execution instead of burning the hang timeout on
   /// every attempt. Ablation: set false to replay the pre-fix behaviour.
   bool preabort_hazards = true;
-  bool charge_scheduler_overhead = true;
-  bool charge_data_staging = true;
 
   /// Elasticity (off by default: the scaling figures use fixed fleets so
   /// core counts stay comparable).
@@ -49,10 +47,8 @@ struct SimExecutorOptions {
   cloud::VmType elastic_vm_type;   ///< type acquired when scaling up
 
   /// Per-activity stage-in/out volume (bytes) priced through the shared
-  /// filesystem latency model; keyed by activity tag, fallback `default`.
+  /// filesystem latency model; keyed by activity tag, 256 KiB otherwise.
   std::map<std::string, std::size_t> io_bytes;
-  std::size_t default_io_bytes = 256 * 1024;
-  vfs::LatencyModel fs_latency{};
 
   std::uint64_t seed = 42;
 
@@ -87,9 +83,6 @@ struct SimReport {
   int total_cores = 0;
   std::map<std::string, RunningStats> per_activity_seconds;
   std::vector<SimActivationRecord> records;
-
-  /// Mean duration across all finished activations.
-  double mean_activation_seconds() const;
 };
 
 class SimulatedExecutor {

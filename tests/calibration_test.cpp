@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "cloud/cost_model.hpp"
+#include "cloud/vm.hpp"
 #include "data/table2.hpp"
 #include "scidock/experiment.hpp"
 
@@ -78,6 +79,34 @@ TEST(Calibration, FailureRateNearTenPercent) {
       static_cast<double>(r.activations_failed) /
       static_cast<double>(r.activations_finished + r.activations_failed);
   EXPECT_NEAR(rate, 0.10, 0.03);
+}
+
+TEST(Calibration, ElasticAd4CampaignIsPinned) {
+  // Exact simulator output for a fixed seed. The elastic run reaches the
+  // cluster's boot-latency and VM-jitter draws, the greedy scheduler's
+  // fast-VM threshold, the serial scheduler's planning overhead and the
+  // shared-FS staging prices, so a drift in any of them moves these
+  // numbers. The elasticity controller ends the run on its tick, so the
+  // TET is a multiple of the 37 s period.
+  core::ScidockOptions options;
+  options.engine_mode = core::EngineMode::ForceAd4;
+  auto exp = core::make_experiment(data::table2_receptors(),
+                                   data::table2_ligands(), 300, options);
+  wf::SimExecutorOptions sim = core::default_sim_options(8, 7);
+  sim.elasticity = true;
+  sim.min_vms = 1;
+  sim.max_vms = 6;
+  sim.elastic_vm_type = cloud::vm_type_m3_2xlarge();
+  sim.elasticity_period_s = 37.0;
+  const wf::SimReport r = core::run_simulated(exp, 8, nullptr, sim);
+  EXPECT_DOUBLE_EQ(r.total_execution_time_s, 3108.0);
+  EXPECT_DOUBLE_EQ(r.scheduling_overhead_s, 2757.3169563533784);
+  EXPECT_DOUBLE_EQ(r.data_staging_s, 534.35230463999449);
+  EXPECT_DOUBLE_EQ(r.cloud_cost_usd, 5.4);
+  EXPECT_EQ(r.peak_alive_vms, 6);
+  EXPECT_EQ(r.activations_finished, 2304);
+  EXPECT_EQ(r.activations_failed, 244);
+  EXPECT_EQ(r.activations_hung, 29);
 }
 
 TEST(Calibration, ReceptorPrepAveragesTenSeconds) {

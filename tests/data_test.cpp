@@ -85,7 +85,7 @@ TEST(Generator, ReceptorHasOpenCavity) {
   // No protein atom intrudes into the cavity except lining jitter.
   int inside = 0;
   for (const mol::Atom& a : rec.atoms()) {
-    if (a.pos.norm() < opts.cavity_radius) ++inside;
+    if (a.pos.norm() < kCavityRadius) ++inside;
   }
   EXPECT_LT(inside, rec.atom_count() / 20);
 }

@@ -191,12 +191,20 @@ TEST(Autodock4Engine, DeterministicGivenSeed) {
 }
 
 TEST(Autodock4Engine, RejectsUnparameterisedInput) {
-  data::GeneratorOptions opts = tiny();
-  opts.hg_fraction = 1.0;
-  mol::ReceptorPrepareOptions prep_opts;
-  prep_opts.reject_unparameterised_atoms = false;  // let Hg through
-  mol::PreparedReceptor rec = mol::prepare_receptor(
-      data::make_receptor("1AIM", opts), prep_opts);
+  const data::GeneratorOptions opts = tiny();
+  // prepare_receptor rejects Hg itself, so slip an Hg ion into an
+  // already prepared receptor to reach the engine's own check.
+  mol::PreparedReceptor rec =
+      mol::prepare_receptor(data::make_receptor("1AIM", opts));
+  mol::Atom hg;
+  hg.element = mol::Element::Hg;
+  hg.name = "HG";
+  hg.residue_name = "HG";
+  hg.hetero = true;
+  hg.pos = rec.molecule.center();
+  rec.molecule.add_atom(hg);
+  rec.molecule.perceive();
+  ASSERT_FALSE(rec.molecule.fully_parameterised());
   mol::PreparedLigand lig = mol::prepare_ligand(data::make_ligand("042", opts));
   Autodock4Engine engine;
   Rng rng(1);

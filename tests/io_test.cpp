@@ -75,8 +75,7 @@ TEST(PdbIo, RejectsEmptyAndTruncated) {
 
 TEST(PdbIo, HetatmElementFromName) {
   const Molecule m = read_pdb(
-      "HETATM    1 HG    HG A   9      1.000   2.000   3.000  1.00  0.00\n",
-      "", false);
+      "HETATM    1 HG    HG A   9      1.000   2.000   3.000  1.00  0.00\n");
   EXPECT_EQ(m.atom(0).element, Element::Hg);
   EXPECT_TRUE(m.atom(0).hetero);
 }

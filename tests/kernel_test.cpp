@@ -188,15 +188,13 @@ data::GeneratorOptions tiny() {
 TEST(ParallelAutogrid, SlabObserverFiresOncePerSlab) {
   const mol::PreparedReceptor rec =
       mol::prepare_receptor(data::make_receptor("1OBS", tiny()));
-  AutogridOptions opts;
   std::atomic<int> slabs{0};
   std::atomic<bool> negative{false};
-  opts.slab_observer = [&](int iz, double seconds) {
+  const GridMapCalculator calc(rec.molecule, [&](int iz, double seconds) {
     (void)iz;
     slabs.fetch_add(1);
     if (seconds < 0.0) negative.store(true);
-  };
-  const GridMapCalculator calc(rec.molecule, opts);
+  });
   const GridBox box = GridBox::around(rec.molecule.center(), 6.0, 0.75);
   calc.calculate(box, {AdType::C});
   EXPECT_EQ(slabs.load(), box.npts[2]);

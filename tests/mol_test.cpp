@@ -416,9 +416,6 @@ TEST(Prepare, ReceptorRejectsHg) {
   Molecule m = ethanol();
   m.add_atom(make_atom(Element::Hg, {10, 0, 0}, "HG"));
   EXPECT_THROW(prepare_receptor(m), ActivityError);
-  ReceptorPrepareOptions opts;
-  opts.reject_unparameterised_atoms = false;
-  EXPECT_NO_THROW(prepare_receptor(m, opts));
 }
 
 TEST(Prepare, EmptyInputsRejected) {

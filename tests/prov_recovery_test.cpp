@@ -37,8 +37,12 @@ constexpr int kCampaignActivations = 150;
 
 /// Deterministic mixed workload: two activities, two machines, retried
 /// attempts, per-task files and values. Small enough to run ~30 times,
-/// large enough to span several 4 KiB segments per shard.
-void run_campaign(ProvenanceStore& store, int activations) {
+/// large enough to span several 4 KiB segments per shard. With
+/// `commit_dimensions_first`, the dimension records are flushed before
+/// any fact, so shard 0's first segment holds them however the flusher
+/// batches the rest.
+void run_campaign(ProvenanceStore& store, int activations,
+                  bool commit_dimensions_first = false) {
   store.record_machine(1, "std-large", 8, 1.0);
   store.record_machine(2, "std-xlarge", 16, 1.25);
   const long long wkf = store.begin_workflow(
@@ -49,6 +53,7 @@ void run_campaign(ProvenanceStore& store, int activations) {
                               "MAP");
   const long long filter =
       store.register_activity(wkf, "filter", "best-energy", "FILTER");
+  if (commit_dimensions_first) store.flush();
   double t = 1.0;
   for (int i = 0; i < activations; ++i) {
     const long long act = (i % 4 == 3) ? filter : dock;
@@ -74,12 +79,11 @@ void run_campaign(ProvenanceStore& store, int activations) {
 }
 
 ProvenanceStoreOptions durable_options(vfs::SharedFileSystem& fs,
-                                       std::size_t shards, bool group_commit) {
+                                       std::size_t shards) {
   ProvenanceStoreOptions options;
   options.shard_count = shards;
   options.vfs = &fs;
   options.wal_dir = "/prov";
-  options.group_commit = group_commit;
   options.group_commit_interval_ms = 1;
   options.group_commit_max_bytes = 2048;  // frequent commits under chaos
   options.segment_max_bytes = 4096;       // several rotations per shard
@@ -91,7 +95,6 @@ struct KillCase {
   int ordinal = 0;
   std::size_t keep_bytes = 0;
   std::size_t shards = 2;
-  bool group_commit = true;
 };
 
 std::string case_name(const KillCase& c) {
@@ -101,32 +104,29 @@ std::string case_name(const KillCase& c) {
                           : "rotate";
   return std::string(phase) + " ordinal=" + std::to_string(c.ordinal) +
          " keep=" + std::to_string(c.keep_bytes) +
-         " shards=" + std::to_string(c.shards) +
-         (c.group_commit ? " gc=on" : " gc=off");
+         " shards=" + std::to_string(c.shards);
 }
 
 /// The ≥30-point seed matrix: every KillPhase, several ordinals and tear
-/// offsets, 2 and 4 shards, group-commit and synchronous WAL modes.
+/// offsets, 2 and 4 shards.
 std::vector<KillCase> kill_matrix() {
   std::vector<KillCase> cases;
   for (std::size_t shards : {std::size_t{2}, std::size_t{4}}) {
-    for (bool gc : {true, false}) {
-      for (int ordinal : {0, 2, 5}) {
-        for (std::size_t keep : {std::size_t{0}, std::size_t{17}}) {
-          cases.push_back({chaos::KillPhase::Append, ordinal, keep, shards,
-                           gc});
-        }
+    for (int ordinal : {0, 2, 5, 8}) {
+      for (std::size_t keep :
+           {std::size_t{0}, std::size_t{17}, std::size_t{40}}) {
+        cases.push_back({chaos::KillPhase::Append, ordinal, keep, shards});
       }
     }
   }
-  for (bool gc : {true, false}) {
+  for (std::size_t shards : {std::size_t{2}, std::size_t{4}}) {
     for (int ordinal : {0, 3}) {
-      cases.push_back({chaos::KillPhase::GroupCommit, ordinal, 0, 2, gc});
+      cases.push_back({chaos::KillPhase::GroupCommit, ordinal, 0, shards});
     }
   }
   for (std::size_t shards : {std::size_t{2}, std::size_t{4}}) {
     for (int ordinal : {0, 1}) {
-      cases.push_back({chaos::KillPhase::Rotate, ordinal, 0, shards, true});
+      cases.push_back({chaos::KillPhase::Rotate, ordinal, 0, shards});
     }
   }
   return cases;
@@ -137,8 +137,7 @@ void run_kill_case(const KillCase& c) {
   chaos::KillSwitch kill({c.phase, c.ordinal, c.keep_bytes});
   fs.set_torn_write_hook(kill.torn_write_hook());
   fs.set_fault_hook(kill.fault_hook());
-  const ProvenanceStoreOptions options =
-      durable_options(fs, c.shards, c.group_commit);
+  const ProvenanceStoreOptions options = durable_options(fs, c.shards);
 
   // Phase 1: campaign until the kill point fires (or cleanly if the
   // ordinal is never reached — then recovery must reproduce the store
@@ -256,12 +255,14 @@ Victim find_victim(vfs::SharedFileSystem& fs) {
 }
 
 /// Build a clean multi-segment log, reopen once (baseline), and hand the
-/// filesystem to the corruption test.
+/// filesystem to the corruption test. The dimensions are committed first,
+/// so the victim (shard 0's last segment) holds facts only: dropping it
+/// leaves no orphans.
 std::size_t build_clean_log(const ProvenanceStoreOptions& options,
                             std::string* digest) {
   {
     ProvenanceStore store(options);
-    run_campaign(store, 120);
+    run_campaign(store, 120, /*commit_dimensions_first=*/true);
   }
   ProvenanceStore base(options);
   EXPECT_EQ(base.last_recovery().truncated_bytes, 0u);
@@ -274,7 +275,7 @@ TEST(ProvRecovery, WorkflowLevelFilesSurviveReopen) {
   // taskid 0: they belong to the workflow, not to an activation, and
   // recovery must keep them.
   vfs::SharedFileSystem fs;
-  const ProvenanceStoreOptions options = durable_options(fs, 2, true);
+  const ProvenanceStoreOptions options = durable_options(fs, 2);
   std::string live_digest;
   {
     ProvenanceStore store(options);
@@ -296,7 +297,7 @@ TEST(ProvRecovery, WorkflowLevelFilesSurviveReopen) {
 
 TEST(ProvRecovery, CorruptedTailTruncatesAtLastValidRecord) {
   vfs::SharedFileSystem fs;
-  const ProvenanceStoreOptions options = durable_options(fs, 2, false);
+  const ProvenanceStoreOptions options = durable_options(fs, 2);
   std::string base_digest;
   const std::size_t base_records = build_clean_log(options, &base_digest);
 
@@ -328,7 +329,7 @@ TEST(ProvRecovery, CorruptedTailTruncatesAtLastValidRecord) {
 
 TEST(ProvRecovery, CorruptedChecksumDropsFrameAndSuffix) {
   vfs::SharedFileSystem fs;
-  const ProvenanceStoreOptions options = durable_options(fs, 2, false);
+  const ProvenanceStoreOptions options = durable_options(fs, 2);
   std::string base_digest;
   const std::size_t base_records = build_clean_log(options, &base_digest);
 
