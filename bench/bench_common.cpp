@@ -4,7 +4,6 @@
 #include <cstdlib>
 
 #include "data/table2.hpp"
-#include "util/strings.hpp"
 
 namespace scidock::bench {
 
@@ -54,24 +53,6 @@ Sweep run_scaling_sweep(core::EngineMode mode, std::size_t pairs,
     sweep.points.push_back(pt);
   }
   return sweep;
-}
-
-std::string write_bench_json(const std::string& name,
-                             const std::vector<JsonField>& fields) {
-  const std::string path = "BENCH_" + name + ".json";
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench: cannot open %s\n", path.c_str());
-    return "";
-  }
-  std::fprintf(f, "{\n  \"bench\": \"%s\"", name.c_str());
-  for (const JsonField& field : fields) {
-    std::fprintf(f, ",\n  \"%s\": %s", field.key.c_str(),
-                 field.value.c_str());
-  }
-  std::fprintf(f, "\n}\n");
-  std::fclose(f);
-  return path;
 }
 
 int env_int(const char* name, int fallback) {

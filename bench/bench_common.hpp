@@ -40,24 +40,9 @@ struct Sweep {
 Sweep run_scaling_sweep(core::EngineMode mode, std::size_t pairs,
                         const std::vector<int>& cores, std::uint64_t seed = 42);
 
-/// Read an integer configuration knob from the environment (for scaling
-/// bench workloads up/down), with a default.
+/// Read a figure or table bench's workload size from the environment,
+/// with a default.
 int env_int(const char* name, int fallback);
-
-/// One field of a BENCH_*.json record. `value` is emitted verbatim, so it
-/// must already be valid JSON (a number, a quoted string, an array, ...).
-struct JsonField {
-  std::string key;
-  std::string value;
-};
-
-/// Emit the machine-readable perf-trajectory record for a bench run:
-/// writes `BENCH_<name>.json` in the current directory with a "bench"
-/// field plus `fields` in order, and returns the path written (empty on
-/// I/O failure). CI diffs these files across commits to track the perf
-/// trajectory.
-std::string write_bench_json(const std::string& name,
-                             const std::vector<JsonField>& fields);
 
 /// Section header in the bench output.
 void print_header(const std::string& title, const std::string& paper_ref);

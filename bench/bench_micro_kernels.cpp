@@ -4,14 +4,12 @@
 //
 // After the google-benchmark tables, main() runs the kernel perf report:
 // timed analytic-vs-LUT comparisons, fused-vs-separate map sampling, the
-// AutoGrid map-set time and the grid-map-reuse pipeline A/B, written to
-// BENCH_kernels.json with the acceptance gates enforced (LUT >= 3x on the
-// AD4 pair kernel; cache hit rate at the level the workload's
-// pair/receptor counts make attainable, with counters reconciled against
-// PROV-Wf by the chaos InvariantChecker).
-//
-// Knobs: SCIDOCK_KERNEL_RECEPTORS / SCIDOCK_KERNEL_LIGANDS shrink the
-// pipeline A/B workload for smoke runs.
+// AutoGrid map-set time and the grid-map-reuse pipeline A/B, with two
+// acceptance gates (LUT >= 3x on the AD4 pair kernel; grid-map reuse cuts
+// the AutoGrid stage by >= 30%). Wall-clock gates, so the binary runs
+// serially in `ci/check.sh perf`, never under `ctest -j`. The cache
+// counters the A/B prints are asserted exactly by the kernels and obs
+// test suites.
 
 #include <benchmark/benchmark.h>
 
@@ -26,7 +24,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "chaos/invariants.hpp"
 #include "data/generator.hpp"
 #include "data/table2.hpp"
 #include "dock/autogrid.hpp"
@@ -226,7 +223,7 @@ void BM_SolisWetsLocalSearch(benchmark::State& state) {
 BENCHMARK(BM_SolisWetsLocalSearch)->Unit(benchmark::kMicrosecond);
 
 // ------------------------------------------------------------------
-// Kernel perf report (BENCH_kernels.json) with acceptance gates.
+// Kernel perf report with acceptance gates.
 // ------------------------------------------------------------------
 
 /// Wall-time `body` (which evaluates `evals_per_rep` kernel calls),
@@ -290,6 +287,11 @@ std::vector<double> interleaved_ns_per_eval(
   return out;
 }
 
+// The pipeline A/B's screen: small enough for a quick serial run, with
+// every receptor's map set shared by all of its ligands.
+constexpr std::ptrdiff_t kPipelineReceptors = 3;
+constexpr std::ptrdiff_t kPipelineLigands = 8;
+
 struct PairSample {
   mol::AdType ti, tj;
   double qi, qj;
@@ -312,10 +314,9 @@ std::vector<PairSample> make_pair_samples() {
 }
 
 int run_kernel_report() {
-  using scidock::bench::env_int;
   bench::print_header("SciDock bench: docking kernels",
-                      "perf_opt acceptance: LUT >= 3x, cache hit rate >= "
-                      "(pairs - receptors) / pairs");
+                      "perf_opt acceptance: LUT >= 3x, AutoGrid stage -30% "
+                      "with grid-map reuse");
   int failures = 0;
   const auto gate = [&failures](bool ok, const char* what) {
     if (!ok) {
@@ -435,8 +436,8 @@ int run_kernel_report() {
                        strformat("%.0f ms", autogrid_serial_s * 1e3));
 
   // ---- pipeline A/B: grid-map reuse off vs on ---------------------
-  // Small structures so the default 10 x 42 campaign stays quick; the
-  // reuse machinery (canonical GPF -> single-flight cache) is identical.
+  // Small structures keep the screen quick; the reuse machinery
+  // (canonical GPF -> single-flight cache) is identical.
   core::ScidockOptions popts;
   popts.dataset.min_residues = 12;
   popts.dataset.max_residues = 30;
@@ -448,132 +449,44 @@ int run_kernel_report() {
   popts.vina_exhaustiveness = 1;
   popts.vina_steps_per_chain = 8;
   popts.grid_spacing = 0.8;  // coarser maps keep the reuse-off run quick
-  const auto& all_receptors = data::table2_receptors();
-  const auto& all_ligands = data::table2_ligands();
-  const auto n_receptors = static_cast<std::size_t>(std::min(
-      env_int("SCIDOCK_KERNEL_RECEPTORS", 10),
-      static_cast<int>(all_receptors.size())));
-  const auto n_ligands = static_cast<std::size_t>(
-      std::min(env_int("SCIDOCK_KERNEL_LIGANDS", 42),
-               static_cast<int>(all_ligands.size())));
   const std::vector<std::string> receptors(
-      all_receptors.begin(),
-      all_receptors.begin() + static_cast<std::ptrdiff_t>(n_receptors));
+      data::table2_receptors().begin(),
+      data::table2_receptors().begin() + kPipelineReceptors);
   const std::vector<std::string> ligands(
-      all_ligands.begin(),
-      all_ligands.begin() + static_cast<std::ptrdiff_t>(n_ligands));
+      data::table2_ligands().begin(),
+      data::table2_ligands().begin() + kPipelineLigands);
   const int threads = 8;
 
-  // One executor round, replicating core::run_native but keeping the
-  // executor options so the chaos checker can reconcile the run.
-  const auto run = [&](bool reuse, obs::Observability obs,
-                       wf::NativeExecutorOptions* xopts_out,
-                       std::size_t* input_tuples) {
+  const auto run = [&](bool reuse, obs::Observability obs) {
     core::ScidockOptions o = popts;
     o.reuse_grid_maps = reuse;
-    auto exp = core::make_experiment(receptors, ligands, 0, o);
-    *input_tuples = exp.pairs.size();
-    wf::NativeExecutorOptions xopts;
-    xopts.threads = threads;
-    xopts.expdir = o.expdir;
-    xopts.obs = obs;
-    exp.prov->set_metrics(obs.metrics);
-    wf::NativeExecutor executor(exp.pipeline, *exp.fs, *exp.prov, xopts);
-    wf::NativeReport report = executor.run(exp.pairs, "kernel-bench");
-    exp.prov->set_metrics(nullptr);
-    *xopts_out = xopts;
-    if (obs.metrics != nullptr) {
-      chaos::InvariantChecker checker;
-      const chaos::RunSummary summary =
-          chaos::summarize(report, xopts, *input_tuples);
-      checker.check_metrics(summary, *obs.metrics, *exp.prov, "kernel-bench");
-      if (!checker.ok()) {
-        std::printf("%s\n", checker.to_string().c_str());
-      }
-      return std::make_pair(report, checker.ok());
-    }
-    return std::make_pair(report, true);
+    core::Experiment exp = core::make_experiment(receptors, ligands, 0, o);
+    return core::run_native(exp, threads, "kernel-bench", obs);
   };
 
-  wf::NativeExecutorOptions xopts;
-  std::size_t input_tuples = 0;
-  const auto [off_report, off_ok] =
-      run(false, obs::Observability{}, &xopts, &input_tuples);
-  (void)off_ok;  // no metrics attached on the baseline run
+  const wf::NativeReport off_report = run(false, obs::Observability{});
   obs::MetricsRegistry metrics;
-  const auto [on_report, reconciled] = run(
-      true, obs::Observability{nullptr, &metrics}, &xopts, &input_tuples);
+  const wf::NativeReport on_report =
+      run(true, obs::Observability{nullptr, &metrics});
   const double stage_off =
       off_report.per_activity_seconds.at(core::kAutogrid).sum();
   const double stage_on =
       on_report.per_activity_seconds.at(core::kAutogrid).sum();
-  const long long hits = metrics.counter_value(obs::kCacheGridmapsHits);
-  const long long misses = metrics.counter_value(obs::kCacheGridmapsMisses);
-  const long long waits =
-      metrics.counter_value(obs::kCacheGridmapsInflightWaits);
-  const long long outcomes = hits + misses + waits;
-  const double hit_rate =
-      outcomes > 0
-          ? 100.0 * static_cast<double>(hits + waits) /
-                static_cast<double>(outcomes)
-          : 0.0;
   const double reduction_pct = 100.0 * (1.0 - stage_on / stage_off);
-  std::printf("\npipeline A/B: %zu pairs, %d threads\n", input_tuples,
-              threads);
+  std::printf("\npipeline A/B: %zu pairs, %d threads\n",
+              receptors.size() * ligands.size(), threads);
   bench::print_compare("AutoGrid stage seconds (sum)",
                        strformat("%.2f reuse off", stage_off),
                        strformat("%.2f reuse on (-%.0f%%)", stage_on,
                                  reduction_pct));
   bench::print_compare(
-      "grid-map cache", strformat("%lld outcomes", outcomes),
-      strformat("%lld hit / %lld miss / %lld wait (%.1f%% hit rate)", hits,
-                misses, waits, hit_rate));
+      "grid-map cache", "-",
+      strformat("%lld hit / %lld miss / %lld wait",
+                metrics.counter_value(obs::kCacheGridmapsHits),
+                metrics.counter_value(obs::kCacheGridmapsMisses),
+                metrics.counter_value(obs::kCacheGridmapsInflightWaits)));
   gate(reduction_pct >= 30.0,
        "grid-map reuse must cut the AutoGrid stage by >= 30%");
-  gate(outcomes > 0 && misses == static_cast<long long>(receptors.size()),
-       "exactly one grid-map compute per receptor");
-  gate(reconciled, "cache counters must reconcile with PROV-Wf");
-  // The hit-rate threshold is what this workload actually attains when
-  // every pair past the first per receptor is served from cache: hits =
-  // pairs - receptors. Deriving it from the run's own counts keeps the
-  // gate meaningful at smoke scale (a hard-coded 95% is unreachable when
-  // pairs is small) and *tighter* at campaign scale.
-  const double expected_hit_rate =
-      input_tuples > 0
-          ? 100.0 * (1.0 - static_cast<double>(receptors.size()) /
-                               static_cast<double>(input_tuples))
-          : 0.0;
-  std::printf("(hit-rate threshold from workload counts: %zu pairs - %zu "
-              "receptors => %.1f%%)\n",
-              input_tuples, receptors.size(), expected_hit_rate);
-  gate(hit_rate >= expected_hit_rate - 1e-6,
-       "cache hit rate must reach (pairs - receptors) / pairs");
-
-  const std::string path = bench::write_bench_json(
-      "kernels",
-      {{"ad4_pair_ns_analytic", strformat("%.2f", ad4_analytic_ns)},
-       {"ad4_pair_ns_lut", strformat("%.2f", ad4_lut_ns)},
-       {"ad4_pair_speedup", strformat("%.2f", ad4_speedup)},
-       {"vina_pair_ns_analytic", strformat("%.2f", vina_analytic_ns)},
-       {"vina_pair_ns_lut", strformat("%.2f", vina_lut_ns)},
-       {"sample3_ns_separate", strformat("%.2f", unfused_ns)},
-       {"sample3_ns_fused", strformat("%.2f", fused_ns)},
-       {"autogrid_ms_serial", strformat("%.2f", autogrid_serial_s * 1e3)},
-       {"pipeline_pairs", strformat("%zu", input_tuples)},
-       {"pipeline_autogrid_s_reuse_off", strformat("%.3f", stage_off)},
-       {"pipeline_autogrid_s_reuse_on", strformat("%.3f", stage_on)},
-       {"autogrid_stage_reduction_pct", strformat("%.1f", reduction_pct)},
-       {"cache_hits", strformat("%lld", hits)},
-       {"cache_misses", strformat("%lld", misses)},
-       {"cache_inflight_waits", strformat("%lld", waits)},
-       {"cache_hit_rate_pct", strformat("%.2f", hit_rate)},
-       {"cache_hit_rate_expected_pct", strformat("%.2f", expected_hit_rate)}});
-  if (path.empty()) {
-    std::printf("GATE FAILED: could not write BENCH_kernels.json\n");
-    ++failures;
-  } else {
-    std::printf("\nwrote %s\n", path.c_str());
-  }
   return failures == 0 ? 0 : 1;
 }
 

@@ -1,15 +1,16 @@
 // Provenance WAL ingest + recovery perf gates (DESIGN.md §12).
 //
 // Three acceptance gates, each a hard exit-1 failure:
-//   - sustained ingest with group commit on must reach
-//     SCIDOCK_PROV_MIN_INGEST_PER_S activations/s (default 100k/s);
+//   - sustained ingest with group commit on must reach 100k
+//     activations/s;
 //   - crash-recovery replay, projected to a 1M-activation log, must
-//     finish within SCIDOCK_PROV_REPLAY_1M_LIMIT_S seconds (default 5);
-//   - peak RSS (VmHWM) must stay under SCIDOCK_PROV_MAX_RSS_MB (default
-//     4096 MB) — the WAL path must not buffer the log in memory.
+//     finish within 5 s;
+//   - peak RSS (VmHWM) must stay under 4096 MB — the WAL path must not
+//     buffer the log in memory.
 //
-// Knobs: SCIDOCK_PROV_ACTIVATIONS (workload), SCIDOCK_PROV_SHARDS.
-// Writes BENCH_prov.json for the perf trajectory.
+// The workload is fixed at 50k activations over 4 shards: the gates are
+// rates, not totals, so they hold at this size. Wall-clock gates, so the
+// binary runs serially in `ci/check.sh perf`, never under `ctest -j`.
 
 #include <chrono>
 #include <cstdio>
@@ -24,6 +25,12 @@
 namespace {
 
 using namespace scidock;
+
+constexpr int kActivations = 50000;
+constexpr int kShards = 4;
+constexpr int kMinIngestPerS = 100000;
+constexpr int kReplay1mLimitS = 5;
+constexpr int kMaxRssMb = 4096;
 
 double wall_seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -52,19 +59,12 @@ int main() {
   bench::print_header("SciDock bench: provenance WAL ingest + recovery",
                       "DESIGN.md SS12 durability gates");
 
-  const int activations = bench::env_int("SCIDOCK_PROV_ACTIVATIONS", 200000);
-  const int shards = bench::env_int("SCIDOCK_PROV_SHARDS", 4);
-  const int min_ingest =
-      bench::env_int("SCIDOCK_PROV_MIN_INGEST_PER_S", 100000);
-  const int replay_limit_s =
-      bench::env_int("SCIDOCK_PROV_REPLAY_1M_LIMIT_S", 5);
-  const int max_rss_mb = bench::env_int("SCIDOCK_PROV_MAX_RSS_MB", 4096);
   std::printf("workload: %d activations, %d shards, group commit on\n\n",
-              activations, shards);
+              kActivations, kShards);
 
   vfs::SharedFileSystem fs;
   prov::ProvenanceStoreOptions options;
-  options.shard_count = static_cast<std::size_t>(shards);
+  options.shard_count = kShards;
   options.vfs = &fs;
   options.wal_dir = "/prov";
 
@@ -81,7 +81,7 @@ int main() {
     const long long act =
         store.register_activity(wkf, "dock", "vina", "MAP");
     double t = 1.0;
-    for (int i = 0; i < activations; ++i) {
+    for (int i = 0; i < kActivations; ++i) {
       const long long task = store.begin_activation(
           act, wkf, t, 1 + (i & 1), "pair-" + std::to_string(i));
       store.end_activation(task, t + 0.5, prov::kStatusFinished, 0, 1);
@@ -92,10 +92,10 @@ int main() {
     ingest_wall = wall_seconds_since(t0);
     stats = store.durability_stats();
   }
-  const double ingest_rate = static_cast<double>(activations) / ingest_wall;
+  const double ingest_rate = static_cast<double>(kActivations) / ingest_wall;
   std::printf("ingest:  %d activations in %.3f s -> %.0f act/s "
               "(%lld records, %lld group commits, %lld rotations)\n",
-              activations, ingest_wall, ingest_rate, stats.records_durable,
+              kActivations, ingest_wall, ingest_rate, stats.records_durable,
               stats.group_commits, stats.segment_rotations);
 
   // ---- recovery: reopen the directory, replay everything ----
@@ -104,7 +104,7 @@ int main() {
   const double replay_wall = wall_seconds_since(t0);
   const prov::RecoveryReport& rec = replayed.last_recovery();
   const double projected_1m =
-      replay_wall * (1000000.0 / static_cast<double>(activations));
+      replay_wall * (1000000.0 / static_cast<double>(kActivations));
   std::printf("replay:  %zu records / %zu segments in %.3f s "
               "-> %.2f s per 1M activations\n",
               rec.records, rec.segments, replay_wall, projected_1m);
@@ -124,41 +124,27 @@ int main() {
   }
 
   bench::print_compare("ingest rate",
-                       strformat(">= %d act/s", min_ingest),
+                       strformat(">= %d act/s", kMinIngestPerS),
                        strformat("%.0f act/s", ingest_rate));
-  if (ingest_rate < min_ingest) {
+  if (ingest_rate < kMinIngestPerS) {
     std::printf("FAIL: ingest gate\n");
     ok = false;
   }
   bench::print_compare("1M-activation replay",
-                       strformat("<= %d s", replay_limit_s),
+                       strformat("<= %d s", kReplay1mLimitS),
                        strformat("%.2f s", projected_1m));
-  if (projected_1m > replay_limit_s) {
+  if (projected_1m > kReplay1mLimitS) {
     std::printf("FAIL: replay gate\n");
     ok = false;
   }
   bench::print_compare("peak RSS",
-                       strformat("<= %d MB", max_rss_mb),
+                       strformat("<= %d MB", kMaxRssMb),
                        rss < 0 ? "n/a" : strformat("%.1f MB", rss));
-  if (rss > max_rss_mb) {
+  if (rss > kMaxRssMb) {
     std::printf("FAIL: RSS gate\n");
     ok = false;
   }
 
-  bench::write_bench_json(
-      "prov",
-      {{"activations", std::to_string(activations)},
-       {"shards", std::to_string(shards)},
-       {"ingest_rate_per_s", strformat("%.0f", ingest_rate)},
-       {"ingest_wall_s", strformat("%.4f", ingest_wall)},
-       {"records_durable", std::to_string(stats.records_durable)},
-       {"bytes_durable", std::to_string(stats.bytes_durable)},
-       {"group_commits", std::to_string(stats.group_commits)},
-       {"segment_rotations", std::to_string(stats.segment_rotations)},
-       {"replay_wall_s", strformat("%.4f", replay_wall)},
-       {"replay_projected_1m_s", strformat("%.3f", projected_1m)},
-       {"peak_rss_mb", strformat("%.1f", rss)},
-       {"gates_passed", ok ? "true" : "false"}});
   std::printf("%s\n", ok ? "all gates passed" : "GATES FAILED");
   return ok ? 0 : 1;
 }

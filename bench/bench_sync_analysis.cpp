@@ -1,7 +1,7 @@
-// Sync-analysis overhead gate: the full native screen (default 10
-// receptors x 42 ligands, the paper's Table 2 dataset) must stay within
-// 5% of the uninstrumented baseline with lockdep on — the design goal
-// that the analyzer is cheap enough to leave on for the whole test suite
+// Sync-analysis overhead gate: the full native screen (10 receptors x 42
+// ligands, the paper's Table 2 dataset) must stay within 5% of the
+// uninstrumented baseline with lockdep on — the design goal that the
+// analyzer is cheap enough to leave on for the whole test suite
 // (DESIGN.md §11).
 //
 // One binary, two arms, chosen with lockdep's runtime kill switch: off
@@ -12,12 +12,8 @@
 // machines. The instrumented arm must end with a clean report.
 //
 // Built without -DSCIDOCK_SYNC_ANALYSIS=ON there is nothing to measure:
-// the bench prints "skipped" and records "status": "skipped".
-//
-// Knobs: SCIDOCK_SYNC_RECEPTORS / _LIGANDS / _REPS, and
-// SCIDOCK_SYNC_MAX_OVERHEAD_PCT, which when set replaces the gate.
-//
-// Writes BENCH_sync_analysis.json.
+// the bench prints "skipped". `ci/check.sh sync` runs it in the
+// instrumented build.
 
 #include <algorithm>
 #include <chrono>
@@ -30,19 +26,16 @@
 #include "data/table2.hpp"
 #include "scidock/experiment.hpp"
 #include "util/lockdep.hpp"
-#include "util/strings.hpp"
 
 namespace {
 
 using namespace scidock;
 
+constexpr std::ptrdiff_t kReceptors = 10;
+constexpr std::ptrdiff_t kLigands = 42;
 constexpr int kThreads = 4;
-
-std::vector<std::string> take(const std::vector<std::string>& all, int n) {
-  const std::size_t count =
-      std::min(all.size(), static_cast<std::size_t>(std::max(n, 1)));
-  return {all.begin(), all.begin() + static_cast<std::ptrdiff_t>(count)};
-}
+constexpr int kReps = 3;
+constexpr int kMaxOverheadPct = 5;
 
 /// One full native screen over a freshly staged experiment (fresh VFS and
 /// grid-map cache each time, so no arm inherits another's warm caches).
@@ -74,22 +67,18 @@ int main() {
   if (!lockdep::compiled_in()) {
     std::printf("skipped: lockdep compiled out (configure with "
                 "-DSCIDOCK_SYNC_ANALYSIS=ON)\n");
-    const std::string path = bench::write_bench_json(
-        "sync_analysis", {{"status", "\"skipped\""}, {"compiled_in", "false"}});
-    return path.empty() ? 1 : 0;
+    return 0;
   }
 
-  const int n_receptors = bench::env_int("SCIDOCK_SYNC_RECEPTORS", 10);
-  const int n_ligands = bench::env_int("SCIDOCK_SYNC_LIGANDS", 42);
-  const int reps = std::max(bench::env_int("SCIDOCK_SYNC_REPS", 3), 1);
-  const int gate = bench::env_int("SCIDOCK_SYNC_MAX_OVERHEAD_PCT", 5);
-  const std::vector<std::string> receptors =
-      take(data::table2_receptors(), n_receptors);
-  const std::vector<std::string> ligands =
-      take(data::table2_ligands(), n_ligands);
+  const std::vector<std::string> receptors(
+      data::table2_receptors().begin(),
+      data::table2_receptors().begin() + kReceptors);
+  const std::vector<std::string> ligands(
+      data::table2_ligands().begin(), data::table2_ligands().begin() + kLigands);
   std::printf("workload: %zu receptors x %zu ligands, %d threads, %d reps, "
               "gate: lockdep < %d%%\n\n",
-              receptors.size(), ligands.size(), kThreads, reps, gate);
+              receptors.size(), ligands.size(), kThreads, kReps,
+              kMaxOverheadPct);
 
   Arm arms[] = {{"off", false}, {"lockdep", true}};
   Arm& off = arms[0];
@@ -97,7 +86,7 @@ int main() {
 
   std::printf("%4s | %10s | %10s\n%s\n", "rep", off.name, on.name,
               std::string(30, '-').c_str());
-  for (int rep = 0; rep < reps; ++rep) {
+  for (int rep = 0; rep < kReps; ++rep) {
     double wall[2] = {0.0, 0.0};
     for (int i = 0; i < 2; ++i) {
       const int a = (rep + i) % 2;
@@ -132,30 +121,12 @@ int main() {
               ld.acquisitions, ld.order_edges);
 
   const double pct = 100.0 * (on.best_s - off.best_s) / off.best_s;
-  std::printf("overhead: lockdep %.2f%% (gate < %d%%)\n", pct, gate);
-  const bool passed = pct < gate;
-  const std::string path = bench::write_bench_json(
-      "sync_analysis",
-      {
-          {"status", passed ? "\"passed\"" : "\"failed\""},
-          {"compiled_in", "true"},
-          {"receptors", strformat("%zu", receptors.size())},
-          {"ligands", strformat("%zu", ligands.size())},
-          {"threads", strformat("%d", kThreads)},
-          {"reps", strformat("%d", reps)},
-          {"output_rows", strformat("%zu", off.rows)},
-          {"acquisitions", strformat("%lld", ld.acquisitions)},
-          {"wall_off_s", strformat("%.4f", off.best_s)},
-          {"wall_lockdep_s", strformat("%.4f", on.best_s)},
-          {"lockdep_overhead_pct", strformat("%.3f", pct)},
-          {"lockdep_gate_pct", strformat("%d", gate)},
-      });
-  if (path.empty()) return 1;
-  std::printf("wrote %s\n", path.c_str());
-
+  std::printf("overhead: lockdep %.2f%% (gate < %d%%)\n", pct,
+              kMaxOverheadPct);
+  const bool passed = pct < kMaxOverheadPct;
   if (!passed) {
     std::fprintf(stderr, "FAIL: lockdep overhead %.2f%% >= %d%%\n", pct,
-                 gate);
+                 kMaxOverheadPct);
   }
   return passed ? 0 : 1;
 }

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # ci/check.sh — the full local verification matrix.
 #
-# Stages (each one configure + build + ctest in its own build tree):
-#   default   plain build with -Werror, full suite minus bench-smoke — the
-#             tier-1 gate
+# Stages (each one configure + build in its own build tree, except perf)
+# and what each one gates:
+#   default   plain build with -Werror: the whole ctest suite (the tier-1
+#             gate; no entry in it gates on a wall-clock time), then the
+#             crash-recovery matrix again as its own leg
 #   sync      SCIDOCK_SYNC_ANALYSIS=ON: full suite (lockdep rides along
 #             under every test, asserting the default suite clean), its
 #             negative controls, and the bench_sync_analysis overhead gate
@@ -19,6 +21,13 @@
 #             races of tests/sync_planted, and every lock-order inversion
 #             (sync_planted's, and the in-process cases labelled
 #             sync-inversion) must be flagged by both lockdep and TSan
+#   perf      the wall-clock gates, one binary at a time and never under
+#             ctest -j: bench_observability (tracing overhead < 5%, TET
+#             identical with recording on), bench_prov_ingest (ingest
+#             >= 100k act/s, 1M-activation replay <= 5 s, peak RSS
+#             <= 4096 MB) and bench_micro_kernels (AD4 LUT >= 3x,
+#             grid-map reuse cuts the AutoGrid stage by >= 30%). Runs
+#             last, reusing default's build tree.
 #
 # The sanitizer stages run the concurrency-heavy labels only
 # (chaos/kernels/sync/prov-recovery): those are the suites that stress
@@ -27,6 +36,7 @@
 # slowdown.
 #
 # Usage: ci/check.sh [stage ...]     (default: all stages, in order)
+#   stages: default sync clang asan ubsan tsan perf
 #   e.g. ci/check.sh default tsan
 
 set -euo pipefail
@@ -48,16 +58,21 @@ configure_and_build() { # dir, cmake args...
   cmake --build "$dir" -j "$JOBS"
 }
 
-stage_default() {
-  local dir="$REPO_ROOT/build-ci-default"
+DEFAULT_DIR="$REPO_ROOT/build-ci-default"
+
+build_default() {
   # Warnings are errors here, at the default RelWithDebInfo build type.
   # The option stays OFF by default: at Release, GCC 12 reports a
   # false-positive -Wrestrict in sql/ast.cpp.
-  configure_and_build "$dir" -DSCIDOCK_WERROR=ON
-  run_ctest "$dir" -LE bench-smoke
+  configure_and_build "$DEFAULT_DIR" -DSCIDOCK_WERROR=ON
+}
+
+stage_default() {
+  build_default
+  run_ctest "$DEFAULT_DIR"
   # Acceptance gate: the crash-recovery matrix runs (and is reported) as
   # its own leg, so a recovery regression is unmissable in the CI log.
-  run_ctest "$dir" -L prov-recovery
+  run_ctest "$DEFAULT_DIR" -L prov-recovery
 }
 
 stage_sync() {
@@ -65,8 +80,7 @@ stage_sync() {
   configure_and_build "$dir" -DSCIDOCK_SYNC_ANALYSIS=ON
   run_ctest "$dir" -LE bench-smoke
   # Acceptance gate: lockdep stays within 5% of the uninstrumented
-  # baseline on the full screen; writes BENCH_sync_analysis.json into the
-  # build tree.
+  # baseline on the full screen.
   (cd "$dir" && ./bench/bench_sync_analysis)
 }
 
@@ -158,17 +172,30 @@ stage_tsan() {
   done
 }
 
+stage_perf() {
+  # Each binary times itself against a fixed threshold, so each runs
+  # alone: a parallel neighbour would be measured as overhead. All three
+  # run even when one fails, so the log shows every gate.
+  build_default
+  local failed=0
+  "$DEFAULT_DIR/bench/bench_observability" || failed=1
+  "$DEFAULT_DIR/bench/bench_prov_ingest" || failed=1
+  "$DEFAULT_DIR/bench/bench_micro_kernels" --benchmark_min_time=0.01 ||
+    failed=1
+  return "$failed"
+}
+
 STAGES=("$@")
 if [ "${#STAGES[@]}" -eq 0 ]; then
-  STAGES=(default sync clang asan ubsan tsan)
+  STAGES=(default sync clang asan ubsan tsan perf)
 fi
 
 for stage in "${STAGES[@]}"; do
   case "$stage" in
-    default | sync | clang | asan | ubsan | tsan) ;;
+    default | sync | clang | asan | ubsan | tsan | perf) ;;
     *)
       echo "ci/check.sh: unknown stage '$stage'" >&2
-      echo "stages: default sync clang asan ubsan tsan" >&2
+      echo "stages: default sync clang asan ubsan tsan perf" >&2
       exit 2
       ;;
   esac

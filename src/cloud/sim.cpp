@@ -10,7 +10,7 @@ void Simulation::schedule_at(double at, EventFn fn) {
 }
 
 double Simulation::run() {
-  while (!queue_.empty()) {
+  while (!queue_.empty() && !stopped_) {
     // The event function may schedule more events; copy out first.
     Event event = queue_.top();
     queue_.pop();

@@ -25,11 +25,16 @@ class Simulation {
   /// Schedule `fn` after a relative delay.
   void schedule_after(double delay, EventFn fn) { schedule_at(now_ + delay, std::move(fn)); }
 
-  /// Run until the queue empties. Returns the final clock value.
+  /// Run until the queue empties or an event calls stop(). Returns the
+  /// final clock value.
   double run();
   /// Run until the clock would pass `deadline`; pending later events stay
   /// queued.
   double run_until(double deadline);
+
+  /// Make run() return once the current event finishes; the clock stays
+  /// at that event's time and later events stay queued.
+  void stop() { stopped_ = true; }
 
   bool empty() const { return queue_.empty(); }
   std::size_t pending() const { return queue_.size(); }
@@ -51,6 +56,7 @@ class Simulation {
   double now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t processed_ = 0;
+  bool stopped_ = false;
   std::priority_queue<Event, std::vector<Event>, Later> queue_;
 };
 

@@ -230,6 +230,11 @@ SimReport SimulatedExecutor::run(const Relation& input,
       report.records.push_back(SimActivationRecord{
           tag, tuple_idx, started, sim.now(), vm_id, attempt, status});
     }
+    // The run ends with its last activation: an elasticity tick or a VM
+    // boot still queued must not stretch the TET or the bill.
+    if (completed_tuples == static_cast<long long>(tuples.size())) {
+      sim.stop();
+    }
     dispatch();
   };
 

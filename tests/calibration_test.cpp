@@ -86,8 +86,7 @@ TEST(Calibration, ElasticAd4CampaignIsPinned) {
   // cluster's boot-latency and VM-jitter draws, the greedy scheduler's
   // fast-VM threshold, the serial scheduler's planning overhead and the
   // shared-FS staging prices, so a drift in any of them moves these
-  // numbers. The elasticity controller ends the run on its tick, so the
-  // TET is a multiple of the 37 s period.
+  // numbers.
   core::ScidockOptions options;
   options.engine_mode = core::EngineMode::ForceAd4;
   auto exp = core::make_experiment(data::table2_receptors(),
@@ -99,7 +98,7 @@ TEST(Calibration, ElasticAd4CampaignIsPinned) {
   sim.elastic_vm_type = cloud::vm_type_m3_2xlarge();
   sim.elasticity_period_s = 37.0;
   const wf::SimReport r = core::run_simulated(exp, 8, nullptr, sim);
-  EXPECT_DOUBLE_EQ(r.total_execution_time_s, 3108.0);
+  EXPECT_DOUBLE_EQ(r.total_execution_time_s, 3106.192706520621);
   EXPECT_DOUBLE_EQ(r.scheduling_overhead_s, 2757.3169563533784);
   EXPECT_DOUBLE_EQ(r.data_staging_s, 534.35230463999449);
   EXPECT_DOUBLE_EQ(r.cloud_cost_usd, 5.4);

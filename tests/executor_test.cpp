@@ -313,6 +313,28 @@ TEST(SimulatedExecutor, ElasticityAcquiresVms) {
   EXPECT_EQ(report.tuples_completed, 400);
 }
 
+TEST(SimulatedExecutor, ElasticRunEndsAtItsLastActivation) {
+  // The controller's next tick is still queued when the last activation
+  // ends; it must not stretch the TET or the workflow's end time.
+  const Pipeline p = toy_pipeline();
+  prov::ProvenanceStore store;
+  SimExecutorOptions opts = quiet_sim(2);
+  opts.elasticity = true;
+  opts.max_vms = 8;
+  opts.elastic_vm_type = cloud::vm_type_m3_xlarge();
+  opts.elasticity_period_s = 30.0;
+  const SimReport report = SimulatedExecutor(p, toy_cost_model(), opts)
+                               .run(numbers(400), &store, "elastic");
+  double last_end = 0.0;
+  for (const SimActivationRecord& r : report.records) {
+    last_end = std::max(last_end, r.end);
+  }
+  EXPECT_EQ(report.total_execution_time_s, last_end);
+  const auto wf =
+      store.query("SELECT endtime FROM hworkflow WHERE tag = 'elastic'");
+  EXPECT_DOUBLE_EQ(wf.rows[0][0].as_double(), last_end);
+}
+
 TEST(SimulatedExecutor, ProvenanceMatchesReport) {
   const Pipeline p = toy_pipeline();
   prov::ProvenanceStore store;

@@ -23,10 +23,12 @@
 #include "chaos/chaos.hpp"
 #include "chaos/invariants.hpp"
 #include "cloud/cost_model.hpp"
+#include "data/table2.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
 #include "prov/prov.hpp"
+#include "scidock/experiment.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
 #include "vfs/vfs.hpp"
@@ -432,6 +434,37 @@ TEST(GoldenTrace, SimulatedRunMatchesItsRecordStream) {
     }
   }
   EXPECT_EQ(boots, opts.fleet.size());
+}
+
+TEST(GoldenTrace, RecordingDoesNotPerturbTheSimulation) {
+  // The recorder only appends events and bumps counters: the same seed
+  // must give the same schedule with and without it attached.
+  const core::Experiment exp = core::make_experiment(
+      data::table2_receptors(), data::table2_ligands(), 500);
+  for (const int workers : {2, 4, 8}) {
+    const wf::SimReport plain = core::run_simulated(exp, workers);
+    TraceRecorder trace;
+    MetricsRegistry metrics;
+    wf::SimExecutorOptions opts;
+    opts.obs = {&trace, &metrics};
+    const wf::SimReport recorded =
+        core::run_simulated(exp, workers, nullptr, std::move(opts));
+    ASSERT_GT(trace.event_count(), 0u);
+    EXPECT_EQ(recorded.total_execution_time_s, plain.total_execution_time_s)
+        << workers;
+    EXPECT_EQ(recorded.scheduling_overhead_s, plain.scheduling_overhead_s)
+        << workers;
+    ASSERT_EQ(recorded.records.size(), plain.records.size()) << workers;
+    for (std::size_t i = 0; i < plain.records.size(); ++i) {
+      const wf::SimActivationRecord& a = plain.records[i];
+      const wf::SimActivationRecord& b = recorded.records[i];
+      EXPECT_TRUE(a.tag == b.tag && a.tuple_index == b.tuple_index &&
+                  a.start == b.start && a.end == b.end &&
+                  a.vm_id == b.vm_id && a.attempt == b.attempt &&
+                  a.status == b.status)
+          << workers << " workers, record " << i;
+    }
+  }
 }
 
 // --------------------------------------- metrics <-> provenance sweep
