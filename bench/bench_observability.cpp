@@ -7,10 +7,12 @@
 // *wall-clock* time the simulator spends appending events and bumping
 // counters. The gate is overhead < 5%, per the design goal that
 // instrumentation is cheap enough to leave on. The workload is fixed: the
-// baseline must be long enough (~0.3 s) that timer noise cannot fake a
-// 5% delta, and each arm's time is its minimum over the reps, which
-// cancels scheduler noise better than the mean. A wall-clock gate, so it
-// runs serially in `ci/check.sh perf`, never under `ctest -j`.
+// baseline must be long enough that timer noise cannot fake a 5% delta,
+// so it is the whole 238 x 42 campaign (make_experiment caps pairs
+// there), 0.11-0.19 s untraced per worker count on a 4-vCPU VM.
+// Each arm's time is its minimum over the reps, which cancels scheduler
+// noise better than the mean. A wall-clock gate, so it runs serially in
+// `ci/check.sh perf`, never under `ctest -j`.
 
 #include <algorithm>
 #include <chrono>
@@ -25,7 +27,7 @@ namespace {
 
 using namespace scidock;
 
-constexpr int kPairs = 2500;
+constexpr int kPairs = 9996;
 constexpr int kReps = 3;
 constexpr int kMaxOverheadPct = 5;
 

@@ -22,12 +22,16 @@
 #             (sync_planted's, and the in-process cases labelled
 #             sync-inversion) must be flagged by both lockdep and TSan
 #   perf      the wall-clock gates, one binary at a time and never under
-#             ctest -j: bench_observability (tracing overhead < 5%, TET
-#             identical with recording on), bench_prov_ingest (ingest
-#             >= 100k act/s, 1M-activation replay <= 5 s, peak RSS
-#             <= 4096 MB) and bench_micro_kernels (AD4 LUT >= 3x,
-#             grid-map reuse cuts the AutoGrid stage by >= 30%). Runs
-#             last, reusing default's build tree.
+#             ctest -j: bench_observability (tracing overhead < 5% over
+#             the full 9,996-pair campaign, whose untraced baseline is
+#             0.11-0.19 s per worker count on a 4-vCPU VM; TET identical
+#             with recording on), bench_prov_ingest (ingest >= 100k
+#             act/s, 1M-activation replay <= 5 s, peak RSS <= 4096 MB),
+#             bench_micro_kernels (AD4 LUT >= 3x, grid-map reuse cuts
+#             the AutoGrid stage by >= 30%) and the replay linearity gate
+#             (`scidock_cli sweep --engine ad4 --cores 128` at 10,000
+#             pairs takes at most 3x its time at 2,500). Runs last,
+#             reusing default's build tree.
 #
 # The sanitizer stages run the concurrency-heavy labels only
 # (chaos/kernels/sync/prov-recovery): those are the suites that stress
@@ -172,9 +176,33 @@ stage_tsan() {
   done
 }
 
+sweep_ms() { # pairs -> wall milliseconds of a 128-core simulated sweep
+  local start end
+  start=$(date +%s%N)
+  "$DEFAULT_DIR/src/tools/scidock_cli" sweep --engine ad4 --cores 128 \
+    --pairs "$1" >/dev/null || return 1
+  end=$(date +%s%N)
+  echo $(((end - start) / 1000000))
+}
+
+linearity_gate() {
+  # The simulated replay must stay linear in pairs: 4x the pairs may take
+  # at most 3x the time (the fixed set-up keeps a linear replay well
+  # under 4x). A ready queue scanned at every pick reads about 7x.
+  local small large
+  small=$(sweep_ms 2500) || return 1
+  large=$(sweep_ms 10000) || return 1
+  echo "perf: sweep --cores 128: ${small} ms at 2,500 pairs, ${large} ms" \
+    "at 10,000 (gate: at most 3x)"
+  if [ "$large" -gt $((3 * small)) ]; then
+    echo "ci/check.sh: perf: the replay is not linear in pairs" >&2
+    return 1
+  fi
+}
+
 stage_perf() {
-  # Each binary times itself against a fixed threshold, so each runs
-  # alone: a parallel neighbour would be measured as overhead. All three
+  # Each gate times itself against a fixed threshold, so each runs
+  # alone: a parallel neighbour would be measured as overhead. All four
   # run even when one fails, so the log shows every gate.
   build_default
   local failed=0
@@ -182,6 +210,7 @@ stage_perf() {
   "$DEFAULT_DIR/bench/bench_prov_ingest" || failed=1
   "$DEFAULT_DIR/bench/bench_micro_kernels" --benchmark_min_time=0.01 ||
     failed=1
+  linearity_gate || failed=1
   return "$failed"
 }
 

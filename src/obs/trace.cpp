@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstring>
 
 #include "util/error.hpp"
 #include "util/strings.hpp"
+#include "util/thread_annotations.hpp"
 
 namespace scidock::obs {
 
@@ -16,7 +18,159 @@ int current_thread_id() {
 
 // ----------------------------------------------------------------- recorder
 
-TraceRecorder::TraceRecorder() : epoch_(std::chrono::steady_clock::now()) {}
+namespace {
+
+/// Records per storage chunk. A chunk never moves once allocated, so a
+/// growing trace copies nothing.
+constexpr std::size_t kChunkRecords = 1024;
+
+/// Append-only array of trivially copyable records in fixed-size chunks.
+template <class T>
+class ChunkedLog {
+ public:
+  void push_back(const T& record) {
+    if (size_ % kChunkRecords == 0) {
+      chunks_.push_back(std::make_unique<T[]>(kChunkRecords));
+    }
+    chunks_.back()[size_ % kChunkRecords] = record;
+    ++size_;
+  }
+  const T& operator[](std::size_t i) const {
+    return chunks_[i / kChunkRecords][i % kChunkRecords];
+  }
+  std::size_t size() const { return size_; }
+
+ private:
+  std::vector<std::unique_ptr<T[]>> chunks_;
+  std::size_t size_ = 0;
+};
+
+/// Dense ids for the strings a shard has seen. A string is looked up by
+/// its length and its first and last 8 bytes, which for strings of up to
+/// 16 bytes (the executors' stage names, categories and keys) are the
+/// whole string, so the recording path compares words, not bytes.
+class Interner {
+ public:
+  std::uint32_t id(std::string_view s) {
+    const Key key = Key::of(s);
+    std::size_t slot = key.hash() & (slots_.size() - 1);
+    for (; slots_[slot].id != kEmpty; slot = (slot + 1) & (slots_.size() - 1)) {
+      const Slot& e = slots_[slot];
+      if (e.key == key && (s.size() <= 16 || strings_[e.id] == s)) return e.id;
+    }
+    const auto id = static_cast<std::uint32_t>(strings_.size());
+    strings_.emplace_back(s);
+    slots_[slot] = Slot{key, id};
+    if (2 * strings_.size() > slots_.size()) grow();
+    return id;
+  }
+  const std::string& str(std::uint32_t id) const { return strings_[id]; }
+
+ private:
+  struct Key {
+    std::uint64_t size = 0;
+    std::uint64_t head = 0;  ///< first bytes
+    std::uint64_t tail = 0;  ///< last bytes (overlapping head when short)
+
+    static Key of(std::string_view s) {
+      Key k{s.size(), 0, 0};
+      const char* p = s.data();
+      const std::size_t n = s.size();
+      if (n >= 8) {
+        std::memcpy(&k.head, p, 8);
+        std::memcpy(&k.tail, p + n - 8, 8);
+      } else if (n >= 4) {
+        std::uint32_t head = 0;
+        std::uint32_t tail = 0;
+        std::memcpy(&head, p, 4);
+        std::memcpy(&tail, p + n - 4, 4);
+        k.head = head;
+        k.tail = tail;
+      } else if (n > 0) {
+        k.head = static_cast<unsigned char>(p[0]) |
+                 static_cast<unsigned char>(p[n / 2]) << 8 |
+                 static_cast<unsigned char>(p[n - 1]) << 16;
+      }
+      return k;
+    }
+    std::uint64_t hash() const {
+      const std::uint64_t h = (head * 0x9e3779b97f4a7c15ULL) ^
+                              (tail * 0xc4ceb9fe1a85ec53ULL) ^ size;
+      return h ^ (h >> 29);
+    }
+    bool operator==(const Key&) const = default;
+  };
+  static constexpr std::uint32_t kEmpty = 0xffffffff;
+  struct Slot {
+    Key key;
+    std::uint32_t id = kEmpty;
+  };
+
+  void grow() {
+    std::vector<Slot> old(2 * slots_.size());
+    old.swap(slots_);
+    for (const Slot& e : old) {
+      if (e.id == kEmpty) continue;
+      std::size_t slot = e.key.hash() & (slots_.size() - 1);
+      while (slots_[slot].id != kEmpty) slot = (slot + 1) & (slots_.size() - 1);
+      slots_[slot] = e;
+    }
+  }
+
+  std::vector<std::string> strings_;
+  /// Open addressing, power-of-two size, at most half full.
+  std::vector<Slot> slots_ = std::vector<Slot>(64);
+};
+
+struct ArgRecord {
+  std::uint32_t key = 0;     ///< interned
+  bool is_number = false;
+  long long value = 0;       ///< the integer, or the interned string's id
+};
+
+/// One event; its arg_count args follow those of the shard's earlier
+/// events in Shard::args.
+struct EventRecord {
+  double ts_us = 0.0;
+  double dur_us = 0.0;
+  long long tid = 0;
+  std::uint64_t span_id = 0;
+  std::uint64_t seq = 0;
+  std::uint32_t name = 0;     ///< interned
+  std::uint32_t category = 0; ///< interned
+  std::uint32_t arg_count = 0;
+  TraceEvent::Phase phase = TraceEvent::Phase::Instant;
+};
+
+TraceArg as_arg(const TraceArg& arg) { return arg; }
+TraceArg as_arg(const std::pair<std::string, std::string>& arg) {
+  return {arg.first, arg.second};
+}
+
+}  // namespace
+
+struct TraceRecorder::Head {
+  std::string_view name;
+  std::string_view category;
+  TraceEvent::Phase phase;
+  double ts_us;
+  double dur_us;
+  long long tid;
+  std::uint64_t span_id;
+};
+
+struct TraceRecorder::Shard {
+  mutable Mutex mutex{"obs.trace.shard"};
+  Interner strings SCIDOCK_GUARDED_BY(mutex);
+  ChunkedLog<EventRecord> events SCIDOCK_GUARDED_BY(mutex);
+  ChunkedLog<ArgRecord> args SCIDOCK_GUARDED_BY(mutex);
+};
+
+TraceRecorder::TraceRecorder()
+    : shards_(std::make_unique<Shard[]>(kShards)),
+      epoch_(std::chrono::steady_clock::now()) {}
+
+TraceRecorder::~TraceRecorder() = default;
 
 double TraceRecorder::now_us() const {
   return std::chrono::duration<double, std::micro>(
@@ -24,73 +178,69 @@ double TraceRecorder::now_us() const {
       .count();
 }
 
-void TraceRecorder::record(TraceEvent event) {
-  event.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
+template <class Args>
+void TraceRecorder::record(const Head& head, const Args& args) {
+  EventRecord r;
+  r.ts_us = head.ts_us;
+  r.dur_us = head.dur_us;
+  r.tid = head.tid;
+  r.span_id = head.span_id;
+  r.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
+  r.arg_count = static_cast<std::uint32_t>(args.size());
+  r.phase = head.phase;
   Shard& shard =
       shards_[static_cast<std::size_t>(current_thread_id()) % kShards];
   MutexLock lock(shard.mutex);
-  shard.events.push_back(std::move(event));
+  r.name = shard.strings.id(head.name);
+  r.category = shard.strings.id(head.category);
+  for (const auto& a : args) {
+    const TraceArg arg = as_arg(a);
+    shard.args.push_back(ArgRecord{
+        shard.strings.id(arg.key), arg.is_number,
+        arg.is_number ? arg.number : shard.strings.id(arg.text)});
+  }
+  shard.events.push_back(r);
 }
 
 std::uint64_t TraceRecorder::begin_span(std::string_view name,
                                         std::string_view category,
                                         TraceArgs args) {
   const std::uint64_t id = next_span_id_.fetch_add(1, std::memory_order_relaxed);
-  TraceEvent e;
-  e.name = std::string(name);
-  e.category = std::string(category);
-  e.phase = TraceEvent::Phase::Begin;
-  e.ts_us = now_us();
-  e.tid = current_thread_id();
-  e.span_id = id;
-  e.args = std::move(args);
-  record(std::move(e));
+  record(Head{name, category, TraceEvent::Phase::Begin, now_us(), 0.0,
+              current_thread_id(), id},
+         args);
   return id;
 }
 
 void TraceRecorder::end_span(std::uint64_t span_id, TraceArgs args) {
-  TraceEvent e;
-  e.phase = TraceEvent::Phase::End;
-  e.ts_us = now_us();
-  e.tid = current_thread_id();
-  e.span_id = span_id;
-  e.args = std::move(args);
-  record(std::move(e));
+  record(Head{{}, {}, TraceEvent::Phase::End, now_us(), 0.0,
+              current_thread_id(), span_id},
+         args);
 }
 
 void TraceRecorder::complete_span(std::string_view name,
                                   std::string_view category, double ts_us,
                                   double dur_us, long long tid,
-                                  TraceArgs args) {
-  TraceEvent e;
-  e.name = std::string(name);
-  e.category = std::string(category);
-  e.phase = TraceEvent::Phase::Complete;
-  e.ts_us = ts_us;
-  e.dur_us = dur_us;
-  e.tid = tid;
-  e.span_id = next_span_id_.fetch_add(1, std::memory_order_relaxed);
-  e.args = std::move(args);
-  record(std::move(e));
+                                  std::initializer_list<TraceArg> args) {
+  record(Head{name, category, TraceEvent::Phase::Complete, ts_us, dur_us, tid,
+              next_span_id_.fetch_add(1, std::memory_order_relaxed)},
+         args);
 }
 
 void TraceRecorder::instant(std::string_view name, std::string_view category,
-                            double ts_us, long long tid, TraceArgs args) {
-  TraceEvent e;
-  e.name = std::string(name);
-  e.category = std::string(category);
-  e.phase = TraceEvent::Phase::Instant;
-  e.ts_us = ts_us < 0.0 ? now_us() : ts_us;
-  e.tid = tid < 0 ? current_thread_id() : tid;
-  e.args = std::move(args);
-  record(std::move(e));
+                            double ts_us, long long tid,
+                            std::initializer_list<TraceArg> args) {
+  record(Head{name, category, TraceEvent::Phase::Instant,
+              ts_us < 0.0 ? now_us() : ts_us, 0.0,
+              tid < 0 ? current_thread_id() : tid, 0},
+         args);
 }
 
 std::size_t TraceRecorder::event_count() const {
   std::size_t n = 0;
-  for (const Shard& shard : shards_) {
-    MutexLock lock(shard.mutex);
-    n += shard.events.size();
+  for (std::size_t i = 0; i < kShards; ++i) {
+    MutexLock lock(shards_[i].mutex);
+    n += shards_[i].events.size();
   }
   return n;
 }
@@ -98,9 +248,31 @@ std::size_t TraceRecorder::event_count() const {
 std::vector<TraceEvent> TraceRecorder::events() const {
   std::vector<TraceEvent> all;
   all.reserve(event_count());
-  for (const Shard& shard : shards_) {
+  for (std::size_t i = 0; i < kShards; ++i) {
+    const Shard& shard = shards_[i];
     MutexLock lock(shard.mutex);
-    all.insert(all.end(), shard.events.begin(), shard.events.end());
+    std::size_t arg = 0;
+    for (std::size_t k = 0; k < shard.events.size(); ++k) {
+      const EventRecord& r = shard.events[k];
+      TraceEvent& e = all.emplace_back();
+      e.name = shard.strings.str(r.name);
+      e.category = shard.strings.str(r.category);
+      e.phase = r.phase;
+      e.ts_us = r.ts_us;
+      e.dur_us = r.dur_us;
+      e.tid = r.tid;
+      e.span_id = r.span_id;
+      e.seq = r.seq;
+      e.args.reserve(r.arg_count);
+      for (const std::size_t end = arg + r.arg_count; arg < end; ++arg) {
+        const ArgRecord& a = shard.args[arg];
+        e.args.emplace_back(
+            shard.strings.str(a.key),
+            a.is_number
+                ? std::to_string(a.value)
+                : shard.strings.str(static_cast<std::uint32_t>(a.value)));
+      }
+    }
   }
   std::sort(all.begin(), all.end(),
             [](const TraceEvent& a, const TraceEvent& b) {

@@ -16,23 +16,24 @@
 /// One recorder holds one timebase; do not mix real and simulated time in
 /// the same recorder.
 ///
-/// Cost model: recording appends one event to a lock-sharded buffer
-/// (shard chosen by thread id, so contention is rare); nothing is
-/// formatted until export. A null recorder pointer disables everything —
-/// instrumentation sites guard with `if (trace)` or use ScopedSpan which
-/// accepts nullptr.
+/// Cost model: recording appends one fixed-size record to a lock-sharded
+/// buffer (shard chosen by thread id, so contention is rare). The buffer
+/// grows in chunks that never move; names, categories, arg keys and
+/// string arg values are interned per shard, and integer args stay
+/// integers. Nothing is formatted until export (events(), to_chrome_json()).
+/// A null recorder pointer disables everything — instrumentation sites
+/// guard with `if (trace)` or use ScopedSpan which accepts nullptr.
 
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
-
-#include "util/thread_annotations.hpp"
 
 namespace scidock::obs {
 
@@ -40,6 +41,21 @@ namespace scidock::obs {
 int current_thread_id();
 
 using TraceArgs = std::vector<std::pair<std::string, std::string>>;
+
+/// One argument as complete_span()/instant() take it: a key and a string
+/// or an integer value. The recorder copies it during the call; an integer
+/// is formatted (as std::to_string does) only at export, so a hot caller
+/// passes its integers as they are.
+struct TraceArg {
+  TraceArg(std::string_view k, std::string_view v) : key(k), text(v) {}
+  TraceArg(std::string_view k, long long v)
+      : key(k), number(v), is_number(true) {}
+
+  std::string_view key;
+  std::string_view text;
+  long long number = 0;
+  bool is_number = false;
+};
 
 struct TraceEvent {
   /// Chrome phases: B/E (nested begin/end), X (complete, with duration),
@@ -95,6 +111,7 @@ std::vector<TraceEvent> parse_chrome_trace(std::string_view json);
 class TraceRecorder {
  public:
   TraceRecorder();
+  ~TraceRecorder();
   TraceRecorder(const TraceRecorder&) = delete;
   TraceRecorder& operator=(const TraceRecorder&) = delete;
 
@@ -111,11 +128,12 @@ class TraceRecorder {
   /// Record a span with explicit timing (simulated executors).
   void complete_span(std::string_view name, std::string_view category,
                      double ts_us, double dur_us, long long tid,
-                     TraceArgs args = {});
+                     std::initializer_list<TraceArg> args = {});
   /// Point event with explicit timing; `tid` < 0 uses the calling thread
   /// and the recorder clock.
   void instant(std::string_view name, std::string_view category,
-               double ts_us = -1.0, long long tid = -1, TraceArgs args = {});
+               double ts_us = -1.0, long long tid = -1,
+               std::initializer_list<TraceArg> args = {});
 
   std::size_t event_count() const;
   /// All events merged across shards, sorted by (ts, record order).
@@ -124,15 +142,13 @@ class TraceRecorder {
   std::string to_chrome_json() const;
 
  private:
-  void record(TraceEvent event);
+  struct Head;   ///< an event's fixed fields
+  struct Shard;  ///< a lock, an intern table and the compact records
+  template <class Args>
+  void record(const Head& head, const Args& args);
 
   static constexpr std::size_t kShards = 16;
-  struct Shard {
-    mutable Mutex mutex{"obs.trace.shard"};
-    std::vector<TraceEvent> events SCIDOCK_GUARDED_BY(mutex);
-  };
-
-  std::array<Shard, kShards> shards_;
+  std::unique_ptr<Shard[]> shards_;
   std::atomic<std::uint64_t> next_span_id_{1};
   std::atomic<std::uint64_t> next_seq_{0};
   std::chrono::steady_clock::time_point epoch_;

@@ -286,7 +286,7 @@ wf::Pipeline build_scidock_pipeline(const ScidockOptions& opts,
               trace->complete_span("autogrid-slab", "kernel",
                                    trace->now_us() - dur_us, dur_us,
                                    obs::current_thread_id(),
-                                   {{"iz", std::to_string(iz)}});
+                                   {{"iz", iz}});
             }
           };
         }

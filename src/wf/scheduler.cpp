@@ -1,6 +1,7 @@
 #include "wf/scheduler.hpp"
 
-#include <algorithm>
+#include <iterator>
+#include <limits>
 
 #include "util/error.hpp"
 #include "util/strings.hpp"
@@ -12,40 +13,45 @@ namespace {
 constexpr double kFastVmThreshold = 1.0;
 }  // namespace
 
-std::size_t GreedyCostScheduler::pick_impl(
-    const std::vector<PendingActivation>& queue, const cloud::VmInstance& vm) {
-  SCIDOCK_ASSERT(!queue.empty());
-  // Re-executions first: the paper's fault tolerance resubmits failed
-  // activations promptly rather than appending them to the tail.
-  std::size_t best = 0;
-  const bool fast_vm = vm.slowdown() <= kFastVmThreshold;
-  auto better = [&](std::size_t a, std::size_t b) {
-    // true if queue[a] should be preferred over queue[b]
-    const bool ra = queue[a].attempts > 0;
-    const bool rb = queue[b].attempts > 0;
-    if (ra != rb) return ra;
-    if (fast_vm) return queue[a].expected_cost_s > queue[b].expected_cost_s;
-    return queue[a].expected_cost_s < queue[b].expected_cost_s;
-  };
-  for (std::size_t i = 1; i < queue.size(); ++i) {
-    if (better(i, best)) best = i;
-  }
-  return best;
+PendingActivation Scheduler::pop(const cloud::VmInstance& vm) {
+  SCIDOCK_ASSERT(!empty());
+  ++stats_.picks;
+  stats_.queued_seen += static_cast<long long>(size());
+  PendingActivation picked = take(vm);
+  if (picked.attempts > 0) ++stats_.reexecution_picks;
+  return picked;
 }
 
-std::size_t FifoScheduler::pick_impl(const std::vector<PendingActivation>& queue,
-                                     const cloud::VmInstance& /*vm*/) {
-  SCIDOCK_ASSERT(!queue.empty());
-  return 0;
+void GreedyCostScheduler::push(PendingActivation activation) {
+  // Re-executions first: the paper's fault tolerance resubmits failed
+  // activations promptly rather than appending them to the tail.
+  Index& index = activation.attempts > 0 ? retries_ : fresh_;
+  const std::pair key{activation.expected_cost_s, activation.id};
+  index.emplace(key, std::move(activation));
+}
+
+PendingActivation GreedyCostScheduler::take(const cloud::VmInstance& vm) {
+  Index& index = retries_.empty() ? fresh_ : retries_;
+  auto it = index.begin();  // slow VM: the cheapest, earliest queued
+  if (vm.slowdown() <= kFastVmThreshold) {
+    // Fast VM: the most expensive, earliest queued among equal costs.
+    const double top = std::prev(index.end())->first.first;
+    it = index.lower_bound({top, std::numeric_limits<long long>::min()});
+  }
+  return std::move(index.extract(it).mapped());
+}
+
+PendingActivation FifoScheduler::take(const cloud::VmInstance& /*vm*/) {
+  PendingActivation head = std::move(queue_.front());
+  queue_.pop_front();
+  return head;
 }
 
 std::unique_ptr<Scheduler> make_scheduler(std::string_view policy_name) {
-  if (iequals(policy_name, "greedy-cost") || iequals(policy_name, "greedy")) {
+  if (iequals(policy_name, "greedy-cost")) {
     return std::make_unique<GreedyCostScheduler>();
   }
-  if (iequals(policy_name, "fifo") || iequals(policy_name, "round-robin")) {
-    return std::make_unique<FifoScheduler>();
-  }
+  if (iequals(policy_name, "fifo")) return std::make_unique<FifoScheduler>();
   throw NotFoundError("scheduler policy", policy_name);
 }
 

@@ -94,7 +94,6 @@ SimReport SimulatedExecutor::run(const Relation& input,
   }
 
   // ---- scheduling state ----
-  std::vector<PendingActivation> queue;
   std::map<long long, std::size_t> act_to_tuple;
   long long next_act_id = 1;
   std::map<long long, int> free_slots;  ///< usable (booted) VM -> free cores
@@ -121,7 +120,7 @@ SimReport SimulatedExecutor::run(const Relation& input,
     pa.expected_cost_s = cost_model_.expected(st.tag, scale, 1.0);
     pa.attempts = ts.attempts_at_stage;
     act_to_tuple[pa.id] = tuple_idx;
-    queue.push_back(std::move(pa));
+    scheduler->push(std::move(pa));
   };
 
   for (std::size_t i = 0; i < tuples.size(); ++i) enqueue(i);
@@ -217,8 +216,8 @@ SimReport SimulatedExecutor::run(const Relation& input,
     if (trace != nullptr) {
       trace->complete_span(tag, "activation", started * 1e6, duration * 1e6,
                            vm_id,
-                           {{"tuple", std::to_string(tuple_idx)},
-                            {"attempt", std::to_string(attempt)},
+                           {{"tuple", static_cast<long long>(tuple_idx)},
+                            {"attempt", attempt},
                             {"status", status}});
       if (status != prov::kStatusFinished) {
         trace->instant(status == prov::kStatusAborted ? "activation-hang"
@@ -240,7 +239,7 @@ SimReport SimulatedExecutor::run(const Relation& input,
 
   dispatch = [&]() {
     for (;;) {
-      if (queue.empty()) return;
+      if (scheduler->empty()) return;
       // Fastest usable VM with a free slot takes work first (the greedy
       // policy's "powerful VMs get the long activations").
       long long best_vm = -1;
@@ -256,16 +255,15 @@ SimReport SimulatedExecutor::run(const Relation& input,
       if (best_vm < 0) return;  // everything busy
 
       const cloud::VmInstance& vm = cluster.instance(best_vm);
-      const std::size_t pick = scheduler->pick(queue, vm);
-      const PendingActivation pa = std::move(queue[pick]);
-      queue.erase(queue.begin() + static_cast<std::ptrdiff_t>(pick));
+      const PendingActivation pa = scheduler->pop(vm);
 
       const std::size_t tuple_idx = act_to_tuple.at(pa.id);
       const Stage& st = pipeline_.stage(pa.activity_tag);
       const Tuple& tup = tuple_of(tuple_idx);
 
       const double planning = cost_model_.scheduling_overhead(
-          queue.size() + 1, static_cast<std::size_t>(cluster.alive_count()));
+          scheduler->size() + 1,
+          static_cast<std::size_t>(cluster.alive_count()));
       const double start_planning = std::max(sim.now(), scheduler_free_at);
       scheduler_free_at = start_planning + planning;
       // The slot idles from now until the serial scheduler finishes its
@@ -339,8 +337,7 @@ SimReport SimulatedExecutor::run(const Relation& input,
     if (trace != nullptr) {
       trace->complete_span("vm-boot", "cloud", acquired_at * 1e6,
                            (boot_completed_at - acquired_at) * 1e6, id,
-                           {{"type", type.name},
-                            {"cores", std::to_string(type.cores)}});
+                           {{"type", type.name}, {"cores", type.cores}});
     }
   };
 
@@ -366,7 +363,8 @@ SimReport SimulatedExecutor::run(const Relation& input,
     const int alive = cluster.alive_count();
     const int cores_per_vm = std::max(1, options_.elastic_vm_type.cores);
     const int target = std::clamp(
-        static_cast<int>(queue.size()) / (4 * cores_per_vm) + options_.min_vms,
+        static_cast<int>(scheduler->size()) / (4 * cores_per_vm) +
+            options_.min_vms,
         options_.min_vms, options_.max_vms);
     if (alive < target) {
       const long long id = cluster.acquire(options_.elastic_vm_type);
@@ -408,7 +406,7 @@ SimReport SimulatedExecutor::run(const Relation& input,
 
   sim.run();
 
-  SCIDOCK_ASSERT_MSG(busy == 0 && queue.empty(),
+  SCIDOCK_ASSERT_MSG(busy == 0 && scheduler->empty(),
                      "simulation drained with work outstanding");
   report.total_execution_time_s = sim.now();
   report.cloud_cost_usd = cluster.accumulated_cost_usd();

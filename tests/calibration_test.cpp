@@ -7,6 +7,7 @@
 #include "cloud/cost_model.hpp"
 #include "cloud/vm.hpp"
 #include "data/table2.hpp"
+#include "obs/metrics.hpp"
 #include "scidock/experiment.hpp"
 
 namespace scidock {
@@ -106,6 +107,29 @@ TEST(Calibration, ElasticAd4CampaignIsPinned) {
   EXPECT_EQ(r.activations_finished, 2304);
   EXPECT_EQ(r.activations_failed, 244);
   EXPECT_EQ(r.activations_hung, 29);
+}
+
+TEST(Calibration, SchedulerSeriesArePinned) {
+  // The scheduler's placement series for `scidock_cli sweep --engine ad4
+  // --pairs 2500 --cores 8`. The mean queue length counts the ready
+  // queue before each pick and the overhead charges the serial planner
+  // per pick (Figures 8-9), so a change in what the policy picks or when
+  // it counts moves these numbers.
+  core::ScidockOptions options;
+  options.engine_mode = core::EngineMode::ForceAd4;
+  auto exp = core::make_experiment(data::table2_receptors(),
+                                   data::table2_ligands(), 2500, options);
+  obs::MetricsRegistry metrics;
+  wf::SimExecutorOptions sim;
+  sim.obs.metrics = &metrics;
+  core::run_simulated(exp, 8, nullptr, sim);
+  EXPECT_EQ(metrics.counter_value("scidock_sched_picks_total"), 21513);
+  EXPECT_EQ(metrics.counter_value("scidock_sched_reexecution_picks_total"),
+            2255);
+  EXPECT_DOUBLE_EQ(metrics.gauge("scidock_sched_mean_queue_length").value(),
+                   1854.1778459536094);
+  EXPECT_DOUBLE_EQ(metrics.gauge("scidock_sched_overhead_seconds").value(),
+                   5661.3811165670031);
 }
 
 TEST(Calibration, ReceptorPrepAveragesTenSeconds) {

@@ -17,6 +17,8 @@
 #include <algorithm>
 #include <atomic>
 #include <functional>
+#include <limits>
+#include <map>
 #include <set>
 #include <thread>
 
@@ -217,6 +219,124 @@ TEST(Trace, ChromeJsonRoundTrips) {
   const SpanTree tree = build_span_tree(parsed);
   EXPECT_TRUE(tree.errors.empty());
   EXPECT_EQ(tree.span_count(), 2u);
+}
+
+TEST(Trace, RecordsEveryEventFromFourThreads) {
+  // Every recording entry point, with string and integer args, from four
+  // threads at once. events() must hand back each event as recorded, and
+  // the Chrome JSON must carry all of it.
+  constexpr int kThreads = 4;
+  constexpr int kIters = 300;
+  constexpr long long kRow = 1'000'000;  ///< explicit rows: kRow + thread
+  TraceRecorder rec;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&rec, t] {
+      const std::string ts = std::to_string(t);
+      for (int i = 0; i < kIters; ++i) {
+        {
+          ScopedSpan span(&rec, "work-" + ts, "test",
+                          {{"thread", ts}, {"iter", std::to_string(i)}});
+          span.set_arg("status", "done");
+        }
+        const std::uint64_t id =
+            rec.begin_span("raw", "test", {{"k", "v \"quoted\""}});
+        rec.end_span(id, {{"n", std::to_string(-i)}});
+        rec.complete_span("sim", "activation", 1000.0 * i, 0.5, kRow + t,
+                          {{"tuple", static_cast<long long>(i)},
+                           {"status", "FINISHED"},
+                           {"attempt", -1LL - t}});
+        rec.instant("tick", "fault", 1000.0 * i + 0.25, kRow + t,
+                    {{"max", std::numeric_limits<long long>::max()}});
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  const std::vector<TraceEvent> events = rec.events();
+  constexpr std::size_t kPerIter = 6;
+  ASSERT_EQ(events.size(), kThreads * kIters * kPerIter);
+  ASSERT_EQ(rec.event_count(), events.size());
+  // Sorted by (ts, seq), and seq numbers every record exactly once.
+  std::vector<std::uint64_t> seqs;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    seqs.push_back(events[i].seq);
+    if (i > 0) {
+      const TraceEvent& a = events[i - 1];
+      const TraceEvent& b = events[i];
+      ASSERT_TRUE(a.ts_us < b.ts_us || (a.ts_us == b.ts_us && a.seq < b.seq))
+          << i;
+    }
+  }
+  std::sort(seqs.begin(), seqs.end());
+  for (std::size_t i = 0; i < seqs.size(); ++i) ASSERT_EQ(seqs[i], i);
+
+  // Per row, in seq (= call) order, the events are exactly what was
+  // recorded. Native rows hold the spans, rows kRow + t the explicit ones.
+  std::map<long long, std::vector<const TraceEvent*>> rows;
+  for (const TraceEvent& e : events) rows[e.tid].push_back(&e);
+  ASSERT_EQ(rows.size(), 2u * kThreads);
+  for (auto& [tid, row] : rows) {
+    std::sort(row.begin(), row.end(), [](const auto* a, const auto* b) {
+      return a->seq < b->seq;
+    });
+    if (tid >= kRow) {
+      const long long t = tid - kRow;
+      ASSERT_EQ(row.size(), 2u * kIters);
+      for (int i = 0; i < kIters; ++i) {
+        const TraceEvent& sim = *row[2 * i];
+        EXPECT_EQ(sim.name, "sim");
+        EXPECT_EQ(sim.category, "activation");
+        EXPECT_EQ(sim.phase, TraceEvent::Phase::Complete);
+        EXPECT_DOUBLE_EQ(sim.ts_us, 1000.0 * i);
+        EXPECT_DOUBLE_EQ(sim.dur_us, 0.5);
+        EXPECT_EQ(sim.args, (TraceArgs{{"tuple", std::to_string(i)},
+                                       {"status", "FINISHED"},
+                                       {"attempt", std::to_string(-1 - t)}}));
+        const TraceEvent& tick = *row[2 * i + 1];
+        EXPECT_EQ(tick.name, "tick");
+        EXPECT_EQ(tick.category, "fault");
+        EXPECT_EQ(tick.phase, TraceEvent::Phase::Instant);
+        EXPECT_EQ(tick.span_id, 0u);
+        EXPECT_EQ(tick.args, (TraceArgs{{"max", "9223372036854775807"}}));
+      }
+      continue;
+    }
+    ASSERT_EQ(row.size(), 4u * kIters);
+    const std::string t = row[0]->name.substr(std::string("work-").size());
+    for (int i = 0; i < kIters; ++i) {
+      const TraceEvent& begin = *row[4 * i];
+      const TraceEvent& end = *row[4 * i + 1];
+      EXPECT_EQ(begin.name, "work-" + t);
+      EXPECT_EQ(begin.category, "test");
+      EXPECT_EQ(begin.phase, TraceEvent::Phase::Begin);
+      EXPECT_EQ(begin.args,
+                (TraceArgs{{"thread", t}, {"iter", std::to_string(i)}}));
+      EXPECT_EQ(end.phase, TraceEvent::Phase::End);
+      EXPECT_EQ(end.span_id, begin.span_id);
+      EXPECT_EQ(end.args, (TraceArgs{{"status", "done"}}));
+      const TraceEvent& raw = *row[4 * i + 2];
+      EXPECT_EQ(raw.name, "raw");
+      EXPECT_EQ(raw.args, (TraceArgs{{"k", "v \"quoted\""}}));
+      EXPECT_EQ(row[4 * i + 3]->span_id, raw.span_id);
+      EXPECT_EQ(row[4 * i + 3]->args, (TraceArgs{{"n", std::to_string(-i)}}));
+    }
+  }
+  EXPECT_TRUE(build_span_tree(events).errors.empty());
+
+  const std::vector<TraceEvent> parsed =
+      parse_chrome_trace(rec.to_chrome_json());
+  ASSERT_EQ(parsed.size(), events.size());
+  for (std::size_t i = 0; i < parsed.size(); ++i) {
+    EXPECT_EQ(parsed[i].name, events[i].name) << i;
+    EXPECT_EQ(parsed[i].category, events[i].category) << i;
+    EXPECT_EQ(parsed[i].phase, events[i].phase) << i;
+    EXPECT_NEAR(parsed[i].ts_us, events[i].ts_us, 1e-3) << i;
+    EXPECT_NEAR(parsed[i].dur_us, events[i].dur_us, 1e-3) << i;
+    EXPECT_EQ(parsed[i].tid, events[i].tid) << i;
+    EXPECT_EQ(parsed[i].span_id, events[i].span_id) << i;
+    EXPECT_EQ(parsed[i].args, events[i].args) << i;
+  }
 }
 
 TEST(Trace, ParserRejectsMalformedJson) {

@@ -368,25 +368,30 @@ cloud::VmInstance vm_with_slowdown(double jitter) {
   return vm;
 }
 
+void push_all(Scheduler& sched, const std::vector<PendingActivation>& queue) {
+  for (const PendingActivation& pa : queue) sched.push(pa);
+}
+
 TEST(Scheduler, GreedyGivesFastVmTheBigTask) {
   GreedyCostScheduler sched;
-  std::vector<PendingActivation> queue{
-      {1, "babel", 2.0, 0}, {2, "autodock4", 150.0, 0}, {3, "gpfprep", 20.0, 0}};
-  EXPECT_EQ(sched.pick(queue, vm_with_slowdown(0.9)), 1u);  // fast VM
-  EXPECT_EQ(sched.pick(queue, vm_with_slowdown(1.5)), 0u);  // slow VM
+  push_all(sched, {{1, "babel", 2.0, 0},
+                   {2, "autodock4", 150.0, 0},
+                   {3, "gpfprep", 20.0, 0}});
+  EXPECT_EQ(sched.pop(vm_with_slowdown(0.9)).id, 2);  // fast VM
+  EXPECT_EQ(sched.pop(vm_with_slowdown(1.5)).id, 1);  // slow VM
 }
 
 TEST(Scheduler, GreedyPrioritisesRetries) {
   GreedyCostScheduler sched;
-  std::vector<PendingActivation> queue{
-      {1, "autodock4", 150.0, 0}, {2, "babel", 2.0, 2}};  // babel is a retry
-  EXPECT_EQ(sched.pick(queue, vm_with_slowdown(0.9)), 1u);
+  push_all(sched, {{1, "autodock4", 150.0, 0},
+                   {2, "babel", 2.0, 2}});  // babel is a retry
+  EXPECT_EQ(sched.pop(vm_with_slowdown(0.9)).id, 2);
 }
 
 TEST(Scheduler, FifoTakesHead) {
   FifoScheduler sched;
-  std::vector<PendingActivation> queue{{5, "x", 9.0, 0}, {6, "y", 1.0, 0}};
-  EXPECT_EQ(sched.pick(queue, vm_with_slowdown(1.0)), 0u);
+  push_all(sched, {{5, "x", 9.0, 0}, {6, "y", 1.0, 0}});
+  EXPECT_EQ(sched.pop(vm_with_slowdown(1.0)).id, 5);
 }
 
 TEST(Scheduler, Factory) {
@@ -396,8 +401,8 @@ TEST(Scheduler, Factory) {
 }
 
 // Property tests: randomized queues (deterministic Rng) against both
-// policies. pick() must stay in bounds, and queued re-executions
-// (attempts > 0) must never starve behind fresh activations.
+// policies. pop() must return a queued activation, and queued
+// re-executions (attempts > 0) must never starve behind fresh activations.
 
 std::vector<PendingActivation> random_queue(Rng& rng, long long& next_id,
                                             std::size_t size) {
@@ -423,15 +428,20 @@ TEST(SchedulerProperty, PickAlwaysInBoundsAndPrefersRetries) {
     const cloud::VmInstance vm = vm_with_slowdown(rng.uniform(0.6, 1.8));
     for (const std::string& policy : policies) {
       const auto sched = make_scheduler(policy);
-      const std::size_t pick = sched->pick(queue, vm);
-      ASSERT_LT(pick, queue.size()) << policy << " iter " << iter;
+      push_all(*sched, queue);
+      const PendingActivation picked = sched->pop(vm);
+      const auto it = std::find_if(
+          queue.begin(), queue.end(),
+          [&](const PendingActivation& pa) { return pa.id == picked.id; });
+      ASSERT_NE(it, queue.end()) << policy << " iter " << iter;
+      ASSERT_EQ(sched->size(), queue.size() - 1) << policy << " iter " << iter;
       if (policy == "greedy-cost") {
         // If any re-execution is queued, greedy must take one of them.
         const bool any_retry = std::any_of(
             queue.begin(), queue.end(),
             [](const PendingActivation& pa) { return pa.attempts > 0; });
         if (any_retry) {
-          EXPECT_GT(queue[pick].attempts, 0) << "iter " << iter;
+          EXPECT_GT(picked.attempts, 0) << "iter " << iter;
         }
       }
     }
@@ -447,30 +457,95 @@ TEST(SchedulerProperty, RetriesNeverStarveUnderArrivals) {
     Rng rng(7 + (policy == "fifo" ? 1 : 0));
     long long next_id = 1;
     for (int round = 0; round < 20; ++round) {
-      auto queue = random_queue(rng, next_id, 12);
+      const auto queue = random_queue(rng, next_id, 12);
       const std::size_t bound = queue.size();
       std::vector<long long> retry_ids;
       for (const auto& pa : queue) {
         if (pa.attempts > 0) retry_ids.push_back(pa.id);
       }
       const auto sched = make_scheduler(policy);
+      push_all(*sched, queue);
       const cloud::VmInstance vm = vm_with_slowdown(1.0);
       std::size_t drained = 0;
       while (!retry_ids.empty()) {
         ASSERT_LE(++drained, bound)
             << policy << ": retries starved after " << bound << " picks";
-        const std::size_t pick = sched->pick(queue, vm);
-        ASSERT_LT(pick, queue.size());
-        std::erase(retry_ids, queue[pick].id);
-        queue.erase(queue.begin() + static_cast<std::ptrdiff_t>(pick));
+        ASSERT_FALSE(sched->empty());
+        std::erase(retry_ids, sched->pop(vm).id);
         // Fresh (attempts == 0) work keeps arriving behind the retries.
         PendingActivation fresh;
         fresh.id = next_id++;
         fresh.activity_tag = "fresh";
         fresh.expected_cost_s = rng.uniform(0.1, 200.0);
         fresh.attempts = 0;
-        queue.push_back(std::move(fresh));
+        sched->push(std::move(fresh));
       }
+    }
+  }
+}
+
+/// The greedy policy as a linear scan over a queue in arrival order, as
+/// the executor ran it before the policy kept an index: the reference the
+/// index must match pick for pick. FIFO takes the head.
+std::size_t linear_scan_pick(const std::vector<PendingActivation>& queue,
+                             const cloud::VmInstance& vm, bool greedy) {
+  if (!greedy) return 0;
+  std::size_t best = 0;
+  const bool fast_vm = vm.slowdown() <= 1.0;
+  auto better = [&](std::size_t a, std::size_t b) {
+    const bool ra = queue[a].attempts > 0;
+    const bool rb = queue[b].attempts > 0;
+    if (ra != rb) return ra;
+    if (fast_vm) return queue[a].expected_cost_s > queue[b].expected_cost_s;
+    return queue[a].expected_cost_s < queue[b].expected_cost_s;
+  };
+  for (std::size_t i = 1; i < queue.size(); ++i) {
+    if (better(i, best)) best = i;
+  }
+  return best;
+}
+
+TEST(SchedulerProperty, PopsWhatTheLinearScanPicked) {
+  // Costs come from a small set so ties are common, and the VM jitters
+  // straddle the fast-VM threshold (1.0 itself counts as fast).
+  constexpr double kCosts[] = {0.5, 2.0, 2.0, 20.0, 150.0};
+  constexpr double kJitters[] = {0.8, 1.0, 1.0 + 1e-9, 1.4};
+  for (const std::string policy : {"greedy-cost", "fifo"}) {
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      Rng rng(seed);
+      const auto sched = make_scheduler(policy);
+      std::vector<PendingActivation> oracle;
+      long long next_id = 1;
+      long long picks = 0;
+      long long queued_seen = 0;
+      long long reexecution_picks = 0;
+      for (int step = 0; step < 400; ++step) {
+        if (oracle.empty() || rng.chance(0.55)) {
+          PendingActivation pa;
+          pa.id = next_id++;
+          pa.activity_tag = "act";
+          pa.expected_cost_s = kCosts[rng.below(std::size(kCosts))];
+          pa.attempts =
+              rng.chance(0.2) ? static_cast<int>(1 + rng.below(3)) : 0;
+          oracle.push_back(pa);
+          sched->push(std::move(pa));
+          continue;
+        }
+        const cloud::VmInstance vm =
+            vm_with_slowdown(kJitters[rng.below(std::size(kJitters))]);
+        const std::size_t expected =
+            linear_scan_pick(oracle, vm, policy == "greedy-cost");
+        ++picks;
+        queued_seen += static_cast<long long>(oracle.size());
+        if (oracle[expected].attempts > 0) ++reexecution_picks;
+        ASSERT_EQ(sched->pop(vm).id, oracle[expected].id)
+            << policy << " seed " << seed << " step " << step;
+        oracle.erase(oracle.begin() + static_cast<std::ptrdiff_t>(expected));
+        ASSERT_EQ(sched->size(), oracle.size());
+      }
+      EXPECT_EQ(sched->stats().picks, picks);
+      EXPECT_EQ(sched->stats().queued_seen, queued_seen);
+      EXPECT_EQ(sched->stats().reexecution_picks, reexecution_picks);
     }
   }
 }
