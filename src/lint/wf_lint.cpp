@@ -1,383 +1,16 @@
 #include "lint/wf_lint.hpp"
 
-#include <algorithm>
-#include <map>
-#include <set>
 #include <utility>
-#include <vector>
 
-#include "util/error.hpp"
-#include "util/strings.hpp"
 #include "wf/spec.hpp"
-#include "wf/template.hpp"
-#include "xml/xml.hpp"
 
 namespace scidock::lint {
 
-namespace {
-
-/// Everything the checker needs about one activity, lifted off the DOM
-/// with per-element source lines preserved.
-struct LintRelation {
-  std::string name;
-  std::string filename;
-  std::vector<std::string> fields;
-  bool is_input = true;
-  int line = 0;
-};
-
-struct LintActivity {
-  std::string tag;
-  std::string op;  ///< raw `type` attribute ("" = defaulted to MAP)
-  std::string activation;
-  std::vector<LintRelation> relations;
-  int line = 0;
-
-  bool op_known() const {
-    for (const char* known :
-         {"MAP", "SPLIT_MAP", "FILTER", "REDUCE", "SR_QUERY"}) {
-      if (op.empty() || iequals(op, known)) return true;
-    }
-    return false;
-  }
-  bool is_split_map() const { return iequals(op, "SPLIT_MAP"); }
-};
-
-std::vector<std::string> parse_fields(const std::string& attr) {
-  std::vector<std::string> out;
-  for (const std::string& f : split(attr, ',')) {
-    const std::string_view t = trim(f);
-    if (!t.empty()) out.emplace_back(t);
-  }
-  return out;
-}
-
-class WorkflowLinter {
- public:
-  WorkflowLinter(std::string file, Report& report)
-      : file_(std::move(file)), report_(report) {}
-
-  void run(const xml::Element& root) {
-    if (root.name() != "SciCumulus") {
-      error("WF001", root.source_line(),
-            "root element must be <SciCumulus>, got <" + root.name() + ">");
-      return;
-    }
-    check_database(root);
-    const xml::Element* wf_el = root.child("SciCumulusWorkflow");
-    if (wf_el == nullptr) {
-      error("WF001", root.source_line(), "missing <SciCumulusWorkflow>");
-      return;
-    }
-    if (!wf_el->attribute("tag")) {
-      error("WF001", wf_el->source_line(),
-            "<SciCumulusWorkflow> has no tag attribute");
-    }
-    collect_activities(*wf_el);
-    if (activities_.empty()) {
-      error("WF001", wf_el->source_line(), "workflow has no activities");
-      return;
-    }
-    check_arity();
-    check_producers();
-    check_schemas();
-    check_templates();
-    check_cycles();
-  }
-
- private:
-  void error(std::string rule, int line, std::string message) {
-    report_.add_error(std::move(rule), file_, line, std::move(message));
-  }
-
-  void check_database(const xml::Element& root) {
-    const xml::Element* db = root.child("database");
-    if (db == nullptr) return;
-    const auto port = db->attribute("port");
-    if (!port) return;
-    long long value = 0;
-    try {
-      value = parse_int(*port, "database port");
-    } catch (const Error&) {
-      error("WF001", db->source_line(),
-            "database port '" + *port + "' is not an integer");
-      return;
-    }
-    if (value < 1 || value > 65535) {
-      error("WF001", db->source_line(),
-            "database port " + std::to_string(value) +
-                " outside 1..65535");
-    }
-  }
-
-  void collect_activities(const xml::Element& wf_el) {
-    std::set<std::string> seen_tags;
-    for (const xml::Element* act_el :
-         wf_el.children_named("SciCumulusActivity")) {
-      LintActivity act;
-      act.line = act_el->source_line();
-      if (auto tag = act_el->attribute("tag")) {
-        act.tag = *tag;
-      } else {
-        error("WF001", act.line, "<SciCumulusActivity> has no tag attribute");
-        act.tag = "<unnamed>";
-      }
-      if (auto type = act_el->attribute("type")) act.op = *type;
-      if (auto cmd = act_el->attribute("activation")) act.activation = *cmd;
-
-      if (!act.op_known()) {
-        error("WF002", act.line,
-              "activity '" + act.tag + "': unknown operator '" + act.op +
-                  "' (expected MAP, SPLIT_MAP, FILTER, REDUCE or SR_QUERY)");
-      }
-      if (act.tag != "<unnamed>" && !seen_tags.insert(act.tag).second) {
-        error("WF004", act.line, "duplicate activity tag '" + act.tag + "'");
-      }
-
-      std::set<std::string> seen_relations;
-      for (const xml::Element* rel_el : act_el->children_named("Relation")) {
-        LintRelation rel;
-        rel.line = rel_el->source_line();
-        if (auto name = rel_el->attribute("name")) {
-          rel.name = *name;
-        } else {
-          error("WF001", rel.line,
-                "activity '" + act.tag + "': <Relation> has no name");
-          continue;
-        }
-        if (auto fname = rel_el->attribute("filename")) rel.filename = *fname;
-        if (auto fields = rel_el->attribute("fields")) {
-          rel.fields = parse_fields(*fields);
-        }
-        const auto reltype = rel_el->attribute("reltype");
-        if (!reltype) {
-          error("WF001", rel.line,
-                "activity '" + act.tag + "': relation '" + rel.name +
-                    "' has no reltype");
-          continue;
-        }
-        if (iequals(*reltype, "Input")) {
-          rel.is_input = true;
-        } else if (iequals(*reltype, "Output")) {
-          rel.is_input = false;
-        } else {
-          error("WF001", rel.line,
-                "activity '" + act.tag + "': unknown reltype '" + *reltype +
-                    "' (expected Input or Output)");
-          continue;
-        }
-        if (!seen_relations.insert(rel.name).second) {
-          error("WF004", rel.line,
-                "activity '" + act.tag + "': relation '" + rel.name +
-                    "' declared twice");
-        }
-        act.relations.push_back(std::move(rel));
-      }
-      activities_.push_back(std::move(act));
-    }
-  }
-
-  /// WF003: every operator consumes exactly one relation; SPLIT_MAP may
-  /// fan out to several, all others produce exactly one.
-  void check_arity() {
-    for (const LintActivity& act : activities_) {
-      if (!act.op_known()) continue;  // already WF002
-      std::size_t inputs = 0, outputs = 0;
-      for (const LintRelation& rel : act.relations) {
-        (rel.is_input ? inputs : outputs)++;
-      }
-      const std::string op = act.op.empty() ? "MAP" : act.op;
-      if (inputs != 1) {
-        error("WF003", act.line,
-              "activity '" + act.tag + "' (" + op + "): expected exactly 1 "
-                  "input relation, got " + std::to_string(inputs));
-      }
-      if (act.is_split_map()) {
-        if (outputs < 1) {
-          error("WF003", act.line,
-                "activity '" + act.tag + "' (SPLIT_MAP): expected at least "
-                    "1 output relation, got 0");
-        }
-      } else if (outputs != 1) {
-        error("WF003", act.line,
-              "activity '" + act.tag + "' (" + op + "): expected exactly 1 "
-                  "output relation, got " + std::to_string(outputs));
-      }
-    }
-  }
-
-  /// WF004 (second producer) + WF007 (consumed but never produced nor
-  /// staged from a file).
-  void check_producers() {
-    for (const LintActivity& act : activities_) {
-      for (const LintRelation& rel : act.relations) {
-        if (rel.is_input) continue;
-        auto [it, inserted] = producers_.emplace(rel.name, &act);
-        if (!inserted) {
-          error("WF004", rel.line,
-                "relation '" + rel.name + "' produced by both '" +
-                    it->second->tag + "' and '" + act.tag + "'");
-        }
-      }
-    }
-    for (const LintActivity& act : activities_) {
-      for (const LintRelation& rel : act.relations) {
-        if (!rel.is_input) continue;
-        if (producers_.count(rel.name) == 0 && rel.filename.empty()) {
-          error("WF007", rel.line,
-                "activity '" + act.tag + "': input relation '" + rel.name +
-                    "' has no producing activity and no filename to stage "
-                    "it from");
-        }
-      }
-    }
-  }
-
-  /// WF005: a consumer's declared input schema must be covered by its
-  /// producer's declared output schema. Only checked when both sides
-  /// declare `fields` (the attribute is optional).
-  void check_schemas() {
-    for (const LintActivity& act : activities_) {
-      for (const LintRelation& rel : act.relations) {
-        if (!rel.is_input || rel.fields.empty()) continue;
-        const auto producer = producers_.find(rel.name);
-        if (producer == producers_.end()) continue;
-        const LintRelation* out = nullptr;
-        for (const LintRelation& prel : producer->second->relations) {
-          if (!prel.is_input && prel.name == rel.name) out = &prel;
-        }
-        if (out == nullptr || out->fields.empty()) continue;
-        for (const std::string& field : rel.fields) {
-          if (std::find(out->fields.begin(), out->fields.end(), field) ==
-              out->fields.end()) {
-            error("WF005", rel.line,
-                  "activity '" + act.tag + "': input relation '" + rel.name +
-                      "' expects field '" + field + "' but producer '" +
-                      producer->second->tag + "' declares only (" +
-                      join(out->fields, ", ") + ")");
-          }
-        }
-      }
-    }
-  }
-
-  /// WF008 (malformed %TAG% syntax) + WF009 (tag resolves to no declared
-  /// input field; only checked when the input declares a schema) + WF010
-  /// (input schema undeclared, but the tag names no field declared by
-  /// *any* relation of the workflow — in a workflow that declares fields
-  /// elsewhere, such a tag can never be bound). WF010 stays silent in
-  /// fully schema-less specifications, where nothing can be validated.
-  void check_templates() {
-    std::set<std::string> declared_anywhere;
-    for (const LintActivity& act : activities_) {
-      for (const LintRelation& rel : act.relations) {
-        declared_anywhere.insert(rel.fields.begin(), rel.fields.end());
-      }
-    }
-    for (const LintActivity& act : activities_) {
-      if (act.activation.empty()) continue;
-      std::vector<std::string> tags;
-      try {
-        tags = wf::template_tags(act.activation);
-      } catch (const ParseError& e) {
-        error("WF008", act.line,
-              "activity '" + act.tag + "': " + e.what());
-        continue;
-      }
-      const LintRelation* input = nullptr;
-      for (const LintRelation& rel : act.relations) {
-        if (rel.is_input) {
-          input = &rel;
-          break;
-        }
-      }
-      if (input == nullptr || input->fields.empty()) {
-        if (declared_anywhere.empty()) continue;
-        for (const std::string& tag : tags) {
-          if (declared_anywhere.count(tag) == 0) {
-            error("WF010", act.line,
-                  "activity '" + act.tag + "': template tag %" + tag +
-                      "% is referenced but no relation in the workflow "
-                      "declares a field of that name");
-          }
-        }
-        continue;
-      }
-      for (const std::string& tag : tags) {
-        if (std::find(input->fields.begin(), input->fields.end(), tag) ==
-            input->fields.end()) {
-          error("WF009", act.line,
-                "activity '" + act.tag + "': template tag %" + tag +
-                    "% names no field of input relation '" + input->name +
-                    "' (" + join(input->fields, ", ") + ")");
-        }
-      }
-    }
-  }
-
-  /// WF006: the relation wiring must form a DAG. Iteratively peel
-  /// activities whose inputs are all satisfied; whatever cannot be peeled
-  /// sits on (or behind) a cycle.
-  void check_cycles() {
-    std::set<std::string> available;  // relations with no producer = sources
-    for (const LintActivity& act : activities_) {
-      for (const LintRelation& rel : act.relations) {
-        if (rel.is_input && producers_.count(rel.name) == 0) {
-          available.insert(rel.name);
-        }
-      }
-    }
-    std::vector<const LintActivity*> remaining;
-    for (const LintActivity& act : activities_) remaining.push_back(&act);
-    bool progressed = true;
-    while (progressed) {
-      progressed = false;
-      for (auto it = remaining.begin(); it != remaining.end();) {
-        const bool ready = std::all_of(
-            (*it)->relations.begin(), (*it)->relations.end(),
-            [&](const LintRelation& rel) {
-              return !rel.is_input || available.count(rel.name) > 0;
-            });
-        if (ready) {
-          for (const LintRelation& rel : (*it)->relations) {
-            if (!rel.is_input) available.insert(rel.name);
-          }
-          it = remaining.erase(it);
-          progressed = true;
-        } else {
-          ++it;
-        }
-      }
-    }
-    for (const LintActivity* act : remaining) {
-      error("WF006", act->line,
-            "activity '" + act->tag + "' is part of (or downstream of) a "
-                "dataflow cycle");
-    }
-  }
-
-  std::string file_;
-  Report& report_;
-  std::vector<LintActivity> activities_;
-  std::map<std::string, const LintActivity*> producers_;
-};
-
-}  // namespace
-
 Report lint_workflow_xml(std::string_view xml_text, std::string file) {
   Report report;
-  xml::Document doc;
-  try {
-    doc = xml::parse(xml_text);
-  } catch (const ParseError& e) {
-    report.add_error("WF001", std::move(file), 0, e.what());
-    return report;
+  for (wf::SpecFinding& f : wf::check_spec(xml_text)) {
+    report.add_error(std::move(f.rule), file, f.line, std::move(f.message));
   }
-  if (!doc.root) {
-    report.add_error("WF001", std::move(file), 0, "empty XML document");
-    return report;
-  }
-  WorkflowLinter(std::move(file), report).run(*doc.root);
   return report;
 }
 

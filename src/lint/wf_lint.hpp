@@ -2,10 +2,10 @@
 
 /// \file wf_lint.hpp
 /// Workflow algebra checker: statically validates a SciCumulus XML
-/// workflow specification (paper Figure 2) without executing it. Unlike
-/// wf::load_spec — which throws on the first problem — the linter walks
-/// the DOM and reports every finding, each tagged with a stable rule ID
-/// (WF001..WF009, see lint::rule_catalog()).
+/// workflow specification (paper Figure 2) without executing it. The rules
+/// (WF001..WF010, see lint::rule_catalog()) live in wf::check_spec, which
+/// wf::load_spec also applies; the linter reports every finding where
+/// load_spec throws on the first.
 
 #include <string>
 #include <string_view>

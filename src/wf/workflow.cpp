@@ -64,23 +64,24 @@ int WorkflowDef::producer_of(std::string_view relation_name) const {
   return -1;
 }
 
-std::vector<int> WorkflowDef::topological_order() const {
-  const int n = static_cast<int>(activities.size());
-  std::vector<std::vector<int>> consumers(static_cast<std::size_t>(n));
-  std::vector<int> in_degree(static_cast<std::size_t>(n), 0);
-  for (int i = 0; i < n; ++i) {
-    for (const RelationDef& r : activities[static_cast<std::size_t>(i)].relations) {
+std::vector<int> WorkflowDef::runnable_order() const {
+  const std::size_t n = activities.size();
+  std::vector<std::vector<int>> consumers(n);
+  std::vector<int> in_degree(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (const RelationDef& r : activities[i].relations) {
       if (!r.is_input) continue;
       const int producer = producer_of(r.name);
-      if (producer >= 0 && producer != i) {
-        consumers[static_cast<std::size_t>(producer)].push_back(i);
-        ++in_degree[static_cast<std::size_t>(i)];
+      if (producer >= 0) {
+        consumers[static_cast<std::size_t>(producer)].push_back(
+            static_cast<int>(i));
+        ++in_degree[i];
       }
     }
   }
   std::deque<int> ready;
-  for (int i = 0; i < n; ++i) {
-    if (in_degree[static_cast<std::size_t>(i)] == 0) ready.push_back(i);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (in_degree[i] == 0) ready.push_back(static_cast<int>(i));
   }
   std::vector<int> order;
   while (!ready.empty()) {
@@ -91,7 +92,12 @@ std::vector<int> WorkflowDef::topological_order() const {
       if (--in_degree[static_cast<std::size_t>(v)] == 0) ready.push_back(v);
     }
   }
-  SCIDOCK_REQUIRE(static_cast<int>(order.size()) == n,
+  return order;
+}
+
+std::vector<int> WorkflowDef::topological_order() const {
+  std::vector<int> order = runnable_order();
+  SCIDOCK_REQUIRE(order.size() == activities.size(),
                   "workflow relation wiring contains a cycle");
   return order;
 }

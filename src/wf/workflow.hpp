@@ -28,11 +28,12 @@ struct RelationDef {
   std::string filename;
   bool is_input = true;
   /// Declared schema (ordered field names), empty when the spec omits the
-  /// optional `fields` attribute. scidock-lint uses it to check that a
+  /// optional `fields` attribute. load_spec uses it to check that a
   /// consumer's declared input schema is satisfied by its producer's
   /// output schema (rule WF005) and that activation-command %TAG%
-  /// placeholders resolve (rule WF009).
+  /// placeholders resolve (rules WF009, WF010).
   std::vector<std::string> fields;
+  int line = 0;  ///< 1-based line in the XML spec; 0 when built in memory
 };
 
 struct ActivityDef {
@@ -41,6 +42,7 @@ struct ActivityDef {
   std::string template_dir;
   std::string activation_command;  ///< template text with %TAGS%
   std::vector<RelationDef> relations;
+  int line = 0;  ///< 1-based line in the XML spec; 0 when built in memory
 
   const RelationDef* input_relation() const;
   const RelationDef* output_relation() const;
@@ -67,8 +69,13 @@ struct WorkflowDef {
   /// derive the dataflow DAG from relation wiring.
   int producer_of(std::string_view relation_name) const;
 
-  /// Activity indices in a valid execution order (topological by relation
-  /// dependencies; throws InvalidStateError on a cycle).
+  /// Kahn's pass over the relation wiring: the indices of the activities
+  /// that can run, in a valid execution order. An activity left out sits on
+  /// or downstream of a cycle; one that consumes its own output is a cycle.
+  std::vector<int> runnable_order() const;
+
+  /// runnable_order(); throws InvalidStateError unless it holds every
+  /// activity.
   std::vector<int> topological_order() const;
 };
 

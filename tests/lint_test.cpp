@@ -8,8 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <iterator>
+#include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "lint/diagnostics.hpp"
@@ -19,6 +22,9 @@
 #include "scidock/analysis.hpp"
 #include "scidock/scidock.hpp"
 #include "sql/table.hpp"
+#include "util/rng.hpp"
+#include "wf/spec.hpp"
+#include "xml/xml.hpp"
 
 namespace scidock::lint {
 namespace {
@@ -251,6 +257,146 @@ TEST(WorkflowLint, TagDeclaredElsewhereSkipsWF010) {
       "<Relation reltype=\"Output\" name=\"out\"/>"
       "</SciCumulusActivity></SciCumulusWorkflow></SciCumulus>");
   EXPECT_TRUE(report.clean()) << report.format();
+}
+
+// ------------------------------ property: load_spec agrees with the linter
+
+/// Rebuilds a spec DOM with one random edit at one non-root element: the
+/// element dropped, duplicated or renamed, or one of its attributes
+/// dropped, renamed or given a value taken from the fixture corpus.
+class SpecMutator {
+ public:
+  SpecMutator(Rng& rng, std::vector<std::string> values)
+      : rng_(rng), values_(std::move(values)) {}
+
+  xml::Document mutate(const xml::Element& root) {
+    const std::size_t elements = count(root);
+    target_ = elements > 1 ? 1 + rng_.below(elements - 1) : 0;
+    edit_ = static_cast<int>(rng_.below(6));
+    next_ = 1;
+    xml::Document doc;
+    doc.root = std::make_unique<xml::Element>(root.name());
+    for (const auto& [key, value] : root.attributes()) {
+      doc.root->set_attribute(key, value);
+    }
+    for (const auto& child : root.children()) copy_into(*child, *doc.root);
+    return doc;
+  }
+
+ private:
+  static std::size_t count(const xml::Element& e) {
+    std::size_t n = 1;
+    for (const auto& child : e.children()) n += count(*child);
+    return n;
+  }
+
+  template <typename Range>
+  std::string pick(const Range& range) {
+    const auto n = static_cast<std::uint64_t>(std::size(range));
+    return std::string(*std::next(std::begin(range),
+                                  static_cast<std::ptrdiff_t>(rng_.below(n))));
+  }
+
+  void copy_into(const xml::Element& src, xml::Element& dst) {
+    static constexpr const char* kElements[] = {
+        "SciCumulus", "database", "SciCumulusWorkflow", "SciCumulusActivity",
+        "Relation",   "File"};
+    static constexpr const char* kAttributes[] = {
+        "tag",    "type",       "name",        "reltype", "filename",
+        "fields", "activation", "templatedir", "port"};
+    std::string name = src.name();
+    std::vector<std::pair<std::string, std::string>> attrs = src.attributes();
+    int copies = 1;
+    if (next_++ == target_) {
+      const auto at = [&] {
+        return static_cast<std::ptrdiff_t>(rng_.below(attrs.size()));
+      };
+      switch (edit_) {
+        case 0: copies = 0; break;
+        case 1: copies = 2; break;
+        case 2: name = pick(kElements); break;
+        case 3: if (!attrs.empty()) attrs.erase(attrs.begin() + at()); break;
+        case 4: if (!attrs.empty()) attrs[at()].first = pick(kAttributes); break;
+        default: if (!attrs.empty()) attrs[at()].second = pick(values_); break;
+      }
+    }
+    for (int c = 0; c < copies; ++c) {
+      xml::Element& out = dst.add_child(name);
+      for (const auto& [key, value] : attrs) out.set_attribute(key, value);
+      out.set_text(src.text());
+      for (const auto& child : src.children()) copy_into(*child, out);
+    }
+  }
+
+  Rng& rng_;
+  std::vector<std::string> values_;
+  std::size_t target_ = 0;
+  std::size_t next_ = 0;
+  int edit_ = 0;
+};
+
+void collect_values(const xml::Element& e, std::set<std::string>& out) {
+  for (const auto& attribute : e.attributes()) out.insert(attribute.second);
+  for (const auto& child : e.children()) collect_values(*child, out);
+}
+
+TEST(SpecProperty, LoaderAndLinterAgreeOnMutants) {
+  // Fixed seed and mutant count: the same 3,600 specs on every run.
+  constexpr std::uint64_t kSeed = 0x5bec5eedULL;
+  constexpr int kMutantsPerFixture = 300;
+  const char* fixtures[] = {
+      "bad/wf001_missing_workflow.xml", "bad/wf002_unknown_operator.xml",
+      "bad/wf003_operator_arity.xml",   "bad/wf004_duplicate_tag.xml",
+      "bad/wf005_schema_mismatch.xml",  "bad/wf006_cycle.xml",
+      "bad/wf007_dangling_input.xml",   "bad/wf008_bad_template.xml",
+      "bad/wf009_dangling_tag.xml",     "bad/wf010_undeclared_tag.xml",
+      "good/workflow_sciDock.xml",      "good/workflow_splitmap.xml"};
+  std::vector<xml::Document> originals;
+  std::set<std::string> values = {"70000"};
+  for (const char* name : fixtures) {
+    originals.push_back(xml::parse(read_fixture(name)));
+    collect_values(*originals.back().root, values);
+  }
+
+  Rng rng(kSeed);
+  SpecMutator mutator(rng, {values.begin(), values.end()});
+  std::size_t loaded = 0;
+  std::set<std::string> first_rules;
+  for (const xml::Document& original : originals) {
+    for (int m = 0; m < kMutantsPerFixture; ++m) {
+      xml::Document mutant = mutator.mutate(*original.root);
+      for (auto edits = rng.below(3); edits > 0; --edits) {
+        mutant = mutator.mutate(*mutant.root);
+      }
+      const std::string text = mutant.to_string();
+      const Report report = lint_workflow_xml(text);
+      std::string error;
+      try {
+        wf::load_spec(text);
+      } catch (const ParseError& e) {
+        error = e.what();
+      } catch (const std::exception& e) {
+        FAIL() << "load_spec threw a non-ParseError: " << e.what() << "\n"
+               << text;
+      }
+      if (report.clean()) {
+        ASSERT_EQ(error, "") << text;
+        ++loaded;
+        continue;
+      }
+      const Diagnostic& first = report.diagnostics().front();
+      const std::string expected =
+          "[" + first.rule + "] line " + std::to_string(first.line) + ": ";
+      ASSERT_NE(error.find(expected), std::string::npos)
+          << "lint: " << first.format() << "\nload_spec: '" << error << "'\n"
+          << text;
+      first_rules.insert(first.rule);
+    }
+  }
+  // The corpus reaches both outcomes, and each of WF001..WF010 is the
+  // first finding of some mutant.
+  EXPECT_GT(loaded, 0u);
+  EXPECT_EQ(first_rules.size(), 10u);
 }
 
 TEST(SqlLint, ReconcileAnnotationWithKnownMetricIsClean) {

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "cloud/vm.hpp"
@@ -166,6 +169,16 @@ TEST(Workflow, CycleDetected) {
   EXPECT_THROW(def.topological_order(), InvalidStateError);
 }
 
+TEST(Workflow, SelfConsumingActivityIsACycle) {
+  WorkflowDef def;
+  ActivityDef a;
+  a.tag = "a";
+  a.relations = {RelationDef{"r", "", true}, RelationDef{"r", "", false}};
+  def.activities = {a};
+  EXPECT_TRUE(def.runnable_order().empty());
+  EXPECT_THROW(def.topological_order(), InvalidStateError);
+}
+
 // ------------------------------------------------------------- XML spec
 
 TEST(Spec, PaperFigure2Parses) {
@@ -212,18 +225,92 @@ TEST(Spec, RoundTripThroughSaveLoad) {
   }
 }
 
+/// The message load_spec throws for `xml`, or "" when it loads.
+std::string load_error(std::string_view xml) {
+  try {
+    load_spec(xml);
+  } catch (const ParseError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// load_spec throws ParseError naming `rule` and `line`.
+void expect_rejected(std::string_view xml, const std::string& rule, int line,
+                     const std::string& what) {
+  const std::string expected =
+      "[" + rule + "] line " + std::to_string(line) + ": ";
+  EXPECT_NE(load_error(xml).find(expected), std::string::npos)
+      << what << ": expected " << expected << ", got '" << load_error(xml)
+      << "'";
+}
+
 TEST(Spec, RejectsInvalidDocuments) {
-  EXPECT_THROW(load_spec("<NotSciCumulus/>"), Error);
-  EXPECT_THROW(load_spec("<SciCumulus/>"), Error);  // no workflow
-  EXPECT_THROW(load_spec("<SciCumulus><SciCumulusWorkflow tag=\"x\"/>"
-                         "</SciCumulus>"),
-               Error);  // no activities
-  EXPECT_THROW(
-      load_spec("<SciCumulus><SciCumulusWorkflow tag=\"x\">"
-                "<SciCumulusActivity tag=\"a\"/>"
-                "<SciCumulusActivity tag=\"a\"/>"
-                "</SciCumulusWorkflow></SciCumulus>"),
-      Error);  // duplicate tags
+  expect_rejected("<SciCumulus><unclosed>", "WF001", 0, "XML syntax");
+  expect_rejected("<NotSciCumulus/>", "WF001", 1, "wrong root");
+  expect_rejected("<SciCumulus/>", "WF001", 1, "no workflow");
+  expect_rejected("<SciCumulus><SciCumulusWorkflow tag=\"x\"/>"
+                  "</SciCumulus>",
+                  "WF001", 1, "no activities");
+  expect_rejected("<SciCumulus><SciCumulusWorkflow tag=\"x\">"
+                  "<SciCumulusActivity tag=\"a\"/>"
+                  "<SciCumulusActivity tag=\"a\"/>"
+                  "</SciCumulusWorkflow></SciCumulus>",
+                  "WF004", 1, "duplicate tags");
+  expect_rejected("<SciCumulus><database port=\"70000\"/>\n"
+                  "<SciCumulusWorkflow tag=\"w\">"
+                  "<SciCumulusActivity tag=\"a\" type=\"MAP\">"
+                  "<Relation reltype=\"Input\" name=\"r\" filename=\"f\"/>"
+                  "<Relation reltype=\"Output\" name=\"s\"/>"
+                  "</SciCumulusActivity></SciCumulusWorkflow></SciCumulus>",
+                  "WF001", 1, "port 70000");
+  // An activity that consumes its own output declares the relation twice
+  // (WF004, first) and waits on itself (WF006).
+  const char* self_loop =
+      "<SciCumulus><SciCumulusWorkflow tag=\"w\">\n"
+      "<SciCumulusActivity tag=\"a\" type=\"MAP\">\n"
+      "<Relation reltype=\"Input\" name=\"r\" filename=\"f\"/>\n"
+      "<Relation reltype=\"Output\" name=\"r\"/>\n"
+      "</SciCumulusActivity></SciCumulusWorkflow></SciCumulus>";
+  expect_rejected(self_loop, "WF004", 4, "self loop");
+  std::vector<std::string> rules;
+  for (const SpecFinding& f : check_spec(self_loop)) rules.push_back(f.rule);
+  EXPECT_EQ(rules, (std::vector<std::string>{"WF004", "WF006"}));
+}
+
+std::string read_lint_fixture(const std::string& name) {
+  std::ifstream in(std::string(SCIDOCK_LINT_FIXTURE_DIR) + "/" + name);
+  EXPECT_TRUE(in.is_open()) << "missing fixture " << name;
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+TEST(Spec, AgreesWithTheLintFixtures) {
+  // Rule and line are the first diagnostic scidock-lint prints for each.
+  const struct {
+    const char* name;
+    const char* rule;
+    int line;
+  } bad[] = {
+      {"bad/wf001_missing_workflow.xml", "WF001", 2},
+      {"bad/wf002_unknown_operator.xml", "WF002", 4},
+      {"bad/wf003_operator_arity.xml", "WF003", 5},
+      {"bad/wf004_duplicate_tag.xml", "WF004", 8},
+      {"bad/wf005_schema_mismatch.xml", "WF005", 10},
+      {"bad/wf006_cycle.xml", "WF006", 4},
+      {"bad/wf007_dangling_input.xml", "WF007", 6},
+      {"bad/wf008_bad_template.xml", "WF008", 5},
+      {"bad/wf009_dangling_tag.xml", "WF009", 5},
+      {"bad/wf010_undeclared_tag.xml", "WF010", 13},
+  };
+  for (const auto& c : bad) {
+    expect_rejected(read_lint_fixture(c.name), c.rule, c.line, c.name);
+  }
+  for (const char* name :
+       {"good/workflow_sciDock.xml", "good/workflow_splitmap.xml"}) {
+    EXPECT_EQ(load_error(read_lint_fixture(name)), "") << name;
+  }
 }
 
 // ------------------------------------------------------------- pipeline
