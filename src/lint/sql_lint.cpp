@@ -1,11 +1,10 @@
 #include "lint/sql_lint.hpp"
 
 #include <algorithm>
-#include <set>
-#include <utility>
+#include <vector>
 
 #include "obs/obs.hpp"
-#include "sql/ast.hpp"
+#include "sql/binder.hpp"
 #include "sql/lexer.hpp"
 #include "sql/parser.hpp"
 #include "util/error.hpp"
@@ -13,615 +12,7 @@
 
 namespace scidock::lint {
 
-std::string_view to_string(ColType type) {
-  switch (type) {
-    case ColType::Int: return "int";
-    case ColType::Real: return "real";
-    case ColType::Text: return "text";
-  }
-  return "?";
-}
-
-const CatalogColumn* CatalogTable::find(std::string_view column) const {
-  for (const CatalogColumn& c : columns) {
-    if (iequals(c.name, column)) return &c;
-  }
-  return nullptr;
-}
-
-CatalogTable& Catalog::add_table(std::string name,
-                                 std::vector<CatalogColumn> columns) {
-  tables_.push_back(CatalogTable{std::move(name), std::move(columns)});
-  return tables_.back();
-}
-
-const CatalogTable* Catalog::find(std::string_view table) const {
-  for (const CatalogTable& t : tables_) {
-    if (iequals(t.name, table)) return &t;
-  }
-  return nullptr;
-}
-
-const Catalog& prov_wf_catalog() {
-  static const Catalog catalog = [] {
-    Catalog c;
-    c.add_table("hmachine", {{"vmid", ColType::Int},
-                             {"type", ColType::Text},
-                             {"cores", ColType::Int},
-                             {"speed_factor", ColType::Real}});
-    c.add_table("hworkflow", {{"wkfid", ColType::Int},
-                              {"tag", ColType::Text},
-                              {"description", ColType::Text},
-                              {"expdir", ColType::Text},
-                              {"starttime", ColType::Real},
-                              {"endtime", ColType::Real}});
-    c.add_table("hactivity", {{"actid", ColType::Int},
-                              {"wkfid", ColType::Int},
-                              {"tag", ColType::Text},
-                              {"activation", ColType::Text},
-                              {"op", ColType::Text}});
-    c.add_table("hactivation", {{"taskid", ColType::Int},
-                                {"actid", ColType::Int},
-                                {"wkfid", ColType::Int},
-                                {"starttime", ColType::Real},
-                                {"endtime", ColType::Real},
-                                {"status", ColType::Text},
-                                {"vmid", ColType::Int},
-                                {"exitcode", ColType::Int},
-                                {"attempts", ColType::Int},
-                                {"workload", ColType::Text}});
-    c.add_table("hfile", {{"fileid", ColType::Int},
-                          {"wkfid", ColType::Int},
-                          {"actid", ColType::Int},
-                          {"taskid", ColType::Int},
-                          {"fname", ColType::Text},
-                          {"fsize", ColType::Int},
-                          {"fdir", ColType::Text}});
-    c.add_table("hvalue", {{"valueid", ColType::Int},
-                           {"taskid", ColType::Int},
-                           {"key", ColType::Text},
-                           {"value_num", ColType::Real},
-                           {"value_text", ColType::Text}});
-    return c;
-  }();
-  return catalog;
-}
-
-Catalog relation_catalog(std::vector<CatalogColumn> rel_columns) {
-  Catalog c;
-  c.add_table("rel", std::move(rel_columns));
-  return c;
-}
-
 namespace {
-
-using sql::BinaryOp;
-using sql::Expr;
-using sql::UnaryOp;
-
-/// Inferred expression type; Any = unknown/unresolvable (stops cascades).
-enum class Ty { Int, Real, Text, Any };
-
-bool numeric_ok(Ty t) { return t != Ty::Text; }
-
-std::string_view ty_name(Ty t) {
-  switch (t) {
-    case Ty::Int: return "int";
-    case Ty::Real: return "real";
-    case Ty::Text: return "text";
-    case Ty::Any: return "?";
-  }
-  return "?";
-}
-
-Ty from_col_type(ColType t) {
-  switch (t) {
-    case ColType::Int: return Ty::Int;
-    case ColType::Real: return Ty::Real;
-    case ColType::Text: return Ty::Text;
-  }
-  return Ty::Any;
-}
-
-bool is_aggregate_name(const std::string& fn) {
-  return fn == "min" || fn == "max" || fn == "sum" || fn == "avg" ||
-         fn == "count";
-}
-
-class QueryLinter {
- public:
-  QueryLinter(std::string_view sql, const Catalog& catalog, std::string file,
-              Report& report)
-      : sql_(sql), catalog_(catalog), file_(std::move(file)),
-        report_(report) {}
-
-  void run() {
-    sql::Statement stmt;
-    try {
-      stmt = sql::parse_statement(sql_);
-    } catch (const Error& e) {
-      report_.add_error("SQL001", file_, 0, e.what());
-      return;
-    }
-    try {
-      tokens_ = sql::tokenize(sql_);
-    } catch (const Error&) {
-      tokens_.clear();  // unreachable after a successful parse
-    }
-    switch (stmt.kind) {
-      case sql::Statement::Kind::Select:
-        check_select(stmt.select);
-        break;
-      case sql::Statement::Kind::Insert:
-        check_insert(stmt.insert);
-        break;
-      case sql::Statement::Kind::Delete:
-        bind_single(stmt.del.table);
-        if (stmt.del.where) infer(*stmt.del.where, /*agg_allowed=*/false);
-        break;
-      case sql::Statement::Kind::Update:
-        check_update(stmt.update);
-        break;
-      case sql::Statement::Kind::CreateTable:
-        break;  // creates a new table; nothing to resolve
-    }
-  }
-
- private:
-  struct Binding {
-    std::string alias;
-    const CatalogTable* table = nullptr;
-  };
-
-  // ---- diagnostics ----
-
-  /// Best-effort source line: the first token spelled like `ident`.
-  int line_of(std::string_view ident) const {
-    for (const sql::Token& t : tokens_) {
-      if (t.kind == sql::TokenKind::Identifier && iequals(t.text, ident)) {
-        return t.line;
-      }
-    }
-    return 0;
-  }
-
-  void error(std::string rule, std::string_view ident, std::string message) {
-    report_.add_error(std::move(rule), file_, line_of(ident),
-                      std::move(message));
-  }
-
-  // ---- binding ----
-
-  void bind_from(const std::vector<sql::TableRef>& from) {
-    for (const sql::TableRef& ref : from) {
-      const CatalogTable* table = catalog_.find(ref.table);
-      if (table == nullptr) {
-        error("SQL002", ref.table, "unknown table '" + ref.table + "'");
-        permissive_ = true;  // columns cannot resolve; avoid cascades
-        continue;
-      }
-      bindings_.push_back(
-          Binding{ref.alias.empty() ? ref.table : ref.alias, table});
-    }
-  }
-
-  void bind_single(const std::string& table_name) {
-    const CatalogTable* table = catalog_.find(table_name);
-    if (table == nullptr) {
-      error("SQL002", table_name, "unknown table '" + table_name + "'");
-      permissive_ = true;
-      return;
-    }
-    bindings_.push_back(Binding{table_name, table});
-  }
-
-  /// Resolve a column reference; reports SQL003 and returns nullptr when
-  /// it does not resolve uniquely.
-  const CatalogColumn* resolve(const Expr& e) {
-    if (permissive_) return nullptr;
-    const std::string display =
-        (e.qualifier.empty() ? "" : e.qualifier + ".") + e.column;
-    const CatalogColumn* found = nullptr;
-    bool ambiguous = false;
-    for (const Binding& b : bindings_) {
-      if (!e.qualifier.empty() && !iequals(b.alias, e.qualifier)) continue;
-      const CatalogColumn* c = b.table->find(e.column);
-      if (c != nullptr) {
-        if (found != nullptr) ambiguous = true;
-        found = c;
-      }
-    }
-    if (ambiguous) {
-      error("SQL003", e.column,
-            "ambiguous column reference '" + display + "'");
-      return nullptr;
-    }
-    if (found == nullptr) {
-      error("SQL003", e.column, "unknown column '" + display + "'");
-      return nullptr;
-    }
-    return found;
-  }
-
-  /// Canonical form for GROUP BY matching: resolved column refs compare by
-  /// catalog identity (so `tag` matches `a.tag`), everything else by its
-  /// lower-cased rendering.
-  std::string canonical(const Expr& e) {
-    if (e.kind == Expr::Kind::Column && !permissive_) {
-      for (std::size_t t = 0; t < bindings_.size(); ++t) {
-        if (!e.qualifier.empty() &&
-            !iequals(bindings_[t].alias, e.qualifier)) {
-          continue;
-        }
-        const CatalogColumn* c = bindings_[t].table->find(e.column);
-        if (c != nullptr) {
-          return "#" + std::to_string(t) + "." + to_lower(c->name);
-        }
-      }
-    }
-    return to_lower(e.to_string());
-  }
-
-  // ---- type inference / expression checks ----
-
-  Ty infer_column(const Expr& e) {
-    const CatalogColumn* c = resolve(e);
-    return c == nullptr ? Ty::Any : from_col_type(c->type);
-  }
-
-  void require_numeric(Ty t, const Expr& e, const std::string& what) {
-    if (!numeric_ok(t)) {
-      error("SQL007", first_identifier(e),
-            what + " requires a number, got text (" + e.to_string() + ")");
-    }
-  }
-
-  /// An identifier inside `e` to anchor the diagnostic line on.
-  std::string first_identifier(const Expr& e) const {
-    if (e.kind == Expr::Kind::Column) return e.column;
-    if (e.kind == Expr::Kind::Call && !e.call_name.empty()) {
-      return e.call_name;
-    }
-    if (e.lhs) {
-      const std::string l = first_identifier(*e.lhs);
-      if (!l.empty()) return l;
-    }
-    if (e.rhs) {
-      const std::string r = first_identifier(*e.rhs);
-      if (!r.empty()) return r;
-    }
-    for (const sql::ExprPtr& a : e.args) {
-      const std::string s = first_identifier(*a);
-      if (!s.empty()) return s;
-    }
-    return "";
-  }
-
-  Ty infer_call(const Expr& e, bool agg_allowed) {
-    const std::string& fn = e.call_name;
-    if (is_aggregate_name(fn)) return infer_aggregate(e, agg_allowed);
-
-    auto expect_args = [&](std::size_t lo, std::size_t hi) {
-      if (e.args.size() < lo || e.args.size() > hi) {
-        error("SQL004", fn,
-              fn + "() takes " + std::to_string(lo) +
-                  (lo == hi ? "" : ".." + std::to_string(hi)) +
-                  " argument(s), got " + std::to_string(e.args.size()));
-        return false;
-      }
-      return true;
-    };
-    auto arg_ty = [&](std::size_t i) {
-      return infer(*e.args[i], /*agg_allowed=*/false);
-    };
-
-    if (fn == "extract") {
-      if (!expect_args(2, 2)) return Ty::Real;
-      const Expr& field = *e.args[0];
-      if (field.kind == Expr::Kind::Literal && field.literal.is_string()) {
-        const std::string f = to_lower(field.literal.as_string());
-        if (f != "epoch" && f != "minute" && f != "hour" && f != "day") {
-          error("SQL004", fn,
-                "unsupported EXTRACT field '" + f +
-                    "' (expected epoch, minute, hour or day)");
-        }
-      }
-      require_numeric(arg_ty(1), *e.args[1], "extract()");
-      return Ty::Real;
-    }
-    if (fn == "abs") {
-      if (!expect_args(1, 1)) return Ty::Real;
-      const Ty t = arg_ty(0);
-      require_numeric(t, *e.args[0], "abs()");
-      return t == Ty::Int ? Ty::Int : Ty::Real;
-    }
-    if (fn == "round") {
-      if (!expect_args(1, 2)) return Ty::Real;
-      require_numeric(arg_ty(0), *e.args[0], "round()");
-      if (e.args.size() == 2) {
-        require_numeric(arg_ty(1), *e.args[1], "round() scale");
-      }
-      return Ty::Real;
-    }
-    if (fn == "floor" || fn == "ceil" || fn == "ceiling") {
-      if (!expect_args(1, 1)) return Ty::Real;
-      require_numeric(arg_ty(0), *e.args[0], fn + "()");
-      return Ty::Real;
-    }
-    if (fn == "length") {
-      if (expect_args(1, 1)) arg_ty(0);
-      return Ty::Int;
-    }
-    if (fn == "upper" || fn == "lower") {
-      if (expect_args(1, 1)) arg_ty(0);
-      return Ty::Text;
-    }
-    if (fn == "coalesce") {
-      if (!expect_args(1, static_cast<std::size_t>(-1))) return Ty::Any;
-      Ty common = arg_ty(0);
-      for (std::size_t i = 1; i < e.args.size(); ++i) {
-        if (arg_ty(i) != common) common = Ty::Any;
-      }
-      return common;
-    }
-    if (fn == "substr" || fn == "substring") {
-      if (!expect_args(2, 3)) return Ty::Text;
-      arg_ty(0);
-      require_numeric(arg_ty(1), *e.args[1], fn + "() start");
-      if (e.args.size() == 3) {
-        require_numeric(arg_ty(2), *e.args[2], fn + "() length");
-      }
-      return Ty::Text;
-    }
-    error("SQL004", fn, "unknown SQL function '" + fn + "'");
-    for (const sql::ExprPtr& a : e.args) infer(*a, /*agg_allowed=*/false);
-    return Ty::Any;
-  }
-
-  Ty infer_aggregate(const Expr& e, bool agg_allowed) {
-    const std::string& fn = e.call_name;
-    if (!agg_allowed) {
-      error("SQL005", fn,
-            "aggregate " + fn + "() not allowed here (only in the select "
-                "list, HAVING or ORDER BY of a grouped query, and never "
-                "nested)");
-    }
-    if (e.star_arg) {
-      if (fn != "count") {
-        error("SQL005", fn, fn + "(*) is invalid; only count(*) takes *");
-      }
-      return fn == "count" ? Ty::Int : Ty::Any;
-    }
-    if (e.args.size() != 1) {
-      error("SQL005", fn,
-            "aggregate " + fn + "() takes exactly one argument, got " +
-                std::to_string(e.args.size()));
-      return Ty::Any;
-    }
-    const Ty arg = infer(*e.args[0], /*agg_allowed=*/false);  // no nesting
-    if (fn == "count") return Ty::Int;
-    if (fn == "sum" || fn == "avg") {
-      require_numeric(arg, *e.args[0], fn + "()");
-      return Ty::Real;
-    }
-    return arg;  // min/max preserve their argument's type
-  }
-
-  void check_comparable(Ty l, Ty r, const Expr& e) {
-    const bool text_vs_number =
-        (l == Ty::Text && (r == Ty::Int || r == Ty::Real)) ||
-        (r == Ty::Text && (l == Ty::Int || l == Ty::Real));
-    if (text_vs_number) {
-      error("SQL007", first_identifier(e),
-            "comparing " + std::string(ty_name(l)) + " with " +
-                std::string(ty_name(r)) + " (" + e.to_string() + ")");
-    }
-  }
-
-  Ty infer_binary(const Expr& e, bool agg_allowed) {
-    const Ty l = infer(*e.lhs, agg_allowed);
-    const Ty r = infer(*e.rhs, agg_allowed);
-    switch (e.binary_op) {
-      case BinaryOp::Add:
-      case BinaryOp::Sub:
-      case BinaryOp::Mul:
-      case BinaryOp::Div:
-      case BinaryOp::Mod: {
-        require_numeric(l, *e.lhs, "arithmetic");
-        require_numeric(r, *e.rhs, "arithmetic");
-        if (l == Ty::Any || r == Ty::Any) return Ty::Any;
-        if (l == Ty::Int && r == Ty::Int && e.binary_op != BinaryOp::Div) {
-          return Ty::Int;
-        }
-        return Ty::Real;
-      }
-      case BinaryOp::Eq:
-      case BinaryOp::Ne:
-      case BinaryOp::Lt:
-      case BinaryOp::Le:
-      case BinaryOp::Gt:
-      case BinaryOp::Ge:
-        check_comparable(l, r, e);
-        return Ty::Int;
-      case BinaryOp::Like:
-        if (r == Ty::Int || r == Ty::Real) {
-          error("SQL007", first_identifier(e),
-                "LIKE pattern must be text (" + e.to_string() + ")");
-        }
-        return Ty::Int;
-      case BinaryOp::And:
-      case BinaryOp::Or:
-        return Ty::Int;
-      case BinaryOp::Concat:
-        return Ty::Text;
-    }
-    return Ty::Any;
-  }
-
-  Ty infer(const Expr& e, bool agg_allowed) {
-    switch (e.kind) {
-      case Expr::Kind::Literal:
-        if (e.literal.is_null()) return Ty::Any;
-        if (e.literal.is_int()) return Ty::Int;
-        if (e.literal.is_double()) return Ty::Real;
-        return Ty::Text;
-      case Expr::Kind::Column:
-        return infer_column(e);
-      case Expr::Kind::Binary:
-        return infer_binary(e, agg_allowed);
-      case Expr::Kind::Unary: {
-        const Ty t = infer(*e.lhs, agg_allowed);
-        if (e.unary_op == UnaryOp::Neg) {
-          require_numeric(t, *e.lhs, "unary minus");
-          return t == Ty::Int ? Ty::Int : Ty::Real;
-        }
-        return Ty::Int;  // NOT / IS NULL / IS NOT NULL
-      }
-      case Expr::Kind::Call:
-        return infer_call(e, agg_allowed);
-      case Expr::Kind::In: {
-        const Ty probe = infer(*e.lhs, agg_allowed);
-        for (const sql::ExprPtr& a : e.args) {
-          check_comparable(probe, infer(*a, agg_allowed), e);
-        }
-        return Ty::Int;
-      }
-      case Expr::Kind::Between: {
-        const Ty v = infer(*e.lhs, agg_allowed);
-        for (const sql::ExprPtr& a : e.args) {
-          check_comparable(v, infer(*a, agg_allowed), e);
-        }
-        return Ty::Int;
-      }
-      case Expr::Kind::Star:
-        return Ty::Any;
-    }
-    return Ty::Any;
-  }
-
-  // ---- grouped-query column discipline (SQL006) ----
-
-  /// Every column reference outside an aggregate must be (part of) a
-  /// GROUP BY expression; the engine silently evaluates violators on the
-  /// group's first row, which is exactly the bug class this rule catches.
-  void check_grouped(const Expr& e, const std::set<std::string>& group_keys,
-                     const std::string& where) {
-    if (group_keys.count(canonical(e)) > 0) return;
-    if (e.kind == Expr::Kind::Call && is_aggregate_name(e.call_name)) {
-      return;  // aggregates range over the whole group
-    }
-    if (e.kind == Expr::Kind::Column) {
-      const std::string display =
-          (e.qualifier.empty() ? "" : e.qualifier + ".") + e.column;
-      error("SQL006", e.column,
-            "column '" + display + "' in " + where +
-                " is neither grouped nor inside an aggregate");
-      return;
-    }
-    if (e.lhs) check_grouped(*e.lhs, group_keys, where);
-    if (e.rhs) check_grouped(*e.rhs, group_keys, where);
-    for (const sql::ExprPtr& a : e.args) {
-      check_grouped(*a, group_keys, where);
-    }
-  }
-
-  // ---- statements ----
-
-  void check_select(const sql::SelectStmt& stmt) {
-    bind_from(stmt.from);
-
-    if (stmt.where) infer(*stmt.where, /*agg_allowed=*/false);
-    for (const sql::ExprPtr& g : stmt.group_by) {
-      infer(*g, /*agg_allowed=*/false);
-    }
-
-    bool has_aggregate = false;
-    for (const sql::SelectItem& item : stmt.items) {
-      infer(*item.expr, /*agg_allowed=*/true);
-      if (sql::contains_aggregate(*item.expr)) has_aggregate = true;
-    }
-    // The engine derives groupedness from the select list only.
-    const bool grouped = has_aggregate || !stmt.group_by.empty();
-
-    if (stmt.having) infer(*stmt.having, /*agg_allowed=*/grouped);
-
-    // ORDER BY may name a select-list alias (PostgreSQL semantics); the
-    // engine substitutes the aliased expression, so resolve before
-    // checking. Aggregates in ORDER BY only work for grouped queries.
-    std::vector<const Expr*> order_exprs;
-    for (const sql::OrderItem& o : stmt.order_by) {
-      const Expr* resolved = o.expr.get();
-      if (resolved->kind == Expr::Kind::Column &&
-          resolved->qualifier.empty()) {
-        for (const sql::SelectItem& item : stmt.items) {
-          if (!item.alias.empty() && iequals(item.alias, resolved->column)) {
-            resolved = item.expr.get();
-            break;
-          }
-        }
-      }
-      if (resolved == o.expr.get()) {  // not an alias: resolve normally
-        infer(*resolved, /*agg_allowed=*/grouped);
-      }
-      order_exprs.push_back(resolved);
-    }
-
-    if (grouped && !permissive_) {
-      std::set<std::string> group_keys;
-      for (const sql::ExprPtr& g : stmt.group_by) {
-        group_keys.insert(canonical(*g));
-      }
-      for (const sql::SelectItem& item : stmt.items) {
-        check_grouped(*item.expr, group_keys, "the select list");
-      }
-      if (stmt.having) check_grouped(*stmt.having, group_keys, "HAVING");
-      for (const Expr* o : order_exprs) {
-        check_grouped(*o, group_keys, "ORDER BY");
-      }
-    }
-  }
-
-  void check_insert(const sql::InsertStmt& stmt) {
-    const CatalogTable* table = catalog_.find(stmt.table);
-    if (table == nullptr) {
-      error("SQL002", stmt.table, "unknown table '" + stmt.table + "'");
-      return;
-    }
-    for (const std::string& col : stmt.columns) {
-      if (table->find(col) == nullptr) {
-        error("SQL003", col,
-              "unknown column '" + col + "' in table '" + stmt.table + "'");
-      }
-    }
-    permissive_ = true;  // VALUES rows cannot reference columns
-    for (const auto& row : stmt.rows) {
-      for (const sql::ExprPtr& v : row) infer(*v, /*agg_allowed=*/false);
-    }
-  }
-
-  void check_update(const sql::UpdateStmt& stmt) {
-    bind_single(stmt.table);
-    const CatalogTable* table = catalog_.find(stmt.table);
-    for (const auto& [col, value] : stmt.assignments) {
-      if (table != nullptr && table->find(col) == nullptr) {
-        error("SQL003", col,
-              "unknown column '" + col + "' in table '" + stmt.table + "'");
-      }
-      infer(*value, /*agg_allowed=*/false);
-    }
-    if (stmt.where) infer(*stmt.where, /*agg_allowed=*/false);
-  }
-
-  std::string_view sql_;
-  const Catalog& catalog_;
-  std::string file_;
-  Report& report_;
-  std::vector<sql::Token> tokens_;
-  std::vector<Binding> bindings_;
-  /// Set when a FROM table is unknown: column references are unresolvable
-  /// by construction, so SQL003/SQL006 are suppressed to avoid cascades.
-  bool permissive_ = false;
-};
 
 /// SQL008: `-- reconciles: <metric>[, <metric>...]` annotations mark a
 /// shipped query as the provenance side of a metrics reconciliation
@@ -654,13 +45,33 @@ void check_reconcile_annotations(std::string_view sql, const std::string& file,
   }
 }
 
+/// Best-effort source line: the first identifier token spelled `ident`.
+int line_of(const std::vector<sql::Token>& tokens, std::string_view ident) {
+  for (const sql::Token& t : tokens) {
+    if (t.kind == sql::TokenKind::Identifier && iequals(t.text, ident)) {
+      return t.line;
+    }
+  }
+  return 0;
+}
+
 }  // namespace
 
-Report lint_query(std::string_view sql, const Catalog& catalog,
+Report lint_query(std::string_view sql, const sql::Database& schema,
                   std::string file) {
   Report report;
   check_reconcile_annotations(sql, file, report);
-  QueryLinter(sql, catalog, std::move(file), report).run();
+  sql::Statement stmt;
+  try {
+    stmt = sql::parse_statement(sql);
+  } catch (const Error& e) {
+    report.add_error("SQL001", file, 0, e.what());
+    return report;
+  }
+  const std::vector<sql::Token> tokens = sql::tokenize(sql);
+  for (const sql::Finding& f : sql::bind(stmt, schema).findings) {
+    report.add_error(f.rule, file, line_of(tokens, f.anchor), f.message);
+  }
   return report;
 }
 

@@ -1,65 +1,28 @@
 #pragma once
 
 /// \file sql_lint.hpp
-/// SQL semantic checker: resolves a provenance or relation query against a
-/// typed catalog — tables, columns, column types — without executing it.
-/// Finds the failure classes that would otherwise only surface at runtime
-/// (the engine throws on unknown columns, bad arities and text-as-number
-/// coercions) plus the silent ones it tolerates (ungrouped columns
-/// evaluate on an arbitrary row), and validates `-- reconciles:` metric
-/// annotations against the registered scidock_* series. Rules
-/// SQL001..SQL008, see lint::rule_catalog().
+/// SQL semantic checker: reports what the SQL binder (sql/binder.hpp)
+/// finds in a provenance or relation query, bound against an empty
+/// database of the schema it runs on, without executing it. The binder
+/// owns rules SQL002..SQL007: the failures the engine refuses before
+/// reading a row (unknown tables, columns and functions, bad arities,
+/// misplaced aggregates) and the ones it tolerates (ungrouped columns
+/// evaluate on an arbitrary row; text where a number belongs). This
+/// checker adds SQL001 (the parse), SQL008 (`-- reconciles:` metric
+/// annotations against the registered scidock_* series) and a source
+/// line for each finding. See lint::rule_catalog().
 
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "lint/diagnostics.hpp"
+#include "sql/table.hpp"
 
 namespace scidock::lint {
 
-/// Column types the checker distinguishes. The engine stores Value =
-/// {Null, int64, double, string}; Null is a property of data, not schema.
-enum class ColType { Int, Real, Text };
-
-std::string_view to_string(ColType type);
-
-struct CatalogColumn {
-  std::string name;
-  ColType type = ColType::Text;
-};
-
-struct CatalogTable {
-  std::string name;
-  std::vector<CatalogColumn> columns;
-
-  const CatalogColumn* find(std::string_view column) const;
-};
-
-/// A set of queryable tables with typed columns.
-class Catalog {
- public:
-  CatalogTable& add_table(std::string name,
-                          std::vector<CatalogColumn> columns);
-  const CatalogTable* find(std::string_view table) const;
-  const std::vector<CatalogTable>& tables() const { return tables_; }
-
- private:
-  std::vector<CatalogTable> tables_;
-};
-
-/// The PROV-Wf schema (hmachine, hworkflow, hactivity, hactivation,
-/// hfile, hvalue) with the exact column names and types the provenance
-/// store creates. A drift-guard test compares this against a live
-/// prov::ProvenanceStore.
-const Catalog& prov_wf_catalog();
-
-/// A catalog holding one table `rel` — the table SRQuery/query_relation
-/// exposes a workflow relation as.
-Catalog relation_catalog(std::vector<CatalogColumn> rel_columns);
-
-/// Check one SQL statement against `catalog`. `file` labels diagnostics.
-Report lint_query(std::string_view sql, const Catalog& catalog,
+/// Check one SQL statement against the tables of `schema` (their rows are
+/// not read). `file` labels diagnostics.
+Report lint_query(std::string_view sql, const sql::Database& schema,
                   std::string file = "");
 
 }  // namespace scidock::lint

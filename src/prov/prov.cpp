@@ -132,17 +132,44 @@ std::string finished_activation_count_sql(long long wkfid,
 }
 
 void ProvenanceStore::init_schema(sql::Database& db) {
-  db.create_table("hmachine", {"vmid", "type", "cores", "speed_factor"});
-  db.create_table("hworkflow",
-                  {"wkfid", "tag", "description", "expdir", "starttime", "endtime"});
-  db.create_table("hactivity", {"actid", "wkfid", "tag", "activation", "op"});
-  db.create_table("hactivation",
-                  {"taskid", "actid", "wkfid", "starttime", "endtime",
-                   "status", "vmid", "exitcode", "attempts", "workload"});
-  db.create_table("hfile",
-                  {"fileid", "wkfid", "actid", "taskid", "fname", "fsize", "fdir"});
-  db.create_table("hvalue",
-                  {"valueid", "taskid", "key", "value_num", "value_text"});
+  using sql::Type;
+  db.create_table("hmachine", {{"vmid", Type::Int},
+                               {"type", Type::Text},
+                               {"cores", Type::Int},
+                               {"speed_factor", Type::Real}});
+  db.create_table("hworkflow", {{"wkfid", Type::Int},
+                                {"tag", Type::Text},
+                                {"description", Type::Text},
+                                {"expdir", Type::Text},
+                                {"starttime", Type::Real},
+                                {"endtime", Type::Real}});
+  db.create_table("hactivity", {{"actid", Type::Int},
+                                {"wkfid", Type::Int},
+                                {"tag", Type::Text},
+                                {"activation", Type::Text},
+                                {"op", Type::Text}});
+  db.create_table("hactivation", {{"taskid", Type::Int},
+                                  {"actid", Type::Int},
+                                  {"wkfid", Type::Int},
+                                  {"starttime", Type::Real},
+                                  {"endtime", Type::Real},
+                                  {"status", Type::Text},
+                                  {"vmid", Type::Int},
+                                  {"exitcode", Type::Int},
+                                  {"attempts", Type::Int},
+                                  {"workload", Type::Text}});
+  db.create_table("hfile", {{"fileid", Type::Int},
+                            {"wkfid", Type::Int},
+                            {"actid", Type::Int},
+                            {"taskid", Type::Int},
+                            {"fname", Type::Text},
+                            {"fsize", Type::Int},
+                            {"fdir", Type::Text}});
+  db.create_table("hvalue", {{"valueid", Type::Int},
+                             {"taskid", Type::Int},
+                             {"key", Type::Text},
+                             {"value_num", Type::Real},
+                             {"value_text", Type::Text}});
 }
 
 ProvenanceStore::ProvenanceStore() : ProvenanceStore(ProvenanceStoreOptions{}) {}

@@ -187,6 +187,11 @@ class ProvenanceStore {
   /// invariant checks).
   std::string content_digest();
 
+  /// Creates the empty PROV-Wf tables (hmachine, hworkflow, hactivity,
+  /// hactivation, hfile, hvalue) in `db`, with their declared column
+  /// types: the schema every shard holds and queries are bound against.
+  static void init_schema(sql::Database& db);
+
   /// Direct repository access for tests and custom analytics. With one
   /// shard (the default), `fn` runs against the live database under the
   /// shard lock — safe even while activations are being recorded, and
@@ -237,7 +242,6 @@ class ProvenanceStore {
     std::atomic<obs::Gauge*> wal_pending_bytes{nullptr};
   };
 
-  static void init_schema(sql::Database& db);
   Shard& fact_shard(long long taskid);
   std::string shard_dir(std::size_t k) const;
 

@@ -4,6 +4,7 @@
 
 #include "prov/prov.hpp"
 #include "scidock/scidock.hpp"
+#include "util/error.hpp"
 #include "util/strings.hpp"
 
 namespace scidock::core {
@@ -137,29 +138,30 @@ std::string screen_summary_query() {
          "min(feb) best_feb FROM rel GROUP BY ligand ORDER BY ligand";
 }
 
-std::vector<RelationField> output_relation_schema() {
+std::vector<sql::Column> output_relation_schema() {
+  using sql::Type;
   return {
       // generator pair fields (data/generator.cpp build_pairs_relation)
-      {"pair", FieldKind::Text},
-      {"receptor", FieldKind::Text},
-      {"ligand", FieldKind::Text},
-      {"receptor_file", FieldKind::Text},
-      {"ligand_file", FieldKind::Text},
-      {"residues", FieldKind::Int},
-      {"engine", FieldKind::Text},
-      {"workload", FieldKind::Real},
-      {"hg", FieldKind::Int},
+      {"pair", Type::Text},
+      {"receptor", Type::Text},
+      {"ligand", Type::Text},
+      {"receptor_file", Type::Text},
+      {"ligand_file", Type::Text},
+      {"residues", Type::Int},
+      {"engine", Type::Text},
+      {"workload", Type::Real},
+      {"hg", Type::Int},
       // fields emitted along the pipeline (scidock.cpp make_pipeline)
-      {"ligand_mol2", FieldKind::Text},
-      {"ligand_pdbqt", FieldKind::Text},
-      {"receptor_pdbqt", FieldKind::Text},
-      {"gpf_file", FieldKind::Text},
-      {"maps_prefix", FieldKind::Text},
-      {"dpf_file", FieldKind::Text},
-      {"conf_file", FieldKind::Text},
-      {"dlg_file", FieldKind::Text},
-      {"feb", FieldKind::Real},
-      {"rmsd", FieldKind::Real},
+      {"ligand_mol2", Type::Text},
+      {"ligand_pdbqt", Type::Text},
+      {"receptor_pdbqt", Type::Text},
+      {"gpf_file", Type::Text},
+      {"maps_prefix", Type::Text},
+      {"dpf_file", Type::Text},
+      {"conf_file", Type::Text},
+      {"dlg_file", Type::Text},
+      {"feb", Type::Real},
+      {"rmsd", Type::Real},
   };
 }
 
@@ -185,6 +187,18 @@ std::vector<ShippedQuery> shipped_queries() {
       {"reconcile-finished-autogrid",
        prov::finished_activation_count_sql(1, kAutogrid), "prov"},
   };
+}
+
+sql::Database query_schema(std::string_view catalog) {
+  sql::Database db;
+  if (catalog == "rel") {
+    db.create_table("rel", output_relation_schema());
+  } else {
+    SCIDOCK_REQUIRE(catalog == "prov", "unknown query catalog '" +
+                                           std::string(catalog) + "'");
+    prov::ProvenanceStore::init_schema(db);
+  }
+  return db;
 }
 
 }  // namespace scidock::core

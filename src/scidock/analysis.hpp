@@ -7,9 +7,11 @@
 /// histogram query) as ready-to-run SQL.
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "prov/prov.hpp"
+#include "sql/table.hpp"
 #include "wf/relation.hpp"
 
 namespace scidock::core {
@@ -66,21 +68,10 @@ std::string screen_summary_query();
 // tests can validate all of them from one place.
 // ---------------------------------------------------------------------
 
-/// Column kinds of a workflow relation as wf::to_sql_table types them
-/// (numeric-looking field values become numbers). Mirrored into
-/// lint::ColType by the lint tool; core deliberately does not depend on
-/// the lint library.
-enum class FieldKind { Int, Real, Text };
-
-struct RelationField {
-  std::string name;
-  FieldKind kind = FieldKind::Text;
-};
-
 /// Declared schema of the docking pipeline's final output relation — the
 /// union of the generator's pair fields and every field a pipeline stage
-/// emits, with the types to_sql_table infers for them.
-std::vector<RelationField> output_relation_schema();
+/// emits, with the types wf::to_sql_table gives their values.
+std::vector<sql::Column> output_relation_schema();
 
 struct ShippedQuery {
   std::string name;
@@ -91,5 +82,9 @@ struct ShippedQuery {
 /// All queries shipped in bench/, examples/ and the CLI (representative
 /// ids substituted for the parameterised ones).
 std::vector<ShippedQuery> shipped_queries();
+
+/// An empty database holding the tables a catalog's queries run against:
+/// "prov" the PROV-Wf schema, "rel" the output relation as table `rel`.
+sql::Database query_schema(std::string_view catalog);
 
 }  // namespace scidock::core

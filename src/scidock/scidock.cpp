@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <map>
 #include <tuple>
 #include <unordered_map>
 
@@ -506,25 +507,32 @@ wf::WorkflowDef scidock_workflow_def(const ScidockOptions& opts) {
   def.expdir = opts.expdir + "/";
   def.database.server = "ec2-50-17-107-164.compute-1.amazonaws.com";
 
-  const char* tags[] = {kBabel, kPrepLigand, kPrepReceptor, kGpfPrep,
-                        kAutogrid, kDockFilter, kDpfPrep, kConfPrep,
-                        kAutodock4, kAutodockVina};
-  int rel = 0;
-  for (const char* tag : tags) {
+  // The pipeline routes each dockfilter tuple by its engine field; the
+  // stage pairs along its AD4 and Vina chains are the relation DAG.
+  const wf::Pipeline pipeline = build_scidock_pipeline(opts);
+  std::map<std::string, std::string> upstream;  // stage tag -> its producer
+  for (const char* engine : {"ad4", "vina"}) {
+    Tuple tuple;
+    tuple.set("engine", engine);
+    const std::vector<std::string> chain = pipeline.chain_for(tuple);
+    for (std::size_t i = 1; i < chain.size(); ++i) {
+      upstream[chain[i]] = chain[i - 1];
+    }
+  }
+  for (const Stage& stage : pipeline.stages()) {
     wf::ActivityDef act;
-    act.tag = tag;
-    act.op = std::string(tag) == kDockFilter ? wf::AlgebraicOp::Filter
-                                             : wf::AlgebraicOp::Map;
-    act.template_dir = def.expdir + "template_" + tag + "/";
+    act.tag = stage.tag;
+    act.op = stage.op;
+    act.template_dir = def.expdir + "template_" + stage.tag + "/";
     act.activation_command = "./experiment.cmd";
-    act.relations.push_back(wf::RelationDef{
-        "rel_in_" + std::to_string(rel), "input_" + std::to_string(rel) + ".txt",
-        true});
-    act.relations.push_back(wf::RelationDef{
-        "rel_in_" + std::to_string(rel + 1),
-        "output_" + std::to_string(rel) + ".txt", false});
+    const auto producer = upstream.find(stage.tag);
+    const std::string input =
+        producer == upstream.end() ? "input" : producer->second;
+    act.relations.push_back(
+        wf::RelationDef{"rel_" + input, input + ".txt", true});
+    act.relations.push_back(
+        wf::RelationDef{"rel_" + stage.tag, stage.tag + ".txt", false});
     def.activities.push_back(std::move(act));
-    ++rel;
   }
   return def;
 }

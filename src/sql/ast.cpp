@@ -83,6 +83,9 @@ ExprPtr Expr::clone() const {
   for (const ExprPtr& a : args) e->args.push_back(a->clone());
   e->star_arg = star_arg;
   e->negated = negated;
+  e->binding = binding;
+  e->slot = slot;
+  e->function = function;
   return e;
 }
 
@@ -150,21 +153,6 @@ std::string Expr::to_string() const {
              args[0]->to_string() + " AND " + args[1]->to_string();
   }
   return "?";
-}
-
-bool contains_aggregate(const Expr& e) {
-  if (e.kind == Expr::Kind::Call) {
-    const std::string& n = e.call_name;
-    if (n == "min" || n == "max" || n == "sum" || n == "avg" || n == "count") {
-      return true;
-    }
-  }
-  if (e.lhs && contains_aggregate(*e.lhs)) return true;
-  if (e.rhs && contains_aggregate(*e.rhs)) return true;
-  for (const ExprPtr& a : e.args) {
-    if (contains_aggregate(*a)) return true;
-  }
-  return false;
 }
 
 }  // namespace scidock::sql

@@ -28,6 +28,7 @@ enum class UnaryOp { Neg, Not, IsNull, IsNotNull };
 
 struct Expr;
 using ExprPtr = std::unique_ptr<Expr>;
+struct Function;  // sql/binder.hpp
 
 struct Expr {
   enum class Kind { Literal, Column, Binary, Unary, Call, Star, In, Between } kind;
@@ -53,6 +54,11 @@ struct Expr {
   bool star_arg = false;
   bool negated = false;  ///< NOT IN / NOT BETWEEN
 
+  // Set by the binder (sql/binder.hpp) before execution.
+  int binding = -1;  ///< Column: index of its FROM entry
+  int slot = -1;     ///< Column: index among that table's columns
+  const Function* function = nullptr;  ///< Call: its function-table entry
+
   static ExprPtr make_literal(Value v);
   static ExprPtr make_column(std::string qualifier, std::string column);
   static ExprPtr make_binary(BinaryOp op, ExprPtr lhs, ExprPtr rhs);
@@ -62,16 +68,12 @@ struct Expr {
   static ExprPtr make_in(ExprPtr probe, std::vector<ExprPtr> list, bool negated);
   static ExprPtr make_between(ExprPtr value, ExprPtr lo, ExprPtr hi, bool negated);
 
-  /// Deep copy (the engine re-uses select-list expressions in GROUP BY
-  /// resolution).
+  /// Deep copy, binder annotations included.
   ExprPtr clone() const;
 
   /// Render back to SQL-ish text (diagnostics, result column headers).
   std::string to_string() const;
 };
-
-/// True if the expression contains an aggregate call (min/max/sum/avg/count).
-bool contains_aggregate(const Expr& e);
 
 // ---------------------------------------------------------------------
 // Statements

@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <map>
 #include <numeric>
 #include <unordered_map>
 
+#include "sql/binder.hpp"
 #include "sql/parser.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
@@ -14,46 +17,10 @@ namespace scidock::sql {
 
 namespace {
 
-// ---------------------------------------------------------------------
-// Evaluation scope: one (possibly partial) joined row.
-// ---------------------------------------------------------------------
-
-struct Binding {
-  std::string alias;
-  const Table* table = nullptr;
-};
-
-struct Scope {
-  const std::vector<Binding>* bindings = nullptr;
-  /// One row pointer per binding; nullptr = not yet bound (join pushdown).
-  const std::vector<const Row*>* rows = nullptr;
-};
-
-struct ColumnRefResolved {
-  int table = -1;
-  int column = -1;
-};
-
-ColumnRefResolved resolve_column(const std::vector<Binding>& bindings,
-                                 const std::string& qualifier,
-                                 const std::string& column) {
-  ColumnRefResolved out;
-  for (std::size_t t = 0; t < bindings.size(); ++t) {
-    if (!qualifier.empty() && !iequals(bindings[t].alias, qualifier)) continue;
-    const int ci = bindings[t].table->column_index(column);
-    if (ci >= 0) {
-      if (out.table >= 0) {
-        throw InvalidStateError("ambiguous column reference '" + column + "'");
-      }
-      out.table = static_cast<int>(t);
-      out.column = ci;
-    }
-  }
-  if (out.table < 0) {
-    throw NotFoundError("column", (qualifier.empty() ? "" : qualifier + ".") + column);
-  }
-  return out;
-}
+/// One (possibly partial) joined row: a row pointer per FROM entry,
+/// nullptr while not yet bound (join pushdown). Column references read
+/// their bound (entry, column) slot from it.
+using Scope = std::vector<const Row*>;
 
 bool truthy(const Value& v) {
   if (v.is_null()) return false;
@@ -170,92 +137,79 @@ Value eval_binary(const Expr& e, const Scope& scope) {
 }
 
 Value eval_call(const Expr& e, const Scope& scope) {
-  const std::string& fn = e.call_name;
+  SCIDOCK_ASSERT_MSG(e.function != nullptr, "call '" + e.call_name + "' not bound");
   auto arg = [&](std::size_t i) { return eval(*e.args[i], scope); };
-  auto require_args = [&](std::size_t lo, std::size_t hi) {
-    SCIDOCK_REQUIRE(e.args.size() >= lo && e.args.size() <= hi,
-                    fn + "() takes " + std::to_string(lo) +
-                        (lo == hi ? "" : ".." + std::to_string(hi)) +
-                        " argument(s), got " + std::to_string(e.args.size()));
-  };
 
-  if (fn == "extract") {
-    SCIDOCK_REQUIRE(e.args.size() == 2, "extract() needs a field and a value");
-    const Value field = arg(0);
-    const Value v = arg(1);
-    if (v.is_null()) return Value();
-    const std::string f = to_lower(field.to_string());
-    // Timestamps are stored as seconds since the experiment epoch, so
-    // EXTRACT('epoch' ...) is numeric identity; other fields derive from it.
-    const double secs = v.as_double();
-    if (f == "epoch") return Value(secs);
-    if (f == "minute") return Value(std::floor(std::fmod(secs / 60.0, 60.0)));
-    if (f == "hour") return Value(std::floor(std::fmod(secs / 3600.0, 24.0)));
-    if (f == "day") return Value(std::floor(secs / 86400.0));
-    throw InvalidStateError("unsupported EXTRACT field '" + f + "'");
-  }
-  if (fn == "abs") {
-    require_args(1, 1);
-    const Value v = arg(0);
-    if (v.is_null()) return Value();
-    return v.is_int() ? Value(std::abs(v.as_int())) : Value(std::abs(v.as_double()));
-  }
-  if (fn == "round") {
-    require_args(1, 2);
-    const Value v = arg(0);
-    if (v.is_null()) return Value();
-    if (e.args.size() >= 2) {
-      const double scale = std::pow(10.0, arg(1).as_double());
-      return Value(std::round(v.as_double() * scale) / scale);
+  switch (e.function->id) {
+    case FunctionId::Extract: {
+      const Value field = arg(0);
+      const Value v = arg(1);
+      if (v.is_null()) return Value();
+      const std::string f = to_lower(field.to_string());
+      // Timestamps are stored as seconds since the experiment epoch, so
+      // EXTRACT('epoch' ...) is numeric identity; other fields derive from it.
+      const double secs = v.as_double();
+      if (f == "epoch") return Value(secs);
+      if (f == "minute") return Value(std::floor(std::fmod(secs / 60.0, 60.0)));
+      if (f == "hour") return Value(std::floor(std::fmod(secs / 3600.0, 24.0)));
+      SCIDOCK_ASSERT_MSG(f == "day", "the binder admits no EXTRACT field '" + f + "'");
+      return Value(std::floor(secs / 86400.0));
     }
-    return Value(std::round(v.as_double()));
-  }
-  if (fn == "floor" || fn == "ceil" || fn == "ceiling") {
-    require_args(1, 1);
-    const Value v = arg(0);
-    if (v.is_null()) return Value();
-    return Value(fn == "floor" ? std::floor(v.as_double())
-                               : std::ceil(v.as_double()));
-  }
-  if (fn == "length") {
-    require_args(1, 1);
-    const Value v = arg(0);
-    if (v.is_null()) return Value();
-    return Value(static_cast<std::int64_t>(v.to_string().size()));
-  }
-  if (fn == "upper") {
-    require_args(1, 1);
-    const Value v = arg(0);
-    return v.is_null() ? Value() : Value(to_upper(v.to_string()));
-  }
-  if (fn == "lower") {
-    require_args(1, 1);
-    const Value v = arg(0);
-    return v.is_null() ? Value() : Value(to_lower(v.to_string()));
-  }
-  if (fn == "coalesce") {
-    require_args(1, static_cast<std::size_t>(-1));
-    for (std::size_t i = 0; i < e.args.size(); ++i) {
-      Value v = arg(i);
-      if (!v.is_null()) return v;
+    case FunctionId::Abs: {
+      const Value v = arg(0);
+      if (v.is_null()) return Value();
+      return v.is_int() ? Value(std::abs(v.as_int())) : Value(std::abs(v.as_double()));
     }
-    return Value();
+    case FunctionId::Round: {
+      const Value v = arg(0);
+      if (v.is_null()) return Value();
+      if (e.args.size() >= 2) {
+        const double scale = std::pow(10.0, arg(1).as_double());
+        return Value(std::round(v.as_double() * scale) / scale);
+      }
+      return Value(std::round(v.as_double()));
+    }
+    case FunctionId::Floor:
+    case FunctionId::Ceil: {
+      const Value v = arg(0);
+      if (v.is_null()) return Value();
+      return Value(e.function->id == FunctionId::Floor ? std::floor(v.as_double())
+                                                       : std::ceil(v.as_double()));
+    }
+    case FunctionId::Length: {
+      const Value v = arg(0);
+      if (v.is_null()) return Value();
+      return Value(static_cast<std::int64_t>(v.to_string().size()));
+    }
+    case FunctionId::Upper: {
+      const Value v = arg(0);
+      return v.is_null() ? Value() : Value(to_upper(v.to_string()));
+    }
+    case FunctionId::Lower: {
+      const Value v = arg(0);
+      return v.is_null() ? Value() : Value(to_lower(v.to_string()));
+    }
+    case FunctionId::Coalesce:
+      for (std::size_t i = 0; i < e.args.size(); ++i) {
+        Value v = arg(i);
+        if (!v.is_null()) return v;
+      }
+      return Value();
+    case FunctionId::Substr: {
+      const Value v = arg(0);
+      if (v.is_null()) return Value();
+      const std::string s = v.to_string();
+      const auto start = static_cast<std::size_t>(std::max<std::int64_t>(arg(1).as_int() - 1, 0));
+      std::size_t len = std::string::npos;
+      if (e.args.size() >= 3) len = static_cast<std::size_t>(std::max<std::int64_t>(arg(2).as_int(), 0));
+      if (start >= s.size()) return Value(std::string());
+      return Value(s.substr(start, len));
+    }
+    default:
+      // The binder admits aggregates only where eval_grouped computes them.
+      SCIDOCK_ASSERT_MSG(false, "aggregate " + e.call_name + "() outside a group");
   }
-  if (fn == "substr" || fn == "substring") {
-    require_args(2, 3);
-    const Value v = arg(0);
-    if (v.is_null()) return Value();
-    const std::string s = v.to_string();
-    const auto start = static_cast<std::size_t>(std::max<std::int64_t>(arg(1).as_int() - 1, 0));
-    std::size_t len = std::string::npos;
-    if (e.args.size() >= 3) len = static_cast<std::size_t>(std::max<std::int64_t>(arg(2).as_int(), 0));
-    if (start >= s.size()) return Value(std::string());
-    return Value(s.substr(start, len));
-  }
-  if (fn == "min" || fn == "max" || fn == "sum" || fn == "avg" || fn == "count") {
-    throw InvalidStateError("aggregate " + fn + "() used outside GROUP BY context");
-  }
-  throw NotFoundError("SQL function", fn);
+  return Value();
 }
 
 Value eval(const Expr& e, const Scope& scope) {
@@ -263,10 +217,10 @@ Value eval(const Expr& e, const Scope& scope) {
     case Expr::Kind::Literal:
       return e.literal;
     case Expr::Kind::Column: {
-      const auto ref = resolve_column(*scope.bindings, e.qualifier, e.column);
-      const Row* row = (*scope.rows)[static_cast<std::size_t>(ref.table)];
+      SCIDOCK_ASSERT_MSG(e.binding >= 0, "column '" + e.column + "' not bound");
+      const Row* row = scope[static_cast<std::size_t>(e.binding)];
       SCIDOCK_REQUIRE(row != nullptr, "column '" + e.column + "' referenced before its table is bound");
-      return (*row)[static_cast<std::size_t>(ref.column)];
+      return (*row)[static_cast<std::size_t>(e.slot)];
     }
     case Expr::Kind::Binary:
       return eval_binary(e, scope);
@@ -317,16 +271,14 @@ Value eval(const Expr& e, const Scope& scope) {
   return Value();
 }
 
-/// Table aliases an expression references (for join push-down ordering).
-void referenced_tables(const Expr& e, const std::vector<Binding>& bindings,
-                       std::vector<bool>& out) {
-  if (e.kind == Expr::Kind::Column) {
-    const auto ref = resolve_column(bindings, e.qualifier, e.column);
-    out[static_cast<std::size_t>(ref.table)] = true;
-  }
-  if (e.lhs) referenced_tables(*e.lhs, bindings, out);
-  if (e.rhs) referenced_tables(*e.rhs, bindings, out);
-  for (const ExprPtr& a : e.args) referenced_tables(*a, bindings, out);
+/// The last FROM entry an expression references (for join push-down).
+std::size_t last_table(const Expr& e) {
+  std::size_t last = 0;
+  if (e.kind == Expr::Kind::Column) last = static_cast<std::size_t>(e.binding);
+  if (e.lhs) last = std::max(last, last_table(*e.lhs));
+  if (e.rhs) last = std::max(last, last_table(*e.rhs));
+  for (const ExprPtr& a : e.args) last = std::max(last, last_table(*a));
+  return last;
 }
 
 /// Split a WHERE tree into AND-ed conjuncts.
@@ -344,7 +296,7 @@ void collect_conjuncts(const Expr& e, std::vector<const Expr*>& out) {
 // ---------------------------------------------------------------------
 
 struct Aggregator {
-  std::string fn;
+  FunctionId fn = FunctionId::Count;
   bool star = false;
   std::size_t count = 0;
   double sum = 0.0;
@@ -354,19 +306,17 @@ struct Aggregator {
   void add(const Value& v) {
     if (!star && v.is_null()) return;
     ++count;
-    if (fn == "sum" || fn == "avg") sum += star ? 0.0 : v.as_double();
-    if (fn == "min" && (min_v.is_null() || v.compare(min_v) == std::strong_ordering::less)) min_v = v;
-    if (fn == "max" && (max_v.is_null() || v.compare(max_v) == std::strong_ordering::greater)) max_v = v;
+    if (fn == FunctionId::Sum || fn == FunctionId::Avg) sum += star ? 0.0 : v.as_double();
+    if (fn == FunctionId::Min && (min_v.is_null() || v.compare(min_v) == std::strong_ordering::less)) min_v = v;
+    if (fn == FunctionId::Max && (max_v.is_null() || v.compare(max_v) == std::strong_ordering::greater)) max_v = v;
   }
 
   Value result() const {
-    if (fn == "count") return Value(static_cast<std::int64_t>(count));
+    if (fn == FunctionId::Count) return Value(static_cast<std::int64_t>(count));
     if (count == 0) return Value();
-    if (fn == "sum") return Value(sum);
-    if (fn == "avg") return Value(sum / static_cast<double>(count));
-    if (fn == "min") return min_v;
-    if (fn == "max") return max_v;
-    throw NotFoundError("aggregate", fn);
+    if (fn == FunctionId::Sum) return Value(sum);
+    if (fn == FunctionId::Avg) return Value(sum / static_cast<double>(count));
+    return fn == FunctionId::Min ? min_v : max_v;
   }
 };
 
@@ -374,47 +324,36 @@ struct Aggregator {
 /// rows. Aggregates are computed over the group; everything else is
 /// evaluated on the group's first row (the paper's queries always group by
 /// those columns, matching PostgreSQL semantics for valid queries).
-Value eval_grouped(const Expr& e, const std::vector<Binding>& bindings,
-                   const std::vector<std::vector<const Row*>>& group) {
+Value eval_grouped(const Expr& e, const std::vector<Scope>& group) {
   SCIDOCK_ASSERT(!group.empty());
-  if (e.kind == Expr::Kind::Call &&
-      (e.call_name == "min" || e.call_name == "max" || e.call_name == "sum" ||
-       e.call_name == "avg" || e.call_name == "count")) {
+  if (is_aggregate(e)) {
     Aggregator agg;
-    agg.fn = e.call_name;
+    agg.fn = e.function->id;
     agg.star = e.star_arg;
-    for (const auto& row_ptrs : group) {
-      Scope scope{&bindings, &row_ptrs};
-      if (agg.star) {
-        agg.add(Value(static_cast<std::int64_t>(1)));
-      } else {
-        SCIDOCK_REQUIRE(e.args.size() == 1, "aggregate takes one argument");
-        agg.add(eval(*e.args[0], scope));
-      }
+    for (const Scope& row_ptrs : group) {
+      agg.add(agg.star ? Value(static_cast<std::int64_t>(1))
+                       : eval(*e.args[0], row_ptrs));
     }
     return agg.result();
   }
-  if (e.kind == Expr::Kind::Binary || e.kind == Expr::Kind::Unary ||
-      e.kind == Expr::Kind::Call) {
-    if (contains_aggregate(e)) {
-      // Rebuild with aggregate sub-results replaced by literals.
-      Expr shallow = {};
-      shallow.kind = e.kind;
-      shallow.binary_op = e.binary_op;
-      shallow.unary_op = e.unary_op;
-      shallow.call_name = e.call_name;
-      shallow.star_arg = e.star_arg;
-      if (e.lhs) shallow.lhs = Expr::make_literal(eval_grouped(*e.lhs, bindings, group));
-      if (e.rhs) shallow.rhs = Expr::make_literal(eval_grouped(*e.rhs, bindings, group));
-      for (const ExprPtr& a : e.args) {
-        shallow.args.push_back(Expr::make_literal(eval_grouped(*a, bindings, group)));
-      }
-      Scope scope{&bindings, &group.front()};
-      return eval(shallow, scope);
+  if (contains_aggregate(e)) {
+    // Rebuild with aggregate sub-results replaced by literals.
+    Expr shallow = {};
+    shallow.kind = e.kind;
+    shallow.binary_op = e.binary_op;
+    shallow.unary_op = e.unary_op;
+    shallow.call_name = e.call_name;
+    shallow.star_arg = e.star_arg;
+    shallow.negated = e.negated;
+    shallow.function = e.function;
+    if (e.lhs) shallow.lhs = Expr::make_literal(eval_grouped(*e.lhs, group));
+    if (e.rhs) shallow.rhs = Expr::make_literal(eval_grouped(*e.rhs, group));
+    for (const ExprPtr& a : e.args) {
+      shallow.args.push_back(Expr::make_literal(eval_grouped(*a, group)));
     }
+    return eval(shallow, group.front());
   }
-  Scope scope{&bindings, &group.front()};
-  return eval(e, scope);
+  return eval(e, group.front());
 }
 
 std::string derive_column_name(const SelectItem& item) {
@@ -464,34 +403,32 @@ std::string ResultSet::to_text() const {
 }
 
 ResultSet Engine::execute(std::string_view sql) {
-  const Statement stmt = parse_statement(sql);
+  Statement stmt = parse_statement(sql);
+  const Bound bound = bind(stmt, db_);
+  bound.require_executable();
   switch (stmt.kind) {
     case Statement::Kind::Select:
-      return execute_select(stmt.select);
-    case Statement::Kind::CreateTable: {
-      db_.create_table(stmt.create.table, stmt.create.columns);
+      return run_select(stmt.select, bound);
+    case Statement::Kind::CreateTable:
+      db_.create_table(stmt.create.table, {stmt.create.columns.begin(),
+                                           stmt.create.columns.end()});
       return {};
-    }
     case Statement::Kind::Insert: {
       Table& table = db_.table(stmt.insert.table);
-      const std::vector<Binding> no_bindings;
-      const std::vector<const Row*> no_rows;
-      Scope scope{&no_bindings, &no_rows};
+      const Scope no_rows;
       for (const auto& row_exprs : stmt.insert.rows) {
         Row row(table.columns().size());
         if (stmt.insert.columns.empty()) {
           SCIDOCK_REQUIRE(row_exprs.size() == table.columns().size(),
                           "INSERT width mismatch");
           for (std::size_t i = 0; i < row_exprs.size(); ++i) {
-            row[i] = eval(*row_exprs[i], scope);
+            row[i] = eval(*row_exprs[i], no_rows);
           }
         } else {
           SCIDOCK_REQUIRE(row_exprs.size() == stmt.insert.columns.size(),
                           "INSERT width mismatch");
           for (std::size_t i = 0; i < row_exprs.size(); ++i) {
-            const int ci = table.column_index(stmt.insert.columns[i]);
-            SCIDOCK_REQUIRE(ci >= 0, "unknown column " + stmt.insert.columns[i]);
-            row[static_cast<std::size_t>(ci)] = eval(*row_exprs[i], scope);
+            row[bound.targets[i]] = eval(*row_exprs[i], no_rows);
           }
         }
         table.insert(std::move(row));
@@ -500,31 +437,21 @@ ResultSet Engine::execute(std::string_view sql) {
     }
     case Statement::Kind::Update: {
       Table& table = db_.table(stmt.update.table);
-      std::vector<Binding> bindings{{table.name(), &table}};
-      // Resolve assignment targets once.
-      std::vector<std::size_t> targets;
-      for (const auto& [column, expr] : stmt.update.assignments) {
-        const int ci = table.column_index(column);
-        SCIDOCK_REQUIRE(ci >= 0, "unknown column " + column);
-        targets.push_back(static_cast<std::size_t>(ci));
-        (void)expr;
-      }
       std::size_t updated = 0;
       for (Row& row : table.mutable_rows()) {
-        std::vector<const Row*> rows{&row};
-        Scope scope{&bindings, &rows};
+        const Scope scope{&row};
         if (stmt.update.where && !truthy(eval(*stmt.update.where, scope))) {
           continue;
         }
         // Evaluate every assignment against the *pre-update* row, then
         // apply (standard SQL semantics for multi-assignment UPDATE).
         std::vector<Value> new_values;
-        new_values.reserve(targets.size());
+        new_values.reserve(bound.targets.size());
         for (const auto& [column, expr] : stmt.update.assignments) {
           new_values.push_back(eval(*expr, scope));
         }
-        for (std::size_t k = 0; k < targets.size(); ++k) {
-          row[targets[k]] = std::move(new_values[k]);
+        for (std::size_t k = 0; k < bound.targets.size(); ++k) {
+          row[bound.targets[k]] = std::move(new_values[k]);
         }
         ++updated;
       }
@@ -535,15 +462,12 @@ ResultSet Engine::execute(std::string_view sql) {
     }
     case Statement::Kind::Delete: {
       Table& table = db_.table(stmt.del.table);
-      std::vector<Binding> bindings{{table.name(), &table}};
       std::size_t removed = 0;
       if (!stmt.del.where) {
         removed = table.erase_if([](const Row&) { return true; });
       } else {
         removed = table.erase_if([&](const Row& row) {
-          std::vector<const Row*> rows{&row};
-          Scope scope{&bindings, &rows};
-          return truthy(eval(*stmt.del.where, scope));
+          return truthy(eval(*stmt.del.where, Scope{&row}));
         });
       }
       ResultSet rs;
@@ -555,30 +479,23 @@ ResultSet Engine::execute(std::string_view sql) {
   return {};
 }
 
-ResultSet Engine::execute_select(const SelectStmt& stmt) {
+ResultSet Engine::execute_select(SelectStmt& stmt) {
+  const Bound bound = bind_select(stmt, db_);
+  bound.require_executable();
+  return run_select(stmt, bound);
+}
+
+ResultSet Engine::run_select(const SelectStmt& stmt, const Bound& bound) {
   SCIDOCK_REQUIRE(!stmt.from.empty(), "SELECT requires a FROM clause");
 
-  // --- bind tables ---
-  std::vector<Binding> bindings;
-  bindings.reserve(stmt.from.size());
-  for (const TableRef& ref : stmt.from) {
-    bindings.push_back(Binding{ref.alias, &db_.table(ref.table)});
-  }
-  const std::size_t n_tables = bindings.size();
+  const std::vector<const Table*>& tables = bound.tables;
+  const std::size_t n_tables = tables.size();
 
   // --- classify WHERE conjuncts by the last table they need ---
   std::vector<const Expr*> conjuncts;
   if (stmt.where) collect_conjuncts(*stmt.where, conjuncts);
   std::vector<std::vector<const Expr*>> conjuncts_at(n_tables);
-  for (const Expr* c : conjuncts) {
-    std::vector<bool> refs(n_tables, false);
-    referenced_tables(*c, bindings, refs);
-    std::size_t last = 0;
-    for (std::size_t t = 0; t < n_tables; ++t) {
-      if (refs[t]) last = t;
-    }
-    conjuncts_at[last].push_back(c);
-  }
+  for (const Expr* c : conjuncts) conjuncts_at[last_table(*c)].push_back(c);
 
   // --- hash-join upgrade for equality conjuncts ---
   // A depth whose pushed-down conjuncts include `inner.col = outer.col`
@@ -603,19 +520,24 @@ ResultSet Engine::execute_select(const SelectStmt& stmt) {
 
   // Key encoding mirrors Value::compare under Eq: NULL matches nothing
   // (caller skips the row), numerics compare through as_double (so int 2
-  // and double 2.0 share a key, with -0.0 collapsed onto 0.0), strings
-  // compare bytewise and never equal numerics (distinct prefixes).
+  // and double 2.0 share a key) as the double's 8 bytes, with -0.0 folded
+  // onto 0.0 and every NaN onto one NaN; strings compare bytewise and
+  // never equal numerics (distinct tags).
   const auto append_key_part = [](const Value& v, std::string& out) {
     if (v.is_null()) return false;
     if (v.is_string()) {
-      out += "s:";
+      out += 's';
       out += v.as_string();
+      out += '\x1f';  // separator so multi-key parts cannot run together
     } else {
       double d = v.as_double();
       if (d == 0.0) d = 0.0;
-      out += strformat("n:%.17g", d);
+      if (std::isnan(d)) d = std::numeric_limits<double>::quiet_NaN();
+      char bytes[sizeof d];
+      std::memcpy(bytes, &d, sizeof d);
+      out += 'n';
+      out.append(bytes, sizeof d);
     }
-    out += '\x1f';  // separator so multi-key parts cannot run together
     return true;
   };
 
@@ -627,24 +549,16 @@ ResultSet Engine::execute_select(const SelectStmt& stmt) {
       const Expr* l = c->lhs.get();
       const Expr* r = c->rhs.get();
       if (l->kind != Expr::Kind::Column || r->kind != Expr::Kind::Column) continue;
-      ColumnRefResolved lr;
-      ColumnRefResolved rr;
-      try {
-        lr = resolve_column(bindings, l->qualifier, l->column);
-        rr = resolve_column(bindings, r->qualifier, r->column);
-      } catch (...) {
-        continue;  // fall back; eval reports the bad reference naturally
-      }
       const int ti = static_cast<int>(t);
-      if (lr.table == ti && rr.table < ti) {
-        hs.keys.push_back({lr.column, rr.table, rr.column});
-      } else if (rr.table == ti && lr.table < ti) {
-        hs.keys.push_back({rr.column, lr.table, lr.column});
+      if (l->binding == ti && r->binding < ti) {
+        hs.keys.push_back({l->slot, r->binding, r->slot});
+      } else if (r->binding == ti && l->binding < ti) {
+        hs.keys.push_back({r->slot, l->binding, l->slot});
       }
     }
     if (hs.keys.empty()) continue;
     hs.active = true;
-    for (const Row& row : bindings[t].table->rows()) {
+    for (const Row& row : tables[t]->rows()) {
       std::string key;
       bool keyable = true;
       for (const EquiKey& k : hs.keys) {
@@ -658,9 +572,9 @@ ResultSet Engine::execute_select(const SelectStmt& stmt) {
   }
 
   // --- nested-loop join with push-down (hash probe where upgraded) ---
-  std::vector<std::vector<const Row*>> joined;
-  joined.reserve(bindings[0].table->rows().size());
-  std::vector<const Row*> current(n_tables, nullptr);
+  std::vector<Scope> joined;
+  joined.reserve(tables[0]->rows().size());
+  Scope current(n_tables, nullptr);
   auto descend = [&](auto&& self, std::size_t depth) -> void {
     if (depth == n_tables) {
       joined.push_back(current);
@@ -668,9 +582,8 @@ ResultSet Engine::execute_select(const SelectStmt& stmt) {
     }
     const auto try_row = [&](const Row& row) {
       current[depth] = &row;
-      Scope scope{&bindings, &current};
       for (const Expr* c : conjuncts_at[depth]) {
-        if (!truthy(eval(*c, scope))) return;
+        if (!truthy(eval(*c, current))) return;
       }
       self(self, depth + 1);
     };
@@ -692,45 +605,22 @@ ResultSet Engine::execute_select(const SelectStmt& stmt) {
         }
       }
     } else {
-      for (const Row& row : bindings[depth].table->rows()) try_row(row);
+      for (const Row& row : tables[depth]->rows()) try_row(row);
     }
     current[depth] = nullptr;
   };
   descend(descend, 0);
 
-  // --- detect aggregation ---
-  bool has_aggregate = false;
-  for (const SelectItem& item : stmt.items) {
-    if (contains_aggregate(*item.expr)) has_aggregate = true;
-  }
-  const bool grouped = has_aggregate || !stmt.group_by.empty();
-
   ResultSet rs;
   if (stmt.star_all) {
-    SCIDOCK_REQUIRE(!grouped, "SELECT * cannot be combined with GROUP BY");
-    for (const Binding& b : bindings) {
-      for (const std::string& col : b.table->columns()) rs.columns.push_back(col);
+    SCIDOCK_REQUIRE(!bound.grouped, "SELECT * cannot be combined with GROUP BY");
+    for (const Table* table : tables) {
+      for (const Column& col : table->columns()) rs.columns.push_back(col.name);
     }
   } else {
     for (const SelectItem& item : stmt.items) {
       rs.columns.push_back(derive_column_name(item));
     }
-  }
-
-  // ORDER BY may reference a select-list alias (PostgreSQL semantics):
-  // substitute such bare column references with the aliased expression.
-  std::vector<ExprPtr> order_exprs;
-  for (const OrderItem& o : stmt.order_by) {
-    const Expr* resolved = o.expr.get();
-    if (resolved->kind == Expr::Kind::Column && resolved->qualifier.empty()) {
-      for (const SelectItem& item : stmt.items) {
-        if (!item.alias.empty() && iequals(item.alias, resolved->column)) {
-          resolved = item.expr.get();
-          break;
-        }
-      }
-    }
-    order_exprs.push_back(resolved->clone());
   }
 
   struct OrderKeyed {
@@ -739,55 +629,45 @@ ResultSet Engine::execute_select(const SelectStmt& stmt) {
   };
   std::vector<OrderKeyed> produced;
 
-  if (grouped) {
+  if (bound.grouped) {
     // Group the joined rows by the GROUP BY key values.
-    std::map<std::vector<std::string>, std::vector<std::vector<const Row*>>> groups;
-    for (const auto& row_ptrs : joined) {
-      Scope scope{&bindings, &row_ptrs};
+    std::map<std::vector<std::string>, std::vector<Scope>> groups;
+    for (const Scope& row_ptrs : joined) {
       std::vector<std::string> key;
       key.reserve(stmt.group_by.size());
       for (const ExprPtr& g : stmt.group_by) {
-        key.push_back(eval(*g, scope).to_string());
+        key.push_back(eval(*g, row_ptrs).to_string());
       }
       groups[std::move(key)].push_back(row_ptrs);
     }
-    if (groups.empty() && stmt.group_by.empty() && !joined.empty()) {
-      groups[{}].push_back(joined.front());
-    }
     if (groups.empty() && stmt.group_by.empty()) {
       // Aggregates over an empty input still yield one row (count = 0).
-      if (has_aggregate) {
-        Row row;
-        for (const SelectItem& item : stmt.items) {
-          if (item.expr->kind == Expr::Kind::Call && item.expr->call_name == "count") {
-            row.push_back(Value(static_cast<std::int64_t>(0)));
-          } else {
-            row.push_back(Value());
-          }
+      Row row;
+      for (const SelectItem& item : stmt.items) {
+        if (is_aggregate(*item.expr) && item.expr->function->id == FunctionId::Count) {
+          row.push_back(Value(static_cast<std::int64_t>(0)));
+        } else {
+          row.push_back(Value());
         }
-        produced.push_back({std::move(row), {}});
       }
+      produced.push_back({std::move(row), {}});
     } else {
       for (auto& [key, group_rows] : groups) {
-        if (group_rows.empty()) continue;
-        if (stmt.having) {
-          if (!truthy(Value(eval_grouped(*stmt.having, bindings, group_rows)))) {
-            continue;
-          }
+        if (stmt.having && !truthy(eval_grouped(*stmt.having, group_rows))) {
+          continue;
         }
         OrderKeyed out;
         for (const SelectItem& item : stmt.items) {
-          out.row.push_back(eval_grouped(*item.expr, bindings, group_rows));
+          out.row.push_back(eval_grouped(*item.expr, group_rows));
         }
-        for (const ExprPtr& o : order_exprs) {
-          out.keys.push_back(eval_grouped(*o, bindings, group_rows));
+        for (const Expr* o : bound.order_by) {
+          out.keys.push_back(eval_grouped(*o, group_rows));
         }
         produced.push_back(std::move(out));
       }
     }
   } else {
-    for (const auto& row_ptrs : joined) {
-      Scope scope{&bindings, &row_ptrs};
+    for (const Scope& row_ptrs : joined) {
       OrderKeyed out;
       if (stmt.star_all) {
         for (std::size_t t = 0; t < n_tables; ++t) {
@@ -795,11 +675,11 @@ ResultSet Engine::execute_select(const SelectStmt& stmt) {
         }
       } else {
         for (const SelectItem& item : stmt.items) {
-          out.row.push_back(eval(*item.expr, scope));
+          out.row.push_back(eval(*item.expr, row_ptrs));
         }
       }
-      for (const ExprPtr& o : order_exprs) {
-        out.keys.push_back(eval(*o, scope));
+      for (const Expr* o : bound.order_by) {
+        out.keys.push_back(eval(*o, row_ptrs));
       }
       produced.push_back(std::move(out));
     }

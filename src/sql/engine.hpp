@@ -1,7 +1,8 @@
 #pragma once
 
 /// \file engine.hpp
-/// SQL execution over a Database: nested-loop joins with conjunct
+/// SQL execution over a Database: the statement is bound first
+/// (sql/binder.hpp), then run as nested-loop joins with conjunct
 /// push-down, grouping/aggregation, ordering and projection. The paper's
 /// provenance queries (Query 1, Query 2, the Figure 5 histogram query)
 /// execute through this engine verbatim.
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "sql/ast.hpp"
+#include "sql/binder.hpp"
 #include "sql/table.hpp"
 
 namespace scidock::sql {
@@ -34,14 +36,19 @@ class Engine {
  public:
   explicit Engine(Database& db) : db_(db) {}
 
-  /// Parse and run one statement. SELECT returns its rows; CREATE/INSERT/
-  /// DELETE return an empty result (DELETE reports the removed-row count
-  /// in a single cell).
+  /// Parse, bind (sql/binder.hpp) and run one statement. A statement the
+  /// binder refuses throws before any row is read: NotFoundError for an
+  /// unknown table, column or function, InvalidStateError for anything
+  /// else. SELECT returns its rows; CREATE/INSERT return an empty result,
+  /// UPDATE/DELETE the affected-row count in a single cell.
   ResultSet execute(std::string_view sql);
 
-  ResultSet execute_select(const SelectStmt& stmt);
+  /// Bind `stmt` in place and run it.
+  ResultSet execute_select(SelectStmt& stmt);
 
  private:
+  static ResultSet run_select(const SelectStmt& stmt, const Bound& bound);
+
   Database& db_;
 };
 

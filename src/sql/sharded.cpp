@@ -6,6 +6,7 @@
 #include <memory>
 #include <utility>
 
+#include "sql/binder.hpp"
 #include "sql/parser.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
@@ -13,13 +14,6 @@
 namespace scidock::sql {
 
 namespace {
-
-bool is_aggregate_call(const Expr& e) {
-  return e.kind == Expr::Kind::Call &&
-         (e.call_name == "min" || e.call_name == "max" ||
-          e.call_name == "sum" || e.call_name == "avg" ||
-          e.call_name == "count");
-}
 
 /// Factories keyed by the textual form of the sub-expression they
 /// replace: group keys map to their merge-table key column, aggregate
@@ -49,7 +43,7 @@ ExprPtr rewrite_expr(const Expr& e, const Rewrites& rewrites) {
 /// (aggregates cannot nest, so recursion stops at a match).
 void collect_aggregates(const Expr& e,
                         std::map<std::string, const Expr*>& out) {
-  if (is_aggregate_call(e)) {
+  if (is_aggregate(e)) {
     out.emplace(e.to_string(), &e);
     return;
   }
@@ -95,38 +89,32 @@ ResultSet ShardedEngine::execute(std::string_view sql) {
     Engine engine(*shards_[0]);
     return engine.execute(sql);
   }
-  const Statement stmt = parse_statement(sql);
+  Statement stmt = parse_statement(sql);
   SCIDOCK_REQUIRE(stmt.kind == Statement::Kind::Select,
                   "only SELECT is supported across provenance shards; "
                   "writes go through the recording API");
   return execute_select(stmt.select);
 }
 
-ResultSet ShardedEngine::execute_select(const SelectStmt& stmt) {
+ResultSet ShardedEngine::execute_select(SelectStmt& stmt) {
   SCIDOCK_REQUIRE(!stmt.from.empty(), "SELECT requires a FROM clause");
-  if (shards_.size() == 1) {
-    Engine engine(*shards_[0]);
-    return engine.execute_select(stmt);
-  }
   bool all_replicated = true;
   for (const TableRef& ref : stmt.from) {
     if (!replicated(ref.table)) all_replicated = false;
   }
-  if (all_replicated) {
+  if (shards_.size() == 1 || all_replicated) {
     // Dimension-only query: shard 0 holds the authoritative copy.
     Engine engine(*shards_[0]);
     return engine.execute_select(stmt);
   }
-
-  bool has_aggregate = false;
-  for (const SelectItem& item : stmt.items) {
-    if (contains_aggregate(*item.expr)) has_aggregate = true;
-  }
-  if (has_aggregate || !stmt.group_by.empty()) return merge_grouped(stmt);
-  return merge_scan(stmt);
+  // Shard 0 holds every table, so its schema binds the plan.
+  const Bound bound = bind_select(stmt, *shards_[0]);
+  bound.require_executable();
+  if (bound.grouped) return merge_grouped(stmt, bound);
+  return merge_scan(stmt, bound);
 }
 
-ResultSet ShardedEngine::merge_scan(const SelectStmt& stmt) {
+ResultSet ShardedEngine::merge_scan(const SelectStmt& stmt, const Bound& bound) {
   // Per-shard statement: the projected expressions plus one hidden column
   // per ORDER BY key, full WHERE pushdown, no ordering/limit yet.
   SelectStmt partial;
@@ -134,12 +122,12 @@ ResultSet ShardedEngine::merge_scan(const SelectStmt& stmt) {
 
   std::vector<std::string> names;  ///< final header, single-shard spelling
   if (stmt.star_all) {
-    for (const TableRef& ref : stmt.from) {
-      const Table& t = shards_[0]->table(ref.table);
+    for (std::size_t t = 0; t < stmt.from.size(); ++t) {
+      const TableRef& ref = stmt.from[t];
       const std::string qualifier = ref.alias.empty() ? ref.table : ref.alias;
-      for (const std::string& col : t.columns()) {
-        partial.items.push_back({Expr::make_column(qualifier, col), ""});
-        names.push_back(col);
+      for (const Column& col : bound.tables[t]->columns()) {
+        partial.items.push_back({Expr::make_column(qualifier, col.name), ""});
+        names.push_back(col.name);
       }
     }
   } else {
@@ -150,26 +138,16 @@ ResultSet ShardedEngine::merge_scan(const SelectStmt& stmt) {
   }
   const std::size_t width = names.size();
 
+  // ORDER BY keys as the binder resolved them (select aliases substituted).
   std::vector<bool> descending;
-  for (const OrderItem& o : stmt.order_by) {
-    // Bare-column keys naming a select alias mean the aliased expression
-    // (engine semantics); resolve before shipping to the shards.
-    const Expr* resolved = o.expr.get();
-    if (resolved->kind == Expr::Kind::Column && resolved->qualifier.empty()) {
-      for (const SelectItem& item : stmt.items) {
-        if (!item.alias.empty() && iequals(item.alias, resolved->column)) {
-          resolved = item.expr.get();
-          break;
-        }
-      }
-    }
+  for (std::size_t k = 0; k < stmt.order_by.size(); ++k) {
     partial.items.push_back(
-        {resolved->clone(), strformat("__ord%zu", descending.size())});
-    descending.push_back(o.descending);
+        {bound.order_by[k]->clone(), strformat("__ord%zu", k)});
+    descending.push_back(stmt.order_by[k].descending);
   }
 
   Database merged;
-  std::vector<std::string> columns;
+  std::vector<Column> columns;
   columns.reserve(width + descending.size());
   for (std::size_t i = 0; i < width + descending.size(); ++i) {
     columns.push_back(strformat("m%zu", i));
@@ -201,13 +179,14 @@ ResultSet ShardedEngine::merge_scan(const SelectStmt& stmt) {
   return rs;
 }
 
-ResultSet ShardedEngine::merge_grouped(const SelectStmt& stmt) {
+ResultSet ShardedEngine::merge_grouped(const SelectStmt& stmt,
+                                       const Bound& bound) {
   SCIDOCK_REQUIRE(!stmt.star_all, "SELECT * cannot be combined with GROUP BY");
 
   SelectStmt partial;
   copy_from_where(stmt, partial);
   Rewrites rewrites;
-  std::vector<std::string> columns;  ///< merge-table schema
+  std::vector<Column> columns;  ///< merge-table schema
 
   // Group keys project through as k0..kM and group the partials too.
   for (std::size_t g = 0; g < stmt.group_by.size(); ++g) {
@@ -231,12 +210,10 @@ ResultSet ShardedEngine::merge_grouped(const SelectStmt& stmt) {
     collect_aggregates(*item.expr, aggregates);
   }
   if (stmt.having) collect_aggregates(*stmt.having, aggregates);
-  for (const OrderItem& o : stmt.order_by) {
-    collect_aggregates(*o.expr, aggregates);
-  }
+  for (const Expr* key : bound.order_by) collect_aggregates(*key, aggregates);
   std::size_t p = 0;
   for (const auto& [text, call] : aggregates) {
-    if (call->call_name == "avg") {
+    if (call->function->id == FunctionId::Avg) {
       const std::string sum_col = strformat("p%zus", p);
       const std::string count_col = strformat("p%zuc", p);
       std::vector<ExprPtr> sum_args;
@@ -258,7 +235,7 @@ ResultSet ShardedEngine::merge_grouped(const SelectStmt& stmt) {
       partial.items.push_back({call->clone(), col});
       columns.push_back(col);
       const std::string merge_fn =
-          call->call_name == "count" ? "sum" : call->call_name;
+          call->function->id == FunctionId::Count ? "sum" : call->call_name;
       rewrites[text] = [merge_fn, col]() { return agg_over(merge_fn, col); };
     }
     ++p;
@@ -287,8 +264,9 @@ ResultSet ShardedEngine::merge_grouped(const SelectStmt& stmt) {
     final_stmt.group_by.push_back(bare_column(strformat("k%zu", g)));
   }
   if (stmt.having) final_stmt.having = rewrite_expr(*stmt.having, rewrites);
-  for (const OrderItem& o : stmt.order_by) {
-    final_stmt.order_by.push_back({rewrite_expr(*o.expr, rewrites), o.descending});
+  for (std::size_t k = 0; k < stmt.order_by.size(); ++k) {
+    final_stmt.order_by.push_back(
+        {rewrite_expr(*bound.order_by[k], rewrites), stmt.order_by[k].descending});
   }
   final_stmt.limit = stmt.limit;
 
@@ -298,10 +276,8 @@ ResultSet ShardedEngine::merge_grouped(const SelectStmt& stmt) {
   // count(...) re-aggregates as a sum, which the engine accumulates in
   // floating point; restore the integer type a single shard returns.
   for (std::size_t i = 0; i < stmt.items.size(); ++i) {
-    if (!is_aggregate_call(*stmt.items[i].expr) ||
-        stmt.items[i].expr->call_name != "count") {
-      continue;
-    }
+    const Expr& item = *stmt.items[i].expr;
+    if (!is_aggregate(item) || item.function->id != FunctionId::Count) continue;
     for (Row& row : rs.rows) {
       if (row[i].is_double()) {
         row[i] = Value(static_cast<std::int64_t>(std::llround(row[i].as_double())));

@@ -30,6 +30,7 @@
 #include <string_view>
 #include <vector>
 
+#include "sql/binder.hpp"
 #include "sql/engine.hpp"
 
 namespace scidock::sql {
@@ -48,11 +49,12 @@ class ShardedEngine {
   /// statement through to the plain engine.
   ResultSet execute(std::string_view sql);
 
-  ResultSet execute_select(const SelectStmt& stmt);
+  /// Bind `stmt` in place against shard 0 and run it across the shards.
+  ResultSet execute_select(SelectStmt& stmt);
 
  private:
-  ResultSet merge_scan(const SelectStmt& stmt);
-  ResultSet merge_grouped(const SelectStmt& stmt);
+  ResultSet merge_scan(const SelectStmt& stmt, const Bound& bound);
+  ResultSet merge_grouped(const SelectStmt& stmt, const Bound& bound);
   bool replicated(const std::string& table) const;
 
   std::vector<Database*> shards_;

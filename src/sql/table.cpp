@@ -7,14 +7,24 @@
 
 namespace scidock::sql {
 
-Table::Table(std::string name, std::vector<std::string> columns)
+std::string_view to_string(Type type) {
+  switch (type) {
+    case Type::Any: return "?";
+    case Type::Int: return "int";
+    case Type::Real: return "real";
+    case Type::Text: return "text";
+  }
+  return "?";
+}
+
+Table::Table(std::string name, std::vector<Column> columns)
     : name_(std::move(name)), columns_(std::move(columns)) {
   SCIDOCK_REQUIRE(!columns_.empty(), "table must have at least one column");
 }
 
 int Table::column_index(std::string_view column) const {
   for (std::size_t i = 0; i < columns_.size(); ++i) {
-    if (iequals(columns_[i], column)) return static_cast<int>(i);
+    if (iequals(columns_[i].name, column)) return static_cast<int>(i);
   }
   return -1;
 }
@@ -25,7 +35,7 @@ void Table::insert(Row row) {
   rows_.push_back(std::move(row));
 }
 
-Table& Database::create_table(std::string name, std::vector<std::string> columns) {
+Table& Database::create_table(std::string name, std::vector<Column> columns) {
   if (has_table(name)) {
     throw InvalidStateError("table '" + name + "' already exists");
   }

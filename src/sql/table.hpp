@@ -6,6 +6,7 @@
 
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "sql/value.hpp"
@@ -14,12 +15,29 @@ namespace scidock::sql {
 
 using Row = std::vector<Value>;
 
+/// Declared column type. The binder (sql/binder.hpp) infers expression
+/// types from it; Any is a column nothing declares a type for (CREATE
+/// TABLE, a workflow relation loaded as a table, merge tables).
+enum class Type { Any, Int, Real, Text };
+
+std::string_view to_string(Type type);
+
+struct Column {
+  Column(std::string column_name, Type column_type = Type::Any)
+      : name(std::move(column_name)), type(column_type) {}
+  Column(const char* column_name, Type column_type = Type::Any)
+      : Column(std::string(column_name), column_type) {}
+
+  std::string name;
+  Type type;
+};
+
 class Table {
  public:
-  Table(std::string name, std::vector<std::string> columns);
+  Table(std::string name, std::vector<Column> columns);
 
   const std::string& name() const { return name_; }
-  const std::vector<std::string>& columns() const { return columns_; }
+  const std::vector<Column>& columns() const { return columns_; }
   int column_index(std::string_view column) const;  ///< -1 if absent
 
   void insert(Row row);
@@ -39,14 +57,14 @@ class Table {
 
  private:
   std::string name_;
-  std::vector<std::string> columns_;
+  std::vector<Column> columns_;
   std::vector<Row> rows_;
 };
 
 class Database {
  public:
   /// Creates an empty table; throws InvalidStateError on duplicate name.
-  Table& create_table(std::string name, std::vector<std::string> columns);
+  Table& create_table(std::string name, std::vector<Column> columns);
   bool has_table(std::string_view name) const;
   Table& table(std::string_view name);              ///< throws NotFoundError
   const Table& table(std::string_view name) const;  ///< throws NotFoundError

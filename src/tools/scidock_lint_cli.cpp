@@ -1,8 +1,9 @@
 // scidock-lint — static analyzer for SciCumulus workflow specifications
-// and provenance SQL. Validates without executing: the workflow algebra
-// checker (rules WF001..WF010) walks the XML spec's dataflow, the SQL
-// semantic checker (SQL001..SQL008) resolves queries against the PROV-Wf
-// or relation catalog and validates `-- reconciles:` metric annotations.
+// and provenance SQL. Validates without executing: the workflow spec
+// loader's checks (rules WF001..WF010) walk the XML spec's dataflow, and
+// the SQL binder (SQL002..SQL007) resolves each query against an empty
+// PROV-Wf or relation schema; this tool adds the parse (SQL001) and the
+// `-- reconciles:` metric annotations (SQL008).
 // The LD rules in the catalog are emitted by the *runtime* lock-order
 // analyzer (scidock_cli --sync-report), not by this tool. Exit codes:
 // 0 = clean, 1 = diagnostics found, 2 = usage / I/O error.
@@ -58,24 +59,13 @@ std::size_t emit(const lint::Report& report) {
   return report.diagnostics().size();
 }
 
-lint::Catalog relation_catalog_from_schema() {
-  std::vector<lint::CatalogColumn> columns;
-  for (const core::RelationField& f : core::output_relation_schema()) {
-    lint::ColType type = lint::ColType::Text;
-    if (f.kind == core::FieldKind::Int) type = lint::ColType::Int;
-    if (f.kind == core::FieldKind::Real) type = lint::ColType::Real;
-    columns.push_back(lint::CatalogColumn{f.name, type});
-  }
-  return lint::relation_catalog(std::move(columns));
-}
-
 std::size_t lint_shipped_queries() {
-  const lint::Catalog rel_catalog = relation_catalog_from_schema();
+  const sql::Database prov = core::query_schema("prov");
+  const sql::Database rel = core::query_schema("rel");
   std::size_t findings = 0;
   for (const core::ShippedQuery& q : core::shipped_queries()) {
-    const lint::Catalog& catalog =
-        q.catalog == "rel" ? rel_catalog : lint::prov_wf_catalog();
-    findings += emit(lint::lint_query(q.sql, catalog, "query:" + q.name));
+    findings += emit(lint::lint_query(q.sql, q.catalog == "rel" ? rel : prov,
+                                      "query:" + q.name));
   }
   return findings;
 }
@@ -116,9 +106,7 @@ int cmd_query(const std::vector<std::string>& args) {
   if (files.empty() || (catalog_name != "prov" && catalog_name != "rel")) {
     return usage();
   }
-  const lint::Catalog rel_catalog = relation_catalog_from_schema();
-  const lint::Catalog& catalog =
-      catalog_name == "rel" ? rel_catalog : lint::prov_wf_catalog();
+  const sql::Database schema = core::query_schema(catalog_name);
   std::size_t findings = 0;
   for (const std::string& file : files) {
     std::string text;
@@ -127,7 +115,7 @@ int cmd_query(const std::vector<std::string>& args) {
       return 2;
     }
     // One statement per file; surrounding whitespace tolerated.
-    findings += emit(lint::lint_query(trim(text), catalog, file));
+    findings += emit(lint::lint_query(trim(text), schema, file));
   }
   return findings == 0 ? 0 : 1;
 }

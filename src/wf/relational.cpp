@@ -43,7 +43,9 @@ sql::Value to_value(const std::string& text) {
 
 sql::Table& to_sql_table(const Relation& relation, sql::Database& db,
                          std::string_view name) {
-  sql::Table& table = db.create_table(std::string(name), relation.field_names());
+  const std::vector<std::string>& fields = relation.field_names();
+  sql::Table& table =
+      db.create_table(std::string(name), {fields.begin(), fields.end()});
   for (const Tuple& t : relation.tuples()) {
     sql::Row row;
     row.reserve(relation.field_names().size());

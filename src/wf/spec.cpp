@@ -128,7 +128,7 @@ class SpecChecker {
         error("WF004", act.line, "duplicate activity tag '" + act.tag + "'");
       }
 
-      std::set<std::string> seen_relations;
+      std::set<std::pair<std::string, bool>> seen_relations;  // name, input
       for (const xml::Element* rel_el : act_el->children_named("Relation")) {
         RelationDef rel;
         rel.line = rel_el->source_line();
@@ -163,7 +163,7 @@ class SpecChecker {
                     "' (expected Input or Output)");
           continue;
         }
-        if (!seen_relations.insert(rel.name).second) {
+        if (!seen_relations.insert({rel.name, rel.is_input}).second) {
           error("WF004", rel.line,
                 "activity '" + act.tag + "': relation '" + rel.name +
                     "' declared twice");

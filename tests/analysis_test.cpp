@@ -5,12 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <mutex>
 
 #include "data/table2.hpp"
 #include "scidock/analysis.hpp"
 #include "scidock/experiment.hpp"
+#include "sql/engine.hpp"
+#include "util/rng.hpp"
 #include "util/strings.hpp"
+#include "wf/relational.hpp"
 
 namespace scidock::core {
 namespace {
@@ -148,6 +152,75 @@ TEST(Steering, MonitorSeesEveryActivation) {
   EXPECT_EQ(events.load(),
             report.activations_finished + report.activations_failed);
   EXPECT_EQ(per_tag[kBabel], 2);  // both pairs passed activity 1
+}
+
+// ----------------------------------------------- pinned query results
+
+/// Digest of a result as the CLI prints it: headers, cells and row order.
+std::string digest(const sql::ResultSet& rs) {
+  return strformat("%016llx",
+                   static_cast<unsigned long long>(fnv1a64(rs.to_text())));
+}
+
+/// Every shipped PROV-Wf query over a seeded simulated campaign of 240
+/// pairs, at one and at four provenance shards. Row order and cell values
+/// are pinned, so a change to how the engine resolves or evaluates a query
+/// shows here; both shard counts print the same text.
+TEST(ShippedQueryResults, ProvQueriesArePinned) {
+  const std::map<std::string, std::string> expected = {
+      {"figure5-histogram", "ed98b3feb5fab6c4"},
+      {"query1-statistics", "4b7c20aa1dde4dbe"},
+      {"query2-dlg-files", "a3b5d5e5aa9fb2c4"},
+      {"forensics-failed-by-activity", "925115de62fe6f9a"},
+      {"forensics-hg-aborts", "5cf8ca6e15dfd66c"},
+      {"steering-longest-activations", "b84ca6290b04d0a4"},
+      {"reconcile-workflow-id", "374b08f4b3b09e19"},
+      {"reconcile-activation-count", "0c15c74d582d1ff3"},
+      {"reconcile-activations-by-status", "1a66b3e2559b2535"},
+      {"reconcile-retried-activations", "588062442c2fe933"},
+      {"reconcile-finished-autogrid", "9f87bf865ff2a3dd"},
+  };
+  const std::vector<std::string>& all = data::table2_receptors();
+  const Experiment exp =
+      make_experiment({all.begin(), all.begin() + 40},
+                      {"042", "0E6", "0LB", "ACE", "GOL", "PO4"}, 0, {});
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    prov::ProvenanceStoreOptions options;
+    options.shard_count = shards;
+    prov::ProvenanceStore store(options);
+    run_simulated(exp, 16, &store, default_sim_options(16, 7), "SciDock");
+    std::size_t checked = 0;
+    for (const ShippedQuery& q : shipped_queries()) {
+      if (q.catalog != "prov") continue;
+      SCOPED_TRACE("shards=" + std::to_string(shards) + " " + q.name);
+      ASSERT_EQ(expected.count(q.name), 1u);
+      EXPECT_EQ(digest(store.query(q.sql)), expected.at(q.name));
+      ++checked;
+    }
+    EXPECT_EQ(checked, expected.size());
+  }
+}
+
+/// The relation query over the output of a small fixed-seed native run
+/// (native output does not depend on the thread count).
+TEST(ShippedQueryResults, RelationQueryIsPinned) {
+  ScidockOptions fast;
+  fast.dataset.min_residues = 12;
+  fast.dataset.max_residues = 20;
+  fast.grid_spacing = 0.9;
+  fast.ad4_params.ga_runs = 1;
+  fast.ad4_params.ga_num_evals = 200;
+  fast.ad4_params.sw_max_its = 10;
+  fast.vina_exhaustiveness = 1;
+  fast.vina_steps_per_chain = 5;
+  Experiment exp =
+      make_experiment({"2HHN", "1HUC"}, {"042", "0E6", "GOL"}, 0, fast);
+  const wf::NativeReport report = run_native(exp, 2);
+  ASSERT_EQ(report.output.size(), 6u);
+  sql::Database db;
+  wf::to_sql_table(report.output, db, "rel");
+  const sql::ResultSet rs = sql::Engine(db).execute(screen_summary_query());
+  EXPECT_EQ(digest(rs), "dbcf680c0adb43c7") << rs.to_text();
 }
 
 TEST(Steering, ThrowingMonitorIsIsolated) {

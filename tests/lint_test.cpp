@@ -1,7 +1,6 @@
 // Tests for the scidock-lint static analyzer: the workflow algebra
-// checker (WF001..WF010), the SQL semantic checker (SQL001..SQL008), the
-// fixture corpus under tests/lint/, and the drift guard that keeps the
-// lint catalog aligned with the live provenance schema. The runtime LD
+// checker (WF001..WF010), the SQL semantic checker (SQL001..SQL008) over
+// the binder, and the fixture corpus under tests/lint/. The runtime LD
 // rules share the catalog but are exercised by the lockdep suite
 // (tests/lockdep_test.cpp) — they have no file fixtures by design.
 
@@ -18,7 +17,6 @@
 #include "lint/diagnostics.hpp"
 #include "lint/sql_lint.hpp"
 #include "lint/wf_lint.hpp"
-#include "prov/prov.hpp"
 #include "scidock/analysis.hpp"
 #include "scidock/scidock.hpp"
 #include "sql/table.hpp"
@@ -41,15 +39,15 @@ std::string read_fixture(const std::string& name) {
   return buffer.str();
 }
 
-Catalog rel_catalog() {
-  std::vector<CatalogColumn> columns;
-  for (const core::RelationField& f : core::output_relation_schema()) {
-    ColType type = ColType::Text;
-    if (f.kind == core::FieldKind::Int) type = ColType::Int;
-    if (f.kind == core::FieldKind::Real) type = ColType::Real;
-    columns.push_back(CatalogColumn{f.name, type});
-  }
-  return relation_catalog(std::move(columns));
+/// Empty databases of the two schemas the shipped queries run on.
+const sql::Database& prov_schema() {
+  static const sql::Database db = core::query_schema("prov");
+  return db;
+}
+
+const sql::Database& rel_schema() {
+  static const sql::Database db = core::query_schema("rel");
+  return db;
 }
 
 /// Assert that every diagnostic in the report carries exactly `rule` —
@@ -75,10 +73,10 @@ TEST(LintFixtures, GoodWorkflowsAreClean) {
 
 TEST(LintFixtures, GoodQueriesAreClean) {
   const Report q1 =
-      lint_query(read_fixture("good/query1.sql"), prov_wf_catalog());
+      lint_query(read_fixture("good/query1.sql"), prov_schema());
   EXPECT_TRUE(q1.clean()) << q1.format();
   const Report screen =
-      lint_query(read_fixture("good/screen_summary.sql"), rel_catalog());
+      lint_query(read_fixture("good/screen_summary.sql"), rel_schema());
   EXPECT_TRUE(screen.clean()) << screen.format();
 }
 
@@ -120,7 +118,7 @@ TEST(LintFixtures, EverySqlRuleHasATriggeringFixture) {
       {"SQL008", "bad/sql008_unknown_metric.sql"},
   };
   for (const auto& c : cases) {
-    expect_only_rule(lint_query(read_fixture(c.name), prov_wf_catalog(),
+    expect_only_rule(lint_query(read_fixture(c.name), prov_schema(),
                                 c.name),
                      c.rule, c.name);
   }
@@ -149,34 +147,11 @@ TEST(LintShipped, BuiltinWorkflowIsClean) {
 }
 
 TEST(LintShipped, AllShippedQueriesAreClean) {
-  const Catalog rel = rel_catalog();
   for (const core::ShippedQuery& q : core::shipped_queries()) {
-    const Catalog& catalog = q.catalog == "rel" ? rel : prov_wf_catalog();
-    const Report report = lint_query(q.sql, catalog, q.name);
+    const Report report = lint_query(
+        q.sql, q.catalog == "rel" ? rel_schema() : prov_schema(), q.name);
     EXPECT_TRUE(report.clean()) << q.name << ":\n" << report.format();
   }
-}
-
-// --------------------------------------------------------- drift guard
-
-TEST(LintCatalog, MatchesLiveProvenanceSchema) {
-  prov::ProvenanceStore store;
-  const Catalog& catalog = prov_wf_catalog();
-  store.with_database([&](sql::Database& db) {
-    const std::vector<std::string> live = db.table_names();
-    EXPECT_EQ(live.size(), catalog.tables().size());
-    for (const std::string& table_name : live) {
-      const CatalogTable* table = catalog.find(table_name);
-      ASSERT_NE(table, nullptr) << "catalog lacks table " << table_name;
-      const sql::Table& live_table = db.table(table_name);
-      ASSERT_EQ(live_table.columns().size(), table->columns.size())
-          << table_name;
-      for (std::size_t i = 0; i < table->columns.size(); ++i) {
-        EXPECT_EQ(live_table.columns()[i], table->columns[i].name)
-            << table_name << " column " << i;
-      }
-    }
-  });
 }
 
 // ----------------------------------------------- targeted unit coverage
@@ -403,7 +378,7 @@ TEST(SqlLint, ReconcileAnnotationWithKnownMetricIsClean) {
   const Report report = lint_query(
       "-- reconciles: scidock_executor_activations_started_total\n"
       "SELECT count(*) FROM hactivation",
-      prov_wf_catalog());
+      prov_schema());
   EXPECT_TRUE(report.clean()) << report.format();
 }
 
@@ -412,7 +387,7 @@ TEST(SqlLint, ReconcileAnnotationListValidatesEveryName) {
       "-- reconciles: scidock_cache_gridmaps_hits_total, nosuch_metric,\n"
       "-- reconciles: another_bad_one\n"
       "SELECT count(*) FROM hactivation",
-      prov_wf_catalog());
+      prov_schema());
   EXPECT_EQ(report.count("SQL008"), 2u) << report.format();
   EXPECT_NE(report.diagnostics()[0].message.find("nosuch_metric"),
             std::string::npos);
@@ -420,7 +395,7 @@ TEST(SqlLint, ReconcileAnnotationListValidatesEveryName) {
 
 TEST(SqlLint, UnknownTableSuppressesColumnCascade) {
   const Report report =
-      lint_query("SELECT nosuch.col FROM nosuch", prov_wf_catalog());
+      lint_query("SELECT nosuch.col FROM nosuch", prov_schema());
   expect_only_rule(report, "SQL002", "cascade suppression");
 }
 
@@ -428,7 +403,7 @@ TEST(SqlLint, AmbiguousColumnIsSQL003) {
   // `tag` exists in both hworkflow and hactivity.
   const Report report = lint_query(
       "SELECT tag FROM hworkflow w, hactivity a WHERE w.wkfid = a.wkfid",
-      prov_wf_catalog());
+      prov_schema());
   expect_only_rule(report, "SQL003", "ambiguous");
   EXPECT_NE(report.diagnostics()[0].message.find("ambiguous"),
             std::string::npos);
@@ -437,19 +412,19 @@ TEST(SqlLint, AmbiguousColumnIsSQL003) {
 TEST(SqlLint, BadExtractFieldIsSQL004) {
   const Report report = lint_query(
       "SELECT extract('century' from starttime) FROM hworkflow",
-      prov_wf_catalog());
+      prov_schema());
   expect_only_rule(report, "SQL004", "extract field");
 }
 
 TEST(SqlLint, NestedAggregateIsSQL005) {
   const Report report = lint_query("SELECT sum(min(attempts)) FROM hactivation",
-                                   prov_wf_catalog());
+                                   prov_schema());
   expect_only_rule(report, "SQL005", "nested aggregate");
 }
 
 TEST(SqlLint, StarOnNonCountAggregateIsSQL005) {
   const Report report =
-      lint_query("SELECT min(*) FROM hactivation", prov_wf_catalog());
+      lint_query("SELECT min(*) FROM hactivation", prov_schema());
   expect_only_rule(report, "SQL005", "min(*)");
 }
 
@@ -459,7 +434,7 @@ TEST(SqlLint, OrderByAliasResolvesLikeTheEngine) {
   const Report report = lint_query(
       "SELECT extract('epoch' from (endtime - starttime)) dur "
       "FROM hactivation ORDER BY dur DESC",
-      prov_wf_catalog());
+      prov_schema());
   EXPECT_TRUE(report.clean()) << report.format();
 }
 
@@ -467,7 +442,7 @@ TEST(SqlLint, UngroupedOrderByColumnIsSQL006) {
   const Report report = lint_query(
       "SELECT status, count(*) FROM hactivation GROUP BY status "
       "ORDER BY workload",
-      prov_wf_catalog());
+      prov_schema());
   expect_only_rule(report, "SQL006", "ungrouped ORDER BY");
 }
 
@@ -476,39 +451,39 @@ TEST(SqlLint, UnqualifiedGroupByMatchesQualifiedSelect) {
   // must compare by identity, not spelling.
   const Report report = lint_query(
       "SELECT t.status, count(*) FROM hactivation t GROUP BY status",
-      prov_wf_catalog());
+      prov_schema());
   EXPECT_TRUE(report.clean()) << report.format();
 }
 
 TEST(SqlLint, SumOverTextIsSQL007) {
   const Report report =
-      lint_query("SELECT sum(status) FROM hactivation", prov_wf_catalog());
+      lint_query("SELECT sum(status) FROM hactivation", prov_schema());
   expect_only_rule(report, "SQL007", "sum(text)");
 }
 
 TEST(SqlLint, LikeAgainstNumberIsSQL007) {
   const Report report = lint_query(
-      "SELECT fname FROM hfile WHERE fname LIKE 42", prov_wf_catalog());
+      "SELECT fname FROM hfile WHERE fname LIKE 42", prov_schema());
   expect_only_rule(report, "SQL007", "LIKE number");
 }
 
 TEST(SqlLint, UpdateAndDeleteResolveAgainstCatalog) {
   EXPECT_TRUE(lint_query("DELETE FROM hvalue WHERE taskid = 3",
-                         prov_wf_catalog())
+                         prov_schema())
                   .clean());
   const Report bad_column = lint_query(
       "UPDATE hactivation SET statuss = 'FAILED' WHERE taskid = 1",
-      prov_wf_catalog());
+      prov_schema());
   expect_only_rule(bad_column, "SQL003", "UPDATE unknown column");
 }
 
 TEST(SqlLint, InsertChecksTableAndColumns) {
   const Report unknown_table = lint_query(
-      "INSERT INTO nosuch (a) VALUES (1)", prov_wf_catalog());
+      "INSERT INTO nosuch (a) VALUES (1)", prov_schema());
   expect_only_rule(unknown_table, "SQL002", "INSERT unknown table");
   const Report unknown_column = lint_query(
       "INSERT INTO hmachine (vmid, nosuch) VALUES (1, 2)",
-      prov_wf_catalog());
+      prov_schema());
   expect_only_rule(unknown_column, "SQL003", "INSERT unknown column");
 }
 

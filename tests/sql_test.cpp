@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <utility>
 
 #include "sql/engine.hpp"
@@ -287,6 +288,18 @@ TEST_F(EngineTest, Having) {
   EXPECT_EQ(rs.rows[1][0].as_string(), "vina");
 }
 
+TEST_F(EngineTest, HavingAggregateInsideInAndBetween) {
+  const ResultSet in_rs = engine->execute(
+      "SELECT tag FROM runs GROUP BY tag HAVING count(*) IN (2) ORDER BY tag");
+  ASSERT_EQ(in_rs.rows.size(), 2u);
+  EXPECT_EQ(in_rs.rows[0][0].as_string(), "babel");
+  EXPECT_EQ(in_rs.rows[1][0].as_string(), "vina");
+  const ResultSet between = engine->execute(
+      "SELECT tag FROM runs GROUP BY tag HAVING sum(secs) BETWEEN 100 AND 200");
+  ASSERT_EQ(between.rows.size(), 1u);
+  EXPECT_EQ(between.rows[0][0].as_string(), "ad4");
+}
+
 TEST_F(EngineTest, OrderByMultipleKeysAndLimit) {
   const ResultSet rs = engine->execute(
       "SELECT id FROM runs ORDER BY vm ASC, secs DESC LIMIT 2");
@@ -368,6 +381,35 @@ TEST_F(EngineTest, ErrorsOnUnknownEntities) {
   EXPECT_THROW(engine->execute("SELECT nope FROM runs"), NotFoundError);
   EXPECT_THROW(engine->execute("SELECT nope(1) FROM runs"), NotFoundError);
   EXPECT_THROW(engine->execute("SELECT vm FROM runs r, vms v"), Error);  // ambiguous
+}
+
+TEST_F(EngineTest, UnknownColumnOnEmptyTableIsRefused) {
+  // The binder resolves every clause before a row is read, so an empty
+  // table does not hide a bad reference.
+  engine->execute("CREATE TABLE empty (a int)");
+  EXPECT_THROW(engine->execute("SELECT nope FROM empty"), NotFoundError);
+  EXPECT_THROW(engine->execute("SELECT a FROM empty ORDER BY nope"),
+               NotFoundError);
+  EXPECT_THROW(engine->execute("SELECT a FROM empty WHERE a = 1 AND "
+                               "upper() = 'X'"),
+               InvalidStateError);
+  EXPECT_EQ(engine->execute("SELECT a FROM empty").rows.size(), 0u);
+}
+
+TEST_F(EngineTest, HashJoinKeysFoldSignedZeroAndNaN) {
+  // -0.0 shares 0's bucket, and a NaN of either sign shares one NaN
+  // bucket, as the text keys "n:0" and "n:nan" did.
+  engine->execute("CREATE TABLE z (v float, tag varchar(8))");
+  engine->execute("INSERT INTO z VALUES (-0.0, 'negzero')");
+  db.table("z").insert({Value(std::nan("")), Value("nan")});
+  engine->execute("CREATE TABLE k (v float)");
+  engine->execute("INSERT INTO k VALUES (0)");
+  db.table("k").insert({Value(-std::nan(""))});
+  const ResultSet rs = engine->execute(
+      "SELECT z.tag FROM k, z WHERE z.v = k.v");
+  ASSERT_EQ(rs.rows.size(), 2u);
+  EXPECT_EQ(rs.rows[0][0].as_string(), "negzero");
+  EXPECT_EQ(rs.rows[1][0].as_string(), "nan");
 }
 
 TEST_F(EngineTest, ScalarFunctionArityChecked) {
