@@ -14,9 +14,12 @@
 #             CMakeLists.txt for any Clang build): the GUARDED_BY audit
 #             as a hard compile gate. Skips with a notice when clang++
 #             is not installed.
-#   asan      address sanitizer   + sync analysis, concurrency-heavy labels
-#   ubsan     undefined sanitizer + sync analysis, concurrency-heavy labels
-#   tsan      thread sanitizer    + sync analysis, concurrency-heavy labels,
+#   asan      address sanitizer   + sync analysis, concurrency-heavy and
+#             sql labels
+#   ubsan     undefined sanitizer + sync analysis, concurrency-heavy and
+#             sql labels
+#   tsan      thread sanitizer    + sync analysis, concurrency-heavy and
+#             sql labels,
 #             then the planted fixtures: TSan alone judges the ww/rw/publish
 #             races of tests/sync_planted, and every lock-order inversion
 #             (sync_planted's, and the in-process cases labelled
@@ -34,10 +37,11 @@
 #             reusing default's build tree.
 #
 # The sanitizer stages run the concurrency-heavy labels only
-# (chaos/kernels/sync/prov-recovery): those are the suites that stress
-# the executors, the docking kernels, the lock/race discipline and the
-# WAL group-commit/recovery path, where sanitizers earn their ~10x
-# slowdown.
+# (chaos/kernels/sync/prov-recovery) plus the SQL suites (sql): those are
+# the suites that stress the executors, the docking kernels, the
+# lock/race discipline, the WAL group-commit/recovery path, and the query
+# engine, which holds pointers into the rows of every shard while a
+# query runs; there sanitizers earn their ~10x slowdown.
 #
 # Usage: ci/check.sh [stage ...]     (default: all stages, in order)
 #   stages: default sync clang asan ubsan tsan perf
@@ -47,7 +51,7 @@ set -euo pipefail
 
 REPO_ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 JOBS="${JOBS:-$(nproc)}"
-SANITIZER_LABELS='chaos|kernels|sync|prov-recovery'
+SANITIZER_LABELS='chaos|kernels|sync|prov-recovery|sql'
 
 run_ctest() { # dir, extra ctest args...
   local dir="$1"

@@ -6,7 +6,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "sql/sharded.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
@@ -408,8 +407,8 @@ sql::ResultSet ProvenanceStore::query(std::string_view sql_text) {
     locks.push_back(std::make_unique<MutexLock>(shard->mutex));
     dbs.push_back(&shard->db);
   }
-  sql::ShardedEngine engine(std::move(dbs),
-                            {"hworkflow", "hactivity", "hmachine"});
+  sql::Engine engine(std::move(dbs),
+                     {std::begin(kFactTables), std::end(kFactTables)});
   return engine.execute(sql_text);
 }
 
@@ -733,7 +732,7 @@ void ProvenanceStore::recover() {
         fs, shard_dir(k), options_.segment_max_bytes, replay.next_index);
   }
   // Dimension records are logged by shard 0 only; replicate its replayed
-  // copies into the other shards so per-shard joins stay complete.
+  // copies into the other shards, as recording does.
   for (std::size_t k = 1; k < shards_.size(); ++k) {
     for (const char* name : kDimTables) {
       sql::Table& dst = shards_[k]->db.table(name);

@@ -21,8 +21,9 @@
 /// Storage model (DESIGN.md §12): the store is split into N shards, each
 /// with its own lock and database. Fact tables (hactivation, hfile,
 /// hvalue) are partitioned by hash(taskid); dimension tables (hworkflow,
-/// hactivity, hmachine) are replicated into every shard so per-shard
-/// joins are complete. With a VFS attached, every mutation is framed
+/// hactivity, hmachine) are replicated into every shard. A query scans
+/// the fact tables across every shard and reads the dimension tables from
+/// shard 0 (sql/engine.hpp). With a VFS attached, every mutation is framed
 /// into a per-shard write-ahead log (prov/wal.hpp), batched by a group
 /// -commit flusher thread, and reopening the same directory rebuilds the
 /// store by replay, truncating any torn tail the chaos harness (or a real
@@ -132,8 +133,9 @@ class ProvenanceStore {
 
   /// Run any SQL against the repository (the user-facing query interface;
   /// safe to call *during* workflow execution — the paper's runtime
-  /// steering feature). Sharded stores execute SELECTs through the
-  /// distributed planner (sql/sharded.hpp) and reject other statements.
+  /// steering feature). It holds every shard's lock while one engine
+  /// scans the fact tables across all shards; a store of more than one
+  /// shard runs only SELECT.
   sql::ResultSet query(std::string_view sql_text);
 
   // ---- recording API (thread-safe) ----

@@ -69,26 +69,6 @@ ExprPtr Expr::make_between(ExprPtr value, ExprPtr lo, ExprPtr hi, bool negated) 
   return e;
 }
 
-ExprPtr Expr::clone() const {
-  auto e = std::make_unique<Expr>();
-  e->kind = kind;
-  e->literal = literal;
-  e->qualifier = qualifier;
-  e->column = column;
-  e->binary_op = binary_op;
-  e->unary_op = unary_op;
-  if (lhs) e->lhs = lhs->clone();
-  if (rhs) e->rhs = rhs->clone();
-  e->call_name = call_name;
-  for (const ExprPtr& a : args) e->args.push_back(a->clone());
-  e->star_arg = star_arg;
-  e->negated = negated;
-  e->binding = binding;
-  e->slot = slot;
-  e->function = function;
-  return e;
-}
-
 namespace {
 const char* binary_op_text(BinaryOp op) {
   switch (op) {

@@ -68,9 +68,6 @@ struct Expr {
   static ExprPtr make_in(ExprPtr probe, std::vector<ExprPtr> list, bool negated);
   static ExprPtr make_between(ExprPtr value, ExprPtr lo, ExprPtr hi, bool negated);
 
-  /// Deep copy, binder annotations included.
-  ExprPtr clone() const;
-
   /// Render back to SQL-ish text (diagnostics, result column headers).
   std::string to_string() const;
 };

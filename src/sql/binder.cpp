@@ -99,11 +99,6 @@ class Binder {
     return std::move(out_);
   }
 
-  Bound run(SelectStmt& stmt) {
-    select(stmt);
-    return std::move(out_);
-  }
-
  private:
   struct Binding {
     std::string alias;
@@ -478,10 +473,6 @@ void Bound::require_executable() const {
 }
 
 Bound bind(Statement& stmt, const Database& db) {
-  return Binder(db).run(stmt);
-}
-
-Bound bind_select(SelectStmt& stmt, const Database& db) {
   return Binder(db).run(stmt);
 }
 

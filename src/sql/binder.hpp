@@ -73,6 +73,5 @@ struct Bound {
 };
 
 Bound bind(Statement& stmt, const Database& db);
-Bound bind_select(SelectStmt& stmt, const Database& db);
 
 }  // namespace scidock::sql

@@ -356,6 +356,8 @@ Value eval_grouped(const Expr& e, const std::vector<Scope>& group) {
   return eval(e, group.front());
 }
 
+/// Result-column name of a select item: the alias if present, else the
+/// column / call name, else the expression text.
 std::string derive_column_name(const SelectItem& item) {
   if (!item.alias.empty()) return item.alias;
   if (item.expr->kind == Expr::Kind::Column) return item.expr->column;
@@ -363,10 +365,21 @@ std::string derive_column_name(const SelectItem& item) {
   return item.expr->to_string();
 }
 
+/// GROUP BY key order: Value::compare, column by column, so int 2 and
+/// double 2.0 share a group and doubles never collapse through printing.
+struct GroupKeyLess {
+  bool operator()(const std::vector<Value>& a, const std::vector<Value>& b) const {
+    return std::lexicographical_compare(
+        a.begin(), a.end(), b.begin(), b.end(),
+        [](const Value& x, const Value& y) { return x.compare(y) < 0; });
+  }
+};
+
 }  // namespace
 
-std::string derive_select_column_name(const SelectItem& item) {
-  return derive_column_name(item);
+Engine::Engine(std::vector<Database*> shards, std::vector<std::string> partitioned)
+    : shards_(std::move(shards)), partitioned_(std::move(partitioned)) {
+  SCIDOCK_REQUIRE(!shards_.empty(), "an engine needs at least one database");
 }
 
 std::string ResultSet::to_text() const {
@@ -404,17 +417,21 @@ std::string ResultSet::to_text() const {
 
 ResultSet Engine::execute(std::string_view sql) {
   Statement stmt = parse_statement(sql);
-  const Bound bound = bind(stmt, db_);
+  SCIDOCK_REQUIRE(shards_.size() == 1 || stmt.kind == Statement::Kind::Select,
+                  "only SELECT is supported across provenance shards; "
+                  "writes go through the recording API");
+  Database& db = *shards_.front();
+  const Bound bound = bind(stmt, db);
   bound.require_executable();
   switch (stmt.kind) {
     case Statement::Kind::Select:
       return run_select(stmt.select, bound);
     case Statement::Kind::CreateTable:
-      db_.create_table(stmt.create.table, {stmt.create.columns.begin(),
-                                           stmt.create.columns.end()});
+      db.create_table(stmt.create.table, {stmt.create.columns.begin(),
+                                          stmt.create.columns.end()});
       return {};
     case Statement::Kind::Insert: {
-      Table& table = db_.table(stmt.insert.table);
+      Table& table = db.table(stmt.insert.table);
       const Scope no_rows;
       for (const auto& row_exprs : stmt.insert.rows) {
         Row row(table.columns().size());
@@ -436,7 +453,7 @@ ResultSet Engine::execute(std::string_view sql) {
       return {};
     }
     case Statement::Kind::Update: {
-      Table& table = db_.table(stmt.update.table);
+      Table& table = db.table(stmt.update.table);
       std::size_t updated = 0;
       for (Row& row : table.mutable_rows()) {
         const Scope scope{&row};
@@ -461,7 +478,7 @@ ResultSet Engine::execute(std::string_view sql) {
       return rs;
     }
     case Statement::Kind::Delete: {
-      Table& table = db_.table(stmt.del.table);
+      Table& table = db.table(stmt.del.table);
       std::size_t removed = 0;
       if (!stmt.del.where) {
         removed = table.erase_if([](const Row&) { return true; });
@@ -479,17 +496,29 @@ ResultSet Engine::execute(std::string_view sql) {
   return {};
 }
 
-ResultSet Engine::execute_select(SelectStmt& stmt) {
-  const Bound bound = bind_select(stmt, db_);
-  bound.require_executable();
-  return run_select(stmt, bound);
-}
-
-ResultSet Engine::run_select(const SelectStmt& stmt, const Bound& bound) {
+ResultSet Engine::run_select(const SelectStmt& stmt, const Bound& bound) const {
   SCIDOCK_REQUIRE(!stmt.from.empty(), "SELECT requires a FROM clause");
 
   const std::vector<const Table*>& tables = bound.tables;
   const std::size_t n_tables = tables.size();
+
+  // --- the row vectors each FROM entry scans, in order ---
+  // A partitioned table is the union of its rows in every shard; the
+  // binder bound every table against shard 0, which holds them all.
+  std::vector<std::vector<const std::vector<Row>*>> scans(n_tables);
+  for (std::size_t t = 0; t < n_tables; ++t) {
+    const std::string& name = tables[t]->name();
+    const bool partitioned =
+        std::any_of(partitioned_.begin(), partitioned_.end(),
+                    [&name](const std::string& p) { return iequals(p, name); });
+    if (!partitioned) {
+      scans[t].push_back(&tables[t]->rows());
+      continue;
+    }
+    for (const Database* shard : shards_) {
+      scans[t].push_back(&shard->table(name).rows());
+    }
+  }
 
   // --- classify WHERE conjuncts by the last table they need ---
   std::vector<const Expr*> conjuncts;
@@ -505,7 +534,7 @@ ResultSet Engine::run_select(const SelectStmt& stmt, const Bound& bound) {
   // t.actid = a.actid" from O(n*m) probes into O(n+m). The buckets only
   // narrow the candidate rows — every conjunct is still evaluated per
   // candidate (guarding against key collisions, e.g. int64s beyond
-  // double precision) and bucket order preserves table row order, so
+  // double precision) and bucket order preserves scan order, so
   // results match the pure nested loop row for row.
   struct EquiKey {
     int local_col = -1;  ///< column on this depth's (inner) table
@@ -558,22 +587,26 @@ ResultSet Engine::run_select(const SelectStmt& stmt, const Bound& bound) {
     }
     if (hs.keys.empty()) continue;
     hs.active = true;
-    for (const Row& row : tables[t]->rows()) {
-      std::string key;
-      bool keyable = true;
-      for (const EquiKey& k : hs.keys) {
-        if (!append_key_part(row[static_cast<std::size_t>(k.local_col)], key)) {
-          keyable = false;  // NULL key: Eq can never pass for this row
-          break;
+    for (const std::vector<Row>* rows : scans[t]) {
+      for (const Row& row : *rows) {
+        std::string key;
+        bool keyable = true;
+        for (const EquiKey& k : hs.keys) {
+          if (!append_key_part(row[static_cast<std::size_t>(k.local_col)], key)) {
+            keyable = false;  // NULL key: Eq can never pass for this row
+            break;
+          }
         }
+        if (keyable) hs.buckets[std::move(key)].push_back(&row);
       }
-      if (keyable) hs.buckets[std::move(key)].push_back(&row);
     }
   }
 
   // --- nested-loop join with push-down (hash probe where upgraded) ---
   std::vector<Scope> joined;
-  joined.reserve(tables[0]->rows().size());
+  std::size_t outer_rows = 0;
+  for (const std::vector<Row>* rows : scans[0]) outer_rows += rows->size();
+  joined.reserve(outer_rows);
   Scope current(n_tables, nullptr);
   auto descend = [&](auto&& self, std::size_t depth) -> void {
     if (depth == n_tables) {
@@ -605,7 +638,9 @@ ResultSet Engine::run_select(const SelectStmt& stmt, const Bound& bound) {
         }
       }
     } else {
-      for (const Row& row : tables[depth]->rows()) try_row(row);
+      for (const std::vector<Row>* rows : scans[depth]) {
+        for (const Row& row : *rows) try_row(row);
+      }
     }
     current[depth] = nullptr;
   };
@@ -631,12 +666,12 @@ ResultSet Engine::run_select(const SelectStmt& stmt, const Bound& bound) {
 
   if (bound.grouped) {
     // Group the joined rows by the GROUP BY key values.
-    std::map<std::vector<std::string>, std::vector<Scope>> groups;
+    std::map<std::vector<Value>, std::vector<Scope>, GroupKeyLess> groups;
     for (const Scope& row_ptrs : joined) {
-      std::vector<std::string> key;
+      std::vector<Value> key;
       key.reserve(stmt.group_by.size());
       for (const ExprPtr& g : stmt.group_by) {
-        key.push_back(eval(*g, row_ptrs).to_string());
+        key.push_back(eval(*g, row_ptrs));
       }
       groups[std::move(key)].push_back(row_ptrs);
     }

@@ -1,11 +1,11 @@
 #pragma once
 
 /// \file engine.hpp
-/// SQL execution over a Database: the statement is bound first
-/// (sql/binder.hpp), then run as nested-loop joins with conjunct
-/// push-down, grouping/aggregation, ordering and projection. The paper's
-/// provenance queries (Query 1, Query 2, the Figure 5 histogram query)
-/// execute through this engine verbatim.
+/// SQL execution over a Database, or over shards of one: the statement is
+/// bound first (sql/binder.hpp), then run as nested-loop joins with
+/// conjunct push-down, grouping/aggregation, ordering and projection.
+/// The paper's provenance queries (Query 1, Query 2, the Figure 5
+/// histogram query) execute through this engine verbatim.
 
 #include <string>
 #include <string_view>
@@ -26,15 +26,18 @@ struct ResultSet {
   std::string to_text() const;
 };
 
-/// Result-column name the engine derives for a select item: the alias if
-/// present, else the column / call name, else the expression text.
-/// Exposed for the sharded executor (sql/sharded.hpp), which must emit
-/// headers identical to a single-shard run.
-std::string derive_select_column_name(const SelectItem& item);
-
 class Engine {
  public:
-  explicit Engine(Database& db) : db_(db) {}
+  /// One database: every statement kind runs against it.
+  explicit Engine(Database& db) : shards_{&db} {}
+
+  /// A database split into shards. A FROM entry naming one of the
+  /// `partitioned` tables scans that table's rows in every shard, in
+  /// shard order; any other table is read from shard 0, which holds every
+  /// table (and binds the statement). With more than one shard only
+  /// SELECT runs. The shards must stay valid, and unchanged by other
+  /// threads, for the duration of each execute call.
+  Engine(std::vector<Database*> shards, std::vector<std::string> partitioned);
 
   /// Parse, bind (sql/binder.hpp) and run one statement. A statement the
   /// binder refuses throws before any row is read: NotFoundError for an
@@ -43,13 +46,11 @@ class Engine {
   /// UPDATE/DELETE the affected-row count in a single cell.
   ResultSet execute(std::string_view sql);
 
-  /// Bind `stmt` in place and run it.
-  ResultSet execute_select(SelectStmt& stmt);
-
  private:
-  static ResultSet run_select(const SelectStmt& stmt, const Bound& bound);
+  ResultSet run_select(const SelectStmt& stmt, const Bound& bound) const;
 
-  Database& db_;
+  std::vector<Database*> shards_;
+  std::vector<std::string> partitioned_;
 };
 
 }  // namespace scidock::sql

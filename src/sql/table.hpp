@@ -17,7 +17,7 @@ using Row = std::vector<Value>;
 
 /// Declared column type. The binder (sql/binder.hpp) infers expression
 /// types from it; Any is a column nothing declares a type for (CREATE
-/// TABLE, a workflow relation loaded as a table, merge tables).
+/// TABLE, a workflow relation loaded as a table).
 enum class Type { Any, Int, Real, Text };
 
 std::string_view to_string(Type type);

@@ -32,6 +32,9 @@ std::strong_ordering Value::compare(const Value& other) const {
   if (is_numeric()) {
     const double a = as_double();
     const double b = other.as_double();
+    // NaN equals NaN and sorts above every other number (PostgreSQL's
+    // order), so the order stays total.
+    if (std::isnan(a) || std::isnan(b)) return std::isnan(a) <=> std::isnan(b);
     if (a < b) return std::strong_ordering::less;
     if (a > b) return std::strong_ordering::greater;
     return std::strong_ordering::equal;

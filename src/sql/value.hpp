@@ -38,7 +38,9 @@ class Value {
   const std::string& as_string() const;
 
   /// SQL three-valued comparison is handled by the engine; this is a total
-  /// order for ORDER BY / GROUP BY (NULL < numbers < strings).
+  /// order for ORDER BY / GROUP BY (NULL < numbers < strings). Numbers
+  /// compare by value across int and double; NaN equals NaN and sorts
+  /// above every other number.
   std::strong_ordering compare(const Value& other) const;
   bool operator==(const Value& other) const { return compare(other) == std::strong_ordering::equal; }
 

@@ -18,8 +18,8 @@
 // bundled parser with a well-nested span tree, and screen's activation
 // counters must reconcile exactly with SQL over the PROV-Wf store.
 //
-// `query` and `prov-export` accept --prov-shards N (sharded store with
-// distributed SELECT execution) and --prov-dir DIR (write-ahead-logged
+// `query` and `prov-export` accept --prov-shards N (a store split into N
+// shards; a query scans them all) and --prov-dir DIR (write-ahead-logged
 // store; the run is then replayed from the WAL into a second store and
 // the two content digests must match before the command's output is
 // served — a crash-recovery self-check on every invocation).

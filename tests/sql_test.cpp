@@ -113,6 +113,15 @@ TEST(Value, OrderingAcrossTypes) {
   EXPECT_EQ(Value(5).compare(Value("a")), std::strong_ordering::less);  // nums < strings
 }
 
+TEST(Value, NaNIsOneValueAboveEveryNumber) {
+  const Value nan(std::nan(""));
+  EXPECT_EQ(nan.compare(Value(-std::nan(""))), std::strong_ordering::equal);
+  EXPECT_EQ(nan.compare(Value(HUGE_VAL)), std::strong_ordering::greater);
+  EXPECT_EQ(Value(5).compare(nan), std::strong_ordering::less);
+  EXPECT_EQ(nan.compare(Value()), std::strong_ordering::greater);  // NULL first
+  EXPECT_EQ(nan.compare(Value("a")), std::strong_ordering::less);  // then strings
+}
+
 TEST(Value, Rendering) {
   EXPECT_EQ(Value().to_string(), "NULL");
   EXPECT_EQ(Value(42).to_string(), "42");
@@ -410,6 +419,81 @@ TEST_F(EngineTest, HashJoinKeysFoldSignedZeroAndNaN) {
   ASSERT_EQ(rs.rows.size(), 2u);
   EXPECT_EQ(rs.rows[0][0].as_string(), "negzero");
   EXPECT_EQ(rs.rows[1][0].as_string(), "nan");
+}
+
+TEST_F(EngineTest, NaNJoinsAlikeThroughHashAndNestedLoop) {
+  // NaN equals only NaN, so the hash-join spelling (plain columns) and the
+  // nested-loop spelling (k.v + 0 is no plain column) return the same
+  // rows: before, the nested loop also matched NaN against 5.
+  engine->execute("CREATE TABLE gv (v float, tag varchar(8))");
+  db.table("gv").insert({Value(std::nan("")), Value("nan")});
+  db.table("gv").insert({Value(5.0), Value("five")});
+  engine->execute("CREATE TABLE kv (v float)");
+  db.table("kv").insert({Value(5)});
+  db.table("kv").insert({Value(std::nan(""))});
+  const ResultSet hashed =
+      engine->execute("SELECT g.tag FROM kv k, gv g WHERE g.v = k.v");
+  const ResultSet looped =
+      engine->execute("SELECT g.tag FROM kv k, gv g WHERE g.v = k.v + 0");
+  ASSERT_EQ(hashed.rows.size(), 2u);
+  EXPECT_EQ(hashed.rows[0][0].as_string(), "five");
+  EXPECT_EQ(hashed.rows[1][0].as_string(), "nan");
+  EXPECT_EQ(looped.rows, hashed.rows);
+}
+
+TEST_F(EngineTest, GroupByKeysOnTypedValues) {
+  // All four keys print as "1" at %.6g; grouping on that text used to
+  // put them in one group of 4.
+  engine->execute("CREATE TABLE g (k varchar(8))");
+  for (const Value& k : {Value(1.0000001), Value(1.0000002), Value(1), Value("1")}) {
+    db.table("g").insert({k});
+  }
+  ResultSet rs = engine->execute("SELECT k, count(*) FROM g GROUP BY k");
+  ASSERT_EQ(rs.rows.size(), 4u);
+  // Numbers sort numerically and before strings.
+  EXPECT_TRUE(rs.rows[0][0].is_int());
+  EXPECT_DOUBLE_EQ(rs.rows[1][0].as_double(), 1.0000001);
+  EXPECT_DOUBLE_EQ(rs.rows[2][0].as_double(), 1.0000002);
+  EXPECT_EQ(rs.rows[3][0].as_string(), "1");
+  for (const Row& row : rs.rows) EXPECT_EQ(row[1].as_int(), 1);
+
+  // Integer 2 and double 2.0 are equal in SQL, so they share a group.
+  db.table("g").insert({Value(2)});
+  db.table("g").insert({Value(2.0)});
+  rs = engine->execute("SELECT k, count(*) FROM g GROUP BY k");
+  ASSERT_EQ(rs.rows.size(), 5u);
+  EXPECT_EQ(rs.rows[3][0].as_int(), 2);
+  EXPECT_EQ(rs.rows[3][1].as_int(), 2);
+}
+
+TEST_F(EngineTest, PartitionedTableScansEveryShardInOrder) {
+  // A second shard with one more run and no vms rows: `runs` is scanned
+  // in both shards, shard 0 first, and `vms` is read from shard 0 only.
+  Database shard1;
+  shard1.create_table("runs", db.table("runs").columns());
+  shard1.create_table("vms", db.table("vms").columns());
+  shard1.table("runs").insert({Value(6), Value("babel"), Value(4.5), Value(2)});
+  Engine sharded({&db, &shard1}, {"runs"});
+
+  const ResultSet joined = sharded.execute(
+      "SELECT r.id, v.name FROM vms v, runs r WHERE r.vm = v.vm");
+  ASSERT_EQ(joined.rows.size(), 6u);
+  const int expect_ids[] = {1, 3, 5, 2, 4, 6};  // vm 1's runs, then vm 2's
+  for (std::size_t i = 0; i < 6; ++i) {
+    EXPECT_EQ(joined.rows[i][0].as_int(), expect_ids[i]);
+  }
+  const ResultSet grouped = sharded.execute(
+      "SELECT tag, count(*), sum(secs) FROM runs GROUP BY tag ORDER BY tag");
+  ASSERT_EQ(grouped.rows.size(), 3u);
+  EXPECT_EQ(grouped.rows[1][0].as_string(), "babel");
+  EXPECT_EQ(grouped.rows[1][1].as_int(), 3);
+  EXPECT_DOUBLE_EQ(grouped.rows[1][2].as_double(), 10.5);
+
+  // Across shards only SELECT runs; one shard takes every statement.
+  EXPECT_THROW(sharded.execute("DELETE FROM runs"), InvalidStateError);
+  EXPECT_EQ(db.table("runs").row_count(), 5u);
+  Engine single({&shard1}, {"runs"});
+  EXPECT_EQ(single.execute("DELETE FROM runs").rows[0][0].as_int(), 1);
 }
 
 TEST_F(EngineTest, ScalarFunctionArityChecked) {
