@@ -30,8 +30,11 @@
 #             0.11-0.19 s per worker count on a 4-vCPU VM; TET identical
 #             with recording on), bench_prov_ingest (ingest >= 100k
 #             act/s, 1M-activation replay <= 5 s, peak RSS <= 4096 MB),
-#             bench_micro_kernels (AD4 LUT >= 3x, grid-map reuse cuts
-#             the AutoGrid stage by >= 30%) and the replay linearity gate
+#             bench_micro_kernels (its tables time each engine's
+#             evaluation on its own map set, BM_Ad4GridEnergyEvaluation
+#             and BM_VinaGridEnergyEvaluation; gates: AD4 LUT >= 3x,
+#             grid-map reuse cuts the AutoGrid stage by >= 30%) and the
+#             replay linearity gate
 #             (`scidock_cli sweep --engine ad4 --cores 128` at 10,000
 #             pairs takes at most 3x its time at 2,500). Runs last,
 #             reusing default's build tree.

@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
   std::printf("   best FEB %.2f kcal/mol after %lld energy evaluations\n",
               r_ad4.best().feb, r_ad4.energy_evaluations);
 
-  // 5. Dock with Vina (direct scoring + Monte Carlo chains).
+  // 5. Dock with Vina (its own grid maps + Monte Carlo chains).
   std::printf("== docking with AutoDock Vina\n");
   dock::VinaConfig cfg;
   cfg.exhaustiveness = 6;

@@ -21,10 +21,8 @@ DockingResult Autodock4Engine::dock(const mol::PreparedReceptor& receptor,
                   "AD4: ligand has unparameterised atoms");
   SCIDOCK_REQUIRE(receptor.molecule.fully_parameterised(),
                   "AD4: receptor has unparameterised atoms");
-  GridMapCalculator calc(receptor.molecule);
-  mol::Molecule lig = ligand.molecule;  // ad_types_present needs perceive()
-  lig.perceive();
-  const GridMapSet maps = calc.calculate(box, lig.ad_types_present());
+  const GridMapSet maps = ligand_maps(receptor.molecule, ligand.molecule, box,
+                                      ScoringFunction::Ad4);
   DockingResult result = dock_with_maps(maps, ligand, rng);
   result.receptor_name = receptor.molecule.name();
   return result;

@@ -26,6 +26,7 @@ GridMapCalculator::GridMapCalculator(const mol::Molecule& receptor,
                                      SlabObserver slab_observer)
     : receptor_(receptor), slab_observer_(std::move(slab_observer)),
       tables_(Ad4PairTables::shared(Ad4Weights{})),
+      vina_tables_(VinaPairTables::shared(VinaWeights{})),
       neighbors_(receptor, kCutoff) {
   SCIDOCK_ASSERT_MSG(receptor.perceived(), "prepare the receptor before AutoGrid");
   const int n = receptor.atom_count();
@@ -40,26 +41,35 @@ GridMapCalculator::GridMapCalculator(const mol::Molecule& receptor,
   }
 }
 
-GridMapSet GridMapCalculator::calculate(
-    const GridBox& box, const std::vector<mol::AdType>& ligand_types) const {
+GridMapSet GridMapCalculator::calculate(const GridBox& box,
+                                        const std::vector<mol::AdType>& ligand_types,
+                                        ScoringFunction scoring) const {
+  const bool ad4 = scoring == ScoringFunction::Ad4;
   GridMapSet set;
   set.box = box;
-  set.electrostatic = GridMap(box, "e");
-  set.desolvation = GridMap(box, "d");
+  set.scoring = scoring;
+  if (ad4) {
+    set.electrostatic = GridMap(box, "e");
+    set.desolvation = GridMap(box, "d");
+  }
   for (mol::AdType t : ligand_types) {
+    if (!ad4 && mol::vina_kind(t).skip) continue;
     set.affinity.emplace_back(t, GridMap(box, std::string(mol::ad_type_name(t))));
   }
 
-  // Hoist every receptor atom's per-ligand-type vdW row to a flat pointer
-  // array. Every table shares the LUT resolution, so the inner loop
-  // computes one bin per (point, atom) squared distance and reads the
-  // Coulomb, desolvation and every vdW channel with it.
+  // Hoist every receptor atom's per-ligand-type row (AD4 vdW/H-bond or the
+  // Vina pair term) to a flat pointer array. Every table shares the LUT
+  // resolution, so the inner loop computes one bin per (point, atom)
+  // squared distance and reads the Coulomb, desolvation and every type
+  // channel with it.
   const std::size_t natoms = type_.size();
-  const std::size_t ntypes = ligand_types.size();
-  std::vector<const double*> vdw_rows(natoms * ntypes);
+  const std::size_t ntypes = set.affinity.size();
+  std::vector<const double*> type_rows(natoms * ntypes);
   for (std::size_t a = 0; a < natoms; ++a) {
     for (std::size_t t = 0; t < ntypes; ++t) {
-      vdw_rows[a * ntypes + t] = tables_->vdw_row(ligand_types[t], type_[a]);
+      const mol::AdType lt = set.affinity[t].first;
+      type_rows[a * ntypes + t] = ad4 ? tables_->vdw_row(lt, type_[a])
+                                     : vina_tables_->row(lt, type_[a]);
     }
   }
   const double* coulomb = tables_->coulomb_channel();
@@ -67,7 +77,7 @@ GridMapSet GridMapCalculator::calculate(
 
   const mol::Vec3 origin = box.origin();
 
-  std::vector<double> vdw(ntypes);
+  std::vector<double> typed(ntypes);
   for (int iz = 0; iz < box.npts[2]; ++iz) {
     const auto t0 = std::chrono::steady_clock::now();
     for (int iy = 0; iy < box.npts[1]; ++iy) {
@@ -77,26 +87,30 @@ GridMapSet GridMapCalculator::calculate(
                           origin.z + iz * box.spacing};
         double elec = 0.0;
         double dsolv = 0.0;
-        std::fill(vdw.begin(), vdw.end(), 0.0);
+        std::fill(typed.begin(), typed.end(), 0.0);
 
         neighbors_.for_each_within(p, [&](int ai, double d2) {
           const auto a = static_cast<std::size_t>(ai);
           const lut::Bin bin = lut::bin(d2);
-          elec += charge_[a] * lut::interpolate(coulomb, bin);
-          // Receptor-side volume term only; the ligand atom's solvation
-          // parameter (solpar_i + qasp*|q_i|) multiplies in at sample
-          // time (AD4 map semantics; the product is O(0.01) per contact).
-          dsolv += volume_[a] * lut::interpolate(desolv, bin);
-          const double* const* rows = vdw_rows.data() + a * ntypes;
+          if (ad4) {
+            elec += charge_[a] * lut::interpolate(coulomb, bin);
+            // Receptor-side volume term only; the ligand atom's solvation
+            // parameter (solpar_i + qasp*|q_i|) multiplies in at sample
+            // time (AD4 map semantics; the product is O(0.01) per contact).
+            dsolv += volume_[a] * lut::interpolate(desolv, bin);
+          }
+          const double* const* rows = type_rows.data() + a * ntypes;
           for (std::size_t t = 0; t < ntypes; ++t) {
-            vdw[t] += lut::interpolate(rows[t], bin);
+            typed[t] += lut::interpolate(rows[t], bin);
           }
         });
 
-        set.electrostatic.at(ix, iy, iz) = elec;
-        set.desolvation.at(ix, iy, iz) = dsolv;
+        if (ad4) {
+          set.electrostatic.at(ix, iy, iz) = elec;
+          set.desolvation.at(ix, iy, iz) = dsolv;
+        }
         for (std::size_t t = 0; t < ntypes; ++t) {
-          set.affinity[t].second.at(ix, iy, iz) = vdw[t];
+          set.affinity[t].second.at(ix, iy, iz) = typed[t];
         }
       }
     }
@@ -108,6 +122,15 @@ GridMapSet GridMapCalculator::calculate(
     }
   }
   return set;
+}
+
+GridMapSet ligand_maps(const mol::Molecule& receptor,
+                       const mol::Molecule& ligand, const GridBox& box,
+                       ScoringFunction scoring) {
+  mol::Molecule lig = ligand;  // ad_types_present needs perceive()
+  lig.perceive();
+  return GridMapCalculator(receptor).calculate(box, lig.ad_types_present(),
+                                               scoring);
 }
 
 std::string GridParameterFile::to_text() const {

@@ -4,9 +4,11 @@
 /// Grid-map generation — SciDock activity 5 (AutoGrid 4 analog).
 ///
 /// For every ligand atom type present, the calculator samples the summed
-/// receptor interaction on each grid point: a type-specific vdW/H-bond
-/// affinity map, a unit-charge electrostatic map and a desolvation map.
-/// AutoDock 4 then scores poses by trilinear interpolation into these maps.
+/// receptor interaction on each grid point. The AD4 set has a type-specific
+/// vdW/H-bond affinity map, a unit-charge electrostatic map and a
+/// desolvation map. The Vina set has one map per non-hydrogen type holding
+/// the whole Vina pair term, as Vina 1.1.2's grid cache does. Both engines
+/// then score poses by trilinear interpolation into their set.
 ///
 /// The per-point kernel reads the radial LUTs (energy_lut.hpp) indexed by
 /// squared distance, with one bin per neighbour shared by every map's
@@ -33,14 +35,17 @@ class GridMapCalculator {
   explicit GridMapCalculator(const mol::Molecule& receptor,
                              SlabObserver slab_observer = nullptr);
 
-  /// Compute maps over `box` for the given ligand atom types.
+  /// Compute `scoring`'s maps over `box` for the given ligand atom types.
+  /// A Vina set skips the hydrogen types, whose Vina term is zero.
   GridMapSet calculate(const GridBox& box,
-                       const std::vector<mol::AdType>& ligand_types) const;
+                       const std::vector<mol::AdType>& ligand_types,
+                       ScoringFunction scoring = ScoringFunction::Ad4) const;
 
  private:
   const mol::Molecule& receptor_;
   SlabObserver slab_observer_;
   std::shared_ptr<const Ad4PairTables> tables_;
+  std::shared_ptr<const VinaPairTables> vina_tables_;
   NeighborList neighbors_;
   /// Receptor-side factors hoisted out of the per-point kernel, indexed
   /// by atom: partial charge (electrostatic map) and the type's volume
@@ -49,6 +54,12 @@ class GridMapCalculator {
   std::vector<double> volume_;
   std::vector<mol::AdType> type_;
 };
+
+/// `scoring`'s maps over `box` for the types present in `ligand`: what an
+/// engine's own dock() computes when no AutoGrid output is staged.
+GridMapSet ligand_maps(const mol::Molecule& receptor,
+                       const mol::Molecule& ligand, const GridBox& box,
+                       ScoringFunction scoring);
 
 /// The Grid Parameter File (activity 4 output): the text AutoGrid consumes.
 /// Mirrors the real GPF keywords the paper's workflow templates carry.

@@ -26,6 +26,8 @@ Ad4EnergyModel::Ad4EnergyModel(const GridMapSet& maps,
       tables_(Ad4PairTables::shared(weights)),
       reference_coords_(ligand.molecule.coordinates()),
       reference_center_(root_center(ligand)) {
+  SCIDOCK_REQUIRE(maps.scoring == ScoringFunction::Ad4,
+                  "AD4 needs an AD4 map set, got a Vina one");
   // Fused sampling assumes every map shares the set's box; AutoGrid
   // guarantees this, and the map-file round trip preserves it.
   SCIDOCK_ASSERT(maps_.electrostatic.box().npts == maps_.box.npts &&
@@ -112,61 +114,58 @@ std::vector<mol::Vec3> Ad4EnergyModel::coords_for(const DockPose& pose) const {
   return ligand_.torsions.apply(reference_coords_, pose.rigid, pose.torsions);
 }
 
-VinaEnergyModel::VinaEnergyModel(const mol::PreparedReceptor& receptor,
+VinaEnergyModel::VinaEnergyModel(const GridMapSet& maps,
                                  const mol::PreparedLigand& ligand,
-                                 const GridBox& box, VinaWeights weights)
-    : receptor_(receptor), ligand_(ligand), box_(box), weights_(weights),
+                                 VinaWeights weights)
+    : maps_(maps), ligand_(ligand), weights_(weights),
       tables_(VinaPairTables::shared(weights)),
-      neighbors_(receptor.molecule, 8.0),
       reference_coords_(ligand.molecule.coordinates()),
       reference_center_(root_center(ligand)) {
+  SCIDOCK_REQUIRE(maps.scoring == ScoringFunction::Vina,
+                  "Vina needs a Vina map set, got an AD4 one");
+  atom_maps_.reserve(static_cast<std::size_t>(ligand.molecule.atom_count()));
+  for (const mol::Atom& a : ligand.molecule.atoms()) {
+    if (mol::vina_kind(a.ad_type).skip) {
+      atom_maps_.push_back(nullptr);
+      continue;
+    }
+    const GridMap* map = maps.affinity_for(a.ad_type);
+    SCIDOCK_REQUIRE(map != nullptr, "missing Vina map for ligand atom type " +
+                                        std::string(mol::ad_type_name(a.ad_type)));
+    atom_maps_.push_back(map);
+  }
   for (const auto& [i, j] : intramolecular_pairs(ligand.molecule)) {
     if (mol::vina_kind(ligand.molecule.atom(i).ad_type).skip) continue;
     if (mol::vina_kind(ligand.molecule.atom(j).ad_type).skip) continue;
     intra_pairs_.push_back({i, j, tables_->row(ligand.molecule.atom(i).ad_type,
                                                ligand.molecule.atom(j).ad_type)});
   }
-  lig_rows_.resize(static_cast<std::size_t>(ligand.molecule.atom_count()) *
-                   static_cast<std::size_t>(mol::kAdTypeCount));
-  for (int i = 0; i < ligand.molecule.atom_count(); ++i) {
-    for (int t = 0; t < mol::kAdTypeCount; ++t) {
-      lig_rows_[static_cast<std::size_t>(i) * mol::kAdTypeCount +
-                static_cast<std::size_t>(t)] =
-          tables_->row(ligand.molecule.atom(i).ad_type,
-                       static_cast<mol::AdType>(t));
-    }
-  }
-  rec_types_.reserve(static_cast<std::size_t>(receptor.molecule.atom_count()));
-  for (int ri = 0; ri < receptor.molecule.atom_count(); ++ri) {
-    rec_types_.push_back(static_cast<int>(receptor.molecule.atom(ri).ad_type));
-  }
 }
 
 double VinaEnergyModel::intermolecular(const std::vector<mol::Vec3>& coords) const {
   double e = 0.0;
-  for (int i = 0; i < ligand_.molecule.atom_count(); ++i) {
-    const mol::Vec3& p = coords[static_cast<std::size_t>(i)];
+  for (std::size_t i = 0; i < atom_maps_.size(); ++i) {
+    const mol::Vec3& p = coords[i];
+    const TrilinearSampler s(maps_.box, p);
     // Vina confines the search to the box: out-of-box atoms incur a steep
     // harmonic pull-back, mirroring its boundary handling.
-    if (!box_.contains(p)) {
-      const mol::Vec3 c = box_.center;
-      e += 10.0 * mol::distance_sq(p, c);
-      continue;
+    if (!s.in_box()) {
+      e += 10.0 * mol::distance_sq(p, maps_.box.center);
+    } else if (atom_maps_[i] != nullptr) {
+      e += s.apply(*atom_maps_[i]);
     }
-    // Squared distances come straight from the cell list (the table is
-    // indexed by r², so no sqrt). Two partial sums alternating per
-    // neighbour: the association of the former two-lane SIMD loop, kept so
-    // energies stay bit-identical to it.
-    const double* const* rows_for_atom =
-        lig_rows_.data() + static_cast<std::size_t>(i) * mol::kAdTypeCount;
-    double acc[2] = {0.0, 0.0};
-    std::size_t k = 0;
-    neighbors_.for_each_within(p, [&](int ri, double d2) {
-      const double* row =
-          rows_for_atom[rec_types_[static_cast<std::size_t>(ri)]];
-      acc[k++ & 1] += d2 < lut::kCutoffSq ? lut::interpolate(row, d2) : 0.0;
-    });
-    e += acc[0] + acc[1];
+  }
+  return e;
+}
+
+double VinaEnergyModel::exact_intermolecular(
+    const mol::Molecule& receptor, const std::vector<mol::Vec3>& coords) const {
+  double e = 0.0;
+  for (std::size_t i = 0; i < coords.size(); ++i) {
+    const mol::AdType t = ligand_.molecule.atom(static_cast<int>(i)).ad_type;
+    for (const mol::Atom& r : receptor.atoms()) {
+      e += tables_->pair_energy(t, r.ad_type, mol::distance_sq(coords[i], r.pos));
+    }
   }
   return e;
 }

@@ -2,8 +2,9 @@
 
 /// \file energy.hpp
 /// Energy models binding a (receptor, ligand) pair to a scalar objective
-/// over DockPose. AD4 scores through precomputed grid maps; Vina scores
-/// by direct pairwise evaluation through a neighbour list.
+/// over DockPose. Both engines score through the precomputed grid maps of
+/// their own scoring function (AutoGrid, autogrid.hpp); Vina also rescores
+/// its reported modes exactly against every receptor atom.
 
 #include <memory>
 #include <vector>
@@ -71,16 +72,24 @@ class Ad4EnergyModel {
   mutable long long evaluations_ = 0;
 };
 
-/// Vina direct-evaluation objective.
+/// Vina grid-based objective: one trilinear read per ligand atom from a
+/// Vina map set (ScoringFunction::Vina). Holds references: the maps and
+/// ligand must outlive the model.
 class VinaEnergyModel {
  public:
-  VinaEnergyModel(const mol::PreparedReceptor& receptor,
-                  const mol::PreparedLigand& ligand, const GridBox& box,
+  VinaEnergyModel(const GridMapSet& maps, const mol::PreparedLigand& ligand,
                   VinaWeights weights = {});
 
   double intermolecular(const std::vector<mol::Vec3>& coords) const;
   double intramolecular(const std::vector<mol::Vec3>& coords) const;
   double operator()(const DockPose& pose) const;
+
+  /// Intermolecular energy of `coords` without the maps: the Vina pair
+  /// term summed over every atom of `receptor`, with no box term. Vina
+  /// 1.1.2 searches on its grid cache and re-evaluates the modes it
+  /// reports this way; it does not count as an energy evaluation.
+  double exact_intermolecular(const mol::Molecule& receptor,
+                              const std::vector<mol::Vec3>& coords) const;
 
   /// Vina's reported affinity from the best intermolecular energy.
   double feb(double inter) const;
@@ -97,22 +106,18 @@ class VinaEnergyModel {
     const double* row;
   };
 
-  const mol::PreparedReceptor& receptor_;
+  const GridMapSet& maps_;
   const mol::PreparedLigand& ligand_;
-  GridBox box_;
   VinaWeights weights_;
   std::shared_ptr<const VinaPairTables> tables_;
-  NeighborList neighbors_;
   std::vector<mol::Vec3> reference_coords_;
   mol::Vec3 reference_center_{};
+  /// Per-ligand-atom map; nullptr for skip types (hydrogens), whose Vina
+  /// term is zero everywhere.
+  std::vector<const GridMap*> atom_maps_;
   /// Skip-type pairs (hydrogens) contribute zero at every distance, so
   /// they are pruned at construction rather than tested per evaluation.
   std::vector<VinaIntraPair> intra_pairs_;
-  /// Per-ligand-atom LUT channel by receptor type: lig_rows_[a * kAdTypeCount
-  /// + t] is the (ligand type of a, t) row, so the neighbour loop resolves
-  /// its channel with one indexed load instead of a pair_index() per hit.
-  std::vector<const double*> lig_rows_;
-  std::vector<int> rec_types_;  ///< receptor atom AdType as int, hoisted
   mutable long long evaluations_ = 0;
 };
 

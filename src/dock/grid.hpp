@@ -145,18 +145,27 @@ class TrilinearSampler {
   bool in_box_ = false;
 };
 
-/// The full AutoGrid output for one receptor/box: one affinity map per
-/// ligand atom type plus electrostatic and desolvation maps.
+/// The scoring function a map set tabulates, i.e. the engine that reads it.
+enum class ScoringFunction { Ad4, Vina };
+
+/// The full AutoGrid output for one receptor/box. An AD4 set holds one
+/// vdW/H-bond affinity map per ligand atom type plus the electrostatic and
+/// desolvation maps. A Vina set holds one map per non-hydrogen ligand type
+/// carrying the whole Vina pair term (it is charge-free), and no e/d maps.
 struct GridMapSet {
   GridBox box;
+  ScoringFunction scoring = ScoringFunction::Ad4;
   std::vector<std::pair<mol::AdType, GridMap>> affinity;  ///< per ligand type
-  GridMap electrostatic;
-  GridMap desolvation;
+  GridMap electrostatic;  ///< AD4 only
+  GridMap desolvation;    ///< AD4 only
 
   const GridMap* affinity_for(mol::AdType t) const;
-  /// Number of files the real AutoGrid would emit (atom maps + e + d +
-  /// field + xyz), used by the provenance file accounting.
-  int file_count() const { return static_cast<int>(affinity.size()) + 4; }
+  /// Number of files the real AutoGrid would emit (atom maps, e and d for
+  /// AD4, field and xyz), used by the provenance file accounting.
+  int file_count() const {
+    return static_cast<int>(affinity.size()) +
+           (scoring == ScoringFunction::Ad4 ? 4 : 2);
+  }
 };
 
 }  // namespace scidock::dock

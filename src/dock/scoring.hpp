@@ -3,7 +3,7 @@
 /// \file scoring.hpp
 /// The two empirical scoring functions: AutoDock 4's free-energy model
 /// (Huey et al. 2007 weights) and Vina's (Trott & Olson 2010), plus the
-/// receptor neighbour list both engines use for direct evaluation.
+/// receptor neighbour list AutoGrid's map sweep uses.
 
 #include <cstdint>
 #include <unordered_map>
@@ -73,8 +73,8 @@ double vina_affinity(double intermolecular_energy, int n_rot,
 // ---------------------------------------------------------------------
 
 /// Immutable cell list over receptor atoms supporting fixed-radius
-/// neighbour queries; shared by AutoGrid map generation and Vina's direct
-/// evaluation. Cell edge equals the query cutoff so a 27-cell scan is
+/// neighbour queries, used by AutoGrid map generation for both engines'
+/// map sets. Cell edge equals the query cutoff so a 27-cell scan is
 /// sufficient.
 class NeighborList {
  public:

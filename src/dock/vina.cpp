@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 
+#include "dock/autogrid.hpp"
 #include "dock/cluster.hpp"
 #include "dock/energy.hpp"
 #include "mol/molecule.hpp"
@@ -11,18 +12,40 @@
 
 namespace scidock::dock {
 
+namespace {
+
+/// Replace a mode's map energy with the exact one (the FEB follows).
+void rescore_exactly(Conformation& conf, const VinaEnergyModel& model,
+                     const mol::PreparedReceptor& receptor) {
+  conf.intermolecular = model.exact_intermolecular(receptor.molecule, conf.coords);
+  conf.feb = model.feb(conf.intermolecular);
+}
+
+}  // namespace
+
 VinaEngine::VinaEngine(VinaConfig config) : config_(std::move(config)) {}
 
 DockingResult VinaEngine::dock(const mol::PreparedReceptor& receptor,
                                const mol::PreparedLigand& ligand,
                                const GridBox& box, Rng& rng) {
+  return dock_with_maps(receptor,
+                        ligand_maps(receptor.molecule, ligand.molecule, box,
+                                    ScoringFunction::Vina),
+                        ligand, rng);
+}
+
+DockingResult VinaEngine::dock_with_maps(const mol::PreparedReceptor& receptor,
+                                         const GridMapSet& maps,
+                                         const mol::PreparedLigand& ligand,
+                                         Rng& rng) {
   SCIDOCK_REQUIRE(ligand.molecule.fully_parameterised(),
                   "Vina: ligand has unparameterised atoms");
   SCIDOCK_REQUIRE(receptor.molecule.fully_parameterised(),
                   "Vina: receptor has unparameterised atoms");
   const auto t0 = std::chrono::steady_clock::now();
 
-  VinaEnergyModel model(receptor, ligand, box);
+  VinaEnergyModel model(maps, ligand);
+  const GridBox& box = maps.box;
   const std::vector<mol::Vec3> input_coords = ligand.molecule.coordinates();
   const int n_tors = ligand.torsions.torsion_count();
 
@@ -64,6 +87,7 @@ DockingResult VinaEngine::dock(const mol::PreparedReceptor& receptor,
     best = solis_wets(best, model, crng, 120, refined_e, 0.3);
     result.conformations.push_back(
         score_conformation(model, best, input_coords, c));
+    rescore_exactly(result.conformations.back(), model, receptor);
   }
   result.energy_evaluations = model.evaluations();
 
@@ -96,7 +120,9 @@ DockingResult redock(const mol::PreparedReceptor& receptor,
                   "redock: pose does not match the ligand");
   const mol::Vec3 center = mol::centroid(pose.coords);
   const GridBox box = GridBox::around(center, kBoxHalfExtent, 0.5);
-  VinaEnergyModel model(receptor, ligand, box);
+  const GridMapSet maps = ligand_maps(receptor.molecule, ligand.molecule, box,
+                                      ScoringFunction::Vina);
+  VinaEnergyModel model(maps, ligand);
 
   // Recover a pose parameterisation that lands on the docked coordinates:
   // start from the rigid translation that moves the reference root centre
@@ -116,6 +142,7 @@ DockingResult redock(const mol::PreparedReceptor& receptor,
   result.engine_name = "Vina-redock";
   result.conformations.push_back(
       score_conformation(model, refined, pose.coords));
+  rescore_exactly(result.conformations.back(), model, receptor);
   result.energy_evaluations = model.evaluations();
   return result;
 }

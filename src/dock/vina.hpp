@@ -3,9 +3,11 @@
 /// \file vina.hpp
 /// AutoDock Vina analog (Trott & Olson 2010): iterated-local-search
 /// Monte Carlo with Metropolis acceptance and Solis-Wets refinement,
-/// scored by the Vina empirical function via direct pairwise evaluation.
-/// Independent chains ("exhaustiveness") run one after another inside the
-/// activation; parallelism comes from the executor running many pairs.
+/// scored by the Vina empirical function on per-type grid maps (the grid
+/// cache of Vina 1.1.2). The reported modes are rescored exactly against
+/// every receptor atom, as Vina 1.1.2 does. Independent chains
+/// ("exhaustiveness") run one after another inside the activation;
+/// parallelism comes from the executor running many pairs.
 
 #include "dock/dpf.hpp"
 #include "dock/engine.hpp"
@@ -18,9 +20,16 @@ class VinaEngine : public DockingEngine {
 
   std::string name() const override { return "Vina"; }
 
+  /// Computes the Vina map set over `box` (activity 5), then docks on it.
   DockingResult dock(const mol::PreparedReceptor& receptor,
                      const mol::PreparedLigand& ligand, const GridBox& box,
                      Rng& rng) override;
+
+  /// Dock on a Vina map set that activity 5 already produced, searching in
+  /// its box. `receptor` is read only to rescore the reported modes.
+  DockingResult dock_with_maps(const mol::PreparedReceptor& receptor,
+                               const GridMapSet& maps,
+                               const mol::PreparedLigand& ligand, Rng& rng);
 
   const VinaConfig& config() const { return config_; }
 

@@ -310,6 +310,16 @@ void ProvenanceStore::after_record() {
   }
 }
 
+void ProvenanceStore::apply_dimension(const WalRecord& r) {
+  {
+    Shard& shard = *shards_[0];
+    MutexLock lock(shard.mutex);
+    apply_record(shard, r);
+    log_record(shard, r);
+  }
+  after_record();
+}
+
 void ProvenanceStore::ensure_writable() const {
   if (crashed_.load(std::memory_order_acquire)) {
     throw InvalidStateError(
@@ -424,13 +434,7 @@ long long ProvenanceStore::begin_workflow(std::string_view tag,
   rec.s0 = std::string(tag);
   rec.s1 = std::string(description);
   rec.s2 = std::string(expdir);
-  for (std::size_t k = 0; k < shards_.size(); ++k) {
-    Shard& shard = *shards_[k];
-    MutexLock lock(shard.mutex);
-    apply_record(shard, rec);
-    if (k == 0) log_record(shard, rec);
-  }
-  after_record();
+  apply_dimension(rec);
   bump(rates_.workflow_rows);
   return id;
 }
@@ -457,10 +461,6 @@ void ProvenanceStore::end_workflow(long long wkfid, double now) {
     apply_record(shard, rec);
     log_record(shard, rec);
   }
-  for (std::size_t k = 1; k < shards_.size(); ++k) {
-    MutexLock lock(shards_[k]->mutex);
-    apply_record(*shards_[k], rec);
-  }
   after_record();
 }
 
@@ -477,13 +477,7 @@ long long ProvenanceStore::register_activity(long long wkfid,
   rec.s0 = std::string(tag);
   rec.s1 = std::string(activation_command);
   rec.s2 = std::string(op);
-  for (std::size_t k = 0; k < shards_.size(); ++k) {
-    Shard& shard = *shards_[k];
-    MutexLock lock(shard.mutex);
-    apply_record(shard, rec);
-    if (k == 0) log_record(shard, rec);
-  }
-  after_record();
+  apply_dimension(rec);
   bump(rates_.activity_rows);
   return id;
 }
@@ -544,13 +538,7 @@ void ProvenanceStore::record_machine(long long vmid, std::string_view type,
   rec.i1 = cores;
   rec.d0 = speed_factor;
   rec.s0 = std::string(type);
-  for (std::size_t k = 0; k < shards_.size(); ++k) {
-    Shard& shard = *shards_[k];
-    MutexLock lock(shard.mutex);
-    apply_record(shard, rec);
-    if (k == 0) log_record(shard, rec);
-  }
-  after_record();
+  apply_dimension(rec);
   bump(rates_.machine_rows);
 }
 
@@ -730,16 +718,6 @@ void ProvenanceStore::recover() {
     }
     shard.writer = std::make_unique<wal::SegmentWriter>(
         fs, shard_dir(k), options_.segment_max_bytes, replay.next_index);
-  }
-  // Dimension records are logged by shard 0 only; replicate its replayed
-  // copies into the other shards, as recording does.
-  for (std::size_t k = 1; k < shards_.size(); ++k) {
-    for (const char* name : kDimTables) {
-      sql::Table& dst = shards_[k]->db.table(name);
-      for (const sql::Row& row : shards_[0]->db.table(name).rows()) {
-        dst.insert(row);
-      }
-    }
   }
   prune_orphans();
 }

@@ -21,9 +21,9 @@
 /// Storage model (DESIGN.md §12): the store is split into N shards, each
 /// with its own lock and database. Fact tables (hactivation, hfile,
 /// hvalue) are partitioned by hash(taskid); dimension tables (hworkflow,
-/// hactivity, hmachine) are replicated into every shard. A query scans
-/// the fact tables across every shard and reads the dimension tables from
-/// shard 0 (sql/engine.hpp). With a VFS attached, every mutation is framed
+/// hactivity, hmachine) live in shard 0 only. A query scans the fact
+/// tables across every shard and reads the dimension tables from shard 0
+/// (sql/engine.hpp). With a VFS attached, every mutation is framed
 /// into a per-shard write-ahead log (prov/wal.hpp), batched by a group
 /// -commit flusher thread, and reopening the same directory rebuilds the
 /// store by replay, truncating any torn tail the chaos harness (or a real
@@ -263,6 +263,9 @@ class ProvenanceStore {
   /// Post-record hook (outside the shard lock): wakes the flusher when
   /// the pending buffer crossed the group-commit threshold.
   void after_record();
+  /// Apply and log a dimension record. Dimension rows live in shard 0
+  /// only, which every reader of a dimension table reads.
+  void apply_dimension(const wal::WalRecord& record);
   /// Throws InvalidStateError once the store crashed.
   void ensure_writable() const;
 

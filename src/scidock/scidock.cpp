@@ -150,11 +150,13 @@ std::string pair_dir(const ScidockOptions& opts, const char* stage,
   return opts.expdir + "/" + stage + "/" + t.require("pair") + "/";
 }
 
-/// Canonical single-flight key: receptor identity + exact box geometry +
-/// sorted type set. Tuples agreeing on all three share one map set.
+/// Canonical single-flight key: receptor identity + engine + exact box
+/// geometry + sorted type set. Tuples agreeing on all four share one map
+/// set.
 std::string gridmaps_cache_key(const std::string& receptor_pdbqt,
+                               const std::string& engine,
                                const dock::GridParameterFile& gpf) {
-  std::string key = receptor_pdbqt;
+  std::string key = receptor_pdbqt + "|" + engine;
   key += strformat("|%d,%d,%d|%.6f|%.6f,%.6f,%.6f", gpf.box.npts[0],
                    gpf.box.npts[1], gpf.box.npts[2], gpf.box.spacing,
                    gpf.box.center.x, gpf.box.center.y, gpf.box.center.z);
@@ -169,6 +171,17 @@ std::string gridmaps_cache_key(const std::string& receptor_pdbqt,
 }
 
 }  // namespace
+
+std::string docking_engine(const Tuple& tuple, const ScidockOptions& opts) {
+  switch (opts.engine_mode) {
+    case EngineMode::ForceAd4: return "ad4";
+    case EngineMode::ForceVina: return "vina";
+    case EngineMode::Adaptive: break;
+  }
+  const int residues =
+      static_cast<int>(parse_int(tuple.require("residues"), "residues"));
+  return residues > data::vina_size_threshold(opts.dataset) ? "vina" : "ad4";
+}
 
 wf::Pipeline build_scidock_pipeline(const ScidockOptions& opts,
                                     std::shared_ptr<ArtifactCache> cache) {
@@ -292,9 +305,14 @@ wf::Pipeline build_scidock_pipeline(const ScidockOptions& opts,
           };
         }
 
+        // Only the map set of the engine activity 6 will route to.
+        const std::string engine = docking_engine(in, o);
         const auto compute = [&]() {
           const dock::GridMapCalculator calc(rec->molecule, slab_observer);
-          dock::GridMapSet maps = calc.calculate(gpf.box, gpf.ligand_types);
+          dock::GridMapSet maps = calc.calculate(
+              gpf.box, gpf.ligand_types,
+              engine == "vina" ? dock::ScoringFunction::Vina
+                               : dock::ScoringFunction::Ad4);
           // Counted at compute time (not activation end): a computation
           // whose activation later fails still happened, so the checker's
           // bound is mapsets >= misses, not equality.
@@ -306,7 +324,8 @@ wf::Pipeline build_scidock_pipeline(const ScidockOptions& opts,
         CacheOutcome outcome = CacheOutcome::kMiss;
         if (o.reuse_grid_maps) {
           std::tie(maps, outcome) = cache->get_or_compute_maps(
-              gridmaps_cache_key(in.require("receptor_pdbqt"), gpf), compute);
+              gridmaps_cache_key(in.require("receptor_pdbqt"), engine, gpf),
+              compute);
         } else {
           maps = std::make_shared<const dock::GridMapSet>(compute());
         }
@@ -324,13 +343,13 @@ wf::Pipeline build_scidock_pipeline(const ScidockOptions& opts,
                           map.to_map_file());
           }
         }
-        if (o.write_map_files) {
+        if (o.write_map_files && maps->scoring == dock::ScoringFunction::Ad4) {
           ctx.emit_file(prefix + ".e.map", maps->electrostatic.to_map_file());
           ctx.emit_file(prefix + ".d.map", maps->desolvation.to_map_file());
         }
         ctx.emit_file(prefix + ".maps.fld", fld);
-        // The AD4 stage looks maps up by the per-pair prefix it reads from
-        // the DPF; alias that name to the shared set (no copy).
+        // The docking stages look maps up by the per-pair prefix (AD4 reads
+        // it from the DPF); alias that name to the shared set (no copy).
         cache->alias_maps(prefix, maps);
         // Cache outcome counters last, after every output landed: a faulted
         // activation (chaos VFS writes) reruns and counts only once, when
@@ -350,24 +369,11 @@ wf::Pipeline build_scidock_pipeline(const ScidockOptions& opts,
       nullptr, tuple_workload, nullptr});
 
   // ---- 6. docking filter: size-based engine routing ----
-  const EngineMode mode = o.engine_mode;
   pipeline.add_stage(Stage{
       kDockFilter, wf::AlgebraicOp::Filter,
-      [o, mode](const Tuple& in, ActivationContext&) {
+      [o](const Tuple& in, ActivationContext&) {
         Tuple out = in;
-        std::string engine;
-        switch (mode) {
-          case EngineMode::ForceAd4: engine = "ad4"; break;
-          case EngineMode::ForceVina: engine = "vina"; break;
-          case EngineMode::Adaptive: {
-            const int residues = static_cast<int>(
-                parse_int(in.require("residues"), "residues"));
-            engine = residues > data::vina_size_threshold(o.dataset) ? "vina"
-                                                                     : "ad4";
-            break;
-          }
-        }
-        out.set("engine", engine);
+        out.set("engine", docking_engine(in, o));
         return std::vector<Tuple>{out};
       },
       [](const Tuple& t) {
@@ -455,10 +461,15 @@ wf::Pipeline build_scidock_pipeline(const ScidockOptions& opts,
             dock::VinaConfig::parse(ctx.fs->read(in.require("conf_file")));
         const auto rec = load_receptor(cache, ctx, cfg.receptor_file);
         const auto lig = load_ligand(cache, ctx, cfg.ligand_file);
+        const std::string maps_prefix = in.require("maps_prefix");
+        const auto maps = cache->maps(maps_prefix);
+        SCIDOCK_REQUIRE(maps != nullptr,
+                        "AutoGrid maps not found for " + maps_prefix);
         dock::VinaEngine engine(cfg);
         engine.steps_per_chain = o.vina_steps_per_chain;
         Rng rng(cfg.seed);
-        dock::DockingResult result = engine.dock(*rec, *lig, cfg.box, rng);
+        dock::DockingResult result =
+            engine.dock_with_maps(*rec, *maps, *lig, rng);
 
         const std::string out_path =
             pair_dir(o, kAutodockVina, in) +

@@ -56,9 +56,9 @@ struct ScidockOptions {
   double grid_spacing = 0.55;   ///< Å; AutoGrid's default 0.375 is slower
   bool write_map_files = false; ///< also serialise .map files to the VFS
   /// Single-flight grid-map reuse (DESIGN.md §10): AutoGrid activations
-  /// sharing a (receptor, box, type-set) key compute the map set once and
-  /// share the result. Off recomputes per tuple, as the paper's original
-  /// workflow does; outputs are bit-identical either way.
+  /// sharing a (receptor, engine, box, type-set) key compute the map set
+  /// once and share the result. Off recomputes per tuple, as the paper's
+  /// original workflow does; outputs are bit-identical either way.
   bool reuse_grid_maps = true;
   std::string expdir = "/root/exp_SciDock";
 };
@@ -121,6 +121,13 @@ wf::Pipeline build_scidock_pipeline(const ScidockOptions& opts,
                                     std::shared_ptr<ArtifactCache> cache = nullptr);
 
 std::shared_ptr<ArtifactCache> make_artifact_cache();
+
+/// Activity 6's routing rule for a pair tuple: "vina" when the receptor
+/// has more residues than the dataset's size threshold, else "ad4"; the
+/// forced modes override it. It reads only the receptor, so AutoGrid
+/// (activity 5) applies it too and builds only the map set of the engine
+/// that will dock the pair.
+std::string docking_engine(const wf::Tuple& tuple, const ScidockOptions& opts);
 
 /// The static workflow definition matching the Figure 2 XML specification
 /// (round-trips through wf::save_spec / wf::load_spec).

@@ -114,9 +114,15 @@ TEST(SolisWets, MinimisesQuadraticBowl) {
 
 // --------------------------------------------------------- energy model
 
+GridMapSet vina_maps(const Fixture& fx) {
+  return GridMapCalculator(fx.receptor.molecule)
+      .calculate(fx.box, screening_ligand_types(), ScoringFunction::Vina);
+}
+
 TEST(EnergyModels, EvaluationCountsTracked) {
   const Fixture fx = make_fixture();
-  VinaEnergyModel model(fx.receptor, fx.ligand, fx.box);
+  const GridMapSet maps = vina_maps(fx);
+  VinaEnergyModel model(maps, fx.ligand);
   Rng rng(2);
   const DockPose pose = DockPose::random(fx.box, model.reference_center(),
                                          fx.ligand.torsions.torsion_count(), rng);
@@ -128,7 +134,8 @@ TEST(EnergyModels, EvaluationCountsTracked) {
 
 TEST(EnergyModels, VinaOutOfBoxPenalised) {
   const Fixture fx = make_fixture();
-  VinaEnergyModel model(fx.receptor, fx.ligand, fx.box);
+  const GridMapSet maps = vina_maps(fx);
+  VinaEnergyModel model(maps, fx.ligand);
   DockPose inside;
   inside.rigid.translation = fx.box.center - model.reference_center();
   inside.torsions.assign(

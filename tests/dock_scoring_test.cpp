@@ -279,7 +279,16 @@ TEST(Autogrid, MapsHaveWellsNearAtoms) {
   EXPECT_LT(cmap->sample({4.0, 0, 0}), 0.0);
   EXPECT_GT(cmap->sample({0.6, 0, 0}), 0.0);
   EXPECT_EQ(maps.affinity_for(AdType::OA), nullptr);
-  EXPECT_EQ(maps.file_count(), 1 + 4);
+  EXPECT_EQ(maps.file_count(), 1 + 4);  // C map, e, d, fld, xyz
+
+  // A Vina set has no map for hydrogen types and no e/d maps.
+  const GridMapSet vina =
+      calc.calculate(box, {AdType::C, AdType::HD, AdType::OA},
+                     ScoringFunction::Vina);
+  EXPECT_EQ(vina.affinity.size(), 2u);
+  EXPECT_EQ(vina.affinity_for(AdType::HD), nullptr);
+  EXPECT_LT(vina.affinity_for(AdType::C)->sample({4.0, 0, 0}), 0.0);
+  EXPECT_EQ(vina.file_count(), 2 + 2);  // C and OA maps, fld, xyz
 }
 
 TEST(Autogrid, ElectrostaticMapSignTracksCharge) {

@@ -3,8 +3,10 @@
 //   - radial LUTs track the analytic scoring terms within a documented
 //     tolerance (and exactly reproduce clamp/cutoff behaviour);
 //   - fused trilinear sampling is bit-identical to per-map sampling;
-//   - AutoGrid's channel sweep and Vina's neighbour loop equal
-//     brute-force sums of the pair tables over every receptor atom;
+//   - AutoGrid's AD4 and Vina channel sweeps equal brute-force sums of
+//     the pair tables over every receptor atom, Vina's map energy of a
+//     pose stays within a measured bound of the exact sum, and every mode
+//     Vina reports carries the exact sum;
 //   - AutoGrid reports every z-slab to its observer, and scoring a pose
 //     for the report does not count as an energy evaluation;
 //   - the single-flight grid-map cache computes once per key, propagates
@@ -14,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <map>
@@ -32,6 +35,7 @@
 #include "dock/engine.hpp"
 #include "dock/grid.hpp"
 #include "dock/scoring.hpp"
+#include "dock/vina.hpp"
 #include "mol/prepare.hpp"
 #include "obs/obs.hpp"
 #include "scidock/experiment.hpp"
@@ -252,43 +256,127 @@ TEST(KernelBruteForce, AutogridPointMatchesSumOverReceptorAtoms) {
   EXPECT_NEAR(maps.affinity_for(AdType::OA)->at(ix, iy, iz), oa, 1e-9 * scale);
 }
 
-TEST(KernelBruteForce, VinaIntermolecularMatchesPairEnergySum) {
-  const auto opts = tiny();
+TEST(KernelBruteForce, VinaMapPointMatchesPairEnergySum) {
   mol::PreparedReceptor rec =
-      mol::prepare_receptor(data::make_receptor("1BRF", opts));
-  const mol::PreparedLigand lig =
-      mol::prepare_ligand(data::make_ligand("0E6", opts));
-  // The ligand sits on the receptor's centre, and receptor atom 0 exactly
-  // 8 Å from ligand atom 0: the neighbour list reports that pair and the
-  // table masks it to zero.
+      mol::prepare_receptor(data::make_receptor("1BRF", tiny()));
   std::vector<mol::Vec3> rec_coords = snapped(rec.molecule.coordinates());
-  std::vector<mol::Vec3> coords = snapped(lig.molecule.coordinates());
-  const mol::Vec3 shift = rec_coords[1] - coords[0];
-  for (mol::Vec3& c : coords) c = c + shift;
-  rec_coords[0] = coords[0] + mol::Vec3{8.0, 0, 0};
+  const GridBox box = GridBox::around(rec_coords[1], 2.0, 0.5);
+  const int ix = 3, iy = 4, iz = 5;
+  const mol::Vec3 p = box.origin() + mol::Vec3{ix * 0.5, iy * 0.5, iz * 0.5};
+  rec_coords[0] = p + mol::Vec3{8.0, 0, 0};
   rec.molecule.set_coordinates(rec_coords);
-  const GridBox box = GridBox::around(coords[0], 16.0, 1.0);
-  const VinaEnergyModel model(rec, lig, box);
+  const GridMapSet maps = GridMapCalculator(rec.molecule)
+                              .calculate(box, screening_ligand_types(),
+                                         ScoringFunction::Vina);
+  // One map per non-hydrogen screening type, and no e/d maps.
+  EXPECT_EQ(maps.scoring, ScoringFunction::Vina);
+  EXPECT_EQ(maps.affinity.size(), screening_ligand_types().size() - 2);
+  EXPECT_EQ(maps.affinity_for(AdType::H), nullptr);
+  EXPECT_EQ(maps.affinity_for(AdType::HD), nullptr);
+  EXPECT_TRUE(maps.electrostatic.values().empty());
+  EXPECT_TRUE(maps.desolvation.values().empty());
 
   const auto tables = VinaPairTables::shared(VinaWeights{});
-  double brute = 0.0, scale = 0.0;
   int at_cutoff = 0, past_cutoff = 0;
-  for (std::size_t i = 0; i < coords.size(); ++i) {
-    ASSERT_TRUE(box.contains(coords[i]));
+  for (const mol::Atom& a : rec.molecule.atoms()) {
+    const double d2 = mol::distance_sq(a.pos, p);
+    at_cutoff += d2 == lut::kCutoffSq;
+    past_cutoff += d2 > lut::kCutoffSq;
+  }
+  ASSERT_EQ(at_cutoff, 1);
+  ASSERT_GT(past_cutoff, 0);
+  for (const auto& [type, map] : maps.affinity) {
+    double brute = 0.0, scale = 1.0;
     for (const mol::Atom& a : rec.molecule.atoms()) {
-      const double d2 = mol::distance_sq(coords[i], a.pos);
-      at_cutoff += d2 == lut::kCutoffSq;
-      past_cutoff += d2 > lut::kCutoffSq;
-      const double e = tables->pair_energy(
-          lig.molecule.atom(static_cast<int>(i)).ad_type, a.ad_type, d2);
+      const double e =
+          tables->pair_energy(type, a.ad_type, mol::distance_sq(a.pos, p));
       brute += e;
       scale += std::abs(e);
     }
+    EXPECT_NEAR(map.at(ix, iy, iz), brute, 1e-9 * scale)
+        << mol::ad_type_name(type);
   }
-  ASSERT_GE(at_cutoff, 1);
-  ASSERT_GT(past_cutoff, 0);
-  ASSERT_GT(scale, 0.0);
-  EXPECT_NEAR(model.intermolecular(coords), brute, 1e-9 * scale);
+}
+
+TEST(KernelBruteForce, VinaMapPoseErrorIsBounded) {
+  // The pipeline's screening box and spacing on a Table 3 pair. Poses are
+  // kept when every atom is in the box and the exact energy is not a clash
+  // (<= 0): those are the poses a search keeps, while inside a clash the
+  // repulsive wall is too steep for a 0.55 Å grid and the search leaves it.
+  const auto opts = tiny();
+  const mol::PreparedReceptor rec =
+      mol::prepare_receptor(data::make_receptor("1BRF", opts));
+  const mol::PreparedLigand lig =
+      mol::prepare_ligand(data::make_ligand("0E6", opts));
+  const GridParameterFile gpf =
+      make_screening_gpf(rec.molecule, lig.molecule, 4.0, 0.55);
+  const GridMapSet maps = GridMapCalculator(rec.molecule)
+                              .calculate(gpf.box, gpf.ligand_types,
+                                         ScoringFunction::Vina);
+  const VinaEnergyModel model(maps, lig);
+  // Root positions within 6 Å of the receptor centre reach its surface.
+  const GridBox roots = GridBox::around(rec.molecule.center(), 6.0, 0.55);
+  Rng rng(31);
+  int kept = 0;
+  double sum_abs = 0.0, sum_exact = 0.0, max_abs = 0.0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    const std::vector<mol::Vec3> coords = model.coords_for(DockPose::random(
+        roots, model.reference_center(), lig.torsions.torsion_count(), rng));
+    bool in_box = true;
+    for (const mol::Vec3& c : coords) in_box = in_box && gpf.box.contains(c);
+    if (!in_box) continue;
+    const double exact = model.exact_intermolecular(rec.molecule, coords);
+    if (exact > 0.0) continue;
+    const double err = std::abs(model.intermolecular(coords) - exact);
+    ++kept;
+    sum_abs += err;
+    sum_exact += std::abs(exact);
+    max_abs = std::max(max_abs, err);
+  }
+  ASSERT_GE(kept, 400);
+  // Measured on these 473 poses: the summed error is 8.9% of the summed
+  // exact energy (0.13 kcal/mol per pose), and the worst pose is off by
+  // 1.02 kcal/mol. The bounds add about a third to those figures.
+  EXPECT_LT(sum_abs / sum_exact, 0.12);
+  EXPECT_LT(max_abs, 1.5);
+}
+
+TEST(KernelBruteForce, VinaReportedModesAreRescoredExactly) {
+  const auto opts = tiny();
+  const mol::PreparedReceptor rec =
+      mol::prepare_receptor(data::make_receptor("1AIM", opts));
+  const mol::PreparedLigand lig =
+      mol::prepare_ligand(data::make_ligand("0E6", opts));
+  VinaConfig cfg;
+  cfg.exhaustiveness = 3;
+  VinaEngine engine(cfg);
+  engine.steps_per_chain = 10;
+  Rng rng(13);
+  const DockingResult result = engine.dock(
+      rec, lig, GridBox::around(rec.molecule.center(), 9.0, 0.55), rng);
+  ASSERT_FALSE(result.empty());
+
+  const auto tables = VinaPairTables::shared(VinaWeights{});
+  for (const Conformation& conf : result.conformations) {
+    double brute = 0.0, scale = 1.0;
+    for (std::size_t i = 0; i < conf.coords.size(); ++i) {
+      const AdType t = lig.molecule.atom(static_cast<int>(i)).ad_type;
+      for (const mol::Atom& a : rec.molecule.atoms()) {
+        const double e =
+            tables->pair_energy(t, a.ad_type, mol::distance_sq(conf.coords[i], a.pos));
+        brute += e;
+        scale += std::abs(e);
+      }
+    }
+    EXPECT_NEAR(conf.intermolecular, brute, 1e-9 * scale);
+    EXPECT_DOUBLE_EQ(conf.feb,
+                     vina_affinity(conf.intermolecular,
+                                   lig.torsions.torsion_count()));
+  }
+  // Reported best first, by the exact FEB.
+  for (std::size_t i = 1; i < result.conformations.size(); ++i) {
+    EXPECT_LE(result.conformations[i - 1].feb, result.conformations[i].feb);
+  }
 }
 
 // ------------------------------------------------- evaluation counting
@@ -300,7 +388,10 @@ TEST(BatchedScoring, EvaluationCountingMatchesScalarDiscipline) {
   const mol::PreparedLigand lig =
       mol::prepare_ligand(data::make_ligand("0E6", opts));
   const GridBox box = GridBox::around(rec.molecule.center(), 9.0, 0.75);
-  const VinaEnergyModel model(rec, lig, box);
+  const GridMapSet maps = GridMapCalculator(rec.molecule)
+                              .calculate(box, screening_ligand_types(),
+                                         ScoringFunction::Vina);
+  const VinaEnergyModel model(maps, lig);
   Rng rng(47);
   std::vector<DockPose> poses;
   for (int i = 0; i < 5; ++i) {

@@ -120,6 +120,66 @@ TEST(ScidockIntegration, AutogridCanPersistMapFiles) {
   EXPECT_EQ(rs.rows[0][0].as_int(), 1);
 }
 
+TEST(ScidockIntegration, VinaMapSetPersistsOnlyItsPerTypeMaps) {
+  core::ScidockOptions opts = fast_options();
+  opts.write_map_files = true;
+  opts.engine_mode = core::EngineMode::ForceVina;
+  auto exp = core::make_experiment(some_receptors(1), {"042"}, 0, opts);
+  const wf::NativeReport report = core::run_native(exp, 1);
+  ASSERT_EQ(report.output.size(), 1u);
+  // One map per non-hydrogen screening type; no e/d maps for Vina.
+  int map_files = 0;
+  std::string fld;
+  for (const auto& info : exp.fs->list("/")) {
+    if (info.path.ends_with(".maps.fld")) fld = exp.fs->read(info.path);
+    if (!info.path.ends_with(".map")) continue;
+    ++map_files;
+    EXPECT_FALSE(info.path.ends_with(".e.map") || info.path.ends_with(".d.map"))
+        << info.path;
+  }
+  EXPECT_EQ(map_files, 17);
+  EXPECT_NE(fld.find("nmaps 19\n"), std::string::npos) << fld;
+}
+
+// AutoGrid builds only the map set of the engine activity 6 routes the
+// pair to. Both apply core::docking_engine, so the set's scoring function
+// and the pair's route agree for every Table 2 receptor in every mode.
+TEST(ScidockIntegration, AutogridMapSetMatchesDockfilterRoute) {
+  core::ScidockOptions opts = fast_options();
+  opts.dataset.hg_fraction = 0.0;
+  opts.grid_spacing = 4.0;  // the routing, not the map values, is checked
+  opts.ad4_params.ga_pop_size = 4;
+  opts.ad4_params.ga_num_evals = 8;
+  opts.ad4_params.ga_num_generations = 1;
+  opts.ad4_params.sw_max_its = 1;
+  opts.vina_steps_per_chain = 1;
+  const std::vector<std::string>& receptors = data::table2_receptors();
+  for (const core::EngineMode mode :
+       {core::EngineMode::Adaptive, core::EngineMode::ForceAd4,
+        core::EngineMode::ForceVina}) {
+    opts.engine_mode = mode;
+    auto exp = core::make_experiment(receptors, {"042"}, 0, opts);
+    const wf::NativeReport report = core::run_native(exp, 4);
+    ASSERT_EQ(report.output.size(), receptors.size());
+    std::set<std::string> engines;
+    for (const wf::Tuple& t : report.output.tuples()) {
+      const auto maps = exp.cache->maps(t.require("maps_prefix"));
+      ASSERT_NE(maps, nullptr);
+      const std::string built =
+          maps->scoring == dock::ScoringFunction::Vina ? "vina" : "ad4";
+      EXPECT_EQ(built, t.require("engine")) << t.require("receptor");
+      EXPECT_EQ(built, core::docking_engine(t, opts));
+      engines.insert(built);
+    }
+    const std::set<std::string> expected =
+        mode == core::EngineMode::Adaptive
+            ? std::set<std::string>{"ad4", "vina"}
+            : std::set<std::string>{
+                  mode == core::EngineMode::ForceAd4 ? "ad4" : "vina"};
+    EXPECT_EQ(engines, expected);
+  }
+}
+
 TEST(ScidockIntegration, HgReceptorIsRejectedAndTupleLost) {
   // Find an Hg-flagged receptor code in the real list.
   core::ScidockOptions opts = fast_options();
