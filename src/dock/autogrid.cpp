@@ -1,6 +1,7 @@
 #include "dock/autogrid.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <sstream>
@@ -41,6 +42,114 @@ GridMapCalculator::GridMapCalculator(const mol::Molecule& receptor,
   }
 }
 
+namespace {
+
+/// One receptor type's channel slice, sample-major: for each of the
+/// kEntries + 1 LUT samples, that sample of every channel. A contact's
+/// two samples of every channel then sit in two adjacent rows of nch
+/// doubles (a few cache lines) where the tables keep each channel in its
+/// own 32 KB row; lut::lerp blends them with the tables' association.
+std::vector<double> channel_slice(const std::vector<const double*>& rows) {
+  const std::size_t nch = rows.size();
+  constexpr std::size_t kSamples = lut::kEntries + 1;
+  std::vector<double> slice(kSamples * nch);
+  for (std::size_t i = 0; i < kSamples; ++i) {
+    for (std::size_t c = 0; c < nch; ++c) slice[i * nch + c] = rows[c][i];
+  }
+  return slice;
+}
+
+/// A receptor atom near one run of grid points on an x-row, with the
+/// row's y and z distance terms hoisted: the point loop adds dx² to them
+/// in distance_sq's order, so r² keeps its bits.
+struct RowNeighbor {
+  double x;
+  double dy2;
+  double dz2;
+  double charge;
+  double volume;
+  const double* slice;  ///< the atom's receptor-type channel slice
+};
+
+/// A neighbour within the cutoff of one grid point: its slice row at the
+/// point's LUT bin (the next row holds the bin's upper samples), and the
+/// blend fraction.
+struct Contact {
+  const double* row;
+  double t;
+  double charge;
+  double volume;
+};
+
+/// Ask for the `bytes` (> 0) at `row` ahead of the channel sweep. The rows
+/// of a point's contacts are scattered over megabytes of slices (one per
+/// receptor type), and without this the sweep waits on each contact's
+/// misses in turn.
+void prefetch_row(const double* row, std::size_t bytes) {
+  const char* p = reinterpret_cast<const char*>(row);
+  constexpr std::size_t kCacheLine = 64;
+  for (std::size_t off = 0; off < bytes; off += kCacheLine) {
+    __builtin_prefetch(p + off);
+  }
+  __builtin_prefetch(p + bytes - 1);
+}
+
+/// The per-point kernel over the points [begin, end) of one row run. It
+/// first collects each point's contacts in `neighbors` order (the order
+/// of NeighborList::for_each_within), then sweeps every channel of each.
+/// An AD4 set (`ad4`) reads the electrostatic and desolvation channels
+/// (slice channels 0 and 1) ahead of the typed ones.
+void sweep_run(bool ad4, const std::vector<RowNeighbor>& neighbors,
+               const std::vector<double>& xs, int begin, int end,
+               double cutoff_sq, std::size_t nch, std::size_t row_base,
+               double* elec_out, double* dsolv_out,
+               const std::vector<double*>& typed_out,
+               std::vector<double>& typed, std::vector<Contact>& contacts) {
+  const std::size_t first_typed = ad4 ? 2 : 0;
+  const std::size_t ntypes = typed.size();
+  // The bin's lower and upper samples.
+  const std::size_t row_bytes = 2 * nch * sizeof(double);
+  double* acc = typed.data();
+  for (int ix = begin; ix < end; ++ix) {
+    const double px = xs[static_cast<std::size_t>(ix)];
+    contacts.clear();
+    for (const RowNeighbor& nb : neighbors) {
+      const double dx = nb.x - px;
+      const double d2 = dx * dx + nb.dy2 + nb.dz2;
+      if (!(d2 <= cutoff_sq)) continue;
+      const lut::Bin bin = lut::bin(d2);
+      const double* row = nb.slice + static_cast<std::size_t>(bin.lo) * nch;
+      prefetch_row(row, row_bytes);
+      contacts.push_back({row, bin.t, nb.charge, nb.volume});
+    }
+    double elec = 0.0;
+    double dsolv = 0.0;
+    std::fill(typed.begin(), typed.end(), 0.0);
+    for (const Contact& c : contacts) {
+      const double* lo = c.row;
+      const double* hi = c.row + nch;
+      if (ad4) {
+        elec += c.charge * lut::lerp(lo[0], hi[0], c.t);
+        // Receptor-side volume term only; the ligand atom's solvation
+        // parameter (solpar_i + qasp*|q_i|) multiplies in at sample
+        // time (AD4 map semantics; the product is O(0.01) per contact).
+        dsolv += c.volume * lut::lerp(lo[1], hi[1], c.t);
+      }
+      for (std::size_t t = 0; t < ntypes; ++t) {
+        acc[t] += lut::lerp(lo[first_typed + t], hi[first_typed + t], c.t);
+      }
+    }
+    const std::size_t at = row_base + static_cast<std::size_t>(ix);
+    if (ad4) {
+      elec_out[at] = elec;
+      dsolv_out[at] = dsolv;
+    }
+    for (std::size_t t = 0; t < ntypes; ++t) typed_out[t][at] = acc[t];
+  }
+}
+
+}  // namespace
+
 GridMapSet GridMapCalculator::calculate(const GridBox& box,
                                         const std::vector<mol::AdType>& ligand_types,
                                         ScoringFunction scoring) const {
@@ -57,61 +166,83 @@ GridMapSet GridMapCalculator::calculate(const GridBox& box,
     set.affinity.emplace_back(t, GridMap(box, std::string(mol::ad_type_name(t))));
   }
 
-  // Hoist every receptor atom's per-ligand-type row (AD4 vdW/H-bond or the
-  // Vina pair term) to a flat pointer array. Every table shares the LUT
-  // resolution, so the inner loop computes one bin per (point, atom)
-  // squared distance and reads the Coulomb, desolvation and every type
-  // channel with it.
-  const std::size_t natoms = type_.size();
+  // One channel slice per receptor type present (channel_slice): AD4's
+  // Coulomb and desolvation channels, then the AD4 vdW/H-bond or Vina
+  // pair-term row of each map's ligand type. Every table shares the LUT
+  // resolution, so one bin per (point, atom) r² reads every channel.
   const std::size_t ntypes = set.affinity.size();
-  std::vector<const double*> type_rows(natoms * ntypes);
-  for (std::size_t a = 0; a < natoms; ++a) {
-    for (std::size_t t = 0; t < ntypes; ++t) {
-      const mol::AdType lt = set.affinity[t].first;
-      type_rows[a * ntypes + t] = ad4 ? tables_->vdw_row(lt, type_[a])
-                                     : vina_tables_->row(lt, type_[a]);
+  const std::size_t nch = (ad4 ? 2 : 0) + ntypes;
+  std::array<std::vector<double>, mol::kAdTypeCount> slices;
+  std::vector<const double*> rows;
+  for (mol::AdType rt : type_) {
+    std::vector<double>& slice = slices[static_cast<std::size_t>(rt)];
+    if (!slice.empty() || nch == 0) continue;
+    rows.clear();
+    if (ad4) {
+      rows.push_back(tables_->coulomb_channel());
+      rows.push_back(tables_->desolv_channel());
     }
+    for (const auto& entry : set.affinity) {
+      rows.push_back(ad4 ? tables_->vdw_row(entry.first, rt)
+                         : vina_tables_->row(entry.first, rt));
+    }
+    slice = channel_slice(rows);
   }
-  const double* coulomb = tables_->coulomb_channel();
-  const double* desolv = tables_->desolv_channel();
 
+  // Grid x coordinates and the runs of points sharing a neighbour-list
+  // cell are the same on every row.
   const mol::Vec3 origin = box.origin();
+  const int nx = box.npts[0];
+  std::vector<double> xs(static_cast<std::size_t>(nx));
+  std::vector<std::pair<int, int>> runs;
+  for (int ix = 0; ix < nx; ++ix) {
+    xs[static_cast<std::size_t>(ix)] = origin.x + ix * box.spacing;
+    if (ix == 0 || neighbors_.axis_cell(xs[static_cast<std::size_t>(ix)]) !=
+                       neighbors_.axis_cell(xs[static_cast<std::size_t>(ix - 1)])) {
+      runs.emplace_back(ix, ix);
+    }
+    runs.back().second = ix + 1;
+  }
+  // A set without channels (Vina, hydrogen types only) sums nothing.
+  if (nch == 0) runs.clear();
 
+  double* elec_out = ad4 ? set.electrostatic.values().data() : nullptr;
+  double* dsolv_out = ad4 ? set.desolvation.values().data() : nullptr;
+  std::vector<double*> typed_out;
+  for (auto& entry : set.affinity) typed_out.push_back(entry.second.values().data());
+  const double cutoff_sq = neighbors_.cutoff() * neighbors_.cutoff();
+
+  std::vector<int> candidates;
+  std::vector<RowNeighbor> row_neighbors;
   std::vector<double> typed(ntypes);
+  std::vector<Contact> contacts;
   for (int iz = 0; iz < box.npts[2]; ++iz) {
     const auto t0 = std::chrono::steady_clock::now();
+    const double pz = origin.z + iz * box.spacing;
     for (int iy = 0; iy < box.npts[1]; ++iy) {
-      for (int ix = 0; ix < box.npts[0]; ++ix) {
-        const mol::Vec3 p{origin.x + ix * box.spacing,
-                          origin.y + iy * box.spacing,
-                          origin.z + iz * box.spacing};
-        double elec = 0.0;
-        double dsolv = 0.0;
-        std::fill(typed.begin(), typed.end(), 0.0);
-
-        neighbors_.for_each_within(p, [&](int ai, double d2) {
+      const double py = origin.y + iy * box.spacing;
+      const std::size_t row_base =
+          static_cast<std::size_t>(nx) *
+          (static_cast<std::size_t>(iy) +
+           static_cast<std::size_t>(box.npts[1]) * static_cast<std::size_t>(iz));
+      for (const auto& [begin, end] : runs) {
+        // The atoms for_each_within would visit for this run, in its
+        // order, less those out of reach of the whole run.
+        neighbors_.segment_candidates(
+            {xs[static_cast<std::size_t>(begin)], py, pz},
+            xs[static_cast<std::size_t>(end - 1)], candidates);
+        row_neighbors.clear();
+        for (int ai : candidates) {
           const auto a = static_cast<std::size_t>(ai);
-          const lut::Bin bin = lut::bin(d2);
-          if (ad4) {
-            elec += charge_[a] * lut::interpolate(coulomb, bin);
-            // Receptor-side volume term only; the ligand atom's solvation
-            // parameter (solpar_i + qasp*|q_i|) multiplies in at sample
-            // time (AD4 map semantics; the product is O(0.01) per contact).
-            dsolv += volume_[a] * lut::interpolate(desolv, bin);
-          }
-          const double* const* rows = type_rows.data() + a * ntypes;
-          for (std::size_t t = 0; t < ntypes; ++t) {
-            typed[t] += lut::interpolate(rows[t], bin);
-          }
-        });
-
-        if (ad4) {
-          set.electrostatic.at(ix, iy, iz) = elec;
-          set.desolvation.at(ix, iy, iz) = dsolv;
+          const mol::Vec3& pos = neighbors_.position(ai);
+          const double dy = pos.y - py;
+          const double dz = pos.z - pz;
+          row_neighbors.push_back(
+              {pos.x, dy * dy, dz * dz, charge_[a], volume_[a],
+               slices[static_cast<std::size_t>(type_[a])].data()});
         }
-        for (std::size_t t = 0; t < ntypes; ++t) {
-          set.affinity[t].second.at(ix, iy, iz) = typed[t];
-        }
+        sweep_run(ad4, row_neighbors, xs, begin, end, cutoff_sq, nch,
+                  row_base, elec_out, dsolv_out, typed_out, typed, contacts);
       }
     }
 

@@ -10,10 +10,17 @@
 /// the whole Vina pair term, as Vina 1.1.2's grid cache does. Both engines
 /// then score poses by trilinear interpolation into their set.
 ///
-/// The per-point kernel reads the radial LUTs (energy_lut.hpp) indexed by
-/// squared distance, with one bin per neighbour shared by every map's
-/// channel. The calculator runs serially inside one activation;
-/// parallelism comes from the executor running many activations.
+/// The sweep (DESIGN.md §10) reads the radial LUTs (energy_lut.hpp)
+/// indexed by squared distance, with one bin per neighbour shared by
+/// every map's channel. Each run of points on an x-row that share a
+/// neighbour-list cell tests one short candidate list (the atoms within
+/// the cutoff of the run's segment, in NeighborList::for_each_within
+/// order), and each receptor type's channels are copied per call into
+/// one bin-major slice, so a neighbour's samples sit in a few cache
+/// lines. Every map value keeps the bits of a per-point for_each_within
+/// loop over the tables. The calculator runs serially inside one
+/// activation; parallelism comes from the executor running many
+/// activations.
 
 #include <functional>
 

@@ -4,6 +4,7 @@
 /// The search-space point both engines optimise: a rigid-body pose plus
 /// one angle per rotatable bond, and the mutation/sampling moves on it.
 
+#include <utility>
 #include <vector>
 
 #include "dock/grid.hpp"
@@ -49,13 +50,16 @@ DockPose solis_wets(DockPose pose, const EnergyFn& energy, Rng& rng,
   double rho = initial_rho;
   int successes = 0;
   int failures = 0;
+  // One trial reused across iterations: assigning `pose` to it copies the
+  // torsions into its existing storage.
+  DockPose trial = pose;
   for (int it = 0; it < max_iterations && rho > min_rho; ++it) {
-    DockPose trial = pose;
+    trial = pose;
     trial.mutate(0.3 * rho, 0.25 * rho, 0.4 * rho, rng);
     const double e = energy(trial);
     if (e < best) {
       best = e;
-      pose = std::move(trial);
+      std::swap(pose, trial);
       ++successes;
       failures = 0;
     } else {

@@ -8,13 +8,12 @@ namespace scidock::dock {
 
 namespace {
 
-mol::Vec3 root_center(const mol::PreparedLigand& ligand) {
-  std::vector<mol::Vec3> pts;
-  for (int i : ligand.torsions.root_atoms()) {
-    pts.push_back(ligand.molecule.atom(i).pos);
-  }
-  if (pts.empty()) return ligand.molecule.center();
-  return mol::centroid(pts);
+/// The root-fragment centroid a random pose places, or the ligand centre
+/// for a tree without a root.
+mol::Vec3 placement_center(const mol::PreparedLigand& ligand,
+                           const mol::Vec3& root_center) {
+  return ligand.torsions.root_atoms().empty() ? ligand.molecule.center()
+                                              : root_center;
 }
 
 }  // namespace
@@ -25,7 +24,8 @@ Ad4EnergyModel::Ad4EnergyModel(const GridMapSet& maps,
     : maps_(maps), ligand_(ligand), weights_(weights),
       tables_(Ad4PairTables::shared(weights)),
       reference_coords_(ligand.molecule.coordinates()),
-      reference_center_(root_center(ligand)) {
+      rotation_center_(ligand.torsions.root_center(reference_coords_)),
+      reference_center_(placement_center(ligand, rotation_center_)) {
   SCIDOCK_REQUIRE(maps.scoring == ScoringFunction::Ad4,
                   "AD4 needs an AD4 map set, got a Vina one");
   // Fused sampling assumes every map shares the set's box; AutoGrid
@@ -84,13 +84,16 @@ double Ad4EnergyModel::intermolecular(const std::vector<mol::Vec3>& coords) cons
 
 double Ad4EnergyModel::intramolecular(const std::vector<mol::Vec3>& coords) const {
   double e = 0.0;
-  const Ad4PairTables& t = *tables_;
+  const double* coulomb = tables_->coulomb_channel();
+  const double* desolv = tables_->desolv_channel();
   for (const IntraPair& p : intra_pairs_) {
     const double d2 = mol::distance_sq(coords[static_cast<std::size_t>(p.i)],
                                        coords[static_cast<std::size_t>(p.j)]);
     if (d2 < Ad4PairTables::cutoff_sq()) {
-      e += t.vdw_hbond(p.ti, p.tj, d2) + p.qq * t.coulomb_factor(d2) +
-           p.solv * t.desolv_gauss(d2);
+      const lut::Bin bin = lut::bin(d2);
+      e += lut::interpolate(p.row, bin) +
+           p.qq * lut::interpolate(coulomb, bin) +
+           p.solv * lut::interpolate(desolv, bin);
     } else {
       // Intramolecular pairs in extended ligands exceed the table domain;
       // the analytic tail is cheap and already near zero out there.
@@ -102,8 +105,9 @@ double Ad4EnergyModel::intramolecular(const std::vector<mol::Vec3>& coords) cons
 
 double Ad4EnergyModel::operator()(const DockPose& pose) const {
   ++evaluations_;
-  const std::vector<mol::Vec3> coords = coords_for(pose);
-  return intermolecular(coords) + intramolecular(coords);
+  ligand_.torsions.apply_into(reference_coords_, rotation_center_, pose.rigid,
+                              pose.torsions, coords_);
+  return intermolecular(coords_) + intramolecular(coords_);
 }
 
 double Ad4EnergyModel::feb(double inter) const {
@@ -111,7 +115,10 @@ double Ad4EnergyModel::feb(double inter) const {
 }
 
 std::vector<mol::Vec3> Ad4EnergyModel::coords_for(const DockPose& pose) const {
-  return ligand_.torsions.apply(reference_coords_, pose.rigid, pose.torsions);
+  std::vector<mol::Vec3> coords;
+  ligand_.torsions.apply_into(reference_coords_, rotation_center_, pose.rigid,
+                              pose.torsions, coords);
+  return coords;
 }
 
 VinaEnergyModel::VinaEnergyModel(const GridMapSet& maps,
@@ -120,7 +127,8 @@ VinaEnergyModel::VinaEnergyModel(const GridMapSet& maps,
     : maps_(maps), ligand_(ligand), weights_(weights),
       tables_(VinaPairTables::shared(weights)),
       reference_coords_(ligand.molecule.coordinates()),
-      reference_center_(root_center(ligand)) {
+      rotation_center_(ligand.torsions.root_center(reference_coords_)),
+      reference_center_(placement_center(ligand, rotation_center_)) {
   SCIDOCK_REQUIRE(maps.scoring == ScoringFunction::Vina,
                   "Vina needs a Vina map set, got an AD4 one");
   atom_maps_.reserve(static_cast<std::size_t>(ligand.molecule.atom_count()));
@@ -182,8 +190,9 @@ double VinaEnergyModel::intramolecular(const std::vector<mol::Vec3>& coords) con
 
 double VinaEnergyModel::operator()(const DockPose& pose) const {
   ++evaluations_;
-  const std::vector<mol::Vec3> coords = coords_for(pose);
-  return intermolecular(coords) + intramolecular(coords);
+  ligand_.torsions.apply_into(reference_coords_, rotation_center_, pose.rigid,
+                              pose.torsions, coords_);
+  return intermolecular(coords_) + intramolecular(coords_);
 }
 
 double VinaEnergyModel::feb(double inter) const {
@@ -191,7 +200,10 @@ double VinaEnergyModel::feb(double inter) const {
 }
 
 std::vector<mol::Vec3> VinaEnergyModel::coords_for(const DockPose& pose) const {
-  return ligand_.torsions.apply(reference_coords_, pose.rigid, pose.torsions);
+  std::vector<mol::Vec3> coords;
+  ligand_.torsions.apply_into(reference_coords_, rotation_center_, pose.rigid,
+                              pose.torsions, coords);
+  return coords;
 }
 
 }  // namespace scidock::dock

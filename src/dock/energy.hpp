@@ -30,7 +30,9 @@ class Ad4EnergyModel {
   /// Ligand internal energy (pairwise, torsion-dependent).
   double intramolecular(const std::vector<mol::Vec3>& coords) const;
 
-  /// Objective on a pose; also counts one energy evaluation.
+  /// Objective on a pose: intermolecular + intramolecular of
+  /// coords_for(pose), computed into a model-owned buffer. Counts one
+  /// energy evaluation; a model is used by one thread at a time.
   double operator()(const DockPose& pose) const;
 
   /// Reported FEB: best intermolecular + torsional entropy penalty
@@ -66,9 +68,13 @@ class Ad4EnergyModel {
   Ad4Weights weights_;
   std::shared_ptr<const Ad4PairTables> tables_;
   std::vector<mol::Vec3> reference_coords_;
+  /// TorsionTree::root_center of the reference coordinates.
+  mol::Vec3 rotation_center_{};
   mol::Vec3 reference_center_{};
   std::vector<AtomChannels> channels_;
   std::vector<IntraPair> intra_pairs_;
+  /// operator()'s coordinates, reused across evaluations.
+  mutable std::vector<mol::Vec3> coords_;
   mutable long long evaluations_ = 0;
 };
 
@@ -111,6 +117,8 @@ class VinaEnergyModel {
   VinaWeights weights_;
   std::shared_ptr<const VinaPairTables> tables_;
   std::vector<mol::Vec3> reference_coords_;
+  /// TorsionTree::root_center of the reference coordinates.
+  mol::Vec3 rotation_center_{};
   mol::Vec3 reference_center_{};
   /// Per-ligand-atom map; nullptr for skip types (hydrogens), whose Vina
   /// term is zero everywhere.
@@ -118,6 +126,8 @@ class VinaEnergyModel {
   /// Skip-type pairs (hydrogens) contribute zero at every distance, so
   /// they are pruned at construction rather than tested per evaluation.
   std::vector<VinaIntraPair> intra_pairs_;
+  /// operator()'s coordinates, reused across evaluations.
+  mutable std::vector<mol::Vec3> coords_;
   mutable long long evaluations_ = 0;
 };
 

@@ -61,10 +61,15 @@ inline Bin bin(double r2) {
   return {lo, x - static_cast<double>(lo)};
 }
 
+/// The blend of two adjacent samples. Every table read uses this one
+/// association, so a value read through any layout of the same samples
+/// (AutoGrid's channel slices) keeps its bits.
+inline double lerp(double a, double b, double t) { return a + (b - a) * t; }
+
 /// Linear interpolation into one channel of kEntries + 1 samples uniform
 /// in r².
 inline double interpolate(const double* samples, Bin b) {
-  return samples[b.lo] + (samples[b.lo + 1] - samples[b.lo]) * b.t;
+  return lerp(samples[b.lo], samples[b.lo + 1], b.t);
 }
 
 inline double interpolate(const double* samples, double r2) {

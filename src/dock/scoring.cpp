@@ -20,6 +20,8 @@ double mehler_solmajer_dielectric(double r) {
 namespace {
 
 constexpr double kMinDistance = 0.5;  ///< clamp to avoid singularities
+/// NeighborList's bound on its dense cell array (4 MB of offsets).
+constexpr double kMaxCells = 1 << 20;
 
 bool is_hbond_pair(const mol::AdTypeParams& a, const mol::AdTypeParams& b) {
   return (a.hbond_donor && b.hbond_acceptor) ||
@@ -118,29 +120,91 @@ double vina_affinity(double intermolecular_energy, int n_rot,
 }
 
 NeighborList::NeighborList(const mol::Molecule& receptor, double cutoff)
-    : cutoff_(cutoff), cutoff_sq_(cutoff * cutoff) {
+    : cutoff_(cutoff), cutoff_sq_(cutoff * cutoff), edge_(cutoff) {
   SCIDOCK_ASSERT(cutoff > 0);
-  positions_.reserve(static_cast<std::size_t>(receptor.atom_count()));
-  for (const mol::Atom& a : receptor.atoms()) positions_.push_back(a.pos);
-  for (int i = 0; i < receptor.atom_count(); ++i) {
-    const CellKey c = key_of(positions_[static_cast<std::size_t>(i)]);
-    cells_[pack(c.x, c.y, c.z)].push_back(i);
+  const int n = receptor.atom_count();
+  positions_.reserve(static_cast<std::size_t>(n));
+  std::vector<int> placed;
+  mol::Vec3 lo{}, hi{};
+  for (int i = 0; i < n; ++i) {
+    const mol::Vec3& p = receptor.atom(i).pos;
+    positions_.push_back(p);
+    if (!std::isfinite(p.x) || !std::isfinite(p.y) || !std::isfinite(p.z)) {
+      continue;
+    }
+    if (placed.empty()) lo = hi = p;
+    lo = {std::min(lo.x, p.x), std::min(lo.y, p.y), std::min(lo.z, p.z)};
+    hi = {std::max(hi.x, p.x), std::max(hi.y, p.y), std::max(hi.z, p.z)};
+    placed.push_back(i);
+  }
+  cell_start_.assign(1, 0);
+  if (placed.empty()) return;
+
+  const auto cells_along = [this](double a, double b) {
+    return axis_cell(b) - axis_cell(a) + 1.0;
+  };
+  while (cells_along(lo.x, hi.x) * cells_along(lo.y, hi.y) *
+             cells_along(lo.z, hi.z) >
+         kMaxCells) {
+    edge_ *= 2.0;
+  }
+  origin_cell_[0] = axis_cell(lo.x);
+  origin_cell_[1] = axis_cell(lo.y);
+  origin_cell_[2] = axis_cell(lo.z);
+  dims_[0] = static_cast<int>(cells_along(lo.x, hi.x));
+  dims_[1] = static_cast<int>(cells_along(lo.y, hi.y));
+  dims_[2] = static_cast<int>(cells_along(lo.z, hi.z));
+
+  // Counting sort by cell; atoms enter each cell in index order.
+  const auto cell_of = [this](const mol::Vec3& p) {
+    const int cx = static_cast<int>(axis_cell(p.x) - origin_cell_[0]);
+    const int cy = static_cast<int>(axis_cell(p.y) - origin_cell_[1]);
+    const int cz = static_cast<int>(axis_cell(p.z) - origin_cell_[2]);
+    return static_cast<std::size_t>((cx * dims_[1] + cy) * dims_[2] + cz);
+  };
+  const std::size_t ncells = static_cast<std::size_t>(dims_[0]) *
+                             static_cast<std::size_t>(dims_[1]) *
+                             static_cast<std::size_t>(dims_[2]);
+  cell_start_.assign(ncells + 1, 0);
+  for (int i : placed) ++cell_start_[cell_of(positions_[static_cast<std::size_t>(i)]) + 1];
+  for (std::size_t c = 0; c < ncells; ++c) cell_start_[c + 1] += cell_start_[c];
+  cell_atoms_.resize(placed.size());
+  std::vector<int> fill(cell_start_.begin(), cell_start_.end() - 1);
+  for (int i : placed) {
+    const std::size_t c = cell_of(positions_[static_cast<std::size_t>(i)]);
+    cell_atoms_[static_cast<std::size_t>(fill[c]++)] = i;
   }
 }
 
-NeighborList::CellKey NeighborList::key_of(const mol::Vec3& p) const {
-  return {static_cast<long long>(std::floor(p.x / cutoff_)),
-          static_cast<long long>(std::floor(p.y / cutoff_)),
-          static_cast<long long>(std::floor(p.z / cutoff_))};
+bool NeighborList::cell_range(const mol::Vec3& p, int lo[3], int hi[3]) const {
+  const double v[3] = {p.x, p.y, p.z};
+  for (int a = 0; a < 3; ++a) {
+    const double c = axis_cell(v[a]) - origin_cell_[a];
+    const double first = std::max(c - 1.0, 0.0);
+    const double last = std::min(c + 1.0, static_cast<double>(dims_[a] - 1));
+    // Also false for a NaN coordinate.
+    if (!(first <= last)) return false;
+    lo[a] = static_cast<int>(first);
+    hi[a] = static_cast<int>(last);
+  }
+  return true;
 }
 
-std::uint64_t NeighborList::pack(long long x, long long y, long long z) {
-  // 21 bits per signed coordinate: |coord| < 2^20 cells covers +-8000 km at
-  // an 8 Å cutoff, far beyond any molecular system.
-  const auto fold = [](long long v) {
-    return static_cast<std::uint64_t>(v + (1LL << 20)) & ((1ULL << 21) - 1);
-  };
-  return fold(x) | (fold(y) << 21) | (fold(z) << 42);
+void NeighborList::segment_candidates(const mol::Vec3& p, double x_end,
+                                      std::vector<int>& out) const {
+  out.clear();
+  for_each_candidate(p, [&](int idx) {
+    const mol::Vec3& a = positions_[static_cast<std::size_t>(idx)];
+    double dx = 0.0;
+    if (a.x < p.x) {
+      dx = a.x - p.x;
+    } else if (a.x > x_end) {
+      dx = a.x - x_end;
+    }
+    const double dy = a.y - p.y;
+    const double dz = a.z - p.z;
+    if (dx * dx + dy * dy + dz * dz <= cutoff_sq_) out.push_back(idx);
+  });
 }
 
 std::vector<std::pair<int, int>> intramolecular_pairs(const mol::Molecule& ligand) {

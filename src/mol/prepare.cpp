@@ -1,5 +1,7 @@
 #include "mol/prepare.hpp"
 
+#include <utility>
+
 #include "mol/charges.hpp"
 #include "util/error.hpp"
 
@@ -53,6 +55,13 @@ PreparedReceptor prepare_receptor(Molecule receptor) {
   assign_gasteiger_charges(cleaned);
   std::string pdbqt = write_pdbqt_rigid(cleaned);
   return PreparedReceptor{std::move(cleaned), std::move(pdbqt)};
+}
+
+PreparedReceptor read_prepared_receptor(std::string pdbqt) {
+  PdbqtModel model = read_pdbqt(pdbqt);
+  model.molecule.infer_bonds_from_geometry();
+  model.molecule.perceive(/*retype=*/false);
+  return PreparedReceptor{std::move(model.molecule), std::move(pdbqt)};
 }
 
 }  // namespace scidock::mol

@@ -37,4 +37,9 @@ PreparedLigand prepare_ligand(Molecule ligand);
 /// provenance queries).
 PreparedReceptor prepare_receptor(Molecule receptor);
 
+/// A prepared receptor as the activities after preparation read it back
+/// from its PDBQT text: bonds inferred from geometry, the written
+/// AutoDock types and charges kept.
+PreparedReceptor read_prepared_receptor(std::string pdbqt);
+
 }  // namespace scidock::mol

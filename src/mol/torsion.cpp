@@ -174,32 +174,43 @@ TorsionTree TorsionTree::from_branches(std::vector<TorsionBranch> branches,
 std::vector<Vec3> TorsionTree::apply(const std::vector<Vec3>& reference,
                                      const Pose& pose,
                                      const std::vector<double>& torsion_angles) const {
+  std::vector<Vec3> coords;
+  apply_into(reference, root_center(reference), pose, torsion_angles, coords);
+  return coords;
+}
+
+Vec3 TorsionTree::root_center(const std::vector<Vec3>& reference) const {
+  std::vector<Vec3> root_ref;
+  root_ref.reserve(root_atoms_.size());
+  for (int i : root_atoms_) root_ref.push_back(reference[static_cast<std::size_t>(i)]);
+  return root_ref.empty() ? Vec3{} : centroid(root_ref);
+}
+
+void TorsionTree::apply_into(const std::vector<Vec3>& reference,
+                             const Vec3& root_center, const Pose& pose,
+                             const std::vector<double>& torsion_angles,
+                             std::vector<Vec3>& out) const {
   SCIDOCK_ASSERT(static_cast<int>(torsion_angles.size()) == torsion_count());
-  std::vector<Vec3> coords = reference;
+  out.assign(reference.begin(), reference.end());
 
   // Torsions first (about axes in the reference frame, parents before
   // children so child axes are taken from already-rotated coordinates) ...
   for (std::size_t bi = 0; bi < branches_.size(); ++bi) {
     const TorsionBranch& br = branches_[bi];
-    const Vec3 origin = coords[static_cast<std::size_t>(br.atom_from)];
-    const Vec3 axis = coords[static_cast<std::size_t>(br.atom_to)] - origin;
+    const Vec3 origin = out[static_cast<std::size_t>(br.atom_from)];
+    const Vec3 axis = out[static_cast<std::size_t>(br.atom_to)] - origin;
     const Quaternion q = Quaternion::from_axis_angle(axis, torsion_angles[bi]);
     for (int atom : br.moving_atoms) {
-      auto& p = coords[static_cast<std::size_t>(atom)];
+      auto& p = out[static_cast<std::size_t>(atom)];
       p = q.rotate(p - origin) + origin;
     }
   }
 
   // ... then the rigid-body pose about the root-fragment centroid. A rigid
   // transform preserves the internal geometry the torsions just set.
-  std::vector<Vec3> root_ref;
-  root_ref.reserve(root_atoms_.size());
-  for (int i : root_atoms_) root_ref.push_back(reference[static_cast<std::size_t>(i)]);
-  const Vec3 root_center = root_ref.empty() ? Vec3{} : centroid(root_ref);
-  for (Vec3& p : coords) {
+  for (Vec3& p : out) {
     p = pose.rotation.rotate(p - root_center) + root_center + pose.translation;
   }
-  return coords;
 }
 
 }  // namespace scidock::mol

@@ -48,10 +48,21 @@ class TorsionTree {
 
   /// Produce coordinates from reference coordinates + pose + torsions.
   /// `torsion_angles` must have torsion_count() entries (radians).
-  /// The rigid pose rotates about the reference root-fragment centroid.
+  /// The rigid pose rotates about root_center(reference).
   std::vector<Vec3> apply(const std::vector<Vec3>& reference,
                           const Pose& pose,
                           const std::vector<double>& torsion_angles) const;
+
+  /// The centroid of the root atoms' reference coordinates (the origin
+  /// when the root is empty): the point the rigid pose rotates about.
+  Vec3 root_center(const std::vector<Vec3>& reference) const;
+
+  /// apply() into `out`, with `root_center` = root_center(reference)
+  /// computed once by the caller. The energy models evaluate through
+  /// this with a buffer they own, so an evaluation allocates nothing.
+  void apply_into(const std::vector<Vec3>& reference, const Vec3& root_center,
+                  const Pose& pose, const std::vector<double>& torsion_angles,
+                  std::vector<Vec3>& out) const;
 
  private:
   std::vector<TorsionBranch> branches_;

@@ -31,8 +31,7 @@ constexpr std::size_t kActAttempts = 8;
 constexpr const char* kDimTables[] = {"hworkflow", "hactivity", "hmachine"};
 constexpr const char* kFactTables[] = {"hactivation", "hfile", "hvalue"};
 
-std::string export_prov_n_impl(sql::Database& db) {
-  sql::Engine engine(db);
+std::string export_prov_n_impl(sql::Engine& engine) {
   std::string out = "document\n  prefix scidock <urn:scidock:>\n\n";
 
   for (const sql::Row& row :
@@ -407,8 +406,8 @@ void ProvenanceStore::set_metrics(obs::MetricsRegistry* registry) {
       .set(static_cast<double>(recovery_.orphan_rows));
 }
 
-sql::ResultSet ProvenanceStore::query(std::string_view sql_text) {
-  bump(rates_.queries);
+template <typename Fn>
+auto ProvenanceStore::with_shard_engine(Fn&& fn) {
   std::vector<std::unique_ptr<MutexLock>> locks;
   std::vector<sql::Database*> dbs;
   locks.reserve(shards_.size());
@@ -419,7 +418,13 @@ sql::ResultSet ProvenanceStore::query(std::string_view sql_text) {
   }
   sql::Engine engine(std::move(dbs),
                      {std::begin(kFactTables), std::end(kFactTables)});
-  return engine.execute(sql_text);
+  return std::forward<Fn>(fn)(engine);
+}
+
+sql::ResultSet ProvenanceStore::query(std::string_view sql_text) {
+  bump(rates_.queries);
+  return with_shard_engine(
+      [sql_text](sql::Engine& engine) { return engine.execute(sql_text); });
 }
 
 long long ProvenanceStore::begin_workflow(std::string_view tag,
@@ -586,21 +591,23 @@ void ProvenanceStore::record_value(long long taskid, std::string_view key,
 }
 
 std::string ProvenanceStore::export_prov_n() {
-  return with_database(
-      [](sql::Database& db) { return export_prov_n_impl(db); });
+  return with_shard_engine(
+      [](sql::Engine& engine) { return export_prov_n_impl(engine); });
 }
 
 std::string ProvenanceStore::content_digest() {
-  return with_database([](sql::Database& db) {
-    std::string out;
-    for (const char* name :
-         {"hmachine", "hworkflow", "hactivity", "hactivation", "hfile",
-          "hvalue"}) {
-      // Row order differs between a live store and its replayed twin
-      // (shard interleaving), so combine per-row hashes commutatively.
-      std::uint64_t acc_xor = 0;
-      std::uint64_t acc_sum = 0;
-      for (const sql::Row& row : db.table(name).rows()) {
+  // Row order differs between a live store and its replayed twin (shard
+  // interleaving), so per-row hashes combine commutatively. Each shard's
+  // rows are hashed in place under that shard's own lock.
+  std::string out;
+  const auto digest_table = [this, &out](const char* name,
+                                         std::size_t shard_count) {
+    std::uint64_t acc_xor = 0;
+    std::uint64_t acc_sum = 0;
+    for (std::size_t k = 0; k < shard_count; ++k) {
+      Shard& shard = *shards_[k];
+      MutexLock lock(shard.mutex);
+      for (const sql::Row& row : shard.db.table(name).rows()) {
         std::string repr;
         for (const sql::Value& v : row) {
           if (v.is_null()) {
@@ -617,12 +624,17 @@ std::string ProvenanceStore::content_digest() {
         acc_xor ^= h;
         acc_sum += h;
       }
-      out += strformat("%s:%016llx%016llx;", name,
-                       static_cast<unsigned long long>(acc_xor),
-                       static_cast<unsigned long long>(acc_sum));
     }
-    return out;
-  });
+    out += strformat("%s:%016llx%016llx;", name,
+                     static_cast<unsigned long long>(acc_xor),
+                     static_cast<unsigned long long>(acc_sum));
+  };
+  // Dimension tables live in shard 0, fact tables in every shard.
+  for (const char* name : {"hmachine", "hworkflow", "hactivity"}) {
+    digest_table(name, 1);
+  }
+  for (const char* name : kFactTables) digest_table(name, shards_.size());
+  return out;
 }
 
 std::size_t ProvenanceStore::abort_open_activations(double now) {

@@ -281,6 +281,10 @@ class ProvenanceStore {
   bool commit_once();
 
   sql::Database snapshot_database();
+  /// Run `fn(sql::Engine&)` over every shard in place, all shard locks
+  /// held: the engine query() and export_prov_n() read through.
+  template <typename Fn>
+  auto with_shard_engine(Fn&& fn);
 
   static void bump(const std::atomic<obs::Counter*>& counter,
                    long long delta = 1) {

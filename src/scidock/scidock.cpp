@@ -133,11 +133,7 @@ std::shared_ptr<const mol::PreparedReceptor> load_receptor(
     std::shared_ptr<ArtifactCache> cache, ActivationContext& ctx,
     const std::string& path) {
   if (auto hit = cache->receptor(path)) return hit;
-  const std::string text = ctx.fs->read(path);
-  mol::PdbqtModel model = mol::read_pdbqt(text);
-  model.molecule.infer_bonds_from_geometry();
-  model.molecule.perceive(/*retype=*/false);
-  cache->put_receptor(path, mol::PreparedReceptor{std::move(model.molecule), text});
+  cache->put_receptor(path, mol::read_prepared_receptor(ctx.fs->read(path)));
   return cache->receptor(path);
 }
 

@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "dock/autogrid.hpp"
 #include "dock/dpf.hpp"
@@ -13,6 +16,7 @@
 #include "dock/scoring.hpp"
 #include "mol/molecule.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace scidock::dock {
 namespace {
@@ -240,6 +244,67 @@ TEST(NeighborList, MatchesBruteForceEverywhere) {
       }
       EXPECT_EQ(fast, brute) << qx << "," << qy;
     }
+  }
+}
+
+TEST(NeighborList, SegmentCandidatesKeepEveryPointsNeighbours) {
+  mol::Molecule m{"cloud"};
+  Rng rng(71);
+  for (int i = 0; i < 300; ++i) {
+    mol::Atom a;
+    a.element = Element::C;
+    a.pos = {rng.uniform(-20, 20), rng.uniform(-20, 20), rng.uniform(-20, 20)};
+    m.add_atom(a);
+  }
+  const NeighborList nl(m, 8.0);
+  std::vector<int> candidates;
+  for (int trial = 0; trial < 200; ++trial) {
+    // A run of points along x inside one cell, as AutoGrid's rows have.
+    const double y = rng.uniform(-30, 30);
+    const double z = rng.uniform(-30, 30);
+    const double cell = nl.axis_cell(rng.uniform(-30, 30));
+    const double x0 = cell * 8.0 + rng.uniform(0.0, 4.0);
+    const double x1 = std::min(x0 + rng.uniform(0.0, 6.0), cell * 8.0 + 7.99);
+    nl.segment_candidates({x0, y, z}, x1, candidates);
+    for (double x = x0; x <= x1; x += 0.55) {
+      std::vector<std::pair<int, double>> want;
+      nl.for_each_within({x, y, z}, [&](int idx, double d2) {
+        want.emplace_back(idx, d2);
+      });
+      std::vector<std::pair<int, double>> got;
+      for (int idx : candidates) {
+        const double d2 = mol::distance_sq(m.atom(idx).pos, {x, y, z});
+        if (d2 <= 64.0) got.emplace_back(idx, d2);
+      }
+      EXPECT_EQ(got, want) << "segment " << x0 << ".." << x1 << " at " << x;
+    }
+  }
+}
+
+TEST(NeighborList, FarFlungAndNonFiniteAtoms) {
+  // Atoms 2e7 Å apart would need ~10^20 cells of 8 Å; the list widens its
+  // cells instead, and an atom with a NaN coordinate is nobody's
+  // neighbour.
+  mol::Molecule m{"far"};
+  const Vec3 positions[] = {{-1e7, 0, 0}, {1e7, 5, -5}, {0, 0, 0}, {3, 4, 0},
+                            {std::nan(""), 0, 0}, {-1e7 + 2, 0, 1}};
+  for (const Vec3& p : positions) {
+    mol::Atom a;
+    a.element = Element::C;
+    a.pos = p;
+    m.add_atom(a);
+  }
+  const NeighborList nl(m, 8.0);
+  for (const Vec3& q : {Vec3{0, 0, 0}, Vec3{-1e7, 0, 0}, Vec3{1e7, 5, -1},
+                        Vec3{5e6, 0, 0}, Vec3{std::nan(""), 0, 0}}) {
+    std::vector<int> fast;
+    nl.for_each_within(q, [&](int idx, double) { fast.push_back(idx); });
+    std::vector<int> brute;
+    for (int i = 0; i < m.atom_count(); ++i) {
+      if (mol::distance_sq(m.atom(i).pos, q) <= 64.0) brute.push_back(i);
+    }
+    std::sort(fast.begin(), fast.end());
+    EXPECT_EQ(fast, brute) << q.x;
   }
 }
 

@@ -4,9 +4,13 @@
 //     tolerance (and exactly reproduce clamp/cutoff behaviour);
 //   - fused trilinear sampling is bit-identical to per-map sampling;
 //   - AutoGrid's AD4 and Vina channel sweeps equal brute-force sums of
-//     the pair tables over every receptor atom, Vina's map energy of a
-//     pose stays within a measured bound of the exact sum, and every mode
-//     Vina reports carries the exact sum;
+//     the pair tables over every receptor atom (also at the cutoff along
+//     a row, past the receptor's cells, at negative coordinates and for
+//     one atom), their map bytes on pipeline receptors match pinned
+//     digests, Vina's map energy of a pose stays within a measured bound
+//     of the exact sum, and every mode Vina reports carries the exact sum;
+//   - an energy model's objective is exactly the intermolecular plus
+//     intramolecular energy of coords_for(pose);
 //   - AutoGrid reports every z-slab to its observer, and scoring a pose
 //     for the report does not count as an energy evaluation;
 //   - the single-flight grid-map cache computes once per key, propagates
@@ -23,6 +27,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -36,10 +41,12 @@
 #include "dock/grid.hpp"
 #include "dock/scoring.hpp"
 #include "dock/vina.hpp"
+#include "mol/io_pdb.hpp"
 #include "mol/prepare.hpp"
 #include "obs/obs.hpp"
 #include "scidock/experiment.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace scidock::dock {
 namespace {
@@ -296,6 +303,251 @@ TEST(KernelBruteForce, VinaMapPointMatchesPairEnergySum) {
     EXPECT_NEAR(map.at(ix, iy, iz), brute, 1e-9 * scale)
         << mol::ad_type_name(type);
   }
+}
+
+// ------------------------------------------------- AutoGrid map bits
+//
+// Every docking digest downstream depends on the exact bits of the maps:
+// the neighbour order of NeighborList::for_each_within and the
+// a + (b - a) * t association of each LUT channel fix them. The digests
+// are fnv1a64 over the raw (little-endian) bytes of every map of a set:
+// the affinity maps in set order, then e and d.
+
+/// A receptor as the pipeline's AutoGrid sees it: generated PDB, parsed,
+/// prepared to PDBQT, parsed again with geometry-inferred bonds. Without
+/// the round trip a prepared receptor has no bonds, so every Gasteiger
+/// charge is 0 and the electrostatic map is all zeros.
+mol::PreparedReceptor pipeline_receptor(const std::string& code) {
+  return mol::read_prepared_receptor(
+      mol::prepare_receptor(
+          mol::read_pdb(mol::write_pdb(data::make_receptor(code)), code))
+          .pdbqt);
+}
+
+std::string map_bits_digest(const GridMapSet& set) {
+  std::string bytes;
+  const auto add = [&bytes](const GridMap& map) {
+    bytes.append(reinterpret_cast<const char*>(map.values().data()),
+                 map.values().size() * sizeof(double));
+  };
+  for (const auto& entry : set.affinity) add(entry.second);
+  add(set.electrostatic);
+  add(set.desolvation);
+  return strformat("%016llx",
+                   static_cast<unsigned long long>(fnv1a64(bytes)));
+}
+
+TEST(AutogridBits, PipelineReceptorDigestsArePinned) {
+  struct Case {
+    const char* receptor;
+    ScoringFunction scoring;
+    const char* digest;
+    std::size_t max_degree;  ///< most geometry-inferred bonds on one atom
+  };
+  // Captured before the map sweep was restructured.
+  const Case cases[] = {
+      {"1AEC", ScoringFunction::Ad4, "7580d3ce5e84412f", 6},
+      {"1AEC", ScoringFunction::Vina, "389f67228fdfe1a1", 6},
+      {"1BGO", ScoringFunction::Ad4, "d7fa6605b372f1f6", 30},
+      {"1BGO", ScoringFunction::Vina, "309feca8bc83e6db", 30},
+  };
+  const mol::PreparedLigand lig = mol::prepare_ligand(data::make_ligand("042"));
+  for (const Case& c : cases) {
+    const mol::PreparedReceptor rec = pipeline_receptor(c.receptor);
+    std::size_t max_degree = 0;
+    for (int i = 0; i < rec.molecule.atom_count(); ++i) {
+      max_degree = std::max(max_degree, rec.molecule.neighbors(i).size());
+    }
+    EXPECT_EQ(max_degree, c.max_degree) << c.receptor;
+    const GridParameterFile gpf =
+        make_screening_gpf(rec.molecule, lig.molecule, 4.0, 0.55);
+    const GridMapSet set = GridMapCalculator(rec.molecule)
+                               .calculate(gpf.box, gpf.ligand_types, c.scoring);
+    if (c.scoring == ScoringFunction::Ad4) {
+      const auto& e = set.electrostatic.values();
+      EXPECT_TRUE(std::any_of(e.begin(), e.end(),
+                              [](double v) { return v != 0.0; }))
+          << c.receptor << ": the round trip lost the charges";
+    }
+    EXPECT_EQ(map_bits_digest(set), c.digest)
+        << c.receptor << (c.scoring == ScoringFunction::Ad4 ? " AD4" : " Vina");
+  }
+}
+
+/// Every map value of `scoring`'s set over `box` against the sum, in atom
+/// order, of the pair terms of every receptor atom within the cutoff
+/// (r² <= 64 Å², the sweep's inclusive test).
+void expect_sweep_matches_brute_force(const mol::Molecule& rec,
+                                      const GridBox& box,
+                                      ScoringFunction scoring) {
+  const std::vector<AdType> types{AdType::C, AdType::OA, AdType::N,
+                                  AdType::HD};
+  const GridMapSet set = GridMapCalculator(rec).calculate(box, types, scoring);
+  const bool ad4 = scoring == ScoringFunction::Ad4;
+  const auto ad4_tables = Ad4PairTables::shared(Ad4Weights{});
+  const auto vina_tables = VinaPairTables::shared(VinaWeights{});
+  const mol::Vec3 origin = box.origin();
+  int mismatches = 0;
+  int contributions = 0;
+  for (int iz = 0; iz < box.npts[2]; ++iz) {
+    for (int iy = 0; iy < box.npts[1]; ++iy) {
+      for (int ix = 0; ix < box.npts[0]; ++ix) {
+        const mol::Vec3 p{origin.x + ix * box.spacing,
+                          origin.y + iy * box.spacing,
+                          origin.z + iz * box.spacing};
+        std::vector<std::pair<const GridMap*, double>> expect;
+        for (const auto& [type, map] : set.affinity) expect.emplace_back(&map, 0.0);
+        double elec = 0.0, desolv = 0.0, scale = 1.0;
+        for (const mol::Atom& a : rec.atoms()) {
+          const double d2 = mol::distance_sq(a.pos, p);
+          if (d2 > lut::kCutoffSq) continue;
+          ++contributions;
+          if (ad4) {
+            const double terms[] = {
+                a.partial_charge * ad4_tables->coulomb_factor(d2),
+                mol::ad_type_params(a.ad_type).volume *
+                    ad4_tables->desolv_gauss(d2)};
+            elec += terms[0];
+            desolv += terms[1];
+            for (double t : terms) scale += std::abs(t);
+          }
+          for (std::size_t t = 0; t < expect.size(); ++t) {
+            const AdType lt = set.affinity[t].first;
+            const double e =
+                ad4 ? ad4_tables->vdw_hbond(lt, a.ad_type, d2)
+                    : vina_tables->pair_energy(lt, a.ad_type, d2);
+            expect[t].second += e;
+            scale += std::abs(e);
+          }
+        }
+        const auto check = [&](double got, double want, const char* what) {
+          if (std::abs(got - want) <= 1e-9 * scale) return;
+          if (++mismatches <= 3) {
+            ADD_FAILURE() << what << " at (" << ix << "," << iy << "," << iz
+                          << "): sweep " << got << ", brute force " << want;
+          }
+        };
+        if (ad4) {
+          check(set.electrostatic.at(ix, iy, iz), elec, "e");
+          check(set.desolvation.at(ix, iy, iz), desolv, "d");
+        }
+        for (const auto& [map, want] : expect) {
+          check(map->at(ix, iy, iz), want, map->label().c_str());
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+  EXPECT_GT(contributions, 0);
+}
+
+/// A hand-built receptor: `atoms` as (type, position, charge).
+mol::Molecule hand_receptor(
+    const std::vector<std::tuple<AdType, mol::Vec3, double>>& atoms) {
+  mol::Molecule m{"hand"};
+  for (const auto& [type, pos, charge] : atoms) {
+    mol::Atom a;
+    a.element = type == AdType::OA ? mol::Element::O
+                : type == AdType::N ? mol::Element::N
+                                    : mol::Element::C;
+    a.ad_type = type;
+    a.pos = pos;
+    a.partial_charge = charge;
+    m.add_atom(a);
+  }
+  m.perceive(/*retype=*/false);
+  return m;
+}
+
+TEST(AutogridBits, AtomExactlyAtCutoffAlongRowIsKept) {
+  // Box points x = 0..4 on every row; the first atom sits exactly 8 Å past
+  // the row's last point, the second exactly 8 Å before its first point
+  // (in the cell below zero), the third just past the cutoff.
+  GridBox box;
+  box.center = {2.0, 1.0, 1.0};
+  box.npts = {9, 5, 5};
+  box.spacing = 0.5;
+  ASSERT_EQ(box.origin().x, 0.0);
+  const mol::Molecule rec = hand_receptor({
+      {AdType::OA, {12.0, 1.0, 1.0}, -0.4},
+      {AdType::N, {-8.0, 2.0, 0.0}, 0.3},
+      {AdType::C, {12.0 + 1.0 / 64.0, 0.0, 0.0}, 0.2},
+  });
+  expect_sweep_matches_brute_force(rec, box, ScoringFunction::Ad4);
+  expect_sweep_matches_brute_force(rec, box, ScoringFunction::Vina);
+  // The points the first two atoms reach at exactly 8 Å carry their terms
+  // and nothing else.
+  const GridMapSet set =
+      GridMapCalculator(rec).calculate(box, {AdType::C}, ScoringFunction::Ad4);
+  const auto tables = Ad4PairTables::shared(Ad4Weights{});
+  EXPECT_EQ(set.electrostatic.at(8, 2, 2), -0.4 * tables->coulomb_factor(64.0));
+  EXPECT_EQ(set.electrostatic.at(0, 4, 0), 0.3 * tables->coulomb_factor(64.0));
+  EXPECT_EQ(set.electrostatic.at(7, 2, 2), 0.0);
+}
+
+TEST(AutogridBits, BoxPastReceptorCellsAndNegativeCoordinates) {
+  mol::PreparedReceptor rec =
+      mol::prepare_receptor(data::make_receptor("1BRF", tiny()));
+  // The box reaches two cells past the receptor on every side.
+  const GridBox wide = GridBox::around(rec.molecule.center(), 24.0, 1.5);
+  expect_sweep_matches_brute_force(rec.molecule, wide, ScoringFunction::Ad4);
+  expect_sweep_matches_brute_force(rec.molecule, wide, ScoringFunction::Vina);
+
+  std::vector<mol::Vec3> coords = rec.molecule.coordinates();
+  for (mol::Vec3& c : coords) c = c + mol::Vec3{-150.25, -75.5, -40.125};
+  rec.molecule.set_coordinates(coords);
+  const GridBox shifted = GridBox::around(rec.molecule.center(), 9.0, 0.75);
+  expect_sweep_matches_brute_force(rec.molecule, shifted, ScoringFunction::Ad4);
+  expect_sweep_matches_brute_force(rec.molecule, shifted, ScoringFunction::Vina);
+}
+
+TEST(AutogridBits, OneAtomReceptor) {
+  const mol::Molecule rec =
+      hand_receptor({{AdType::N, {0.3, -0.2, 0.1}, -0.35}});
+  const GridBox box = GridBox::around({0.0, 0.0, 0.0}, 10.0, 0.75);
+  expect_sweep_matches_brute_force(rec, box, ScoringFunction::Ad4);
+  expect_sweep_matches_brute_force(rec, box, ScoringFunction::Vina);
+}
+
+// ------------------------------------------------- energy evaluation
+
+TEST(EnergyModel, EvaluationIsTheTermsOfCoordsFor) {
+  const auto opts = tiny();
+  const mol::PreparedReceptor rec =
+      mol::prepare_receptor(data::make_receptor("1AIM", opts));
+  const mol::PreparedLigand lig =
+      mol::prepare_ligand(data::make_ligand("0E6", opts));
+  const GridBox box = GridBox::around(rec.molecule.center(), 9.0, 0.75);
+  const GridMapCalculator calc(rec.molecule);
+  const GridMapSet ad4_maps = calc.calculate(box, screening_ligand_types());
+  const GridMapSet vina_maps = calc.calculate(box, screening_ligand_types(),
+                                              ScoringFunction::Vina);
+  const Ad4EnergyModel ad4(ad4_maps, lig);
+  const VinaEnergyModel vina(vina_maps, lig);
+  const auto tables = Ad4PairTables::shared(Ad4Weights{});
+  const auto pairs = intramolecular_pairs(lig.molecule);
+  Rng rng(59);
+  for (int i = 0; i < 40; ++i) {
+    const DockPose pose = DockPose::random(box, ad4.reference_center(),
+                                           lig.torsions.torsion_count(), rng);
+    const std::vector<mol::Vec3> c = ad4.coords_for(pose);
+    EXPECT_EQ(ad4(pose), ad4.intermolecular(c) + ad4.intramolecular(c));
+    EXPECT_EQ(vina(pose), vina.intermolecular(c) + vina.intramolecular(c));
+    EXPECT_EQ(vina.coords_for(pose), c);
+    // The AD4 intramolecular sum is the pair kernel's, bit for bit.
+    double intra = 0.0;
+    for (const auto& [a, b] : pairs) {
+      const mol::Atom& ai = lig.molecule.atom(a);
+      const mol::Atom& aj = lig.molecule.atom(b);
+      intra += tables->pair_energy(
+          ai.ad_type, ai.partial_charge, aj.ad_type, aj.partial_charge,
+          mol::distance_sq(c[static_cast<std::size_t>(a)],
+                           c[static_cast<std::size_t>(b)]));
+    }
+    EXPECT_EQ(ad4.intramolecular(c), intra);
+  }
+  EXPECT_EQ(ad4.evaluations(), 40);
+  EXPECT_EQ(vina.evaluations(), 40);
 }
 
 TEST(KernelBruteForce, VinaMapPoseErrorIsBounded) {
