@@ -42,6 +42,7 @@
 #include "sql/engine.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
+#include "vfs/vfs.hpp"
 #include "wf/spec.hpp"
 #include "xml/xml.hpp"
 
@@ -86,7 +87,8 @@ struct DockFixture {
 
 /// AutoGrid at the pipeline's shape: a receptor of the default dataset
 /// read back through its PDB and PDBQT files as the AutoGrid activity
-/// reads it, and the screening GPF's box and type set at 0.55 Å.
+/// reads it, and the screening GPF at 0.55 Å with the type set of a
+/// campaign over the 42 Table 2 ligands (their census).
 struct ScreeningFixture {
   mol::PreparedReceptor receptor;
   dock::GridParameterFile gpf;
@@ -98,8 +100,15 @@ struct ScreeningFixture {
               mol::read_pdb(mol::write_pdb(data::make_receptor("2HHN")), "2HHN"))
               .pdbqt);
       const mol::PreparedLigand lig = mol::prepare_ligand(data::make_ligand("0E6"));
-      dock::GridParameterFile gpf =
-          dock::make_screening_gpf(rec.molecule, lig.molecule, 4.0, 0.55);
+      vfs::SharedFileSystem fs;
+      data::stage_dataset(fs, "/bench", {}, data::table2_ligands());
+      std::vector<std::string> ligand_files;
+      for (const std::string& code : data::table2_ligands()) {
+        ligand_files.push_back("/bench/input/" + code + ".sdf");
+      }
+      dock::GridParameterFile gpf = dock::make_screening_gpf(
+          rec.molecule, lig.molecule, 4.0, 0.55,
+          core::ligand_type_census(fs, ligand_files));
       return ScreeningFixture{std::move(rec), std::move(gpf)};
     }();
     return fixture;

@@ -4,6 +4,7 @@
 #include <array>
 #include <chrono>
 #include <cmath>
+#include <set>
 #include <sstream>
 #include <utility>
 
@@ -21,6 +22,15 @@ static_assert(kCutoff <= lut::kCutoff,
 /// Screening GPF canonicalisation: half-extent floor and rounding step, Å.
 constexpr double kScreeningMinHalfExtent = 12.0;
 constexpr double kScreeningQuantum = 4.0;
+
+/// The AD types present in `ligand`: a perceived molecule keeps the types
+/// it carries (a PDBQT's are authoritative), any other is typed on a copy.
+std::vector<mol::AdType> types_present(const mol::Molecule& ligand) {
+  if (ligand.perceived()) return ligand.ad_types_present();
+  mol::Molecule lig = ligand;
+  lig.perceive();
+  return lig.ad_types_present();
+}
 }  // namespace
 
 GridMapCalculator::GridMapCalculator(const mol::Molecule& receptor,
@@ -258,9 +268,7 @@ GridMapSet GridMapCalculator::calculate(const GridBox& box,
 GridMapSet ligand_maps(const mol::Molecule& receptor,
                        const mol::Molecule& ligand, const GridBox& box,
                        ScoringFunction scoring) {
-  mol::Molecule lig = ligand;  // ad_types_present needs perceive()
-  lig.perceive();
-  return GridMapCalculator(receptor).calculate(box, lig.ad_types_present(),
+  return GridMapCalculator(receptor).calculate(box, types_present(ligand),
                                                scoring);
 }
 
@@ -303,9 +311,9 @@ GridParameterFile GridParameterFile::parse(std::string_view text) {
     } else if (fields[0] == "spacing" && fields.size() >= 2) {
       gpf.box.spacing = parse_grid_spacing(fields[1], "gpf spacing");
     } else if (fields[0] == "gridcenter" && fields.size() >= 4) {
-      gpf.box.center = {parse_double(fields[1], "gpf center"),
-                        parse_double(fields[2], "gpf center"),
-                        parse_double(fields[3], "gpf center")};
+      gpf.box.center = {parse_finite_double(fields[1], "gpf center"),
+                        parse_finite_double(fields[2], "gpf center"),
+                        parse_finite_double(fields[3], "gpf center")};
     } else if (fields[0] == "ligand_types") {
       for (std::size_t i = 1; i < fields.size(); ++i) {
         const auto t = mol::ad_type_from_name(fields[i]);
@@ -327,11 +335,7 @@ GridParameterFile make_gpf(const mol::Molecule& receptor,
   const double half_extent =
       std::max(ligand.radius_of_gyration() * 2.0 + box_padding, 8.0);
   gpf.box = GridBox::around(receptor.center(), half_extent, spacing);
-  {
-    mol::Molecule lig = ligand;
-    lig.perceive();
-    gpf.ligand_types = lig.ad_types_present();
-  }
+  gpf.ligand_types = types_present(ligand);
   gpf.receptor_file = receptor.name() + ".pdbqt";
   gpf.ligand_file = ligand.name() + ".pdbqt";
   return gpf;
@@ -339,7 +343,8 @@ GridParameterFile make_gpf(const mol::Molecule& receptor,
 
 GridParameterFile make_screening_gpf(const mol::Molecule& receptor,
                                      const mol::Molecule& ligand,
-                                     double box_padding, double spacing) {
+                                     double box_padding, double spacing,
+                                     const std::vector<mol::AdType>& census) {
   GridParameterFile gpf = make_gpf(receptor, ligand, box_padding, spacing);
   double half_extent =
       std::max(ligand.radius_of_gyration() * 2.0 + box_padding, 8.0);
@@ -348,7 +353,11 @@ GridParameterFile make_screening_gpf(const mol::Molecule& receptor,
   half_extent = std::max(half_extent, kScreeningMinHalfExtent);
   half_extent = std::ceil(half_extent / kScreeningQuantum) * kScreeningQuantum;
   gpf.box = GridBox::around(receptor.center(), half_extent, spacing);
-  gpf.ligand_types = screening_ligand_types();
+  // The census united with the ligand's own types, in type order: every
+  // atom of this ligand has its map even where the census misses a type.
+  std::set<mol::AdType> types(census.begin(), census.end());
+  types.insert(gpf.ligand_types.begin(), gpf.ligand_types.end());
+  gpf.ligand_types.assign(types.begin(), types.end());
   return gpf;
 }
 

@@ -87,18 +87,21 @@ GridParameterFile make_gpf(const mol::Molecule& receptor,
                            const mol::Molecule& ligand,
                            double box_padding = 6.0, double spacing = 0.375);
 
+/// All supported AutoDock types: the census of a campaign whose ligands
+/// are not known, which covers any ligand.
+const std::vector<mol::AdType>& screening_ligand_types();
+
 /// Screening-campaign variant of make_gpf: the box half-extent is raised
 /// to at least 12 Å and rounded up to a multiple of 4 Å, and the type set
-/// covers every supported AutoDock type. Any drug-like ligand of the
-/// campaign then maps to the *same* GPF for a given receptor, which is
-/// what makes receptor-level grid-map reuse
-/// (ArtifactCache::get_or_compute_maps) hit across ligands.
-GridParameterFile make_screening_gpf(const mol::Molecule& receptor,
-                                     const mol::Molecule& ligand,
-                                     double box_padding = 6.0,
-                                     double spacing = 0.375);
-
-/// All supported AutoDock types (the screening GPF's ligand_types).
-const std::vector<mol::AdType>& screening_ligand_types();
+/// is `census` (the AD types of the campaign's ligands) united with the
+/// ligand's own types, in type order. Every ligand whose types the census
+/// covers then maps to the *same* GPF for a given receptor, which is what
+/// makes receptor-level grid-map reuse (ArtifactCache::get_or_compute_maps)
+/// hit across the campaign's ligands; a ligand with a type outside the
+/// census still gets a map for each of its atoms, under its own GPF.
+GridParameterFile make_screening_gpf(
+    const mol::Molecule& receptor, const mol::Molecule& ligand,
+    double box_padding = 6.0, double spacing = 0.375,
+    const std::vector<mol::AdType>& census = screening_ligand_types());
 
 }  // namespace scidock::dock

@@ -62,12 +62,14 @@ Molecule read_mol2(std::string_view text, std::string_view name) {
         Atom atom;
         atom.serial = static_cast<int>(parse_int(fields[0], "MOL2 atom id"));
         atom.name = fields[1];
-        atom.pos.x = parse_double(fields[2], "MOL2 x");
-        atom.pos.y = parse_double(fields[3], "MOL2 y");
-        atom.pos.z = parse_double(fields[4], "MOL2 z");
+        atom.pos.x = parse_finite_double(fields[2], "MOL2 x");
+        atom.pos.y = parse_finite_double(fields[3], "MOL2 y");
+        atom.pos.z = parse_finite_double(fields[4], "MOL2 z");
         atom.element = element_from_sybyl(fields[5]);
         if (fields.size() >= 8) atom.residue_name = fields[7];
-        if (fields.size() >= 9) atom.partial_charge = parse_double(fields[8], "MOL2 charge");
+        if (fields.size() >= 9) {
+          atom.partial_charge = parse_finite_double(fields[8], "MOL2 charge");
+        }
         m.add_atom(std::move(atom));
         any_atoms = true;
         break;

@@ -46,9 +46,9 @@ Molecule read_pdb(std::string_view text, std::string_view name) {
     atom.chain_id = chain.empty() ? 'A' : chain[0];
     const std::string_view seq = fixed_columns(lv, 22, 4);
     atom.residue_seq = seq.empty() ? 0 : static_cast<int>(parse_int(seq, "PDB resSeq"));
-    atom.pos.x = parse_double(fixed_columns(lv, 30, 8), "PDB x");
-    atom.pos.y = parse_double(fixed_columns(lv, 38, 8), "PDB y");
-    atom.pos.z = parse_double(fixed_columns(lv, 46, 8), "PDB z");
+    atom.pos.x = parse_finite_double(fixed_columns(lv, 30, 8), "PDB x");
+    atom.pos.y = parse_finite_double(fixed_columns(lv, 38, 8), "PDB y");
+    atom.pos.z = parse_finite_double(fixed_columns(lv, 46, 8), "PDB z");
     atom.hetero = (record == "HETATM");
 
     const std::string_view elem_col = fixed_columns(lv, 76, 2);

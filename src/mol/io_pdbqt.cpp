@@ -55,14 +55,15 @@ PdbqtModel read_pdbqt(std::string_view text, std::string_view name) {
       atom.chain_id = chain.empty() ? 'A' : chain[0];
       const std::string_view seq = fixed_columns(lv, 22, 4);
       atom.residue_seq = seq.empty() ? 0 : static_cast<int>(parse_int(seq, "PDBQT resSeq"));
-      atom.pos.x = parse_double(fixed_columns(lv, 30, 8), "PDBQT x");
-      atom.pos.y = parse_double(fixed_columns(lv, 38, 8), "PDBQT y");
-      atom.pos.z = parse_double(fixed_columns(lv, 46, 8), "PDBQT z");
+      atom.pos.x = parse_finite_double(fixed_columns(lv, 30, 8), "PDBQT x");
+      atom.pos.y = parse_finite_double(fixed_columns(lv, 38, 8), "PDBQT y");
+      atom.pos.z = parse_finite_double(fixed_columns(lv, 46, 8), "PDBQT z");
       atom.hetero = (record == "HETATM");
       // Tail after the z column: occupancy, temp factor, charge, AD type.
       const auto tail = split_ws(lv.substr(54));
       if (tail.size() < 2) throw ParseError("PDBQT", "missing charge/type: " + line);
-      atom.partial_charge = parse_double(tail[tail.size() - 2], "PDBQT charge");
+      atom.partial_charge =
+          parse_finite_double(tail[tail.size() - 2], "PDBQT charge");
       const auto t = ad_type_from_name(tail.back());
       if (!t) throw ParseError("PDBQT", "unknown AutoDock type '" + tail.back() + "'");
       atom.ad_type = *t;

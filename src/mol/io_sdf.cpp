@@ -27,9 +27,9 @@ Molecule parse_record(const std::vector<std::string>& lines,
     if (line.size() < 34) throw ParseError("SDF", "short atom line: " + line);
     Atom atom;
     atom.serial = i + 1;
-    atom.pos.x = parse_double(fixed_columns(line, 0, 10), "SDF x");
-    atom.pos.y = parse_double(fixed_columns(line, 10, 10), "SDF y");
-    atom.pos.z = parse_double(fixed_columns(line, 20, 10), "SDF z");
+    atom.pos.x = parse_finite_double(fixed_columns(line, 0, 10), "SDF x");
+    atom.pos.y = parse_finite_double(fixed_columns(line, 10, 10), "SDF y");
+    atom.pos.z = parse_finite_double(fixed_columns(line, 20, 10), "SDF z");
     const std::string_view symbol = fixed_columns(line, 31, 3);
     const auto e = element_from_symbol(symbol);
     if (!e) throw ParseError("SDF", "unknown element '" + std::string(symbol) + "'");

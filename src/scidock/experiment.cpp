@@ -1,5 +1,7 @@
 #include "scidock/experiment.hpp"
 
+#include <set>
+
 #include "cloud/cost_model.hpp"
 #include "data/table2.hpp"
 #include "util/error.hpp"
@@ -13,12 +15,18 @@ Experiment make_experiment(const std::vector<std::string>& receptors,
   exp.options = options;
   exp.fs = std::make_shared<vfs::SharedFileSystem>();
   exp.prov = std::make_shared<prov::ProvenanceStore>();
-  exp.cache = make_artifact_cache();
-  exp.pipeline = build_scidock_pipeline(options, exp.cache);
   data::stage_dataset(*exp.fs, options.expdir, receptors, ligands,
                       options.dataset);
   exp.pairs = data::build_pairs_relation(receptors, ligands, options.expdir,
                                          max_pairs, options.dataset);
+  // The cache learns the campaign's ligand files here and types them at
+  // the first gpfprep activation, so setup reads no file.
+  std::set<std::string> ligand_files;
+  for (const wf::Tuple& t : exp.pairs.tuples()) {
+    ligand_files.insert(t.require("ligand_file"));
+  }
+  exp.cache = make_artifact_cache({ligand_files.begin(), ligand_files.end()});
+  exp.pipeline = build_scidock_pipeline(options, exp.cache);
   // Fixed-engine scenarios override the adaptive routing precomputed by
   // the data layer, so the simulated chains match the native routing.
   if (options.engine_mode != EngineMode::Adaptive) {

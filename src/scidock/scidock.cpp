@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
+#include <set>
 #include <tuple>
 #include <unordered_map>
 
@@ -25,6 +26,35 @@ namespace scidock::core {
 using wf::ActivationContext;
 using wf::Stage;
 using wf::Tuple;
+
+std::vector<mol::AdType> ligand_type_census(
+    const vfs::SharedFileSystem& fs, const std::vector<std::string>& paths) {
+  std::set<mol::AdType> census;
+  for (const std::string& path : paths) {
+    try {
+      mol::Molecule lig = mol::read_sdf(fs.read(path));
+      lig.perceive();
+      if (!lig.fully_parameterised()) continue;
+      const std::vector<mol::AdType> types = lig.ad_types_present();
+      census.insert(types.begin(), types.end());
+    } catch (const Error&) {
+      // Left out; the ligand's own activations report the fault.
+    }
+  }
+  return {census.begin(), census.end()};
+}
+
+ArtifactCache::ArtifactCache(std::vector<std::string> campaign_ligands)
+    : campaign_ligands_(std::move(campaign_ligands)) {}
+
+std::vector<mol::AdType> ArtifactCache::campaign_type_census(
+    const vfs::SharedFileSystem& fs) {
+  // Held across the reads: the census is computed once, and a concurrent
+  // caller waits for it rather than reading the files again.
+  MutexLock lock(census_mutex_);
+  if (!census_) census_ = ligand_type_census(fs, campaign_ligands_);
+  return *census_;
+}
 
 std::shared_ptr<const mol::PreparedLigand> ArtifactCache::ligand(
     const std::string& key) {
@@ -108,8 +138,9 @@ ArtifactCache::get_or_compute_maps(
   return {future.get(), outcome};
 }
 
-std::shared_ptr<ArtifactCache> make_artifact_cache() {
-  return std::make_shared<ArtifactCache>();
+std::shared_ptr<ArtifactCache> make_artifact_cache(
+    std::vector<std::string> campaign_ligands) {
+  return std::make_shared<ArtifactCache>(std::move(campaign_ligands));
 }
 
 namespace {
@@ -249,13 +280,13 @@ wf::Pipeline build_scidock_pipeline(const ScidockOptions& opts,
         const auto lig =
             load_ligand(cache, ctx, in.require("ligand_pdbqt"));
         // The screening GPF canonicalises the box (floored + quantised
-        // half-extent) and widens the type set to every supported type,
-        // so all ligands of one receptor share one GPF — the property
-        // grid-map reuse keys on. Applied regardless of reuse_grid_maps
-        // so cache on/off produce identical files.
-        dock::GridParameterFile gpf =
-            dock::make_screening_gpf(rec->molecule, lig->molecule,
-                                     /*box_padding=*/4.0, o.grid_spacing);
+        // half-extent) and lists the campaign's type census with this
+        // ligand's own types, so all ligands of one receptor share one
+        // GPF — the property grid-map reuse keys on. Applied regardless
+        // of reuse_grid_maps so cache on/off produce identical files.
+        dock::GridParameterFile gpf = dock::make_screening_gpf(
+            rec->molecule, lig->molecule, /*box_padding=*/4.0,
+            o.grid_spacing, cache->campaign_type_census(*ctx.fs));
         const std::string out_path = pair_dir(o, kGpfPrep, in) + "grid.gpf";
         ctx.emit_file(out_path, gpf.to_text());
         Tuple out = in;

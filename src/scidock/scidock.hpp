@@ -20,9 +20,11 @@
 #include <functional>
 #include <future>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "data/generator.hpp"
 #include "dock/dpf.hpp"
@@ -72,13 +74,32 @@ enum class CacheOutcome {
   kInflightWait,  ///< another caller was computing; this one blocked
 };
 
+/// The AD types that the SDF ligands at `paths` carry once prepared: the
+/// union, in type order, of each file read with read_sdf and typed by
+/// perceive(), as prepligand types it. A file that cannot be read or
+/// parsed, or that holds an atom without parameters, is left out; its own
+/// babel or prepligand activation fails.
+std::vector<mol::AdType> ligand_type_census(
+    const vfs::SharedFileSystem& fs, const std::vector<std::string>& paths);
+
 /// Shared in-process cache of expensive intermediates (prepared
-/// structures and grid maps), keyed by file path. Plays the role of a
-/// VM-local scratch cache over the shared filesystem. Thread-safe;
-/// shared_ptr values so readers keep entries alive without copying.
+/// structures and grid maps, keyed by file path, and the campaign's
+/// ligand-type census). Plays the role of a VM-local scratch cache over
+/// the shared filesystem. Thread-safe; shared_ptr values so readers keep
+/// entries alive without copying.
 class ArtifactCache {
  public:
   using MapsPtr = std::shared_ptr<const dock::GridMapSet>;
+
+  /// `campaign_ligands`: the distinct ligand files of the run's input
+  /// relation (make_experiment hands them over), which the screening
+  /// GPF's type set is sized to.
+  explicit ArtifactCache(std::vector<std::string> campaign_ligands = {});
+
+  /// The campaign's ligand_type_census, read through `fs` by the first
+  /// caller while concurrent callers wait for it; every later call
+  /// returns the same set. Empty when the cache has no campaign.
+  std::vector<mol::AdType> campaign_type_census(const vfs::SharedFileSystem& fs);
 
   std::shared_ptr<const mol::PreparedLigand> ligand(const std::string& key);
   void put_ligand(const std::string& key, mol::PreparedLigand value);
@@ -104,6 +125,11 @@ class ArtifactCache {
     [[no_unique_address]] lockdep::FlightOwner owner;
   };
 
+  const std::vector<std::string> campaign_ligands_;
+  Mutex census_mutex_{"scidock.census"};
+  std::optional<std::vector<mol::AdType>> census_
+      SCIDOCK_GUARDED_BY(census_mutex_);
+
   Mutex mutex_{"scidock.cache"};
   std::unordered_map<std::string, std::shared_ptr<const mol::PreparedLigand>>
       ligands_ SCIDOCK_GUARDED_BY(mutex_);
@@ -120,7 +146,8 @@ class ArtifactCache {
 wf::Pipeline build_scidock_pipeline(const ScidockOptions& opts,
                                     std::shared_ptr<ArtifactCache> cache = nullptr);
 
-std::shared_ptr<ArtifactCache> make_artifact_cache();
+std::shared_ptr<ArtifactCache> make_artifact_cache(
+    std::vector<std::string> campaign_ligands = {});
 
 /// Activity 6's routing rule for a pair tuple: "vina" when the receptor
 /// has more residues than the dataset's size threshold, else "ad4"; the

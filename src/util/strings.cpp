@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 
@@ -84,6 +85,14 @@ double parse_double(std::string_view s, std::string_view context) {
   const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
   if (ec != std::errc{} || ptr != s.data() + s.size()) {
     throw ParseError(context, "bad floating-point value '" + std::string(s) + "'");
+  }
+  return value;
+}
+
+double parse_finite_double(std::string_view s, std::string_view context) {
+  const double value = parse_double(s, context);
+  if (!std::isfinite(value)) {
+    throw ParseError(context, "non-finite value '" + std::string(trim(s)) + "'");
   }
   return value;
 }

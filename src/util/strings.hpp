@@ -29,6 +29,10 @@ bool ends_with(std::string_view s, std::string_view suffix);
 
 /// Parse helpers that throw ParseError with context on failure.
 double parse_double(std::string_view s, std::string_view context = "number");
+/// parse_double that also rejects nan and inf: for coordinates, charges and
+/// box geometry, where one non-finite value poisons every sum it enters.
+double parse_finite_double(std::string_view s,
+                           std::string_view context = "number");
 long long parse_int(std::string_view s, std::string_view context = "integer");
 
 /// Replace every occurrence of `from` with `to`.

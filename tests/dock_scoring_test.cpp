@@ -406,6 +406,18 @@ TEST(Gpf, ParseRejectsDegenerateBox) {
   EXPECT_NO_THROW(GridParameterFile::parse("npts 1 1 1\nspacing 0.375\n"));
 }
 
+TEST(Gpf, ParseRejectsNonFiniteCenter) {
+  // A NaN centre used to build a map set whose every value was 0.
+  EXPECT_THROW(GridParameterFile::parse(
+                   "npts 40 40 40\nspacing 0.375\ngridcenter nan 0 0\n"),
+               ParseError);
+  EXPECT_THROW(GridParameterFile::parse(
+                   "npts 40 40 40\nspacing 0.375\ngridcenter 0 inf 0\n"),
+               ParseError);
+  EXPECT_NO_THROW(GridParameterFile::parse(
+      "npts 40 40 40\nspacing 0.375\ngridcenter 1.5 -2 0\n"));
+}
+
 // ----------------------------------------------------------------- DPF
 
 TEST(Dpf, RoundTrip) {

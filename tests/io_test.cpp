@@ -16,6 +16,7 @@
 #include "mol/io_sdf.hpp"
 #include "mol/prepare.hpp"
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace scidock::mol {
 namespace {
@@ -287,6 +288,65 @@ TEST(PdbqtIo, ModelsReaderRejectsUnterminated) {
 
 TEST(PdbqtIo, RejectsEmpty) {
   EXPECT_THROW(read_pdbqt("REMARK nothing\n"), ParseError);
+}
+
+// ------------------------------------------------------- non-finite
+
+/// `text` with the first occurrence of `field` replaced by `bad`, padded
+/// on the left to the field's width so fixed columns stay in place.
+std::string poisoned(std::string text, const std::string& field,
+                     const std::string& bad) {
+  const std::size_t at = text.find(field);
+  EXPECT_NE(at, std::string::npos) << field;
+  if (at == std::string::npos) return text;
+  std::string padded = bad;
+  if (padded.size() < field.size()) {
+    padded.insert(0, field.size() - padded.size(), ' ');
+  }
+  return text.replace(at, field.size(), padded);
+}
+
+TEST(NonFiniteFields, PdbCoordinateIsRejected) {
+  const std::string record =
+      "ATOM      1  CA  CYS A   1      11.000  22.000  33.000  1.00  0.00"
+      "           C\nEND\n";
+  EXPECT_THROW(read_pdb(poisoned(record, "11.000", "nan")), ParseError);
+  EXPECT_THROW(read_pdb(poisoned(record, "33.000", "-inf")), ParseError);
+}
+
+TEST(NonFiniteFields, SdfMol2AndPdbqtCoordinatesAndChargesAreRejected) {
+  const Molecule lig = sample_ligand();
+  const Atom& a = lig.atom(0);
+  const PreparedReceptor rec = prepare_receptor(sample_receptor());
+  const Atom& r = rec.molecule.atom(0);
+  for (const char* bad : {"nan", "inf", "-inf", "NaN"}) {
+    EXPECT_THROW(read_sdf(poisoned(write_sdf(lig), strformat("%10.4f", a.pos.x),
+                                   bad)),
+                 ParseError)
+        << bad;
+    const std::string mol2 = write_mol2(lig);
+    EXPECT_THROW(read_mol2(poisoned(mol2, strformat("%9.4f", a.pos.y), bad)),
+                 ParseError)
+        << bad;
+    EXPECT_THROW(
+        read_mol2(poisoned(mol2, strformat("%9.4f\n", a.partial_charge),
+                           std::string(bad) + "\n")),
+        ParseError)
+        << bad;
+    EXPECT_THROW(read_pdbqt(poisoned(rec.pdbqt, strformat("%8.3f", r.pos.z),
+                                     bad)),
+                 ParseError)
+        << bad;
+    EXPECT_THROW(
+        read_pdbqt(poisoned(
+            rec.pdbqt,
+            strformat("%6.3f %-2s", r.partial_charge,
+                      std::string(ad_type_name(r.ad_type)).c_str()),
+            strformat("%s %-2s", bad,
+                      std::string(ad_type_name(r.ad_type)).c_str()))),
+        ParseError)
+        << bad;
+  }
 }
 
 }  // namespace

@@ -16,7 +16,11 @@
 //   - the single-flight grid-map cache computes once per key, propagates
 //     exceptions, and leaves pipeline outputs (FEB/RMSD, map files, every
 //     DLG, Vina log and pose file of a screen running both engines)
-//     byte-identical to cache-off runs at 1 and 4 threads.
+//     byte-identical to cache-off runs at 1 and 4 threads;
+//   - the screening GPF's type set is the campaign's ligand-type census,
+//     which equals the prepared types of the 42 Table 2 ligands; a ligand
+//     outside it, or a census that lost a file to a read fault, still
+//     docks byte-identically and loses no tuple.
 
 #include <gtest/gtest.h>
 
@@ -24,6 +28,7 @@
 #include <atomic>
 #include <cmath>
 #include <map>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -31,6 +36,7 @@
 #include <utility>
 #include <vector>
 
+#include "chaos/invariants.hpp"
 #include "data/generator.hpp"
 #include "data/table2.hpp"
 #include "dock/autogrid.hpp"
@@ -41,12 +47,17 @@
 #include "dock/grid.hpp"
 #include "dock/scoring.hpp"
 #include "dock/vina.hpp"
+#include "mol/io_mol2.hpp"
 #include "mol/io_pdb.hpp"
+#include "mol/io_pdbqt.hpp"
+#include "mol/io_sdf.hpp"
 #include "mol/prepare.hpp"
 #include "obs/obs.hpp"
 #include "scidock/experiment.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
+#include "vfs/vfs.hpp"
 
 namespace scidock::dock {
 namespace {
@@ -194,6 +205,19 @@ data::GeneratorOptions tiny() {
   o.max_ligand_atoms = 12;
   o.hg_fraction = 0.0;
   return o;
+}
+
+/// Stage `codes` as SDF files into `fs` and return their paths, the
+/// ligand_file values of an experiment's input relation.
+std::vector<std::string> staged_ligands(vfs::SharedFileSystem& fs,
+                                        const std::vector<std::string>& codes,
+                                        const data::GeneratorOptions& opts) {
+  data::stage_dataset(fs, "/exp", {}, codes, opts);
+  std::vector<std::string> paths;
+  for (const std::string& code : codes) {
+    paths.push_back("/exp/input/" + code + ".sdf");
+  }
+  return paths;
 }
 
 TEST(ParallelAutogrid, SlabObserverFiresOncePerSlab) {
@@ -668,25 +692,46 @@ TEST(BatchedScoring, EvaluationCountingMatchesScalarDiscipline) {
 
 TEST(ScreeningGpf, CanonicalAcrossLigands) {
   const auto opts = tiny();
+  const std::vector<std::string> codes{"042", "074", "0E6"};
+  vfs::SharedFileSystem fs;
+  const std::vector<AdType> census =
+      core::ligand_type_census(fs, staged_ligands(fs, codes, opts));
   const mol::Molecule rec = data::make_receptor("1CAN", opts);
   GridParameterFile first;
   bool have_first = false;
-  for (const char* code : {"042", "074", "0E6"}) {
-    const GridParameterFile gpf =
-        make_screening_gpf(rec, data::make_ligand(code, opts), 4.0, 0.55);
+  for (const std::string& code : codes) {
+    const GridParameterFile gpf = make_screening_gpf(
+        rec, data::make_ligand(code, opts), 4.0, 0.55, census);
     if (!have_first) {
       first = gpf;
       have_first = true;
       continue;
     }
-    // Same receptor, any drug-like ligand: identical box and type set —
-    // the property the grid-map cache keys on.
+    // Same receptor, any ligand of the campaign: identical box and type
+    // set — the property the grid-map cache keys on.
     EXPECT_EQ(gpf.box.npts, first.box.npts);
     EXPECT_DOUBLE_EQ(gpf.box.center.x, first.box.center.x);
     EXPECT_EQ(gpf.ligand_types, first.ligand_types);
   }
-  EXPECT_EQ(first.ligand_types, screening_ligand_types());
-  EXPECT_GE(first.ligand_types.size(), 15u);
+  // 042 carries C A F, 074 C A and 0E6 HD C A OA.
+  EXPECT_EQ(first.ligand_types, census);
+  EXPECT_EQ(census, (std::vector<AdType>{AdType::HD, AdType::C, AdType::A,
+                                         AdType::OA, AdType::F}));
+}
+
+TEST(ScreeningGpf, LigandOutsideTheCensusKeepsItsOwnTypes) {
+  const auto opts = tiny();
+  const mol::Molecule rec = data::make_receptor("1CAN", opts);
+  // 042 carries C A F; a census of C and OA misses A and F.
+  const GridParameterFile gpf = make_screening_gpf(
+      rec, data::make_ligand("042", opts), 4.0, 0.55, {AdType::OA, AdType::C});
+  EXPECT_EQ(gpf.ligand_types, (std::vector<AdType>{AdType::C, AdType::A,
+                                                   AdType::OA, AdType::F}));
+  // No census: the ligand's own types alone.
+  EXPECT_EQ(make_screening_gpf(rec, data::make_ligand("042", opts), 4.0, 0.55,
+                               {})
+                .ligand_types,
+            (std::vector<AdType>{AdType::C, AdType::A, AdType::F}));
 }
 
 }  // namespace
@@ -874,6 +919,108 @@ TEST(GridMapReuse, CacheCountersReconcileAndHit) {
   EXPECT_EQ(metrics.counter_value(obs::kKernelAutogridSlabs),
             metrics.histogram_count(obs::kKernelAutogridSlabSeconds));
   EXPECT_GT(metrics.counter_value(obs::kKernelAutogridSlabs), 0);
+}
+
+// ------------------------------------------------- ligand-type census
+
+TEST(LigandTypeCensus, EqualsPreparedTypesOfAllTable2Ligands) {
+  for (const data::GeneratorOptions& opts :
+       {data::GeneratorOptions{}, dock::tiny()}) {
+    vfs::SharedFileSystem fs;
+    const std::vector<std::string> paths =
+        dock::staged_ligands(fs, data::table2_ligands(), opts);
+    // The types the docking stages read: each ligand through babel and
+    // prepligand, reloaded from its PDBQT.
+    std::set<mol::AdType> prepared;
+    for (const std::string& path : paths) {
+      const mol::PreparedLigand lig = mol::prepare_ligand(
+          mol::read_mol2(mol::write_mol2(mol::read_sdf(fs.read(path)))));
+      const mol::PdbqtModel reloaded = mol::read_pdbqt(lig.pdbqt);
+      for (const mol::Atom& a : reloaded.molecule.atoms()) {
+        prepared.insert(a.ad_type);
+      }
+    }
+    const std::vector<mol::AdType> census = ligand_type_census(fs, paths);
+    EXPECT_EQ(census,
+              std::vector<mol::AdType>(prepared.begin(), prepared.end()));
+    // HD C A N NA OA F SA Cl: 9 of the 19 supported types.
+    EXPECT_EQ(census.size(), 9u);
+  }
+}
+
+TEST(LigandTypeCensus, SkipsFilesItCannotReadOrParse) {
+  vfs::SharedFileSystem fs;
+  std::vector<std::string> paths =
+      dock::staged_ligands(fs, {"074"}, dock::tiny());
+  const std::vector<mol::AdType> alone = ligand_type_census(fs, paths);
+  fs.write("/exp/input/garbage.sdf", "not a molecule\n");
+  paths.push_back("/exp/input/garbage.sdf");
+  paths.push_back("/exp/input/missing.sdf");
+  EXPECT_EQ(ligand_type_census(fs, paths), alone);
+  EXPECT_EQ(alone, (std::vector<mol::AdType>{mol::AdType::C, mol::AdType::A}));
+}
+
+TEST(LigandTypeCensus, LigandOutsideTheCensusDocksIdentically) {
+  ScidockOptions opts;
+  opts.dataset = dock::tiny();
+  const std::vector<std::string> ligands{"074", "042", "0E6"};
+  opts.reuse_grid_maps = false;
+  auto base_exp = make_experiment(both_engine_receptors(), ligands, 0, opts);
+  const RunArtifacts base = collect(base_exp, run_native(base_exp, 1, "base"));
+  ASSERT_EQ(base.feb_rmsd.size(), 9u);
+
+  // A census of 074 alone (C A): 042's F and 0E6's HD and OA fall outside
+  // it, so each ligand's GPF lists a type set of its own.
+  opts.reuse_grid_maps = true;
+  auto exp = make_experiment(both_engine_receptors(), ligands, 0, opts);
+  exp.cache = make_artifact_cache({opts.expdir + "/input/074.sdf"});
+  exp.pipeline = build_scidock_pipeline(opts, exp.cache);
+  obs::MetricsRegistry metrics;
+  const wf::NativeReport report =
+      run_native(exp, 4, "narrow", obs::Observability{nullptr, &metrics});
+  const RunArtifacts got = collect(exp, report);
+  EXPECT_EQ(got.feb_rmsd, base.feb_rmsd);
+  EXPECT_EQ(got.docking_files, base.docking_files);
+  // Three type sets on each of three receptors.
+  EXPECT_EQ(metrics.counter_value(obs::kCacheGridmapsMisses), 9);
+  EXPECT_EQ(metrics.counter_value(obs::kKernelAutogridMapsets), 9);
+}
+
+TEST(LigandTypeCensus, ReadFaultWhileTheCensusRunsLosesNoTuple) {
+  ScidockOptions opts;
+  opts.dataset = dock::tiny();
+  const std::vector<std::string> ligands{"074", "042"};
+  auto clean_exp = make_experiment(some_receptors(2), ligands, 0, opts);
+  const RunArtifacts clean =
+      collect(clean_exp, run_native(clean_exp, 1, "clean"));
+
+  // One thread takes 074's first pair to gpfprep before any 042 pair
+  // starts, so the census is the first reader of 042's file and takes its
+  // one injected fault; both 042 babel activations then read it cleanly.
+  auto exp = make_experiment(some_receptors(2), ligands, 0, opts);
+  const std::string faulty = opts.expdir + "/input/042.sdf";
+  std::atomic<int> reads{0};
+  exp.fs->set_fault_hook([&](vfs::FileOp op, const std::string& path) {
+    if (op == vfs::FileOp::Read && path == faulty && reads.fetch_add(1) == 0) {
+      throw ActivityError("injected read fault on " + path);
+    }
+  });
+  obs::MetricsRegistry metrics;
+  const wf::NativeReport report =
+      run_native(exp, 1, "faulted", obs::Observability{nullptr, &metrics});
+  exp.fs->set_fault_hook(nullptr);
+  EXPECT_EQ(reads.load(), 3);
+  EXPECT_EQ(report.activations_failed, 0);
+  EXPECT_EQ(report.tuples_lost, 0);
+  chaos::InvariantChecker checker;
+  EXPECT_TRUE(checker.check_conservation(chaos::summarize(
+      report, wf::NativeExecutorOptions{}, exp.pairs.size())))
+      << checker.to_string();
+  // The census missed 042's F, so 042 has its own set on each receptor.
+  EXPECT_EQ(metrics.counter_value(obs::kKernelAutogridMapsets), 4);
+  const RunArtifacts got = collect(exp, report);
+  EXPECT_EQ(got.feb_rmsd, clean.feb_rmsd);
+  EXPECT_EQ(got.docking_files, clean.docking_files);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "chaos/invariants.hpp"
 #include "data/generator.hpp"
 #include "data/table2.hpp"
 #include "dock/grid.hpp"
@@ -124,21 +125,54 @@ TEST(ScidockIntegration, VinaMapSetPersistsOnlyItsPerTypeMaps) {
   core::ScidockOptions opts = fast_options();
   opts.write_map_files = true;
   opts.engine_mode = core::EngineMode::ForceVina;
-  auto exp = core::make_experiment(some_receptors(1), {"042"}, 0, opts);
-  const wf::NativeReport report = core::run_native(exp, 1);
-  ASSERT_EQ(report.output.size(), 1u);
-  // One map per non-hydrogen screening type; no e/d maps for Vina.
+  const std::string receptor = some_receptors(1)[0];
+  auto exp = core::make_experiment({receptor}, data::table2_ligands(), 0, opts);
+  const wf::NativeReport report = core::run_native(exp, 2);
+  ASSERT_EQ(report.output.size(), data::table2_ligands().size());
+  // One map per non-hydrogen type of the campaign's census (HD C A N NA
+  // OA F SA Cl over the 42 Table 2 ligands); no e/d maps for Vina.
+  const std::string pair_dir = "/autogrid/042_" + receptor + "/";
   int map_files = 0;
   std::string fld;
   for (const auto& info : exp.fs->list("/")) {
+    if (info.path.find(pair_dir) == std::string::npos) continue;
     if (info.path.ends_with(".maps.fld")) fld = exp.fs->read(info.path);
     if (!info.path.ends_with(".map")) continue;
     ++map_files;
     EXPECT_FALSE(info.path.ends_with(".e.map") || info.path.ends_with(".d.map"))
         << info.path;
   }
-  EXPECT_EQ(map_files, 17);
-  EXPECT_NE(fld.find("nmaps 19\n"), std::string::npos) << fld;
+  EXPECT_EQ(map_files, 8);
+  EXPECT_NE(fld.find("nmaps 10\n"), std::string::npos) << fld;
+}
+
+// A receptor whose PDB carries a NaN coordinate fails its prepreceptor
+// activation on every attempt: its pairs are recorded as lost, and every
+// other pair docks.
+TEST(ScidockIntegration, NonFiniteReceptorLosesOnlyItsPairs) {
+  const core::ScidockOptions opts = fast_options();
+  const std::vector<std::string> receptors = some_receptors(2);
+  auto exp = core::make_experiment(receptors, {"042", "074"}, 0, opts);
+  const std::string path = opts.expdir + "/input/" + receptors[0] + ".pdb";
+  std::string pdb = exp.fs->read(path);
+  const std::size_t atom = pdb.find("\nATOM  ");
+  ASSERT_NE(atom, std::string::npos);
+  pdb.replace(atom + 1 + 30, 8, "     nan");  // the x field, columns 31-38
+  exp.fs->write(path, pdb, 0.0, "test");
+
+  const wf::NativeReport report = core::run_native(exp, 2);
+  EXPECT_EQ(report.tuples_lost, 2);
+  ASSERT_EQ(report.output.size(), 2u);
+  for (const wf::Tuple& t : report.output.tuples()) {
+    EXPECT_EQ(t.require("receptor"), receptors[1]);
+  }
+  ASSERT_FALSE(report.failure_messages.empty());
+  EXPECT_NE(report.failure_messages[0].find("non-finite"), std::string::npos)
+      << report.failure_messages[0];
+  chaos::InvariantChecker checker;
+  EXPECT_TRUE(checker.check_conservation(chaos::summarize(
+      report, wf::NativeExecutorOptions{}, exp.pairs.size())))
+      << checker.to_string();
 }
 
 // AutoGrid builds only the map set of the engine activity 6 routes the
