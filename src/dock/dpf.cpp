@@ -1,6 +1,5 @@
 #include "dock/dpf.hpp"
 
-#include <cmath>
 #include <sstream>
 
 #include "util/error.hpp"
@@ -43,18 +42,17 @@ DockingParameterFile DockingParameterFile::parse(std::string_view text) {
     } else if (f[0] == "ga_pop_size" && f.size() >= 2) dpf.ga_pop_size = static_cast<int>(parse_int(f[1], "dpf"));
     else if (f[0] == "ga_num_evals" && f.size() >= 2) dpf.ga_num_evals = parse_int(f[1], "dpf");
     else if (f[0] == "ga_num_generations" && f.size() >= 2) dpf.ga_num_generations = static_cast<int>(parse_int(f[1], "dpf"));
-    else if (f[0] == "ga_mutation_rate" && f.size() >= 2) dpf.ga_mutation_rate = parse_double(f[1], "dpf");
-    else if (f[0] == "ga_crossover_rate" && f.size() >= 2) dpf.ga_crossover_rate = parse_double(f[1], "dpf");
+    else if (f[0] == "ga_mutation_rate" && f.size() >= 2) dpf.ga_mutation_rate = parse_finite_double(f[1], "dpf");
+    else if (f[0] == "ga_crossover_rate" && f.size() >= 2) dpf.ga_crossover_rate = parse_finite_double(f[1], "dpf");
     else if (f[0] == "sw_max_its" && f.size() >= 2) dpf.sw_max_its = static_cast<int>(parse_int(f[1], "dpf"));
-    else if (f[0] == "rmstol" && f.size() >= 2) dpf.rmstol = parse_double(f[1], "dpf");
+    else if (f[0] == "rmstol" && f.size() >= 2) dpf.rmstol = parse_finite_double(f[1], "dpf");
     else if (f[0] == "seed" && f.size() >= 2) dpf.seed = static_cast<unsigned long long>(parse_int(f[1], "dpf"));
     else if (f[0] == "ga_run" && f.size() >= 2) dpf.ga_runs = static_cast<int>(parse_int(f[1], "dpf"));
   }
   SCIDOCK_REQUIRE(dpf.ga_runs > 0 && dpf.ga_pop_size > 1, "invalid DPF GA parameters");
-  // Clustering requires a positive tolerance; NaN fails this test too.
-  if (!(dpf.rmstol > 0.0 && std::isfinite(dpf.rmstol))) {
-    throw ParseError("DPF", strformat("rmstol %g is not positive and finite",
-                                      dpf.rmstol));
+  // Clustering requires a positive tolerance.
+  if (dpf.rmstol <= 0.0) {
+    throw ParseError("DPF", strformat("rmstol %g is not positive", dpf.rmstol));
   }
   return dpf;
 }
@@ -89,15 +87,15 @@ VinaConfig VinaConfig::parse(std::string_view text) {
     value = f[2];
     if (key == "receptor") cfg.receptor_file = value;
     else if (key == "ligand") cfg.ligand_file = value;
-    else if (key == "center_x") cfg.box.center.x = parse_double(value, "vina cfg");
-    else if (key == "center_y") cfg.box.center.y = parse_double(value, "vina cfg");
-    else if (key == "center_z") cfg.box.center.z = parse_double(value, "vina cfg");
-    else if (key == "size_x") size.x = parse_double(value, "vina cfg");
-    else if (key == "size_y") size.y = parse_double(value, "vina cfg");
-    else if (key == "size_z") size.z = parse_double(value, "vina cfg");
+    else if (key == "center_x") cfg.box.center.x = parse_finite_double(value, "vina cfg");
+    else if (key == "center_y") cfg.box.center.y = parse_finite_double(value, "vina cfg");
+    else if (key == "center_z") cfg.box.center.z = parse_finite_double(value, "vina cfg");
+    else if (key == "size_x") size.x = parse_finite_double(value, "vina cfg");
+    else if (key == "size_y") size.y = parse_finite_double(value, "vina cfg");
+    else if (key == "size_z") size.z = parse_finite_double(value, "vina cfg");
     else if (key == "exhaustiveness") cfg.exhaustiveness = static_cast<int>(parse_int(value, "vina cfg"));
     else if (key == "num_modes") cfg.num_modes = static_cast<int>(parse_int(value, "vina cfg"));
-    else if (key == "energy_range") cfg.energy_range = parse_double(value, "vina cfg");
+    else if (key == "energy_range") cfg.energy_range = parse_finite_double(value, "vina cfg");
     else if (key == "seed") cfg.seed = static_cast<unsigned long long>(parse_int(value, "vina cfg"));
   }
   cfg.box.npts = {grid_points_for_size(size.x, spacing, "vina cfg size_x"),

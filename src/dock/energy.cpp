@@ -45,7 +45,7 @@ Ad4EnergyModel::Ad4EnergyModel(const GridMapSet& maps,
     channels_.push_back({aff, a.partial_charge,
                          pa.solpar + kQasp * std::abs(a.partial_charge)});
   }
-  for (const auto& [i, j] : intramolecular_pairs(ligand.molecule)) {
+  for (const auto& [i, j] : intramolecular_pairs(ligand.molecule, ligand.torsions)) {
     const mol::Atom& ai = ligand.molecule.atom(i);
     const mol::Atom& aj = ligand.molecule.atom(j);
     const auto& pi = mol::ad_type_params(ai.ad_type);
@@ -106,7 +106,7 @@ double Ad4EnergyModel::intramolecular(const std::vector<mol::Vec3>& coords) cons
 double Ad4EnergyModel::operator()(const DockPose& pose) const {
   ++evaluations_;
   ligand_.torsions.apply_into(reference_coords_, rotation_center_, pose.rigid,
-                              pose.torsions, coords_);
+                              pose.torsions, frames_, coords_);
   return intermolecular(coords_) + intramolecular(coords_);
 }
 
@@ -115,10 +115,7 @@ double Ad4EnergyModel::feb(double inter) const {
 }
 
 std::vector<mol::Vec3> Ad4EnergyModel::coords_for(const DockPose& pose) const {
-  std::vector<mol::Vec3> coords;
-  ligand_.torsions.apply_into(reference_coords_, rotation_center_, pose.rigid,
-                              pose.torsions, coords);
-  return coords;
+  return ligand_.torsions.apply(reference_coords_, pose.rigid, pose.torsions);
 }
 
 VinaEnergyModel::VinaEnergyModel(const GridMapSet& maps,
@@ -142,7 +139,7 @@ VinaEnergyModel::VinaEnergyModel(const GridMapSet& maps,
                                         std::string(mol::ad_type_name(a.ad_type)));
     atom_maps_.push_back(map);
   }
-  for (const auto& [i, j] : intramolecular_pairs(ligand.molecule)) {
+  for (const auto& [i, j] : intramolecular_pairs(ligand.molecule, ligand.torsions)) {
     if (mol::vina_kind(ligand.molecule.atom(i).ad_type).skip) continue;
     if (mol::vina_kind(ligand.molecule.atom(j).ad_type).skip) continue;
     intra_pairs_.push_back({i, j, tables_->row(ligand.molecule.atom(i).ad_type,
@@ -191,7 +188,7 @@ double VinaEnergyModel::intramolecular(const std::vector<mol::Vec3>& coords) con
 double VinaEnergyModel::operator()(const DockPose& pose) const {
   ++evaluations_;
   ligand_.torsions.apply_into(reference_coords_, rotation_center_, pose.rigid,
-                              pose.torsions, coords_);
+                              pose.torsions, frames_, coords_);
   return intermolecular(coords_) + intramolecular(coords_);
 }
 
@@ -200,10 +197,7 @@ double VinaEnergyModel::feb(double inter) const {
 }
 
 std::vector<mol::Vec3> VinaEnergyModel::coords_for(const DockPose& pose) const {
-  std::vector<mol::Vec3> coords;
-  ligand_.torsions.apply_into(reference_coords_, rotation_center_, pose.rigid,
-                              pose.torsions, coords);
-  return coords;
+  return ligand_.torsions.apply(reference_coords_, pose.rigid, pose.torsions);
 }
 
 }  // namespace scidock::dock

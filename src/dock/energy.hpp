@@ -73,7 +73,8 @@ class Ad4EnergyModel {
   mol::Vec3 reference_center_{};
   std::vector<AtomChannels> channels_;
   std::vector<IntraPair> intra_pairs_;
-  /// operator()'s coordinates, reused across evaluations.
+  /// operator()'s piece frames and coordinates, reused across evaluations.
+  mutable std::vector<mol::RigidFrame> frames_;
   mutable std::vector<mol::Vec3> coords_;
   mutable long long evaluations_ = 0;
 };
@@ -126,7 +127,8 @@ class VinaEnergyModel {
   /// Skip-type pairs (hydrogens) contribute zero at every distance, so
   /// they are pruned at construction rather than tested per evaluation.
   std::vector<VinaIntraPair> intra_pairs_;
-  /// operator()'s coordinates, reused across evaluations.
+  /// operator()'s piece frames and coordinates, reused across evaluations.
+  mutable std::vector<mol::RigidFrame> frames_;
   mutable std::vector<mol::Vec3> coords_;
   mutable long long evaluations_ = 0;
 };

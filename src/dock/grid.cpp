@@ -136,13 +136,13 @@ GridMap GridMap::from_map_file(std::string_view text) {
                   parse_grid_points(fields[2], "map ny"),
                   parse_grid_points(fields[3], "map nz")};
     } else if (fields[0] == "CENTER" && fields.size() >= 4) {
-      box.center = {parse_double(fields[1], "map cx"),
-                    parse_double(fields[2], "map cy"),
-                    parse_double(fields[3], "map cz")};
+      box.center = {parse_finite_double(fields[1], "map cx"),
+                    parse_finite_double(fields[2], "map cy"),
+                    parse_finite_double(fields[3], "map cz")};
     } else if (fields.size() == 1 &&
                (std::isdigit(static_cast<unsigned char>(fields[0][0])) ||
                 fields[0][0] == '-' || fields[0][0] == '+')) {
-      values.push_back(parse_double(fields[0], "map value"));
+      values.push_back(parse_finite_double(fields[0], "map value"));
     }
   }
   GridMap map(box, label);

@@ -207,7 +207,8 @@ void NeighborList::segment_candidates(const mol::Vec3& p, double x_end,
   });
 }
 
-std::vector<std::pair<int, int>> intramolecular_pairs(const mol::Molecule& ligand) {
+std::vector<std::pair<int, int>> intramolecular_pairs(const mol::Molecule& ligand,
+                                                      const mol::TorsionTree& tree) {
   SCIDOCK_ASSERT_MSG(ligand.perceived(), "perceive() ligand before intramolecular_pairs()");
   const int n = ligand.atom_count();
   // Bond-distance BFS per atom; pairs at graph distance >= 3 interact.
@@ -229,9 +230,8 @@ std::vector<std::pair<int, int>> intramolecular_pairs(const mol::Molecule& ligan
       }
     }
     for (int j = i + 1; j < n; ++j) {
-      if (dist[static_cast<std::size_t>(j)] == -1 || dist[static_cast<std::size_t>(j)] >= 3) {
-        pairs.emplace_back(i, j);
-      }
+      const int d = dist[static_cast<std::size_t>(j)];
+      if ((d == -1 || d >= 3) && !tree.same_rigid_piece(i, j)) pairs.emplace_back(i, j);
     }
   }
   return pairs;

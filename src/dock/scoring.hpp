@@ -14,6 +14,7 @@
 #include "mol/atom_typing.hpp"
 #include "mol/geometry.hpp"
 #include "mol/molecule.hpp"
+#include "mol/torsion.hpp"
 
 namespace scidock::dock {
 
@@ -152,8 +153,12 @@ class NeighborList {
   std::vector<int> cell_atoms_;  ///< atom indices, by cell, ascending
 };
 
-/// Ligand intramolecular pair list: atom pairs separated by >= 3 bonds,
-/// whose internal energy changes with torsion angles.
-std::vector<std::pair<int, int>> intramolecular_pairs(const mol::Molecule& ligand);
+/// Ligand intramolecular pair list: atom pairs separated by >= 3 bonds
+/// whose distance a torsion of `tree` can change, i.e. that do not share
+/// one of its rigid pieces (TorsionTree::same_rigid_piece). A pair within
+/// a piece adds a constant to every pose's energy, so AutoDock 4's
+/// `weedbonds` and Vina's pair list leave it out as well.
+std::vector<std::pair<int, int>> intramolecular_pairs(const mol::Molecule& ligand,
+                                                      const mol::TorsionTree& tree);
 
 }  // namespace scidock::dock

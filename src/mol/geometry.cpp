@@ -44,6 +44,28 @@ Vec3 Quaternion::rotate(const Vec3& v) const {
   return v + t * w + qv.cross(t);
 }
 
+Mat3 Mat3::rotation(const Quaternion& q) {
+  // rotate() is v + 2w (q_v x v) + 2 q_v x (q_v x v); as a matrix that is
+  // I + 2w [q_v]x + 2 (q_v q_v^T - |q_v|^2 I).
+  const double xx = q.x * q.x, yy = q.y * q.y, zz = q.z * q.z;
+  const double xy = q.x * q.y, xz = q.x * q.z, yz = q.y * q.z;
+  const double wx = q.w * q.x, wy = q.w * q.y, wz = q.w * q.z;
+  return {{1.0 - 2.0 * (yy + zz), 2.0 * (xy - wz), 2.0 * (xz + wy),
+           2.0 * (xy + wz), 1.0 - 2.0 * (xx + zz), 2.0 * (yz - wx),
+           2.0 * (xz - wy), 2.0 * (yz + wx), 1.0 - 2.0 * (xx + yy)}};
+}
+
+Mat3 Mat3::axis_angle(const Vec3& axis, double angle_rad) {
+  // Rodrigues: cos I + sin [u]x + (1 - cos) u u^T.
+  const Vec3 u = axis.normalized();
+  const double c = std::cos(angle_rad);
+  const double s = std::sin(angle_rad);
+  const double t = 1.0 - c;
+  return {{c + t * u.x * u.x, t * u.x * u.y - s * u.z, t * u.x * u.z + s * u.y,
+           t * u.x * u.y + s * u.z, c + t * u.y * u.y, t * u.y * u.z - s * u.x,
+           t * u.x * u.z - s * u.y, t * u.y * u.z + s * u.x, c + t * u.z * u.z}};
+}
+
 Vec3 centroid(std::span<const Vec3> points) {
   SCIDOCK_ASSERT(!points.empty());
   Vec3 sum{};

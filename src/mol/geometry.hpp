@@ -70,6 +70,41 @@ struct Quaternion {
   Vec3 rotate(const Vec3& v) const;
 };
 
+/// Row-major 3x3 matrix: the rotations the torsion tree composes.
+struct Mat3 {
+  std::array<double, 9> m{1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0};
+
+  /// The rotation q.rotate() applies, for any q (unit or not).
+  static Mat3 rotation(const Quaternion& q);
+  /// Rotation of `angle_rad` about `axis` (need not be normalized; the
+  /// zero axis rotates about +x, as Quaternion::from_axis_angle does).
+  static Mat3 axis_angle(const Vec3& axis, double angle_rad);
+
+  Vec3 operator*(const Vec3& v) const {
+    return {m[0] * v.x + m[1] * v.y + m[2] * v.z,
+            m[3] * v.x + m[4] * v.y + m[5] * v.z,
+            m[6] * v.x + m[7] * v.y + m[8] * v.z};
+  }
+  Mat3 operator*(const Mat3& o) const {
+    Mat3 r;
+    for (int i = 0; i < 3; ++i) {
+      for (int j = 0; j < 3; ++j) {
+        r.m[3 * i + j] = m[3 * i] * o.m[j] + m[3 * i + 1] * o.m[3 + j] +
+                         m[3 * i + 2] * o.m[6 + j];
+      }
+    }
+    return r;
+  }
+};
+
+/// Rigid transform x -> rotation * x + translation.
+struct RigidFrame {
+  Mat3 rotation;
+  Vec3 translation{};
+
+  Vec3 apply(const Vec3& p) const { return rotation * p + translation; }
+};
+
 /// Rigid-body pose: rotation about the body origin followed by translation.
 struct Pose {
   Quaternion rotation = Quaternion::identity();

@@ -143,7 +143,8 @@ PdbqtModel read_pdbqt(std::string_view text, std::string_view name) {
     std::erase(br.moving_atoms, br.atom_to);
     resolved.push_back(std::move(br));
   }
-  model.torsions = TorsionTree::from_branches(std::move(resolved), root_atoms);
+  model.torsions = TorsionTree::from_branches(std::move(resolved), root_atoms,
+                                              model.molecule.atom_count());
   if (model.is_ligand && model.torsdof == 0) {
     model.torsdof = model.torsions.torsion_count();
   }

@@ -160,22 +160,61 @@ TorsionTree TorsionTree::build(const Molecule& m, int min_fragment) {
       frontier.emplace_back(next_frag, this_branch);
     }
   }
+  tree.assign_pieces(n);
   return tree;
 }
 
 TorsionTree TorsionTree::from_branches(std::vector<TorsionBranch> branches,
-                                       std::vector<int> root_atoms) {
+                                       std::vector<int> root_atoms,
+                                       int atom_count) {
   TorsionTree tree;
   tree.branches_ = std::move(branches);
   tree.root_atoms_ = std::move(root_atoms);
+  tree.assign_pieces(atom_count);
   return tree;
+}
+
+void TorsionTree::assign_pieces(int atom_count) {
+  const auto valid_atom = [atom_count](int a) { return a >= 0 && a < atom_count; };
+  piece_.assign(static_cast<std::size_t>(atom_count), 0);
+  std::vector<int> depth(branches_.size() + 1, 0);  // by piece; root = 0
+  for (std::size_t b = 0; b < branches_.size(); ++b) {
+    const TorsionBranch& br = branches_[b];
+    SCIDOCK_REQUIRE(br.parent >= -1 && br.parent < static_cast<int>(b),
+                    "torsion branch must follow its parent");
+    SCIDOCK_REQUIRE(valid_atom(br.atom_from) && valid_atom(br.atom_to),
+                    "torsion branch pivot out of range");
+    const int piece = static_cast<int>(b) + 1;
+    depth[b + 1] = depth[static_cast<std::size_t>(br.parent + 1)] + 1;
+    for (int a : br.moving_atoms) {
+      SCIDOCK_REQUIRE(valid_atom(a), "torsion branch atom out of range");
+      int& owner = piece_[static_cast<std::size_t>(a)];
+      if (depth[b + 1] > depth[static_cast<std::size_t>(owner)]) owner = piece;
+    }
+  }
+}
+
+bool TorsionTree::same_rigid_piece(int i, int j) const {
+  const auto piece = [this](int atom) { return piece_[static_cast<std::size_t>(atom)]; };
+  if (piece(i) == piece(j)) return true;
+  const auto in_branch_piece = [&](int atom, std::size_t b) {
+    const TorsionBranch& br = branches_[b];
+    return piece(atom) == static_cast<int>(b) + 1 || atom == br.atom_from ||
+           atom == br.atom_to;
+  };
+  for (std::size_t b = 0; b < branches_.size(); ++b) {
+    if (in_branch_piece(i, b) && in_branch_piece(j, b)) return true;
+  }
+  return false;
 }
 
 std::vector<Vec3> TorsionTree::apply(const std::vector<Vec3>& reference,
                                      const Pose& pose,
                                      const std::vector<double>& torsion_angles) const {
+  std::vector<RigidFrame> frames;
   std::vector<Vec3> coords;
-  apply_into(reference, root_center(reference), pose, torsion_angles, coords);
+  apply_into(reference, root_center(reference), pose, torsion_angles, frames,
+             coords);
   return coords;
 }
 
@@ -189,27 +228,26 @@ Vec3 TorsionTree::root_center(const std::vector<Vec3>& reference) const {
 void TorsionTree::apply_into(const std::vector<Vec3>& reference,
                              const Vec3& root_center, const Pose& pose,
                              const std::vector<double>& torsion_angles,
+                             std::vector<RigidFrame>& frames,
                              std::vector<Vec3>& out) const {
-  SCIDOCK_ASSERT(static_cast<int>(torsion_angles.size()) == torsion_count());
-  out.assign(reference.begin(), reference.end());
-
-  // Torsions first (about axes in the reference frame, parents before
-  // children so child axes are taken from already-rotated coordinates) ...
-  for (std::size_t bi = 0; bi < branches_.size(); ++bi) {
-    const TorsionBranch& br = branches_[bi];
-    const Vec3 origin = out[static_cast<std::size_t>(br.atom_from)];
-    const Vec3 axis = out[static_cast<std::size_t>(br.atom_to)] - origin;
-    const Quaternion q = Quaternion::from_axis_angle(axis, torsion_angles[bi]);
-    for (int atom : br.moving_atoms) {
-      auto& p = out[static_cast<std::size_t>(atom)];
-      p = q.rotate(p - origin) + origin;
-    }
+  SCIDOCK_ASSERT(torsion_angles.size() == branches_.size());
+  SCIDOCK_ASSERT(reference.size() == piece_.size());
+  frames.resize(branches_.size() + 1);
+  const Mat3 r = Mat3::rotation(pose.rotation);
+  frames[0] = {r, root_center - r * root_center + pose.translation};
+  // Parents precede children, so each parent frame is ready in time.
+  for (std::size_t b = 0; b < branches_.size(); ++b) {
+    const TorsionBranch& br = branches_[b];
+    const Vec3& from = reference[static_cast<std::size_t>(br.atom_from)];
+    const Mat3 t = Mat3::axis_angle(
+        reference[static_cast<std::size_t>(br.atom_to)] - from, torsion_angles[b]);
+    const RigidFrame& parent = frames[static_cast<std::size_t>(br.parent + 1)];
+    // parent(t * (x - from) + from)
+    frames[b + 1] = {parent.rotation * t, parent.apply(from - t * from)};
   }
-
-  // ... then the rigid-body pose about the root-fragment centroid. A rigid
-  // transform preserves the internal geometry the torsions just set.
-  for (Vec3& p : out) {
-    p = pose.rotation.rotate(p - root_center) + root_center + pose.translation;
+  out.resize(reference.size());
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    out[i] = frames[static_cast<std::size_t>(piece_[i])].apply(reference[i]);
   }
 }
 

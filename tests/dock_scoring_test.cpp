@@ -15,6 +15,7 @@
 #include "dock/grid.hpp"
 #include "dock/scoring.hpp"
 #include "mol/molecule.hpp"
+#include "mol/torsion.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -116,6 +117,20 @@ TEST(GridMap, FromMapFileRejectsDegenerateBox) {
     std::string bad = text;
     bad.replace(bad.find("SPACING 0.3750"), 14, spacing);
     EXPECT_THROW(GridMap::from_map_file(bad), ParseError) << spacing;
+  }
+}
+
+TEST(GridMap, FromMapFileRejectsNonFiniteNumbers) {
+  GridBox box;
+  box.npts = {2, 2, 2};
+  const std::string text = GridMap(box, "C").to_map_file();
+  std::string bad_center = text;
+  bad_center.replace(bad_center.find("CENTER 0.000"), 12, "CENTER nan");
+  EXPECT_THROW(GridMap::from_map_file(bad_center), ParseError);
+  for (const char* value : {"-nan\n", "-inf\n"}) {
+    std::string bad_value = text;
+    bad_value.replace(bad_value.rfind("0.0000\n"), 7, value);
+    EXPECT_THROW(GridMap::from_map_file(bad_value), ParseError) << value;
   }
 }
 
@@ -310,7 +325,7 @@ TEST(NeighborList, FarFlungAndNonFiniteAtoms) {
 
 TEST(IntramolecularPairs, ExcludesNearBondedPairs) {
   // Linear chain of 5 atoms: pairs at graph distance >= 3 are (0,3), (0,4),
-  // (1,4).
+  // (1,4). Bonds 1-2 and 2-3 rotate, and each of those pairs spans one.
   mol::Molecule m{"chain"};
   for (int i = 0; i < 5; ++i) {
     mol::Atom a;
@@ -320,9 +335,13 @@ TEST(IntramolecularPairs, ExcludesNearBondedPairs) {
   }
   for (int i = 0; i + 1 < 5; ++i) m.add_bond(i, i + 1);
   m.perceive();
-  const auto pairs = intramolecular_pairs(m);
+  const mol::TorsionTree tree = mol::TorsionTree::build(m);
+  ASSERT_EQ(tree.torsion_count(), 2);
+  const auto pairs = intramolecular_pairs(m, tree);
   EXPECT_EQ(pairs.size(), 3u);
   for (const auto& [i, j] : pairs) EXPECT_GE(j - i, 3);
+  // Without rotatable bonds the chain is one rigid piece: no pair can move.
+  EXPECT_TRUE(intramolecular_pairs(m, mol::TorsionTree::build(m, 3)).empty());
 }
 
 // ------------------------------------------------------------- autogrid
@@ -448,6 +467,23 @@ TEST(Dpf, ParseRejectsNonPositiveRmstol) {
   }
   EXPECT_DOUBLE_EQ(DockingParameterFile::parse(base + "rmstol 0.5\n").rmstol,
                    0.5);
+}
+
+TEST(Dpf, ParseRejectsNonFiniteRates) {
+  const std::string base = DockingParameterFile{}.to_text();
+  for (const char* bad : {"ga_mutation_rate nan\n", "ga_crossover_rate inf\n",
+                          "ga_mutation_rate -inf\n"}) {
+    EXPECT_THROW(DockingParameterFile::parse(base + bad), ParseError) << bad;
+  }
+}
+
+TEST(VinaConfigFile, ParseRejectsNonFiniteNumbers) {
+  const std::string base = "exhaustiveness = 8\n";
+  for (const char* bad : {"center_x = nan\n", "center_y = inf\n",
+                          "center_z = -inf\n", "energy_range = nan\n"}) {
+    EXPECT_THROW(VinaConfig::parse(base + bad), ParseError) << bad;
+  }
+  EXPECT_NO_THROW(VinaConfig::parse(base + "center_x = -1.5\n"));
 }
 
 TEST(VinaConfigFile, ParseRejectsDegenerateBox) {

@@ -11,6 +11,10 @@
 //     of the exact sum, and every mode Vina reports carries the exact sum;
 //   - an energy model's objective is exactly the intermolecular plus
 //     intramolecular energy of coords_for(pose);
+//   - the torsion tree's per-piece frames match a sequential quaternion
+//     reference, the intramolecular pair list drops exactly the pairs
+//     whose distance no torsion changes, and evaluating one shared
+//     ligand on four threads keeps every bit;
 //   - AutoGrid reports every z-slab to its observer, and scoring a pose
 //     for the report does not count as an energy evaluation;
 //   - the single-flight grid-map cache computes once per key, propagates
@@ -549,7 +553,7 @@ TEST(EnergyModel, EvaluationIsTheTermsOfCoordsFor) {
   const Ad4EnergyModel ad4(ad4_maps, lig);
   const VinaEnergyModel vina(vina_maps, lig);
   const auto tables = Ad4PairTables::shared(Ad4Weights{});
-  const auto pairs = intramolecular_pairs(lig.molecule);
+  const auto pairs = intramolecular_pairs(lig.molecule, lig.torsions);
   Rng rng(59);
   for (int i = 0; i < 40; ++i) {
     const DockPose pose = DockPose::random(box, ad4.reference_center(),
@@ -572,6 +576,175 @@ TEST(EnergyModel, EvaluationIsTheTermsOfCoordsFor) {
   }
   EXPECT_EQ(ad4.evaluations(), 40);
   EXPECT_EQ(vina.evaluations(), 40);
+}
+
+// --------------------------------------------- torsion-tree frames
+
+/// The per-branch loop that TorsionTree::apply_into replaced: each branch
+/// rotates its moving atoms about its current axis by a quaternion,
+/// parents first, and then the pose rotates every atom about the root
+/// centre and translates it.
+std::vector<mol::Vec3> quaternion_reference(const mol::TorsionTree& tree,
+                                            std::vector<mol::Vec3> out,
+                                            const mol::Pose& pose,
+                                            const std::vector<double>& angles) {
+  const mol::Vec3 center = tree.root_center(out);
+  for (std::size_t b = 0; b < tree.branches().size(); ++b) {
+    const mol::TorsionBranch& br = tree.branches()[b];
+    const mol::Vec3 origin = out[static_cast<std::size_t>(br.atom_from)];
+    const mol::Quaternion q = mol::Quaternion::from_axis_angle(
+        out[static_cast<std::size_t>(br.atom_to)] - origin, angles[b]);
+    for (int atom : br.moving_atoms) {
+      mol::Vec3& p = out[static_cast<std::size_t>(atom)];
+      p = q.rotate(p - origin) + origin;
+    }
+  }
+  for (mol::Vec3& p : out) {
+    p = pose.rotation.rotate(p - center) + center + pose.translation;
+  }
+  return out;
+}
+
+/// A Table 2 ligand as prepligand makes it, and as the docking activities
+/// read it back from its PDBQT (bonds from geometry, written types kept).
+std::vector<mol::PreparedLigand> both_ligand_forms(const std::string& code) {
+  mol::PreparedLigand prepared = mol::prepare_ligand(data::make_ligand(code));
+  mol::PdbqtModel model = mol::read_pdbqt(prepared.pdbqt, code);
+  model.molecule.infer_bonds_from_geometry();
+  model.molecule.perceive(/*retype=*/false);
+  mol::PreparedLigand read_back{std::move(model.molecule),
+                                std::move(model.torsions), prepared.pdbqt};
+  std::vector<mol::PreparedLigand> forms;
+  forms.push_back(std::move(prepared));
+  forms.push_back(std::move(read_back));
+  return forms;
+}
+
+TEST(TorsionFrames, ApplyMatchesSequentialQuaternionReference) {
+  const GridBox box = GridBox::around({3.0, -2.0, 1.0}, 10.0, 0.5);
+  Rng rng(71);
+  for (const std::string& code : data::table2_ligands()) {
+    for (const mol::PreparedLigand& lig : both_ligand_forms(code)) {
+      const std::vector<mol::Vec3> ref = lig.molecule.coordinates();
+      const mol::Vec3 center = lig.torsions.root_center(ref);
+      std::vector<mol::RigidFrame> frames;
+      std::vector<mol::Vec3> out;
+      for (int trial = 0; trial < 10; ++trial) {
+        const DockPose pose =
+            DockPose::random(box, center, lig.torsions.torsion_count(), rng);
+        lig.torsions.apply_into(ref, center, pose.rigid, pose.torsions, frames,
+                                out);
+        const std::vector<mol::Vec3> expected = quaternion_reference(
+            lig.torsions, ref, pose.rigid, pose.torsions);
+        ASSERT_EQ(out.size(), expected.size());
+        for (std::size_t i = 0; i < out.size(); ++i) {
+          EXPECT_LT(mol::distance(out[i], expected[i]), 1e-9)
+              << code << " atom " << i;
+        }
+      }
+    }
+  }
+}
+
+/// True when atoms i and j are one or two bonds apart.
+bool within_two_bonds(const mol::Molecule& m, int i, int j) {
+  for (int k : m.neighbors(i)) {
+    if (k == j) return true;
+    for (int l : m.neighbors(k)) {
+      if (l == j) return true;
+    }
+  }
+  return false;
+}
+
+TEST(TorsionFrames, DroppedPairsAreExactlyTheRigidOnes) {
+  // Of the pairs three or more bonds apart, the pair list leaves out
+  // exactly those whose distance no torsion changes: every dropped pair
+  // keeps its distance under random torsions, and every kept pair moves.
+  Rng rng(73);
+  int separated = 0, dropped = 0;
+  for (const std::string& code : data::table2_ligands()) {
+    const mol::PreparedLigand lig = mol::prepare_ligand(data::make_ligand(code));
+    const mol::Molecule& m = lig.molecule;
+    const std::vector<mol::Vec3> ref = m.coordinates();
+    std::vector<std::vector<mol::Vec3>> posed;
+    for (int trial = 0; trial < 20; ++trial) {
+      std::vector<double> angles(
+          static_cast<std::size_t>(lig.torsions.torsion_count()));
+      for (double& a : angles) a = rng.uniform(-3.14159, 3.14159);
+      posed.push_back(lig.torsions.apply(ref, mol::Pose{}, angles));
+    }
+    const auto pairs = intramolecular_pairs(m, lig.torsions);
+    const std::set<std::pair<int, int>> kept(pairs.begin(), pairs.end());
+    EXPECT_EQ(kept.size(), pairs.size()) << code;
+    for (int i = 0; i < m.atom_count(); ++i) {
+      for (int j = i + 1; j < m.atom_count(); ++j) {
+        if (within_two_bonds(m, i, j)) {
+          EXPECT_FALSE(kept.contains({i, j})) << code;
+          continue;
+        }
+        ++separated;
+        const double d0 = mol::distance(ref[static_cast<std::size_t>(i)],
+                                        ref[static_cast<std::size_t>(j)]);
+        double max_change = 0.0;
+        for (const auto& c : posed) {
+          max_change = std::max(
+              max_change, std::abs(mol::distance(c[static_cast<std::size_t>(i)],
+                                                 c[static_cast<std::size_t>(j)]) -
+                                   d0));
+        }
+        if (kept.contains({i, j})) {
+          EXPECT_GT(max_change, 1e-6) << code << " pair " << i << "," << j;
+        } else {
+          ++dropped;
+          EXPECT_LT(max_change, 1e-9) << code << " pair " << i << "," << j;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(separated, 7941);
+  EXPECT_EQ(dropped, 1431);
+}
+
+TEST(TorsionFrames, SharedLigandEvaluatesIdenticallyOnFourThreads) {
+  // Cached ligands and map sets are shared across workers; each worker
+  // owns its energy model, so concurrent evaluation keeps every bit.
+  const auto opts = tiny();
+  const mol::PreparedReceptor rec =
+      mol::prepare_receptor(data::make_receptor("1AIM", opts));
+  const mol::PreparedLigand lig = mol::prepare_ligand(data::make_ligand("0E6"));
+  const GridBox box = GridBox::around(rec.molecule.center(), 9.0, 0.75);
+  const GridMapCalculator calc(rec.molecule);
+  const GridMapSet ad4_maps = calc.calculate(box, screening_ligand_types());
+  const GridMapSet vina_maps = calc.calculate(box, screening_ligand_types(),
+                                              ScoringFunction::Vina);
+  std::vector<DockPose> poses;
+  {
+    const Ad4EnergyModel model(ad4_maps, lig);
+    Rng rng(79);
+    for (int i = 0; i < 200; ++i) {
+      poses.push_back(DockPose::random(box, model.reference_center(),
+                                       lig.torsions.torsion_count(), rng));
+    }
+  }
+  const auto evaluate_all = [&] {
+    const Ad4EnergyModel ad4(ad4_maps, lig);
+    const VinaEnergyModel vina(vina_maps, lig);
+    std::vector<double> energies;
+    for (const DockPose& pose : poses) {
+      energies.push_back(ad4(pose));
+      energies.push_back(vina(pose));
+    }
+    return energies;
+  };
+  const std::vector<double> serial = evaluate_all();
+  std::vector<std::vector<double>> parallel(4);
+  std::vector<std::thread> workers;
+  for (auto& out : parallel) {
+    workers.emplace_back([&out, &evaluate_all] { out = evaluate_all(); });
+  }
+  for (std::thread& t : workers) t.join();
+  for (const auto& energies : parallel) EXPECT_EQ(energies, serial);
 }
 
 TEST(KernelBruteForce, VinaMapPoseErrorIsBounded) {
