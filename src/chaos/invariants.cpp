@@ -1,22 +1,14 @@
 #include "chaos/invariants.hpp"
 
 #include <algorithm>
-#include <map>
 #include <set>
+#include <string_view>
 
 #include "obs/obs.hpp"
 #include "util/lockdep.hpp"
 #include "util/strings.hpp"
 
 namespace scidock::chaos {
-
-namespace {
-
-/// Timestamps inside one attempt chain may touch exactly (the simulator
-/// redispatches at the failure instant); anything earlier is a violation.
-constexpr double kTimeEps = 1e-9;
-
-}  // namespace
 
 RunSummary summarize(const wf::SimReport& report,
                      const wf::SimExecutorOptions& options,
@@ -119,153 +111,87 @@ bool InvariantChecker::check_provenance(const RunSummary& summary,
                                         prov::ProvenanceStore& store,
                                         const std::string& workflow_tag,
                                         int chain_length) {
+  const std::string who =
+      "[" + summary.executor + "/" + workflow_tag + "] provenance: ";
+  const sql::ResultSet wkf = store.query(prov::workflow_id_sql(workflow_tag));
+  if (wkf.rows.empty()) return fail(who + "no hworkflow row for tag");
+  const long long wkfid = wkf.rows[0][0].as_int();
   bool ok = true;
-  const std::string who = "[" + summary.executor + "/" + workflow_tag + "]";
-
-  // ---- scan the store under its lock (activations may still be live) ----
-  struct Attempt {
-    int number;
-    std::string status;
-    double start;
-    double end;
+  const auto rows = [&store](const std::string& sql) {
+    return store.query(sql).rows;
   };
-  std::map<std::pair<long long, std::string>, std::vector<Attempt>> sites;
-  long long wkfid = -1;
-  double workflow_end = 0.0;
+  const auto violation = [&](const std::string& what) { ok = fail(who + what); };
+  const auto site = [](const auto& r) {
+    return "site (actid=" + r[0].to_string() + ", workload='" +
+           r[1].to_string() + "'): ";
+  };
+
+  if (!rows(prov::open_workflow_sql(wkfid)).empty()) {
+    violation("workflow row was never closed");
+  }
+  for (const auto& r : rows(prov::open_activations_sql(wkfid))) {
+    violation("activation left open (status " + r[1].to_string() + ")");
+  }
+  for (const auto& r : rows(prov::reversed_activations_sql(wkfid))) {
+    violation(strformat("endtime %.6f < starttime %.6f", r[2].as_double(),
+                        r[1].as_double()));
+  }
+  for (const auto& r : rows(prov::late_activations_sql(wkfid))) {
+    violation(strformat("activation ends at %.6f after workflow end %.6f",
+                        r[1].as_double(), r[2].as_double()));
+  }
+  for (const auto& r :
+       rows(prov::over_budget_sql(wkfid, summary.attempt_budget))) {
+    violation("activation " + r[0].to_string() + ": attempt " +
+              r[1].to_string() + " exceeds budget " +
+              std::to_string(summary.attempt_budget));
+  }
+  // Per site: attempts 1..k, FINISHED last, no overlap.
+  for (const auto& r : rows(prov::nonconsecutive_attempts_sql(wkfid))) {
+    violation(site(r) + "attempt numbers not consecutive (got " +
+              r[2].to_string() + " at position " + r[3].to_string() + ")");
+  }
+  for (const auto& r : rows(prov::finished_not_last_sql(wkfid))) {
+    violation(site(r) + "FINISHED attempt " + r[2].to_string() +
+              " is not the last one");
+  }
+  for (const auto& r : rows(prov::overlapping_attempts_sql(wkfid))) {
+    violation(site(r) + strformat("attempt %lld starts at %.6f before attempt "
+                                  "%lld ended at %.6f",
+                                  static_cast<long long>(r[2].as_int()),
+                                  r[3].as_double(),
+                                  static_cast<long long>(r[2].as_int()) - 1,
+                                  r[4].as_double()));
+  }
+
+  // Status counts against the report.
   long long finished = 0, failed = 0, aborted = 0;
-  int max_attempt = 0;
-  store.with_database([&](sql::Database& db) {
-    // ---- locate the workflow row ----
-    const sql::Table& hworkflow = db.table("hworkflow");
-    const auto w_id = static_cast<std::size_t>(hworkflow.column_index("wkfid"));
-    const auto w_tag = static_cast<std::size_t>(hworkflow.column_index("tag"));
-    const auto w_end =
-        static_cast<std::size_t>(hworkflow.column_index("endtime"));
-    for (const sql::Row& row : hworkflow.rows()) {
-      if (row[w_tag].as_string() == workflow_tag) {
-        wkfid = row[w_id].as_int();
-        if (row[w_end].is_null()) {
-          ok = fail(who + " provenance: workflow row was never closed");
-        } else {
-          workflow_end = row[w_end].as_double();
-        }
-      }
+  for (const auto& r : rows(prov::activations_by_status_sql(wkfid))) {
+    const std::string& status = r[0].as_string();
+    if (status == prov::kStatusFinished) finished = r[1].as_int();
+    else if (status == prov::kStatusFailed) failed = r[1].as_int();
+    else if (status == prov::kStatusAborted) aborted = r[1].as_int();
+    else if (status != prov::kStatusRunning) violation("unknown status " + status);
+  }
+  const auto count = [&](long long stored, const char* status, long long report) {
+    if (stored != report) {
+      violation(strformat("%lld %s rows vs %lld in report", stored, status,
+                          report));
     }
-    if (wkfid < 0) return;
-
-    // ---- scan activations ----
-    const sql::Table& hactivation = db.table("hactivation");
-    const auto c_wkf =
-        static_cast<std::size_t>(hactivation.column_index("wkfid"));
-    const auto c_act =
-        static_cast<std::size_t>(hactivation.column_index("actid"));
-    const auto c_start =
-        static_cast<std::size_t>(hactivation.column_index("starttime"));
-    const auto c_end =
-        static_cast<std::size_t>(hactivation.column_index("endtime"));
-    const auto c_status =
-        static_cast<std::size_t>(hactivation.column_index("status"));
-    const auto c_attempts =
-        static_cast<std::size_t>(hactivation.column_index("attempts"));
-    const auto c_workload =
-        static_cast<std::size_t>(hactivation.column_index("workload"));
-
-    for (const sql::Row& row : hactivation.rows()) {
-      if (row[c_wkf].as_int() != wkfid) continue;
-      const std::string& status = row[c_status].as_string();
-      if (status == prov::kStatusRunning || row[c_end].is_null()) {
-        ok = fail(who + " provenance: activation left open (status " + status +
-                  ")");
-        continue;
-      }
-      const double start = row[c_start].as_double();
-      const double end = row[c_end].as_double();
-      const int attempt = static_cast<int>(row[c_attempts].as_int());
-      if (end < start - kTimeEps) {
-        ok = fail(strformat("%s provenance: endtime %.6f < starttime %.6f",
-                            who.c_str(), end, start));
-      }
-      if (end > workflow_end + kTimeEps) {
-        ok = fail(strformat(
-            "%s provenance: activation ends at %.6f after workflow end %.6f",
-            who.c_str(), end, workflow_end));
-      }
-      if (status == prov::kStatusFinished) ++finished;
-      else if (status == prov::kStatusFailed) ++failed;
-      else if (status == prov::kStatusAborted) ++aborted;
-      else ok = fail(who + " provenance: unknown status " + status);
-      max_attempt = std::max(max_attempt, attempt);
-      sites[{row[c_act].as_int(), row[c_workload].as_string()}].push_back(
-          Attempt{attempt, status, start, end});
-    }
-  });
-  if (wkfid < 0) {
-    return fail(who + " provenance: no hworkflow row for tag");
-  }
-
-  if (finished != summary.activations_finished) {
-    ok = fail(strformat("%s provenance: %lld FINISHED rows vs %lld in report",
-                        who.c_str(), finished, summary.activations_finished));
-  }
-  if (failed != summary.activations_failed) {
-    ok = fail(strformat("%s provenance: %lld FAILED rows vs %lld in report",
-                        who.c_str(), failed, summary.activations_failed));
-  }
-  if (aborted != summary.activations_hung) {
-    ok = fail(strformat("%s provenance: %lld ABORTED rows vs %lld in report",
-                        who.c_str(), aborted, summary.activations_hung));
-  }
-  if (max_attempt > summary.attempt_budget) {
-    ok = fail(strformat("%s provenance: attempt %d exceeds budget %d",
-                        who.c_str(), max_attempt, summary.attempt_budget));
-  }
-
+  };
+  count(finished, "FINISHED", summary.activations_finished);
+  count(failed, "FAILED", summary.activations_failed);
+  count(aborted, "ABORTED", summary.activations_hung);
   // A complete chain contributes chain_length FINISHED rows; a lost tuple
   // contributes between 0 and chain_length - 1.
   const long long lo = summary.tuples_completed * chain_length;
   const long long hi = lo + summary.tuples_lost * (chain_length - 1);
   if (finished < lo || finished > hi) {
-    ok = fail(strformat(
-        "%s provenance: %lld FINISHED rows outside [%lld, %lld] for %lld "
-        "completed / %lld lost tuples over %d stages",
-        who.c_str(), finished, lo, hi, summary.tuples_completed,
-        summary.tuples_lost, chain_length));
-  }
-
-  // ---- per tuple-activity site: one FINISHED, consecutive attempts ----
-  for (auto& [site, attempts] : sites) {
-    std::sort(attempts.begin(), attempts.end(),
-              [](const Attempt& a, const Attempt& b) {
-                return a.number < b.number;
-              });
-    const std::string where =
-        strformat("%s provenance: site (actid=%lld, workload='%s')",
-                  who.c_str(), site.first, site.second.c_str());
-    int finished_here = 0;
-    for (std::size_t i = 0; i < attempts.size(); ++i) {
-      if (attempts[i].number != static_cast<int>(i) + 1) {
-        ok = fail(strformat("%s: attempt numbers not consecutive (got %d at "
-                            "position %zu)",
-                            where.c_str(), attempts[i].number, i));
-        break;
-      }
-      if (i > 0 && attempts[i].start < attempts[i - 1].end - kTimeEps) {
-        ok = fail(strformat(
-            "%s: attempt %d starts at %.6f before attempt %d ended at %.6f",
-            where.c_str(), attempts[i].number, attempts[i].start,
-            attempts[i - 1].number, attempts[i - 1].end));
-      }
-      if (attempts[i].status == prov::kStatusFinished) {
-        ++finished_here;
-        if (i + 1 != attempts.size()) {
-          ok = fail(where + ": FINISHED attempt is not the last one");
-        }
-      }
-    }
-    if (finished_here > 1) {
-      ok = fail(strformat("%s: %d FINISHED records (expected at most one)",
-                          where.c_str(), finished_here));
-    }
+    violation(strformat(
+        "%lld FINISHED rows outside [%lld, %lld] for %lld completed / %lld "
+        "lost tuples over %d stages",
+        finished, lo, hi, summary.tuples_completed, summary.tuples_lost,
+        chain_length));
   }
   return ok;
 }
@@ -293,7 +219,7 @@ bool InvariantChecker::check_metrics(const RunSummary& summary,
           .front()
           .as_int();
   long long sql_finished = 0, sql_failed = 0, sql_aborted = 0;
-  for (const sql::Row& row :
+  for (const auto& row :
        store.query(prov::activations_by_status_sql(wkfid)).rows) {
     const std::string& status = row[0].as_string();
     const long long n = row[1].as_int();
@@ -405,100 +331,46 @@ bool InvariantChecker::check_recovery(prov::ProvenanceStore& store) {
         "protocol let a fact outlive its dimensions",
         rec.orphan_rows));
   }
-  store.with_database([&](sql::Database& db) {
-    std::set<long long> wkfids;
-    for (const sql::Row& row : db.table("hworkflow").rows()) {
-      if (!wkfids.insert(row[0].as_int()).second) {
-        ok = fail(strformat("recovery: duplicate wkfid %lld",
-                            static_cast<long long>(row[0].as_int())));
-      }
+  const auto rows = [&store](const std::string& sql) {
+    return store.query(sql).rows;
+  };
+  const auto violation = [&](const std::string& what) {
+    ok = fail("recovery: " + what);
+  };
+  for (const auto& [table, key] : prov::kTableKeys) {
+    for (const auto& r : rows(prov::duplicate_keys_sql(table, key))) {
+      violation(std::string("duplicate ") + key + " " + r[0].to_string());
     }
-    std::set<long long> actids;
-    for (const sql::Row& row : db.table("hactivity").rows()) {
-      if (!actids.insert(row[0].as_int()).second) {
-        ok = fail(strformat("recovery: duplicate actid %lld",
-                            static_cast<long long>(row[0].as_int())));
-      }
-      if (!wkfids.contains(row[1].as_int())) {
-        ok = fail(strformat("recovery: hactivity %lld references missing "
-                            "workflow %lld",
-                            static_cast<long long>(row[0].as_int()),
-                            static_cast<long long>(row[1].as_int())));
-      }
+  }
+  for (const prov::Reference& ref : prov::kReferences) {
+    std::set<long long> present;
+    for (const auto& r : rows(prov::keys_sql(ref.target, ref.key))) {
+      present.insert(r[0].as_int());
     }
-    const sql::Table& hactivation = db.table("hactivation");
-    std::set<long long> taskids;
-    for (const sql::Row& row : hactivation.rows()) {
-      const long long taskid = row[0].as_int();
-      if (!taskids.insert(taskid).second) {
-        ok = fail(strformat("recovery: duplicate taskid %lld", taskid));
-      }
-      if (!actids.contains(row[1].as_int()) ||
-          !wkfids.contains(row[2].as_int())) {
-        ok = fail(strformat(
-            "recovery: activation %lld references missing activity %lld "
-            "or workflow %lld",
-            taskid, static_cast<long long>(row[1].as_int()),
-            static_cast<long long>(row[2].as_int())));
-      }
-      const std::string& status = row[5].as_string();
-      const bool open = status == prov::kStatusRunning;
-      const bool closed = status == prov::kStatusFinished ||
-                          status == prov::kStatusFailed ||
-                          status == prov::kStatusAborted;
-      if (!open && !closed) {
-        ok = fail(strformat("recovery: activation %lld has illegal status "
-                            "'%s'",
-                            taskid, status.c_str()));
-      }
-      if (open != row[4].is_null()) {
-        ok = fail(strformat(
-            "recovery: activation %lld status '%s' disagrees with its "
-            "endtime being %s",
-            taskid, status.c_str(), row[4].is_null() ? "NULL" : "set"));
-      }
-      if (closed && row[4].as_double() < row[3].as_double() - kTimeEps) {
-        ok = fail(strformat("recovery: activation %lld ends at %.6f before "
-                            "its start %.6f",
-                            taskid, row[4].as_double(), row[3].as_double()));
-      }
-      if (row[8].as_int() < 1) {
-        ok = fail(strformat("recovery: activation %lld has attempts %lld < 1",
-                            taskid,
-                            static_cast<long long>(row[8].as_int())));
-      }
+    for (const auto& r : rows(prov::referenced_keys_sql(ref))) {
+      if (present.contains(r[0].as_int())) continue;
+      violation(ref.table + (" " + r[1].to_string()) + " references missing " +
+                ref.target + " " + r[0].to_string());
     }
-    std::set<long long> fileids;
-    for (const sql::Row& row : db.table("hfile").rows()) {
-      if (!fileids.insert(row[0].as_int()).second) {
-        ok = fail(strformat("recovery: duplicate fileid %lld",
-                            static_cast<long long>(row[0].as_int())));
-      }
-      // taskid 0: a workflow-level file (input/output relation).
-      const long long taskid = row[3].as_int();
-      if (taskid == 0 ? !wkfids.contains(row[1].as_int())
-                      : !taskids.contains(taskid)) {
-        ok = fail(strformat(
-            "recovery: hfile %lld references missing activation %lld or "
-            "workflow %lld",
-            static_cast<long long>(row[0].as_int()), taskid,
-            static_cast<long long>(row[1].as_int())));
-      }
-    }
-    std::set<long long> valueids;
-    for (const sql::Row& row : db.table("hvalue").rows()) {
-      if (!valueids.insert(row[0].as_int()).second) {
-        ok = fail(strformat("recovery: duplicate valueid %lld",
-                            static_cast<long long>(row[0].as_int())));
-      }
-      if (!taskids.contains(row[1].as_int())) {
-        ok = fail(strformat(
-            "recovery: hvalue %lld references missing activation %lld",
-            static_cast<long long>(row[0].as_int()),
-            static_cast<long long>(row[1].as_int())));
-      }
-    }
-  });
+  }
+  for (const auto& r : rows(prov::illegal_status_sql())) {
+    violation("activation " + r[0].to_string() + " has illegal status '" +
+              r[1].to_string() + "'");
+  }
+  for (const auto& r : rows(prov::status_endtime_mismatch_sql())) {
+    violation("activation " + r[0].to_string() + " status '" +
+              r[1].to_string() + "' disagrees with its endtime being " +
+              (r[2].is_null() ? "NULL" : "set"));
+  }
+  for (const auto& r : rows(prov::reversed_activations_sql(0))) {
+    violation(strformat("activation %s ends at %.6f before its start %.6f",
+                        r[0].to_string().c_str(), r[2].as_double(),
+                        r[1].as_double()));
+  }
+  for (const auto& r : rows(prov::attempts_below_one_sql())) {
+    violation("activation " + r[0].to_string() + " has attempts " +
+              r[1].to_string() + " < 1");
+  }
   return ok;
 }
 

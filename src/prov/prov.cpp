@@ -18,6 +18,10 @@ using wal::WalRecord;
 
 namespace {
 
+/// Timestamps inside one attempt chain may touch exactly (the simulator
+/// redispatches at the failure instant); anything earlier is a violation.
+constexpr double kTimeEps = 1e-9;
+
 // hactivation column positions (fixed by init_schema; constants keep the
 // 1M-record replay path off column_index lookups).
 constexpr std::size_t kActTaskid = 0;
@@ -28,7 +32,6 @@ constexpr std::size_t kActStatus = 5;
 constexpr std::size_t kActExitcode = 7;
 constexpr std::size_t kActAttempts = 8;
 
-constexpr const char* kDimTables[] = {"hworkflow", "hactivity", "hmachine"};
 constexpr const char* kFactTables[] = {"hactivation", "hfile", "hvalue"};
 
 std::string export_prov_n_impl(sql::Engine& engine) {
@@ -77,13 +80,22 @@ std::string export_prov_n_impl(sql::Engine& engine) {
   return out;
 }
 
+/// `text` as a SQL string literal: quoted, each ' doubled (the lexer's
+/// escape). Every builder interpolates text through it.
+std::string sql_literal(std::string_view text) {
+  std::string out = "'";
+  for (const char c : text) {
+    out += c;
+    if (c == '\'') out += '\'';
+  }
+  return out + "'";
+}
+
 }  // namespace
 
 std::string workflow_id_sql(std::string_view tag) {
-  return strformat(
-      "SELECT wkfid FROM hworkflow WHERE tag = '%s' "
-      "ORDER BY wkfid DESC LIMIT 1",
-      std::string(tag).c_str());
+  return "SELECT wkfid FROM hworkflow WHERE tag = " + sql_literal(tag) +
+         " ORDER BY wkfid DESC LIMIT 1";
 }
 
 // The `-- reconciles:` comment annotations below declare which metrics
@@ -124,9 +136,116 @@ std::string finished_activation_count_sql(long long wkfid,
       "-- reconciles: scidock_cache_gridmaps_inflight_waits_total\n"
       "SELECT count(*) FROM hactivity a, hactivation t "
       "WHERE t.actid = a.actid AND a.wkfid = %lld "
-      "AND a.tag = '%s' AND t.status = '%s'",
-      wkfid, std::string(activity_tag).c_str(),
-      std::string(kStatusFinished).c_str());
+      "AND a.tag = %s AND t.status = %s",
+      wkfid, sql_literal(activity_tag).c_str(),
+      sql_literal(kStatusFinished).c_str());
+}
+
+// ---- invariant queries ----
+
+std::string open_workflow_sql(long long wkfid) {
+  return strformat(
+      "SELECT wkfid FROM hworkflow WHERE wkfid = %lld AND endtime IS NULL",
+      wkfid);
+}
+
+std::string open_activations_sql(long long wkfid) {
+  return strformat(
+      "SELECT taskid, status FROM hactivation WHERE wkfid = %lld "
+      "AND (status = 'RUNNING' OR endtime IS NULL) ORDER BY taskid",
+      wkfid);
+}
+
+std::string late_activations_sql(long long wkfid) {
+  return strformat(
+      "SELECT t.taskid, t.endtime, w.endtime FROM hworkflow w, hactivation t "
+      "WHERE w.wkfid = %lld AND t.wkfid = w.wkfid "
+      "AND t.endtime > w.endtime + %g ORDER BY t.taskid",
+      wkfid, kTimeEps);
+}
+
+std::string over_budget_sql(long long wkfid, int attempt_budget) {
+  return strformat(
+      "SELECT taskid, attempts FROM hactivation "
+      "WHERE wkfid = %lld AND attempts > %d ORDER BY taskid",
+      wkfid, attempt_budget);
+}
+
+// The attempt rules self-join the hactivation rows of one tuple-activity
+// site: one (actid, workload) in one run.
+
+std::string nonconsecutive_attempts_sql(long long wkfid) {
+  return strformat(
+      "SELECT a.actid, a.workload, a.attempts, count(*) - 1 "
+      "FROM hactivation a, hactivation b WHERE a.wkfid = %lld "
+      "AND b.wkfid = a.wkfid AND b.actid = a.actid AND b.workload = a.workload "
+      "AND b.attempts <= a.attempts "
+      "GROUP BY a.taskid, a.actid, a.workload, a.attempts "
+      "HAVING count(*) <> a.attempts OR sum(b.attempts = a.attempts) <> 1 "
+      "ORDER BY a.actid, a.workload, a.attempts",
+      wkfid);
+}
+
+std::string finished_not_last_sql(long long wkfid) {
+  return strformat(
+      "SELECT a.actid, a.workload, a.attempts "
+      "FROM hactivation a, hactivation b WHERE a.wkfid = %lld "
+      "AND b.wkfid = a.wkfid AND b.actid = a.actid AND b.workload = a.workload "
+      "AND a.status = 'FINISHED' AND b.attempts > a.attempts "
+      "GROUP BY a.actid, a.workload, a.attempts "
+      "ORDER BY a.actid, a.workload, a.attempts",
+      wkfid);
+}
+
+std::string overlapping_attempts_sql(long long wkfid) {
+  return strformat(
+      "SELECT a.actid, a.workload, b.attempts, b.starttime, a.endtime "
+      "FROM hactivation a, hactivation b WHERE a.wkfid = %lld "
+      "AND b.wkfid = a.wkfid AND b.actid = a.actid AND b.workload = a.workload "
+      "AND b.attempts = a.attempts + 1 AND b.starttime < a.endtime - %g "
+      "ORDER BY a.actid, a.workload, a.attempts",
+      wkfid, kTimeEps);
+}
+
+std::string reversed_activations_sql(long long wkfid) {
+  return strformat(
+      "SELECT taskid, starttime, endtime FROM hactivation WHERE %s"
+      "status IN ('FINISHED', 'FAILED', 'ABORTED') "
+      "AND endtime < starttime - %g ORDER BY taskid",
+      wkfid == 0 ? "" : strformat("wkfid = %lld AND ", wkfid).c_str(),
+      kTimeEps);
+}
+
+std::string duplicate_keys_sql(const char* table, const char* key) {
+  return strformat(
+      "SELECT %s, count(*) FROM %s GROUP BY %s HAVING count(*) > 1 "
+      "ORDER BY %s",
+      key, table, key, key);
+}
+
+std::string keys_sql(const char* table, const char* key) {
+  return strformat("SELECT %s FROM %s ORDER BY %s", key, table, key);
+}
+
+std::string referenced_keys_sql(const Reference& ref) {
+  return strformat("SELECT %s, min(%s) FROM %s%s%s GROUP BY %s ORDER BY %s",
+                   ref.key, ref.id, ref.table, *ref.where ? " WHERE " : "",
+                   ref.where, ref.key, ref.key);
+}
+
+std::string illegal_status_sql() {
+  return "SELECT taskid, status FROM hactivation WHERE status NOT IN "
+         "('RUNNING', 'FINISHED', 'FAILED', 'ABORTED') ORDER BY taskid";
+}
+
+std::string status_endtime_mismatch_sql() {
+  return "SELECT taskid, status, endtime FROM hactivation "
+         "WHERE (status = 'RUNNING') <> (endtime IS NULL) ORDER BY taskid";
+}
+
+std::string attempts_below_one_sql() {
+  return "SELECT taskid, attempts FROM hactivation WHERE attempts < 1 "
+         "ORDER BY taskid";
 }
 
 void ProvenanceStore::init_schema(sql::Database& db) {
@@ -639,45 +758,15 @@ std::string ProvenanceStore::content_digest() {
 
 std::size_t ProvenanceStore::abort_open_activations(double now) {
   ensure_writable();
-  std::vector<std::pair<long long, int>> open;
-  for (const auto& shard : shards_) {
-    MutexLock lock(shard->mutex);
-    for (const sql::Row& row : shard->db.table("hactivation").rows()) {
-      if (row[kActStatus].as_string() == kStatusRunning) {
-        open.emplace_back(row[kActTaskid].as_int(),
-                          static_cast<int>(row[kActAttempts].as_int()));
-      }
-    }
+  const sql::ResultSet open = with_shard_engine([](sql::Engine& engine) {
+    return engine.execute(
+        "SELECT taskid, attempts FROM hactivation WHERE status = 'RUNNING'");
+  });
+  for (const sql::Row& row : open.rows) {
+    end_activation(row[0].as_int(), now, kStatusFailed, -1,
+                   static_cast<int>(row[1].as_int()));
   }
-  for (const auto& [taskid, attempts] : open) {
-    end_activation(taskid, now, kStatusFailed, -1, attempts);
-  }
-  return open.size();
-}
-
-sql::Database ProvenanceStore::snapshot_database() {
-  sql::Database out;
-  init_schema(out);
-  std::vector<std::unique_ptr<MutexLock>> locks;
-  locks.reserve(shards_.size());
-  for (const auto& shard : shards_) {
-    locks.push_back(std::make_unique<MutexLock>(shard->mutex));
-  }
-  for (const char* name : kDimTables) {
-    sql::Table& dst = out.table(name);
-    for (const sql::Row& row : shards_[0]->db.table(name).rows()) {
-      dst.insert(row);
-    }
-  }
-  for (const char* name : kFactTables) {
-    sql::Table& dst = out.table(name);
-    for (const auto& shard : shards_) {
-      for (const sql::Row& row : shard->db.table(name).rows()) {
-        dst.insert(row);
-      }
-    }
-  }
-  return out;
+  return open.rows.size();
 }
 
 DurabilityStats ProvenanceStore::durability_stats() const {

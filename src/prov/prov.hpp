@@ -58,7 +58,7 @@ inline constexpr std::string_view kStatusAborted = "ABORTED";  ///< hang killed
 /// The counts these return must equal the scidock_executor_* counters of
 /// the run — chaos::InvariantChecker::check_metrics automates the
 /// comparison.
-/// Latest wkfid recorded under `tag` (tags must not contain quotes).
+/// Latest wkfid recorded under `tag` (any text: quotes are escaped).
 std::string workflow_id_sql(std::string_view tag);
 /// count(*) over the run's hactivation rows (== activations started).
 std::string activation_count_sql(long long wkfid);
@@ -73,6 +73,57 @@ std::string retried_activation_count_sql(long long wkfid);
 /// stage must equal this count.
 std::string finished_activation_count_sql(long long wkfid,
                                           std::string_view activity_tag);
+
+/// SQL builders for the PROV-Wf invariants (chaos::InvariantChecker,
+/// DESIGN.md §7). Each returns one row per violation, in an order every
+/// shard count shares; an empty result means the rule holds. Within an
+/// attempt chain, timestamps may touch; only an overlap beyond 1e-9 s counts.
+/// Over one run (wkfid); the attempt rules self-join a tuple-activity site,
+/// one (actid, workload):
+std::string open_workflow_sql(long long wkfid);     ///< (wkfid) no endtime
+std::string open_activations_sql(long long wkfid);  ///< (taskid, status)
+/// (taskid, endtime, workflow endtime): ends after its workflow.
+std::string late_activations_sql(long long wkfid);
+/// (taskid, attempts) beyond the budget.
+std::string over_budget_sql(long long wkfid, int attempt_budget);
+/// (actid, workload, attempts, position): attempts not 1..k, i.e. attempt
+/// n lacks exactly n - 1 attempts below it or has a twin.
+std::string nonconsecutive_attempts_sql(long long wkfid);
+/// (actid, workload, attempts) of a FINISHED attempt that is not the last.
+std::string finished_not_last_sql(long long wkfid);
+/// (actid, workload, n + 1, its starttime, endtime of n): an overlap.
+std::string overlapping_attempts_sql(long long wkfid);
+/// (taskid, starttime, endtime) of closed activations ending before they
+/// start; wkfid 0 reads every run.
+std::string reversed_activations_sql(long long wkfid);
+
+/// Over the whole store (check_recovery). Ids are unique, and each
+/// Reference's `table` rows (those `where` admits) name a `key` present
+/// in `target`; taskid 0 marks a workflow-level file.
+struct Reference {
+  const char *table, *id, *key, *where, *target;
+};
+inline constexpr std::pair<const char*, const char*> kTableKeys[] = {
+    {"hworkflow", "wkfid"}, {"hactivity", "actid"}, {"hactivation", "taskid"},
+    {"hfile", "fileid"},    {"hvalue", "valueid"}};
+inline constexpr Reference kReferences[] = {
+    {"hactivity", "actid", "wkfid", "", "hworkflow"},
+    {"hactivation", "taskid", "actid", "", "hactivity"},
+    {"hactivation", "taskid", "wkfid", "", "hworkflow"},
+    {"hfile", "fileid", "taskid", "taskid <> 0", "hactivation"},
+    {"hfile", "fileid", "wkfid", "taskid = 0", "hworkflow"},
+    {"hvalue", "valueid", "taskid", "", "hactivation"}};
+/// (key, count) of each `key` that more than one row of `table` holds.
+std::string duplicate_keys_sql(const char* table, const char* key);
+/// Every `key` in `table`. The engine has no outer join, so the orphans
+/// are the referenced_keys_sql keys missing from keys_sql(target, key).
+std::string keys_sql(const char* table, const char* key);
+/// (key, lowest referencing id) for each key the `ref` rows name.
+std::string referenced_keys_sql(const Reference& ref);
+std::string illegal_status_sql();           ///< (taskid, status)
+/// (taskid, status, endtime): RUNNING iff endtime is NULL, violated.
+std::string status_endtime_mismatch_sql();
+std::string attempts_below_one_sql();       ///< (taskid, attempts)
 
 struct ProvenanceStoreOptions {
   /// Number of lock-independent shards (>= 1). One shard reproduces the
@@ -134,8 +185,10 @@ class ProvenanceStore {
   /// Run any SQL against the repository (the user-facing query interface;
   /// safe to call *during* workflow execution — the paper's runtime
   /// steering feature). It holds every shard's lock while one engine
-  /// scans the fact tables across all shards; a store of more than one
-  /// shard runs only SELECT.
+  /// scans the fact tables across all shards, copying nothing; a store of
+  /// more than one shard runs only SELECT. It is the only way to read
+  /// the store: the invariant checks (chaos/invariants.hpp) read through
+  /// it too.
   sql::ResultSet query(std::string_view sql_text);
 
   // ---- recording API (thread-safe) ----
@@ -194,24 +247,6 @@ class ProvenanceStore {
   /// types: the schema every shard holds and queries are bound against.
   static void init_schema(sql::Database& db);
 
-  /// Direct repository access for tests and custom analytics. With one
-  /// shard (the default), `fn` runs against the live database under the
-  /// shard lock — safe even while activations are being recorded, and
-  /// mutations (test tampering) take effect. With multiple shards, `fn`
-  /// receives a merged *copy* (facts from every shard, dimensions from
-  /// shard 0): safe concurrent reads, but mutations only affect the
-  /// snapshot.
-  template <typename Fn>
-  auto with_database(Fn&& fn) {
-    if (shards_.size() == 1) {
-      Shard& shard = *shards_[0];
-      MutexLock lock(shard.mutex);
-      return std::forward<Fn>(fn)(shard.db);
-    }
-    sql::Database merged = snapshot_database();
-    return std::forward<Fn>(fn)(merged);
-  }
-
  private:
   /// One shard: a database partition plus its WAL buffer. `writer` is
   /// touched only by the flusher thread.
@@ -253,8 +288,9 @@ class ProvenanceStore {
   void apply_record(Shard& shard, const wal::WalRecord& record);
 
   /// hactivation row for `taskid`, or nullptr. Uses the shard's index,
-  /// falling back to a scan (and repairing the index) if a test mutated
-  /// the table underneath it. Caller holds the shard lock.
+  /// falling back to a scan (and repairing the index) if an engine
+  /// DELETE or INSERT through query() moved rows underneath it. Caller
+  /// holds the shard lock.
   sql::Row* find_activation(Shard& shard, long long taskid);
 
   /// Frame `record` into the shard's WAL buffer for the flusher. Caller
@@ -280,7 +316,6 @@ class ProvenanceStore {
   /// marking the store crashed.
   bool commit_once();
 
-  sql::Database snapshot_database();
   /// Run `fn(sql::Engine&)` over every shard in place, all shard locks
   /// held: the engine query() and export_prov_n() read through.
   template <typename Fn>

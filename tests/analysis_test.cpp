@@ -179,6 +179,33 @@ TEST(ShippedQueryResults, ProvQueriesArePinned) {
       {"reconcile-activations-by-status", "1a66b3e2559b2535"},
       {"reconcile-retried-activations", "588062442c2fe933"},
       {"reconcile-finished-autogrid", "9f87bf865ff2a3dd"},
+      {"invariant-open-workflow", "fd56ffe18eb3e7bb"},
+      {"invariant-open-activations", "c40f2cb4ee9899c2"},
+      {"invariant-late-activations", "d2f47b6fd5e9e9e5"},
+      {"invariant-over-budget", "cc1c1ef2917a0825"},
+      {"invariant-nonconsecutive-attempts", "3b951fe10039882e"},
+      {"invariant-finished-not-last", "5f06b1812fa2cc6a"},
+      {"invariant-overlapping-attempts", "f2bdefa73cfca6fb"},
+      {"invariant-reversed-activations", "6f17966b829a6b8e"},
+      {"invariant-illegal-status", "c40f2cb4ee9899c2"},
+      {"invariant-status-endtime-mismatch", "8e8ce50e74545992"},
+      {"invariant-attempts-below-one", "a954b63733a12a70"},
+      {"invariant-duplicate-wkfid", "d948e12a26546750"},
+      {"invariant-keys-hworkflow", "374b08f4b3b09e19"},
+      {"invariant-duplicate-actid", "156927c9cea0fd50"},
+      {"invariant-keys-hactivity", "520fb3947cb3086e"},
+      {"invariant-duplicate-taskid", "793c3e2906a91c84"},
+      {"invariant-keys-hactivation", "d2a2cd425d09b15d"},
+      {"invariant-duplicate-fileid", "e6896c566bc1c767"},
+      {"invariant-keys-hfile", "180dccacf110e072"},
+      {"invariant-duplicate-valueid", "a7e52690c2f94615"},
+      {"invariant-keys-hvalue", "58bda19de3e1bb7a"},
+      {"invariant-references-hactivity-wkfid", "0fae4ecadf5029c0"},
+      {"invariant-references-hactivation-actid", "d474cf2b49318811"},
+      {"invariant-references-hactivation-wkfid", "0fae4ecadf5029c0"},
+      {"invariant-references-hfile-taskid", "59499a1c6b1b7fbd"},
+      {"invariant-references-hfile-wkfid", "b689e109590910db"},
+      {"invariant-references-hvalue-taskid", "59499a1c6b1b7fbd"},
   };
   const std::vector<std::string>& all = data::table2_receptors();
   const Experiment exp =

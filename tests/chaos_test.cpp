@@ -76,6 +76,17 @@ Pipeline chaos_pipeline() {
   return p;
 }
 
+/// Simulation-only two-stage chain whose first stage pre-aborts the
+/// tuples flagged hg = 1 (the Hg-receptor case).
+Pipeline hazard_pipeline() {
+  Pipeline p;
+  p.add_stage(Stage{"produce", AlgebraicOp::Map, nullptr, nullptr, nullptr,
+                    [](const Tuple& t) { return t.require("hg") == "1"; }});
+  p.add_stage(Stage{"consume", AlgebraicOp::Map, nullptr, nullptr, nullptr,
+                    nullptr});
+  return p;
+}
+
 cloud::CostModel chaos_cost_model() {
   cloud::CostModel model;
   model.set_cost({"produce", 12.0, 0.4, 0.5});
@@ -219,21 +230,181 @@ TEST(ChaosNegativeControl, TamperedProvenanceIsFlagged) {
   ASSERT_TRUE(before.check_provenance(s, store, "tamper", 2))
       << before.to_string();
   // Drop one FINISHED record: report counters no longer match the store.
-  bool dropped = false;
-  store.with_database([&](sql::Database& db) {
-    sql::Table& t = db.table("hactivation");
-    const auto c_status = static_cast<std::size_t>(t.column_index("status"));
-    t.erase_if([&](const sql::Row& row) {
-      if (dropped || row[c_status].as_string() != prov::kStatusFinished) {
-        return false;
-      }
-      dropped = true;
-      return true;
-    });
-  });
-  ASSERT_TRUE(dropped);
+  const sql::ResultSet victim = store.query(
+      "SELECT taskid FROM hactivation WHERE status = 'FINISHED' "
+      "ORDER BY taskid LIMIT 1");
+  ASSERT_EQ(victim.rows.size(), 1u);
+  const sql::ResultSet dropped = store.query(
+      "DELETE FROM hactivation WHERE taskid = " + victim.rows[0][0].to_string());
+  ASSERT_EQ(dropped.rows[0][0].as_int(), 1);
   InvariantChecker after;
   EXPECT_FALSE(after.check_provenance(s, store, "tamper", 2));
+}
+
+// ------------------------------- one negative control per provenance rule
+
+/// A clean one-shard run with at least one retried tuple-activity site,
+/// and the taskids of that site's attempts 1 and 2 (FINISHED).
+struct RetriedSite {
+  long long first = 0;
+  long long second = 0;
+};
+
+/// One planted fault: `plant` edits the store through the engine, and a
+/// violation must then carry `rule`.
+struct ProvenanceTamper {
+  const char* name;
+  const char* rule;
+  void (*plant)(prov::ProvenanceStore& store, const RetriedSite& site);
+};
+
+void exec(prov::ProvenanceStore& store, const std::string& sql) {
+  store.query(sql);
+}
+
+const ProvenanceTamper kProvenanceTampers[] = {
+    {"open_activation", "left open",
+     [](prov::ProvenanceStore& s, const RetriedSite& site) {
+       exec(s, "UPDATE hactivation SET status = 'RUNNING', endtime = NULL "
+               "WHERE taskid = " + std::to_string(site.second));
+     }},
+    {"open_workflow", "never closed",
+     [](prov::ProvenanceStore& s, const RetriedSite&) {
+       exec(s, "UPDATE hworkflow SET endtime = NULL");
+     }},
+    {"ends_after_workflow", "after workflow end",
+     [](prov::ProvenanceStore& s, const RetriedSite& site) {
+       exec(s, "UPDATE hactivation SET endtime = endtime + 1000000 "
+               "WHERE taskid = " + std::to_string(site.second));
+     }},
+    {"non_consecutive_attempts", "not consecutive",
+     [](prov::ProvenanceStore& s, const RetriedSite& site) {
+       exec(s, "UPDATE hactivation SET attempts = 3 WHERE taskid = " +
+                   std::to_string(site.second));
+     }},
+    {"finished_not_last", "FINISHED attempt",
+     [](prov::ProvenanceStore& s, const RetriedSite& site) {
+       // Swap the statuses: attempt 1 FINISHED, attempt 2 FAILED.
+       exec(s, "UPDATE hactivation SET status = 'FINISHED' WHERE taskid = " +
+                   std::to_string(site.first));
+       exec(s, "UPDATE hactivation SET status = 'FAILED' WHERE taskid = " +
+                   std::to_string(site.second));
+     }},
+    {"attempt_overlaps_previous", "before attempt 1 ended",
+     [](prov::ProvenanceStore& s, const RetriedSite& site) {
+       exec(s, "UPDATE hactivation SET starttime = starttime - 1000 "
+               "WHERE taskid = " + std::to_string(site.second));
+     }},
+    {"attempts_over_budget", "exceeds budget",
+     [](prov::ProvenanceStore& s, const RetriedSite& site) {
+       exec(s, "UPDATE hactivation SET attempts = " +
+                   std::to_string(kAttemptBudget + 1) +
+                   " WHERE taskid = " + std::to_string(site.second));
+     }},
+};
+
+void PrintTo(const ProvenanceTamper& tamper, std::ostream* os) { *os << tamper.name; }
+
+class ProvenanceNegativeControl
+    : public ::testing::TestWithParam<ProvenanceTamper> {};
+
+TEST_P(ProvenanceNegativeControl, PlantedFaultIsFlagged) {
+  const ChaosEngine engine(chaos_profile_heavy(), 11);
+  const wf::SimExecutorOptions opts = sim_options(engine, "greedy-cost", 11);
+  prov::ProvenanceStore store;
+  const wf::SimReport report = wf::SimulatedExecutor(chaos_pipeline(),
+                                                     chaos_cost_model(), opts)
+                                   .run(chaos_input(20), &store, "tamper");
+  const RunSummary s = summarize(report, opts, 20);
+  InvariantChecker before;
+  ASSERT_TRUE(before.check_provenance(s, store, "tamper", 2))
+      << before.to_string();
+
+  RetriedSite site;
+  const sql::ResultSet retried = store.query(
+      "SELECT taskid, actid, workload FROM hactivation "
+      "WHERE status = 'FINISHED' AND attempts = 2 ORDER BY taskid LIMIT 1");
+  ASSERT_EQ(retried.rows.size(), 1u) << "the run needs a retried site";
+  site.second = retried.rows[0][0].as_int();
+  const sql::ResultSet first = store.query(
+      "SELECT taskid FROM hactivation WHERE attempts = 1 AND actid = " +
+      retried.rows[0][1].to_string() + " AND workload = '" +
+      retried.rows[0][2].as_string() + "'");
+  ASSERT_EQ(first.rows.size(), 1u);
+  site.first = first.rows[0][0].as_int();
+
+  GetParam().plant(store, site);
+  InvariantChecker after;
+  EXPECT_FALSE(after.check_provenance(s, store, "tamper", 2));
+  const std::string all = after.to_string();
+  EXPECT_NE(all.find(GetParam().rule), std::string::npos) << all;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryRule, ProvenanceNegativeControl,
+    ::testing::ValuesIn(kProvenanceTampers),
+    [](const ::testing::TestParamInfo<ProvenanceTamper>& param_info) {
+      return std::string(param_info.param.name);
+    });
+
+// ------------------------------------------ four shards read like one
+
+/// Every check's verdict and violation list for one run recorded into a
+/// durable store of `shards` shards: on the live store, and on a reopen of
+/// its write-ahead log.
+std::vector<std::string> check_at(std::size_t shards, bool hazards) {
+  // The hazard run is the ChaosHazards one: chaos off, two Hg tuples.
+  const Pipeline p = hazards ? hazard_pipeline() : chaos_pipeline();
+  const ChaosEngine engine(hazards ? chaos_profile_off() : chaos_profile_heavy(),
+                           3);
+  const wf::SimExecutorOptions opts = sim_options(engine, "greedy-cost", 3);
+  const Relation input = chaos_input(20, hazards ? 2 : 0);
+  vfs::SharedFileSystem fs;
+  prov::ProvenanceStoreOptions options;
+  options.shard_count = shards;
+  options.vfs = &fs;
+  std::vector<std::string> out;
+  const auto record = [&out](const char* what, InvariantChecker& checker,
+                             bool ok) {
+    out.push_back(std::string(what) + (ok ? " ok" : " FAILED"));
+    for (const std::string& v : checker.violations()) out.push_back(v);
+  };
+  RunSummary s;
+  {
+    prov::ProvenanceStore store(options);
+    const wf::SimReport report =
+        wf::SimulatedExecutor(p, chaos_cost_model(), opts).run(input, &store, "shards");
+    s = summarize(report, opts, input.size());
+    store.flush();
+    InvariantChecker live;
+    record("live provenance", live, live.check_provenance(s, store, "shards", 2));
+    // A budget the run exceeded: the same violations at every shard count.
+    RunSummary tight = s;
+    tight.attempt_budget = 1;
+    InvariantChecker budget;
+    record("tight budget", budget,
+           budget.check_provenance(tight, store, "shards", 2));
+    InvariantChecker recovery;
+    record("live recovery", recovery, recovery.check_recovery(store));
+  }
+  prov::ProvenanceStore reopened(options);
+  InvariantChecker recovery;
+  record("reopened recovery", recovery, recovery.check_recovery(reopened));
+  InvariantChecker provenance;
+  record("reopened provenance", provenance,
+         provenance.check_provenance(s, reopened, "shards", 2));
+  return out;
+}
+
+TEST(ChaosShards, FourShardsGiveTheOneShardVerdicts) {
+  for (const bool hazards : {false, true}) {
+    SCOPED_TRACE(hazards ? "hazards" : "chaos");
+    const std::vector<std::string> one = check_at(1, hazards);
+    EXPECT_EQ(check_at(4, hazards), one);
+    // Clean runs pass; only the understated budget is flagged.
+    EXPECT_EQ(one.front(), "live provenance ok");
+    EXPECT_EQ(one.back(), "reopened provenance ok");
+  }
 }
 
 // --------------------------------------------- seed-determinism regression
@@ -279,11 +450,7 @@ TEST(SeedDeterminism, DifferentSeedsDiverge) {
 // ------------------------------------------------- hazards stay accounted
 
 TEST(ChaosHazards, PreabortedHazardsAreExpectedLosses) {
-  Pipeline p;
-  p.add_stage(Stage{"produce", AlgebraicOp::Map, nullptr, nullptr, nullptr,
-                    [](const Tuple& t) { return t.require("hg") == "1"; }});
-  p.add_stage(Stage{"consume", AlgebraicOp::Map, nullptr, nullptr, nullptr,
-                    nullptr});
+  const Pipeline p = hazard_pipeline();
   const ChaosEngine engine(chaos_profile_off(), 3);
   wf::SimExecutorOptions opts = sim_options(engine, "greedy-cost", 3);
   prov::ProvenanceStore store;

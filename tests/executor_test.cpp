@@ -373,21 +373,14 @@ TEST(SimulatedExecutor, AttemptNumbersAreOneBasedAndConsecutive) {
   // A FINISHED row after n failures carries attempt n + 1: per workload
   // and activity, FAILED rows number 1..n and FINISHED closes at n + 1.
   std::map<std::pair<long long, std::string>, std::pair<int, int>> sites;
-  store.with_database([&](sql::Database& db) {
-    const sql::Table& t = db.table("hactivation");
-    const auto c_act = static_cast<std::size_t>(t.column_index("actid"));
-    const auto c_status = static_cast<std::size_t>(t.column_index("status"));
-    const auto c_attempts =
-        static_cast<std::size_t>(t.column_index("attempts"));
-    const auto c_workload =
-        static_cast<std::size_t>(t.column_index("workload"));
-    for (const sql::Row& row : t.rows()) {
-      auto& [fails, finish_attempt] =
-          sites[{row[c_act].as_int(), row[c_workload].as_string()}];
-      if (row[c_status].as_string() == "FAILED") ++fails;
-      else finish_attempt = static_cast<int>(row[c_attempts].as_int());
-    }
-  });
+  for (const sql::Row& row :
+       store.query("SELECT actid, workload, status, attempts FROM hactivation")
+           .rows) {
+    auto& [fails, finish_attempt] =
+        sites[{row[0].as_int(), row[1].as_string()}];
+    if (row[2].as_string() == "FAILED") ++fails;
+    else finish_attempt = static_cast<int>(row[3].as_int());
+  }
   for (const auto& [site, counts] : sites) {
     if (counts.second == 0) {
       // Lost tuple: every attempt failed, exhausting the budget.

@@ -678,22 +678,37 @@ TEST(Reconciliation, TamperedStoreIsFlagged) {
 
   // Drop one FINISHED row; the started and finished counters must both
   // stop matching.
-  bool dropped = false;
-  store.with_database([&](sql::Database& db) {
-    sql::Table& t = db.table("hactivation");
-    const auto c_status = static_cast<std::size_t>(t.column_index("status"));
-    t.erase_if([&](const sql::Row& row) {
-      if (dropped || row[c_status].as_string() != prov::kStatusFinished) {
-        return false;
-      }
-      dropped = true;
-      return true;
-    });
-  });
-  ASSERT_TRUE(dropped);
+  const sql::ResultSet victim = store.query(
+      "SELECT taskid FROM hactivation WHERE status = 'FINISHED' "
+      "ORDER BY taskid LIMIT 1");
+  ASSERT_EQ(victim.rows.size(), 1u);
+  const sql::ResultSet dropped = store.query(
+      "DELETE FROM hactivation WHERE taskid = " + victim.rows[0][0].to_string());
+  ASSERT_EQ(dropped.rows[0][0].as_int(), 1);
   InvariantChecker after;
   EXPECT_FALSE(after.check_metrics(summary, metrics, store, "tamper"));
   EXPECT_FALSE(after.violations().empty());
+}
+
+TEST(Reconciliation, QuotedWorkflowTagReconciles) {
+  // A quote in the tag is part of the SQL literal the checks build.
+  const Pipeline p = obs_pipeline();
+  const Relation input = obs_input(8);
+  MetricsRegistry metrics;
+  wf::SimExecutorOptions opts;
+  opts.fleet = wf::m3_fleet_for_cores(4);
+  opts.seed = 5;
+  opts.obs.metrics = &metrics;
+  prov::ProvenanceStore store;
+  const wf::SimReport report = wf::SimulatedExecutor(p, obs_cost_model(), opts)
+                                   .run(input, &store, "o'brien");
+  const RunSummary summary = chaos::summarize(report, opts, input.size());
+  InvariantChecker checker;
+  EXPECT_TRUE(checker.check_metrics(summary, metrics, store, "o'brien"))
+      << checker.to_string();
+  EXPECT_TRUE(checker.check_provenance(summary, store, "o'brien",
+                                       /*chain_length=*/2))
+      << checker.to_string();
 }
 
 TEST(Reconciliation, MissingWorkflowIsFlagged) {

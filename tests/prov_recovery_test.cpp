@@ -187,12 +187,10 @@ void run_kill_case(const KillCase& c) {
     if (!crashed) {
       EXPECT_EQ(aborted, 0u);
     }
-    recovered.with_database([](sql::Database& db) {
-      for (const sql::Row& row : db.table("hactivation").rows()) {
-        EXPECT_NE(row[5].as_string(), "RUNNING");
-        EXPECT_FALSE(row[4].is_null());  // endtime set on every row
-      }
-    });
+    const sql::ResultSet open = recovered.query(
+        "SELECT count(*) FROM hactivation "
+        "WHERE status = 'RUNNING' OR endtime IS NULL");
+    EXPECT_EQ(open.rows[0][0].as_int(), 0);  // endtime set on every row
 
     const long long wkf =
         recovered.begin_workflow("resumed", "post-recovery", "/exp", 2000.0);
@@ -348,6 +346,101 @@ TEST(ProvRecovery, CorruptedChecksumDropsFrameAndSuffix) {
   chaos::InvariantChecker checker;
   EXPECT_TRUE(checker.check_recovery(recovered)) << checker.to_string();
 }
+
+// ---- negative controls: one planted fault per recovery rule ----
+
+/// A statement run through the engine on a reopened one-shard store, and
+/// the words every violation it plants must be reported with. The
+/// campaign's first rows are wkfid 1, actid 1 and taskid, fileid and
+/// valueid 1; 999 names no row.
+struct RecoveryTamper {
+  const char* name;
+  const char* sql;
+  const char* rule;
+  const char* detail;
+};
+
+const RecoveryTamper kRecoveryTampers[] = {
+    {"duplicate_wkfid",
+     "INSERT INTO hworkflow VALUES (1, 'dup', '', '/x', 0.0, 1.0)",
+     "duplicate wkfid", "1"},
+    {"duplicate_actid", "INSERT INTO hactivity VALUES (1, 1, 'dup', '', 'MAP')",
+     "duplicate actid", "1"},
+    {"duplicate_taskid",
+     "INSERT INTO hactivation VALUES "
+     "(1, 1, 1, 1.0, 1.5, 'FINISHED', 1, 0, 1, 'dup')",
+     "duplicate taskid", "1"},
+    {"duplicate_fileid",
+     "INSERT INTO hfile VALUES (1, 1, 1, 1, 'dup.dlg', 1, '/x')",
+     "duplicate fileid", "1"},
+    {"duplicate_valueid",
+     "INSERT INTO hvalue VALUES (1, 1, 'dup', 0.0, '')", "duplicate valueid",
+     "1"},
+    {"activity_without_workflow",
+     "INSERT INTO hactivity VALUES (50, 999, 'orphan', '', 'MAP')",
+     "references missing", "workflow 999"},
+    {"activation_without_activity",
+     "INSERT INTO hactivation VALUES "
+     "(5000, 999, 1, 1.0, 1.5, 'FINISHED', 1, 0, 1, 'orphan')",
+     "references missing", "activity 999"},
+    {"activation_without_workflow",
+     "INSERT INTO hactivation VALUES "
+     "(5000, 1, 999, 1.0, 1.5, 'FINISHED', 1, 0, 1, 'orphan')",
+     "references missing", "workflow 999"},
+    {"file_without_activation",
+     "INSERT INTO hfile VALUES (5000, 1, 1, 999, 'orphan.dlg', 1, '/x')",
+     "references missing", "activation 999"},
+    {"workflow_file_without_workflow",
+     "INSERT INTO hfile VALUES (5000, 999, 0, 0, 'input_1.txt', 1, '/x')",
+     "references missing", "workflow 999"},
+    {"value_without_activation",
+     "INSERT INTO hvalue VALUES (5000, 999, 'energy', 0.0, '')",
+     "references missing", "activation 999"},
+    {"illegal_status",
+     "UPDATE hactivation SET status = 'BOGUS' WHERE taskid = 1",
+     "illegal status", "BOGUS"},
+    {"running_with_endtime",
+     "UPDATE hactivation SET status = 'RUNNING' WHERE taskid = 1",
+     "disagrees with its endtime", "activation 1 "},
+    {"end_before_start",
+     "UPDATE hactivation SET endtime = starttime - 1.0 WHERE taskid = 1",
+     "before its start", "activation 1 "},
+    {"zero_attempts", "UPDATE hactivation SET attempts = 0 WHERE taskid = 1",
+     "attempts 0 < 1", "activation 1 "},
+};
+
+void PrintTo(const RecoveryTamper& tamper, std::ostream* os) { *os << tamper.name; }
+
+class RecoveryNegativeControl
+    : public ::testing::TestWithParam<RecoveryTamper> {};
+
+TEST_P(RecoveryNegativeControl, PlantedFaultIsFlagged) {
+  vfs::SharedFileSystem fs;
+  const ProvenanceStoreOptions options = durable_options(fs, 1);
+  {
+    ProvenanceStore store(options);
+    run_campaign(store, 20);
+  }
+  ProvenanceStore reopened(options);
+  chaos::InvariantChecker before;
+  ASSERT_TRUE(before.check_recovery(reopened)) << before.to_string();
+
+  reopened.query(GetParam().sql);
+  chaos::InvariantChecker after;
+  EXPECT_FALSE(after.check_recovery(reopened));
+  bool named = false;
+  for (const std::string& v : after.violations()) {
+    named = named || (v.find(GetParam().rule) != std::string::npos &&
+                      v.find(GetParam().detail) != std::string::npos);
+  }
+  EXPECT_TRUE(named) << after.to_string();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryRule, RecoveryNegativeControl, ::testing::ValuesIn(kRecoveryTampers),
+    [](const ::testing::TestParamInfo<RecoveryTamper>& param_info) {
+      return std::string(param_info.param.name);
+    });
 
 }  // namespace
 }  // namespace scidock::prov

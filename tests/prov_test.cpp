@@ -16,9 +16,10 @@ TEST(Provenance, SchemaTablesExist) {
   ProvenanceStore store;
   for (const char* table : {"hmachine", "hworkflow", "hactivity",
                             "hactivation", "hfile", "hvalue"}) {
-    const bool present = store.with_database(
-        [&](sql::Database& db) { return db.has_table(table); });
-    EXPECT_TRUE(present) << table;
+    // An unknown table throws; each schema table starts empty.
+    const sql::ResultSet rs =
+        store.query(std::string("SELECT count(*) FROM ") + table);
+    EXPECT_EQ(rs.rows.at(0).at(0).as_int(), 0) << table;
   }
 }
 
@@ -163,9 +164,9 @@ TEST(Provenance, ProvNExportOfEmptyStore) {
 // Regression: the store used to expose `database()`, handing out an
 // unsynchronised reference that callers could scan while recorder threads
 // mutated the tables underneath (flagged by -Wthread-safety once the store
-// was annotated). with_database() runs the callback under the store lock,
-// so a steering-style scan during concurrent recording observes only
-// complete rows and never tears.
+// was annotated). Every read now goes through query(), which holds the
+// shard lock, so a steering-style scan of a one-shard store during
+// concurrent recording observes only complete rows and never tears.
 TEST(Provenance, WithDatabaseIsSafeDuringRecording) {
   ProvenanceStore store;
   const long long wkfid = store.begin_workflow("steer", "", "/x/", 0.0);
@@ -183,19 +184,20 @@ TEST(Provenance, WithDatabaseIsSafeDuringRecording) {
       }
     });
   }
-  // Steering reader: every snapshot must hold only fully-formed rows.
+  // Steering reader: every result must hold only fully-formed rows, and
+  // a FINISHED row always carries its endtime.
   std::size_t last = 0;
   for (int probe = 0; probe < 200; ++probe) {
-    store.with_database([&](sql::Database& db) {
-      const sql::Table& t = db.table("hactivation");
-      const auto c_task = static_cast<std::size_t>(t.column_index("taskid"));
-      EXPECT_GE(t.rows().size(), last);
-      last = t.rows().size();
-      for (const sql::Row& row : t.rows()) {
-        EXPECT_FALSE(row[c_task].is_null());
-        EXPECT_EQ(row.size(), t.columns().size());
+    const sql::ResultSet rs = store.query("SELECT * FROM hactivation");
+    EXPECT_GE(rs.rows.size(), last);
+    last = rs.rows.size();
+    for (const sql::Row& row : rs.rows) {
+      ASSERT_EQ(row.size(), rs.columns.size());
+      EXPECT_FALSE(row[0].is_null());  // taskid
+      if (row[5].to_string() == kStatusFinished) {
+        EXPECT_FALSE(row[4].is_null());  // endtime
       }
-    });
+    }
   }
   for (auto& t : writers) t.join();
   const auto rs = store.query("SELECT count(*) FROM hactivation");
