@@ -2,13 +2,37 @@
 
 #include <algorithm>
 #include <set>
-#include <string_view>
 
 #include "obs/obs.hpp"
 #include "util/lockdep.hpp"
 #include "util/strings.hpp"
 
 namespace scidock::chaos {
+
+namespace {
+
+/// What `queries` find in `store`: each row's message, in query order.
+std::vector<std::string> violations_of(
+    prov::ProvenanceStore& store,
+    const std::vector<prov::InvariantQuery>& queries) {
+  std::vector<std::string> out;
+  for (const prov::InvariantQuery& q : queries) {
+    std::set<std::string> present;
+    if (!q.keys.empty()) {
+      for (const auto& r : store.query(q.keys).rows) {
+        present.insert(r[0].to_string());
+      }
+    }
+    for (const auto& r : store.query(q.sql).rows) {
+      if (q.keys.empty() || !present.contains(r[1].to_string())) {
+        out.push_back(r[0].to_string());
+      }
+    }
+  }
+  return out;
+}
+
+}  // namespace
 
 RunSummary summarize(const wf::SimReport& report,
                      const wf::SimExecutorOptions& options,
@@ -117,63 +141,28 @@ bool InvariantChecker::check_provenance(const RunSummary& summary,
   if (wkf.rows.empty()) return fail(who + "no hworkflow row for tag");
   const long long wkfid = wkf.rows[0][0].as_int();
   bool ok = true;
-  const auto rows = [&store](const std::string& sql) {
-    return store.query(sql).rows;
+  const auto violation = [&](const std::string& what) {
+    ok = fail(who + what);
   };
-  const auto violation = [&](const std::string& what) { ok = fail(who + what); };
-  const auto site = [](const auto& r) {
-    return "site (actid=" + r[0].to_string() + ", workload='" +
-           r[1].to_string() + "'): ";
-  };
-
-  if (!rows(prov::open_workflow_sql(wkfid)).empty()) {
-    violation("workflow row was never closed");
-  }
-  for (const auto& r : rows(prov::open_activations_sql(wkfid))) {
-    violation("activation left open (status " + r[1].to_string() + ")");
-  }
-  for (const auto& r : rows(prov::reversed_activations_sql(wkfid))) {
-    violation(strformat("endtime %.6f < starttime %.6f", r[2].as_double(),
-                        r[1].as_double()));
-  }
-  for (const auto& r : rows(prov::late_activations_sql(wkfid))) {
-    violation(strformat("activation ends at %.6f after workflow end %.6f",
-                        r[1].as_double(), r[2].as_double()));
-  }
-  for (const auto& r :
-       rows(prov::over_budget_sql(wkfid, summary.attempt_budget))) {
-    violation("activation " + r[0].to_string() + ": attempt " +
-              r[1].to_string() + " exceeds budget " +
-              std::to_string(summary.attempt_budget));
-  }
-  // Per site: attempts 1..k, FINISHED last, no overlap.
-  for (const auto& r : rows(prov::nonconsecutive_attempts_sql(wkfid))) {
-    violation(site(r) + "attempt numbers not consecutive (got " +
-              r[2].to_string() + " at position " + r[3].to_string() + ")");
-  }
-  for (const auto& r : rows(prov::finished_not_last_sql(wkfid))) {
-    violation(site(r) + "FINISHED attempt " + r[2].to_string() +
-              " is not the last one");
-  }
-  for (const auto& r : rows(prov::overlapping_attempts_sql(wkfid))) {
-    violation(site(r) + strformat("attempt %lld starts at %.6f before attempt "
-                                  "%lld ended at %.6f",
-                                  static_cast<long long>(r[2].as_int()),
-                                  r[3].as_double(),
-                                  static_cast<long long>(r[2].as_int()) - 1,
-                                  r[4].as_double()));
+  for (const std::string& v : violations_of(
+           store, prov::run_invariant_queries(wkfid, summary.attempt_budget))) {
+    violation(v);
   }
 
   // Status counts against the report.
   long long finished = 0, failed = 0, aborted = 0;
-  for (const auto& r : rows(prov::activations_by_status_sql(wkfid))) {
+  for (const auto& r :
+       store.query(prov::activations_by_status_sql(wkfid)).rows) {
     const std::string& status = r[0].as_string();
     if (status == prov::kStatusFinished) finished = r[1].as_int();
     else if (status == prov::kStatusFailed) failed = r[1].as_int();
     else if (status == prov::kStatusAborted) aborted = r[1].as_int();
-    else if (status != prov::kStatusRunning) violation("unknown status " + status);
+    else if (status != prov::kStatusRunning) {
+      violation("unknown status " + status);
+    }
   }
-  const auto count = [&](long long stored, const char* status, long long report) {
+  const auto count = [&](long long stored, const char* status,
+                         long long report) {
     if (stored != report) {
       violation(strformat("%lld %s rows vs %lld in report", stored, status,
                           report));
@@ -331,45 +320,9 @@ bool InvariantChecker::check_recovery(prov::ProvenanceStore& store) {
         "protocol let a fact outlive its dimensions",
         rec.orphan_rows));
   }
-  const auto rows = [&store](const std::string& sql) {
-    return store.query(sql).rows;
-  };
-  const auto violation = [&](const std::string& what) {
-    ok = fail("recovery: " + what);
-  };
-  for (const auto& [table, key] : prov::kTableKeys) {
-    for (const auto& r : rows(prov::duplicate_keys_sql(table, key))) {
-      violation(std::string("duplicate ") + key + " " + r[0].to_string());
-    }
-  }
-  for (const prov::Reference& ref : prov::kReferences) {
-    std::set<long long> present;
-    for (const auto& r : rows(prov::keys_sql(ref.target, ref.key))) {
-      present.insert(r[0].as_int());
-    }
-    for (const auto& r : rows(prov::referenced_keys_sql(ref))) {
-      if (present.contains(r[0].as_int())) continue;
-      violation(ref.table + (" " + r[1].to_string()) + " references missing " +
-                ref.target + " " + r[0].to_string());
-    }
-  }
-  for (const auto& r : rows(prov::illegal_status_sql())) {
-    violation("activation " + r[0].to_string() + " has illegal status '" +
-              r[1].to_string() + "'");
-  }
-  for (const auto& r : rows(prov::status_endtime_mismatch_sql())) {
-    violation("activation " + r[0].to_string() + " status '" +
-              r[1].to_string() + "' disagrees with its endtime being " +
-              (r[2].is_null() ? "NULL" : "set"));
-  }
-  for (const auto& r : rows(prov::reversed_activations_sql(0))) {
-    violation(strformat("activation %s ends at %.6f before its start %.6f",
-                        r[0].to_string().c_str(), r[2].as_double(),
-                        r[1].as_double()));
-  }
-  for (const auto& r : rows(prov::attempts_below_one_sql())) {
-    violation("activation " + r[0].to_string() + " has attempts " +
-              r[1].to_string() + " < 1");
+  for (const std::string& v :
+       violations_of(store, prov::store_invariant_queries())) {
+    ok = fail("recovery: " + v);
   }
   return ok;
 }

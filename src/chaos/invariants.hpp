@@ -62,9 +62,10 @@ class InvariantChecker {
 
   /// Invariant (b), against the store the run recorded into. `chain_length`
   /// is the number of stages every tuple traverses (Map-only pipeline).
-  /// Like check_recovery, it reads the store only through
-  /// ProvenanceStore::query, one prov::*_sql builder per rule (DESIGN.md
-  /// §7); each query is its own snapshot, so check a finished run.
+  /// It runs prov::run_invariant_queries (check_recovery runs
+  /// prov::store_invariant_queries) through ProvenanceStore::query
+  /// (DESIGN.md §7); each query is its own snapshot, so check a finished
+  /// run.
   bool check_provenance(const RunSummary& summary,
                         prov::ProvenanceStore& store,
                         const std::string& workflow_tag, int chain_length);

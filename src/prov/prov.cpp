@@ -18,10 +18,6 @@ using wal::WalRecord;
 
 namespace {
 
-/// Timestamps inside one attempt chain may touch exactly (the simulator
-/// redispatches at the failure instant); anything earlier is a violation.
-constexpr double kTimeEps = 1e-9;
-
 // hactivation column positions (fixed by init_schema; constants keep the
 // 1M-record replay path off column_index lookups).
 constexpr std::size_t kActTaskid = 0;
@@ -142,110 +138,144 @@ std::string finished_activation_count_sql(long long wkfid,
 }
 
 // ---- invariant queries ----
+// Each selects the message first; `||` prints a real as %.6g.
 
-std::string open_workflow_sql(long long wkfid) {
+namespace {
+
+/// Timestamps inside one attempt chain may touch exactly (the simulator
+/// redispatches at the failure instant); anything earlier is a violation.
+constexpr double kTimeEps = 1e-9;
+
+/// The message prefix of a tuple-activity site: hactivation row `a`'s
+/// (actid, workload).
+constexpr const char* kSite =
+    "'site (actid=' || a.actid || ', workload=''' || a.workload || '''): '";
+
+/// Rows `a` and `b` of one site of run `wkfid`, joined.
+std::string site_join(long long wkfid) {
   return strformat(
-      "SELECT wkfid FROM hworkflow WHERE wkfid = %lld AND endtime IS NULL",
+      " FROM hactivation a, hactivation b WHERE a.wkfid = %lld "
+      "AND b.wkfid = a.wkfid AND b.actid = a.actid "
+      "AND b.workload = a.workload AND ",
       wkfid);
 }
 
-std::string open_activations_sql(long long wkfid) {
+/// Activations (of those `where` admits) ending before they start.
+std::string reversed_sql(const std::string& where) {
   return strformat(
-      "SELECT taskid, status FROM hactivation WHERE wkfid = %lld "
-      "AND (status = 'RUNNING' OR endtime IS NULL) ORDER BY taskid",
-      wkfid);
+      "SELECT 'activation ' || taskid || ' ends at ' || endtime || "
+      "' before its start ' || starttime FROM hactivation "
+      "WHERE %sendtime < starttime - %g ORDER BY taskid",
+      where.c_str(), kTimeEps);
 }
 
-std::string late_activations_sql(long long wkfid) {
-  return strformat(
-      "SELECT t.taskid, t.endtime, w.endtime FROM hworkflow w, hactivation t "
-      "WHERE w.wkfid = %lld AND t.wkfid = w.wkfid "
-      "AND t.endtime > w.endtime + %g ORDER BY t.taskid",
-      wkfid, kTimeEps);
+}  // namespace
+
+std::vector<InvariantQuery> run_invariant_queries(long long wkfid,
+                                                  int attempt_budget) {
+  const std::string run = strformat("wkfid = %lld AND ", wkfid);
+  return {
+      {"open-workflow",
+       "SELECT 'workflow row was never closed' FROM hworkflow WHERE " + run +
+           "endtime IS NULL"},
+      {"open-activations",
+       "SELECT 'activation ' || taskid || ' left open (status ' || status || "
+       "')' FROM hactivation WHERE " + run +
+           "(status = 'RUNNING' OR endtime IS NULL) ORDER BY taskid"},
+      {"reversed-activations", reversed_sql(run)},
+      {"late-activations",
+       strformat("SELECT 'activation ' || t.taskid || ' ends at ' || "
+                 "t.endtime || ' after workflow end ' || w.endtime "
+                 "FROM hworkflow w, hactivation t WHERE w.wkfid = %lld "
+                 "AND t.wkfid = w.wkfid AND t.endtime > w.endtime + %g "
+                 "ORDER BY t.taskid",
+                 wkfid, kTimeEps)},
+      {"over-budget",
+       strformat("SELECT 'activation ' || taskid || ': attempt ' || "
+                 "attempts || ' exceeds budget %d' FROM hactivation "
+                 "WHERE %sattempts > %d ORDER BY taskid",
+                 attempt_budget, run.c_str(), attempt_budget)},
+      // Attempt n has exactly n - 1 attempts below it and no twin ...
+      {"nonconsecutive-attempts",
+       strformat("SELECT %s || 'attempt numbers not consecutive (got ' || "
+                 "a.attempts || ' at position ' || (count(*) - 1) || ')'",
+                 kSite) +
+           site_join(wkfid) +
+           "b.attempts <= a.attempts "
+           "GROUP BY a.taskid, a.actid, a.workload, a.attempts "
+           "HAVING count(*) <> a.attempts OR sum(b.attempts = a.attempts) <> 1 "
+           "ORDER BY a.actid, a.workload, a.attempts"},
+      // ... so with no later attempt after a FINISHED one, a site holds at
+      // most one FINISHED row, and it is the last.
+      {"finished-not-last",
+       strformat("SELECT %s || 'FINISHED attempt ' || a.attempts || "
+                 "' is not the last one'",
+                 kSite) +
+           site_join(wkfid) +
+           "a.status = 'FINISHED' AND b.attempts > a.attempts "
+           "GROUP BY a.actid, a.workload, a.attempts "
+           "ORDER BY a.actid, a.workload, a.attempts"},
+      {"overlapping-attempts",
+       strformat("SELECT %s || 'attempt ' || b.attempts || ' starts at ' || "
+                 "b.starttime || ' before attempt ' || a.attempts || "
+                 "' ended at ' || a.endtime",
+                 kSite) +
+           site_join(wkfid) +
+           strformat("b.attempts = a.attempts + 1 "
+                     "AND b.starttime < a.endtime - %g "
+                     "ORDER BY a.actid, a.workload, a.attempts",
+                     kTimeEps)},
+  };
 }
 
-std::string over_budget_sql(long long wkfid, int attempt_budget) {
-  return strformat(
-      "SELECT taskid, attempts FROM hactivation "
-      "WHERE wkfid = %lld AND attempts > %d ORDER BY taskid",
-      wkfid, attempt_budget);
-}
-
-// The attempt rules self-join the hactivation rows of one tuple-activity
-// site: one (actid, workload) in one run.
-
-std::string nonconsecutive_attempts_sql(long long wkfid) {
-  return strformat(
-      "SELECT a.actid, a.workload, a.attempts, count(*) - 1 "
-      "FROM hactivation a, hactivation b WHERE a.wkfid = %lld "
-      "AND b.wkfid = a.wkfid AND b.actid = a.actid AND b.workload = a.workload "
-      "AND b.attempts <= a.attempts "
-      "GROUP BY a.taskid, a.actid, a.workload, a.attempts "
-      "HAVING count(*) <> a.attempts OR sum(b.attempts = a.attempts) <> 1 "
-      "ORDER BY a.actid, a.workload, a.attempts",
-      wkfid);
-}
-
-std::string finished_not_last_sql(long long wkfid) {
-  return strformat(
-      "SELECT a.actid, a.workload, a.attempts "
-      "FROM hactivation a, hactivation b WHERE a.wkfid = %lld "
-      "AND b.wkfid = a.wkfid AND b.actid = a.actid AND b.workload = a.workload "
-      "AND a.status = 'FINISHED' AND b.attempts > a.attempts "
-      "GROUP BY a.actid, a.workload, a.attempts "
-      "ORDER BY a.actid, a.workload, a.attempts",
-      wkfid);
-}
-
-std::string overlapping_attempts_sql(long long wkfid) {
-  return strformat(
-      "SELECT a.actid, a.workload, b.attempts, b.starttime, a.endtime "
-      "FROM hactivation a, hactivation b WHERE a.wkfid = %lld "
-      "AND b.wkfid = a.wkfid AND b.actid = a.actid AND b.workload = a.workload "
-      "AND b.attempts = a.attempts + 1 AND b.starttime < a.endtime - %g "
-      "ORDER BY a.actid, a.workload, a.attempts",
-      wkfid, kTimeEps);
-}
-
-std::string reversed_activations_sql(long long wkfid) {
-  return strformat(
-      "SELECT taskid, starttime, endtime FROM hactivation WHERE %s"
-      "status IN ('FINISHED', 'FAILED', 'ABORTED') "
-      "AND endtime < starttime - %g ORDER BY taskid",
-      wkfid == 0 ? "" : strformat("wkfid = %lld AND ", wkfid).c_str(),
-      kTimeEps);
-}
-
-std::string duplicate_keys_sql(const char* table, const char* key) {
-  return strformat(
-      "SELECT %s, count(*) FROM %s GROUP BY %s HAVING count(*) > 1 "
-      "ORDER BY %s",
-      key, table, key, key);
-}
-
-std::string keys_sql(const char* table, const char* key) {
-  return strformat("SELECT %s FROM %s ORDER BY %s", key, table, key);
-}
-
-std::string referenced_keys_sql(const Reference& ref) {
-  return strformat("SELECT %s, min(%s) FROM %s%s%s GROUP BY %s ORDER BY %s",
-                   ref.key, ref.id, ref.table, *ref.where ? " WHERE " : "",
-                   ref.where, ref.key, ref.key);
-}
-
-std::string illegal_status_sql() {
-  return "SELECT taskid, status FROM hactivation WHERE status NOT IN "
-         "('RUNNING', 'FINISHED', 'FAILED', 'ABORTED') ORDER BY taskid";
-}
-
-std::string status_endtime_mismatch_sql() {
-  return "SELECT taskid, status, endtime FROM hactivation "
-         "WHERE (status = 'RUNNING') <> (endtime IS NULL) ORDER BY taskid";
-}
-
-std::string attempts_below_one_sql() {
-  return "SELECT taskid, attempts FROM hactivation WHERE attempts < 1 "
-         "ORDER BY taskid";
+std::vector<InvariantQuery> store_invariant_queries() {
+  std::vector<InvariantQuery> out;
+  for (const auto& [table, key] :
+       {std::pair{"hworkflow", "wkfid"}, {"hactivity", "actid"},
+        {"hactivation", "taskid"}, {"hfile", "fileid"},
+        {"hvalue", "valueid"}}) {
+    out.push_back({strformat("duplicate-%s", key),
+                   strformat("SELECT 'duplicate %s ' || %s FROM %s GROUP BY %s "
+                             "HAVING count(*) > 1 ORDER BY %s",
+                             key, key, table, key, key)});
+  }
+  // A `table` row (of those `where` admits), named by its `id`, holds a
+  // `key` of `target`; taskid 0 marks a workflow-level file.
+  struct Reference {
+    const char *table, *id, *key, *where, *target;
+  };
+  for (const Reference& r : {
+           Reference{"hactivity", "actid", "wkfid", "", "hworkflow"},
+           {"hactivation", "taskid", "actid", "", "hactivity"},
+           {"hactivation", "taskid", "wkfid", "", "hworkflow"},
+           {"hfile", "fileid", "taskid", " WHERE taskid <> 0", "hactivation"},
+           {"hfile", "fileid", "wkfid", " WHERE taskid = 0", "hworkflow"},
+           {"hvalue", "valueid", "taskid", "", "hactivation"}}) {
+    out.push_back(
+        {strformat("references-%s-%s", r.table, r.key),
+         strformat("SELECT '%s ' || min(%s) || ' references missing %s ' || "
+                   "%s, %s FROM %s%s GROUP BY %s ORDER BY %s",
+                   r.table, r.id, r.target, r.key, r.key, r.table, r.where,
+                   r.key, r.key),
+         strformat("SELECT %s FROM %s ORDER BY %s", r.key, r.target, r.key)});
+  }
+  out.push_back(
+      {"illegal-status",
+       "SELECT 'activation ' || taskid || ' has illegal status ''' || "
+       "status || '''' FROM hactivation WHERE status NOT IN "
+       "('RUNNING', 'FINISHED', 'FAILED', 'ABORTED') ORDER BY taskid"});
+  out.push_back(
+      {"status-endtime-mismatch",
+       "SELECT 'activation ' || taskid || ' status ''' || status || "
+       "''' disagrees with its endtime ' || coalesce(endtime, 'NULL') "
+       "FROM hactivation WHERE (status = 'RUNNING') <> (endtime IS NULL) "
+       "ORDER BY taskid"});
+  out.push_back({"reversed-activations", reversed_sql("")});
+  out.push_back({"attempts-below-one",
+                 "SELECT 'activation ' || taskid || ' has attempts ' || "
+                 "attempts || ' < 1' FROM hactivation WHERE attempts < 1 "
+                 "ORDER BY taskid"});
+  return out;
 }
 
 void ProvenanceStore::init_schema(sql::Database& db) {

@@ -74,56 +74,28 @@ std::string retried_activation_count_sql(long long wkfid);
 std::string finished_activation_count_sql(long long wkfid,
                                           std::string_view activity_tag);
 
-/// SQL builders for the PROV-Wf invariants (chaos::InvariantChecker,
-/// DESIGN.md §7). Each returns one row per violation, in an order every
-/// shard count shares; an empty result means the rule holds. Within an
-/// attempt chain, timestamps may touch; only an overlap beyond 1e-9 s counts.
-/// Over one run (wkfid); the attempt rules self-join a tuple-activity site,
-/// one (actid, workload):
-std::string open_workflow_sql(long long wkfid);     ///< (wkfid) no endtime
-std::string open_activations_sql(long long wkfid);  ///< (taskid, status)
-/// (taskid, endtime, workflow endtime): ends after its workflow.
-std::string late_activations_sql(long long wkfid);
-/// (taskid, attempts) beyond the budget.
-std::string over_budget_sql(long long wkfid, int attempt_budget);
-/// (actid, workload, attempts, position): attempts not 1..k, i.e. attempt
-/// n lacks exactly n - 1 attempts below it or has a twin.
-std::string nonconsecutive_attempts_sql(long long wkfid);
-/// (actid, workload, attempts) of a FINISHED attempt that is not the last.
-std::string finished_not_last_sql(long long wkfid);
-/// (actid, workload, n + 1, its starttime, endtime of n): an overlap.
-std::string overlapping_attempts_sql(long long wkfid);
-/// (taskid, starttime, endtime) of closed activations ending before they
-/// start; wkfid 0 reads every run.
-std::string reversed_activations_sql(long long wkfid);
-
-/// Over the whole store (check_recovery). Ids are unique, and each
-/// Reference's `table` rows (those `where` admits) name a `key` present
-/// in `target`; taskid 0 marks a workflow-level file.
-struct Reference {
-  const char *table, *id, *key, *where, *target;
+/// One PROV-Wf invariant (chaos::InvariantChecker, DESIGN.md §7). `sql`
+/// returns one row per violation, its first column a message naming the
+/// offending row, in an order every shard count shares; no row means the
+/// rule holds. The engine has no outer join, so a reference rule also
+/// sets `keys`, the keys its target table holds: only the `sql` rows whose
+/// second column (the key they reference) is not among them are orphans.
+struct InvariantQuery {
+  std::string name;
+  std::string sql;
+  std::string keys;
 };
-inline constexpr std::pair<const char*, const char*> kTableKeys[] = {
-    {"hworkflow", "wkfid"}, {"hactivity", "actid"}, {"hactivation", "taskid"},
-    {"hfile", "fileid"},    {"hvalue", "valueid"}};
-inline constexpr Reference kReferences[] = {
-    {"hactivity", "actid", "wkfid", "", "hworkflow"},
-    {"hactivation", "taskid", "actid", "", "hactivity"},
-    {"hactivation", "taskid", "wkfid", "", "hworkflow"},
-    {"hfile", "fileid", "taskid", "taskid <> 0", "hactivation"},
-    {"hfile", "fileid", "wkfid", "taskid = 0", "hworkflow"},
-    {"hvalue", "valueid", "taskid", "", "hactivation"}};
-/// (key, count) of each `key` that more than one row of `table` holds.
-std::string duplicate_keys_sql(const char* table, const char* key);
-/// Every `key` in `table`. The engine has no outer join, so the orphans
-/// are the referenced_keys_sql keys missing from keys_sql(target, key).
-std::string keys_sql(const char* table, const char* key);
-/// (key, lowest referencing id) for each key the `ref` rows name.
-std::string referenced_keys_sql(const Reference& ref);
-std::string illegal_status_sql();           ///< (taskid, status)
-/// (taskid, status, endtime): RUNNING iff endtime is NULL, violated.
-std::string status_endtime_mismatch_sql();
-std::string attempts_below_one_sql();       ///< (taskid, attempts)
+/// The rules over run `wkfid`: the workflow and every activation closed,
+/// none ending before it starts or after the workflow, none over
+/// `attempt_budget`; per tuple-activity site (actid, workload), attempts
+/// run 1..k, FINISHED is the last, and none starts before the previous
+/// one ends. Timestamps may touch; only an overlap beyond 1e-9 s counts.
+std::vector<InvariantQuery> run_invariant_queries(long long wkfid,
+                                                  int attempt_budget);
+/// The rules over the whole store: ids unique, every reference resolved,
+/// statuses legal and RUNNING exactly when endtime is NULL, no activation
+/// ending before it starts, attempts at least 1.
+std::vector<InvariantQuery> store_invariant_queries();
 
 struct ProvenanceStoreOptions {
   /// Number of lock-independent shards (>= 1). One shard reproduces the

@@ -186,34 +186,19 @@ std::vector<ShippedQuery> shipped_queries() {
        prov::retried_activation_count_sql(1), "prov"},
       {"reconcile-finished-autogrid",
        prov::finished_activation_count_sql(1, kAutogrid), "prov"},
-      // The PROV-Wf invariants chaos::InvariantChecker runs (DESIGN.md §7).
-      {"invariant-open-workflow", prov::open_workflow_sql(1), "prov"},
-      {"invariant-open-activations", prov::open_activations_sql(1), "prov"},
-      {"invariant-late-activations", prov::late_activations_sql(1), "prov"},
-      {"invariant-over-budget", prov::over_budget_sql(1, 1), "prov"},
-      {"invariant-nonconsecutive-attempts",
-       prov::nonconsecutive_attempts_sql(1), "prov"},
-      {"invariant-finished-not-last", prov::finished_not_last_sql(1), "prov"},
-      {"invariant-overlapping-attempts", prov::overlapping_attempts_sql(1),
-       "prov"},
-      {"invariant-reversed-activations", prov::reversed_activations_sql(0),
-       "prov"},
-      {"invariant-illegal-status", prov::illegal_status_sql(), "prov"},
-      {"invariant-status-endtime-mismatch",
-       prov::status_endtime_mismatch_sql(), "prov"},
-      {"invariant-attempts-below-one", prov::attempts_below_one_sql(), "prov"},
   };
-  for (const auto& [table, key] : prov::kTableKeys) {
-    queries.push_back({std::string("invariant-duplicate-") + key,
-                       prov::duplicate_keys_sql(table, key), "prov"});
-    queries.push_back({std::string("invariant-keys-") + table,
-                       prov::keys_sql(table, key), "prov"});
-  }
-  for (const prov::Reference& ref : prov::kReferences) {
-    queries.push_back({strformat("invariant-references-%s-%s", ref.table,
-                                 ref.key),
-                       prov::referenced_keys_sql(ref), "prov"});
-  }
+  // The PROV-Wf invariants chaos::InvariantChecker runs (DESIGN.md §7).
+  const auto ship = [&queries](const char* scope,
+                               const std::vector<prov::InvariantQuery>& rules) {
+    for (const prov::InvariantQuery& q : rules) {
+      const std::string name =
+          strformat("invariant-%s-%s", scope, q.name.c_str());
+      queries.push_back({name, q.sql, "prov"});
+      if (!q.keys.empty()) queries.push_back({name + "-keys", q.keys, "prov"});
+    }
+  };
+  ship("run", prov::run_invariant_queries(1, 1));
+  ship("store", prov::store_invariant_queries());
   return queries;
 }
 

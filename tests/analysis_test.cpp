@@ -179,33 +179,35 @@ TEST(ShippedQueryResults, ProvQueriesArePinned) {
       {"reconcile-activations-by-status", "1a66b3e2559b2535"},
       {"reconcile-retried-activations", "588062442c2fe933"},
       {"reconcile-finished-autogrid", "9f87bf865ff2a3dd"},
-      {"invariant-open-workflow", "fd56ffe18eb3e7bb"},
-      {"invariant-open-activations", "c40f2cb4ee9899c2"},
-      {"invariant-late-activations", "d2f47b6fd5e9e9e5"},
-      {"invariant-over-budget", "cc1c1ef2917a0825"},
-      {"invariant-nonconsecutive-attempts", "3b951fe10039882e"},
-      {"invariant-finished-not-last", "5f06b1812fa2cc6a"},
-      {"invariant-overlapping-attempts", "f2bdefa73cfca6fb"},
-      {"invariant-reversed-activations", "6f17966b829a6b8e"},
-      {"invariant-illegal-status", "c40f2cb4ee9899c2"},
-      {"invariant-status-endtime-mismatch", "8e8ce50e74545992"},
-      {"invariant-attempts-below-one", "a954b63733a12a70"},
-      {"invariant-duplicate-wkfid", "d948e12a26546750"},
-      {"invariant-keys-hworkflow", "374b08f4b3b09e19"},
-      {"invariant-duplicate-actid", "156927c9cea0fd50"},
-      {"invariant-keys-hactivity", "520fb3947cb3086e"},
-      {"invariant-duplicate-taskid", "793c3e2906a91c84"},
-      {"invariant-keys-hactivation", "d2a2cd425d09b15d"},
-      {"invariant-duplicate-fileid", "e6896c566bc1c767"},
-      {"invariant-keys-hfile", "180dccacf110e072"},
-      {"invariant-duplicate-valueid", "a7e52690c2f94615"},
-      {"invariant-keys-hvalue", "58bda19de3e1bb7a"},
-      {"invariant-references-hactivity-wkfid", "0fae4ecadf5029c0"},
-      {"invariant-references-hactivation-actid", "d474cf2b49318811"},
-      {"invariant-references-hactivation-wkfid", "0fae4ecadf5029c0"},
-      {"invariant-references-hfile-taskid", "59499a1c6b1b7fbd"},
-      {"invariant-references-hfile-wkfid", "b689e109590910db"},
-      {"invariant-references-hvalue-taskid", "59499a1c6b1b7fbd"},
+      {"invariant-run-open-workflow", "ccdc743ae07bf3e0"},
+      {"invariant-run-open-activations", "fd8b3ad3f59da468"},
+      {"invariant-run-reversed-activations", "f0a102a949e753c3"},
+      {"invariant-run-late-activations", "b8c218aad0bbe90a"},
+      {"invariant-run-over-budget", "afbbaefd0327be7c"},
+      {"invariant-run-nonconsecutive-attempts", "081657ad488b3cf3"},
+      {"invariant-run-finished-not-last", "e5fdd9b6e3e2a966"},
+      {"invariant-run-overlapping-attempts", "1a02530376b82aa0"},
+      {"invariant-store-duplicate-wkfid", "4b02eb4f24ec5af6"},
+      {"invariant-store-duplicate-actid", "7b24e5a3e2efca1e"},
+      {"invariant-store-duplicate-taskid", "0405d7e648224640"},
+      {"invariant-store-duplicate-fileid", "c3e1857bcb1eb0c0"},
+      {"invariant-store-duplicate-valueid", "718793940bbef198"},
+      {"invariant-store-references-hactivity-wkfid", "fa60519636982a6f"},
+      {"invariant-store-references-hactivity-wkfid-keys", "374b08f4b3b09e19"},
+      {"invariant-store-references-hactivation-actid", "0a0f297b2978d59d"},
+      {"invariant-store-references-hactivation-actid-keys", "520fb3947cb3086e"},
+      {"invariant-store-references-hactivation-wkfid", "06fcc235af38524d"},
+      {"invariant-store-references-hactivation-wkfid-keys", "374b08f4b3b09e19"},
+      {"invariant-store-references-hfile-taskid", "2ee804a70ca414ae"},
+      {"invariant-store-references-hfile-taskid-keys", "d2a2cd425d09b15d"},
+      {"invariant-store-references-hfile-wkfid", "74cc4510d3647555"},
+      {"invariant-store-references-hfile-wkfid-keys", "374b08f4b3b09e19"},
+      {"invariant-store-references-hvalue-taskid", "1ec3b0dd8e5ec0e4"},
+      {"invariant-store-references-hvalue-taskid-keys", "d2a2cd425d09b15d"},
+      {"invariant-store-illegal-status", "f6fc076d4ca5e8ea"},
+      {"invariant-store-status-endtime-mismatch", "8e08ece5767269d0"},
+      {"invariant-store-reversed-activations", "f0a102a949e753c3"},
+      {"invariant-store-attempts-below-one", "04c6b42f82ec34a5"},
   };
   const std::vector<std::string>& all = data::table2_receptors();
   const Experiment exp =
