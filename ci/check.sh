@@ -14,12 +14,12 @@
 #             CMakeLists.txt for any Clang build): the GUARDED_BY audit
 #             as a hard compile gate. Skips with a notice when clang++
 #             is not installed.
-#   asan      address sanitizer   + sync analysis, concurrency-heavy and
-#             sql labels
-#   ubsan     undefined sanitizer + sync analysis, concurrency-heavy and
-#             sql labels
-#   tsan      thread sanitizer    + sync analysis, concurrency-heavy and
-#             sql labels,
+#   asan      address sanitizer   + sync analysis, concurrency-heavy,
+#             sql and obs labels
+#   ubsan     undefined sanitizer + sync analysis, concurrency-heavy,
+#             sql and obs labels
+#   tsan      thread sanitizer    + sync analysis, concurrency-heavy,
+#             sql and obs labels,
 #             then the planted fixtures: TSan alone judges the ww/rw/publish
 #             races of tests/sync_planted, and every lock-order inversion
 #             (sync_planted's, and the in-process cases labelled
@@ -40,11 +40,14 @@
 #             reusing default's build tree.
 #
 # The sanitizer stages run the concurrency-heavy labels only
-# (chaos/kernels/sync/prov-recovery) plus the SQL suites (sql): those are
-# the suites that stress the executors, the docking kernels, the
-# lock/race discipline, the WAL group-commit/recovery path, and the query
-# engine, which holds pointers into the rows of every shard while a
-# query runs; there sanitizers earn their ~10x slowdown.
+# (chaos/kernels/sync/prov-recovery) plus the SQL suites (sql) and the
+# observability suites (obs): those are the suites that stress the
+# executors, the docking kernels, the lock/race discipline, the WAL
+# group-commit/recovery path, the query engine, which holds pointers into
+# the rows of every shard while a query runs, and the native executor's
+# per-tuple tallies, whose counters reconcile against PROV-Wf at 1-4
+# threads with injected faults; there sanitizers earn their ~10x
+# slowdown.
 #
 # Usage: ci/check.sh [stage ...]     (default: all stages, in order)
 #   stages: default sync clang asan ubsan tsan perf
@@ -54,7 +57,7 @@ set -euo pipefail
 
 REPO_ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 JOBS="${JOBS:-$(nproc)}"
-SANITIZER_LABELS='chaos|kernels|sync|prov-recovery|sql'
+SANITIZER_LABELS='chaos|kernels|sync|prov-recovery|sql|obs'
 
 run_ctest() { # dir, extra ctest args...
   local dir="$1"

@@ -32,20 +32,24 @@ std::vector<std::string> violations_of(
   return out;
 }
 
+/// The counts every executor's report carries, from its RunTally.
+RunSummary summary_of(const char* executor, const wf::RunTally& tally,
+                      std::size_t input_tuples, int attempt_budget) {
+  RunSummary s;
+  static_cast<wf::RunTally&>(s) = tally;
+  s.executor = executor;
+  s.input_tuples = input_tuples;
+  s.attempt_budget = attempt_budget;
+  return s;
+}
+
 }  // namespace
 
 RunSummary summarize(const wf::SimReport& report,
                      const wf::SimExecutorOptions& options,
                      std::size_t input_tuples) {
-  RunSummary s;
-  s.executor = "sim";
-  s.input_tuples = input_tuples;
-  s.activations_finished = report.activations_finished;
-  s.activations_failed = report.activations_failed;
-  s.activations_hung = report.activations_hung;
-  s.tuples_completed = report.tuples_completed;
-  s.tuples_lost = report.tuples_lost;
-  s.attempt_budget = options.failure.max_attempts;
+  RunSummary s =
+      summary_of("sim", report, input_tuples, options.failure.max_attempts);
   for (const wf::SimActivationRecord& r : report.records) {
     s.max_observed_attempt = std::max(s.max_observed_attempt, r.attempt);
   }
@@ -75,27 +79,18 @@ RunSummary summarize(const wf::SimReport& report,
 RunSummary summarize(const wf::NativeReport& report,
                      const wf::NativeExecutorOptions& options,
                      std::size_t input_tuples) {
-  RunSummary s;
-  s.executor = "native";
-  s.input_tuples = input_tuples;
-  s.activations_finished = report.activations_finished;
-  s.activations_failed = report.activations_failed;
-  s.activations_hung = report.activations_hung;
-  s.tuples_completed = static_cast<long long>(report.output.size());
-  s.tuples_lost = report.tuples_lost;
-  s.attempt_budget = options.max_attempts;
+  RunSummary s =
+      summary_of("native", report, input_tuples, options.max_attempts);
   // The native report has no per-attempt records; 0 marks "unknown" and
   // check_provenance recovers the true maximum from the store. (A lost
   // native tuple always exhausted its budget by construction of the
   // attempt loop, so conservation needs no headroom clause here.)
-  s.max_observed_attempt = 0;
   // Wall-clock timings are excluded: only counters and the output
   // relation must be byte-identical across replays.
   std::string d = strformat(
       "native finished=%lld failed=%lld hung=%lld completed=%lld lost=%lld\n",
       report.activations_finished, report.activations_failed,
-      report.activations_hung, static_cast<long long>(report.output.size()),
-      report.tuples_lost);
+      report.activations_hung, report.tuples_completed, report.tuples_lost);
   for (const auto& [tag, stats] : report.per_activity_seconds) {
     d += strformat("act %s n=%zu\n", tag.c_str(), stats.count());
   }

@@ -13,16 +13,16 @@
 
 namespace scidock::dock {
 
-class Autodock4Engine : public DockingEngine {
+class Autodock4Engine {
  public:
   explicit Autodock4Engine(DockingParameterFile params = {});
 
-  std::string name() const override { return "AutoDock4"; }
+  std::string name() const { return "AutoDock4"; }
 
   /// Computes grid maps internally (activity 5) and then runs the LGA.
   DockingResult dock(const mol::PreparedReceptor& receptor,
                      const mol::PreparedLigand& ligand, const GridBox& box,
-                     Rng& rng) override;
+                     Rng& rng);
 
   /// Dock against maps that activity 5 already produced (the real SciDock
   /// data flow, where AutoGrid output is staged on the shared FS).

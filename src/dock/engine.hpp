@@ -3,9 +3,7 @@
 /// \file engine.hpp
 /// Engine-neutral docking task and result types (SciDock activity 8).
 
-#include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "dock/conformation.hpp"
@@ -63,17 +61,5 @@ Conformation score_conformation(const Model& model, const DockPose& pose,
   conf.run = run;
   return conf;
 }
-
-/// Interface shared by the AD4 and Vina engines.
-class DockingEngine {
- public:
-  virtual ~DockingEngine() = default;
-  virtual std::string name() const = 0;
-  /// Dock a prepared ligand against a prepared receptor inside `box`.
-  /// The RNG makes every run reproducible.
-  virtual DockingResult dock(const mol::PreparedReceptor& receptor,
-                             const mol::PreparedLigand& ligand,
-                             const GridBox& box, Rng& rng) = 0;
-};
 
 }  // namespace scidock::dock

@@ -14,16 +14,16 @@
 
 namespace scidock::dock {
 
-class VinaEngine : public DockingEngine {
+class VinaEngine {
  public:
   explicit VinaEngine(VinaConfig config = {});
 
-  std::string name() const override { return "Vina"; }
+  std::string name() const { return "Vina"; }
 
   /// Computes the Vina map set over `box` (activity 5), then docks on it.
   DockingResult dock(const mol::PreparedReceptor& receptor,
                      const mol::PreparedLigand& ligand, const GridBox& box,
-                     Rng& rng) override;
+                     Rng& rng);
 
   /// Dock on a Vina map set that activity 5 already produced, searching in
   /// its box. `receptor` is read only to rescore the reported modes.

@@ -138,7 +138,7 @@ std::string finished_activation_count_sql(long long wkfid,
 }
 
 // ---- invariant queries ----
-// Each selects the message first; `||` prints a real as %.6g.
+// Each selects the message first; `||` prints a real exactly.
 
 namespace {
 

@@ -299,24 +299,27 @@ struct Aggregator {
   FunctionId fn = FunctionId::Count;
   bool star = false;
   std::size_t count = 0;
-  double sum = 0.0;
+  std::vector<double> terms;  ///< sum/avg inputs
   Value min_v;
   Value max_v;
 
   void add(const Value& v) {
     if (!star && v.is_null()) return;
     ++count;
-    if (fn == FunctionId::Sum || fn == FunctionId::Avg) sum += star ? 0.0 : v.as_double();
+    if (!star && (fn == FunctionId::Sum || fn == FunctionId::Avg)) terms.push_back(v.as_double());
     if (fn == FunctionId::Min && (min_v.is_null() || v.compare(min_v) == std::strong_ordering::less)) min_v = v;
     if (fn == FunctionId::Max && (max_v.is_null() || v.compare(max_v) == std::strong_ordering::greater)) max_v = v;
   }
 
-  Value result() const {
+  Value result() {
     if (fn == FunctionId::Count) return Value(static_cast<std::int64_t>(count));
     if (count == 0) return Value();
-    if (fn == FunctionId::Sum) return Value(sum);
-    if (fn == FunctionId::Avg) return Value(sum / static_cast<double>(count));
-    return fn == FunctionId::Min ? min_v : max_v;
+    if (fn == FunctionId::Min || fn == FunctionId::Max) return fn == FunctionId::Min ? min_v : max_v;
+    // Add in value order, not scan order: a store sharded N ways sums a
+    // group to the same double as one store.
+    std::ranges::sort(terms, [](double a, double b) { return std::strong_order(a, b) < 0; });
+    const double sum = std::accumulate(terms.begin(), terms.end(), 0.0);
+    return Value(fn == FunctionId::Sum ? sum : sum / static_cast<double>(count));
   }
 };
 

@@ -1,10 +1,10 @@
 #include "sql/value.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <compare>
 
 #include "util/error.hpp"
-#include "util/strings.hpp"
 
 namespace scidock::sql {
 
@@ -48,7 +48,13 @@ std::strong_ordering Value::compare(const Value& other) const {
 std::string Value::to_string() const {
   if (is_null()) return "NULL";
   if (is_int()) return std::to_string(std::get<std::int64_t>(v_));
-  if (is_double()) return strformat("%.6g", std::get<double>(v_));
+  if (is_double()) {
+    // The shortest text that reads back to the same double, as PostgreSQL
+    // 12+ prints double precision.
+    char buf[32];
+    const auto end = std::to_chars(buf, buf + sizeof buf, std::get<double>(v_)).ptr;
+    return std::string(buf, end);
+  }
   return std::get<std::string>(v_);
 }
 

@@ -298,7 +298,6 @@ int cmd_sweep(const std::vector<std::string>& args) {
       static_cast<std::size_t>(pairs), options);
   ObsSinks sinks = obs_sinks(args);
   std::printf("%6s %14s %10s\n", "cores", "TET", "cost");
-  double tet2 = 0.0;
   for (std::size_t i = 0; i < core_counts.size(); ++i) {
     const int cores = core_counts[i];
     wf::SimExecutorOptions sim_options;
@@ -309,7 +308,6 @@ int cmd_sweep(const std::vector<std::string>& args) {
     if (i + 1 == core_counts.size()) sim_options.obs.trace = sinks.trace.get();
     const wf::SimReport r =
         core::run_simulated(exp, cores, nullptr, std::move(sim_options));
-    if (tet2 == 0.0) tet2 = r.total_execution_time_s * cores / 2.0;
     std::printf("%6d %14s %9.0f$\n", cores,
                 human_duration(r.total_execution_time_s).c_str(),
                 r.cloud_cost_usd);

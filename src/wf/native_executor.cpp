@@ -4,7 +4,6 @@
 #include <chrono>
 
 #include "util/error.hpp"
-#include "util/thread_annotations.hpp"
 #include "util/logging.hpp"
 #include "util/thread_pool.hpp"
 
@@ -56,16 +55,19 @@ NativeReport NativeExecutor::run(const Relation& input,
     prov_.record_file(wkfid, 0, 0, name, size, dir);
   }
 
-  NativeReport report;
-  Mutex report_mutex{"wf.native.report"};
-  std::vector<std::vector<Tuple>> final_tuples(input.size());
-  // While tasks run, `report` is only touched under report_mutex; each
-  // final_tuples bucket is written by exactly one task and read after the
-  // parallel_for join.
+  // Each input tuple tallies into its own slot, written by exactly one
+  // task; the slots merge in tuple order after the parallel_for join.
+  struct TupleSlot {
+    RunTally tally;
+    std::vector<std::string> failure_messages;
+    std::vector<Tuple> output;
+  };
+  std::vector<TupleSlot> slots(input.size());
 
   Rng root_rng(options_.seed);
 
   auto process_tuple = [&](std::size_t tuple_idx) {
+    TupleSlot& slot = slots[tuple_idx];
     // Each tuple owns a deterministic stream regardless of scheduling.
     Rng tuple_rng = root_rng.fork("tuple-" + std::to_string(tuple_idx));
     std::vector<Tuple> frontier{input.tuples()[tuple_idx]};
@@ -75,111 +77,66 @@ NativeReport NativeExecutor::run(const Relation& input,
       const Stage& st = pipeline_.stage(stage_tag);
       std::vector<Tuple> produced;
       for (const Tuple& in_tuple : frontier) {
+        const std::string pair = in_tuple.get("pair").value_or("");
         bool done = false;
         std::string last_error;
         for (int attempt = 1; attempt <= options_.max_attempts && !done; ++attempt) {
-          ActivationContext ctx;
-          ctx.fs = &fs_;
-          ctx.prov = &prov_;
-          ctx.obs = options_.obs;
-          ctx.wkfid = wkfid;
-          ctx.actid = actids[st.tag];
-          ctx.expdir = options_.expdir;
-          ctx.rng = tuple_rng.fork(st.tag + "#" + std::to_string(attempt));
           const double start = wall_now() - t0;
-          ctx.now = start;
-          ctx.taskid = prov_.begin_activation(
-              ctx.actid, wkfid, start, /*vmid=*/0,
-              in_tuple.get("pair").value_or(""));
-          obs::ScopedSpan span(
-              options_.obs.trace, st.tag, "activation",
-              {{"pair", in_tuple.get("pair").value_or("")},
-               {"attempt", std::to_string(attempt)}});
-          if (counters.started != nullptr) {
-            counters.started->inc();
-            if (attempt > 1) counters.retried->inc();
-          }
-          auto notify = [&](bool success) {
-            if (!options_.monitor) return;
+          const long long actid = actids[st.tag];
+          ActivationContext ctx{
+              .fs = &fs_, .prov = &prov_, .wkfid = wkfid, .actid = actid,
+              .taskid = prov_.begin_activation(actid, wkfid, start,
+                                               /*vmid=*/0, pair),
+              .expdir = options_.expdir, .now = start,
+              .rng = tuple_rng.fork(st.tag + "#" + std::to_string(attempt)),
+              .obs = options_.obs};
+          obs::ScopedSpan span(options_.obs.trace, st.tag, "activation",
+                               {{"pair", pair},
+                                {"attempt", std::to_string(attempt)}});
+          // An injected Hang is the looping state the watchdog aborts; the
+          // abort is visible in provenance (the record the paper's authors
+          // used to diagnose the Hg hangs). Every fault burns the attempt.
+          const InjectedFault fault =
+              options_.fault_injector
+                  ? options_.fault_injector(st.tag, in_tuple, attempt)
+                  : InjectedFault::None;
+          std::string_view status = prov::kStatusFinished;
+          std::vector<Tuple> out;
+          if (fault == InjectedFault::Hang) {
+            status = prov::kStatusAborted;
+            last_error = "injected hang at " + st.tag + " (watchdog abort)";
+          } else if (fault == InjectedFault::Failure) {
+            status = prov::kStatusFailed;
+            last_error = "injected failure at " + st.tag;
+          } else {
             try {
-              options_.monitor(ActivationEvent{
-                  st.tag, in_tuple.get("pair").value_or(""), success, attempt,
-                  wall_now() - t0 - start});
+              out = st.impl(in_tuple, ctx);
+            } catch (const Error& e) {
+              status = prov::kStatusFailed;
+              last_error = e.what();
+            }
+          }
+          done = status == prov::kStatusFinished;
+          const double end = wall_now() - t0;
+          prov_.end_activation(ctx.taskid, end, status, done ? 0 : 1, attempt);
+          slot.tally.close_attempt(st.tag, status, attempt, end - start,
+                                   counters);
+          span.set_arg("status", std::string(status));
+          if (options_.monitor) {
+            try {
+              options_.monitor(ActivationEvent{st.tag, pair, done, attempt,
+                                               end - start});
             } catch (...) {
               // A broken monitor must not take the workflow down.
             }
-          };
-          if (options_.fault_injector) {
-            const InjectedFault fault =
-                options_.fault_injector(st.tag, in_tuple, attempt);
-            if (fault == InjectedFault::Hang) {
-              // Looping state: the watchdog aborts the activation. The
-              // attempt is burned and the abort is visible in provenance
-              // (the record the paper's authors used to diagnose Hg hangs).
-              prov_.end_activation(ctx.taskid, wall_now() - t0,
-                                   prov::kStatusAborted, 1, attempt);
-              last_error = "injected hang at " + st.tag + " (watchdog abort)";
-              {
-                MutexLock lock(report_mutex);
-                ++report.activations_hung;
-              }
-              if (counters.aborted != nullptr) counters.aborted->inc();
-              span.set_arg("status", std::string(prov::kStatusAborted));
-              notify(false);
-              continue;
-            }
-            if (fault == InjectedFault::Failure) {
-              prov_.end_activation(ctx.taskid, wall_now() - t0,
-                                   prov::kStatusFailed, 1, attempt);
-              last_error = "injected failure at " + st.tag;
-              {
-                MutexLock lock(report_mutex);
-                ++report.activations_failed;
-              }
-              if (counters.failed != nullptr) counters.failed->inc();
-              span.set_arg("status", std::string(prov::kStatusFailed));
-              notify(false);
-              continue;
-            }
           }
-          try {
-            std::vector<Tuple> out = st.impl(in_tuple, ctx);
-            prov_.end_activation(ctx.taskid, wall_now() - t0,
-                                 prov::kStatusFinished, 0, attempt);
-            const double elapsed = wall_now() - t0 - start;
-            {
-              MutexLock lock(report_mutex);
-              ++report.activations_finished;
-              report.per_activity_seconds[st.tag].add(elapsed);
-            }
-            if (counters.finished != nullptr) {
-              counters.finished->inc();
-              counters.activation_seconds->observe(elapsed);
-            }
-            span.set_arg("status", std::string(prov::kStatusFinished));
-            notify(true);
-            for (Tuple& o : out) produced.push_back(std::move(o));
-            done = true;
-          } catch (const Error& e) {
-            prov_.end_activation(ctx.taskid, wall_now() - t0,
-                                 prov::kStatusFailed, 1, attempt);
-            last_error = e.what();
-            {
-              MutexLock lock(report_mutex);
-              ++report.activations_failed;
-            }
-            if (counters.failed != nullptr) counters.failed->inc();
-            span.set_arg("status", std::string(prov::kStatusFailed));
-            notify(false);
-          }
+          for (Tuple& o : out) produced.push_back(std::move(o));
         }
         if (!done) {
-          if (counters.tuples_lost != nullptr) counters.tuples_lost->inc();
-          MutexLock lock(report_mutex);
-          ++report.tuples_lost;
-          report.failure_messages.push_back(last_error);
+          slot.tally.close_tuple(/*completed=*/false, counters);
           SCIDOCK_LOG_WARN("tuple %zu lost at stage %s: %s", tuple_idx,
                            st.tag.c_str(), last_error.c_str());
+          slot.failure_messages.push_back(std::move(last_error));
         }
       }
       if (produced.empty()) {
@@ -192,10 +149,8 @@ NativeReport NativeExecutor::run(const Relation& input,
     }
     // Only tuples that traversed the whole chain appear in the output.
     if (stage_tag == kEndOfPipeline) {
-      if (counters.tuples_completed != nullptr) {
-        counters.tuples_completed->inc();
-      }
-      final_tuples[tuple_idx] = std::move(frontier);
+      slot.tally.close_tuple(/*completed=*/true, counters);
+      slot.output = std::move(frontier);
     }
   };
 
@@ -214,9 +169,14 @@ NativeReport NativeExecutor::run(const Relation& input,
   // first-seen order: branches of a routed pipeline (AD4's dpf_file,
   // Vina's conf_file) carry different fields, and a tuple lacking one of
   // them still belongs in the output, with an empty cell.
+  NativeReport report;
   std::vector<std::string> fields;
-  for (const auto& bucket : final_tuples) {
-    for (const Tuple& t : bucket) {
+  for (const TupleSlot& slot : slots) {
+    report.merge(slot.tally);
+    report.failure_messages.insert(report.failure_messages.end(),
+                                   slot.failure_messages.begin(),
+                                   slot.failure_messages.end());
+    for (const Tuple& t : slot.output) {
       for (const auto& [k, v] : t.fields()) {
         if (std::find(fields.begin(), fields.end(), k) == fields.end()) {
           fields.push_back(k);
@@ -225,8 +185,8 @@ NativeReport NativeExecutor::run(const Relation& input,
     }
   }
   report.output = Relation(fields);
-  for (auto& bucket : final_tuples) {
-    for (Tuple& t : bucket) {
+  for (TupleSlot& slot : slots) {
+    for (Tuple& t : slot.output) {
       for (const std::string& f : fields) {
         if (!t.has(f)) t.set(f, "");
       }

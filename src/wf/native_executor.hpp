@@ -8,15 +8,15 @@
 /// cloud-scale timing.
 
 #include <functional>
-#include <map>
 #include <string>
+#include <vector>
 
 #include "obs/obs.hpp"
 #include "prov/prov.hpp"
-#include "util/stats.hpp"
 #include "util/thread_pool.hpp"
 #include "vfs/vfs.hpp"
 #include "wf/pipeline.hpp"
+#include "wf/run_tally.hpp"
 
 namespace scidock::wf {
 
@@ -64,15 +64,11 @@ struct NativeExecutorOptions {
   obs::Observability obs;
 };
 
-struct NativeReport {
+struct NativeReport : RunTally {
   Relation output;                     ///< tuples that completed the chain
   double wall_seconds = 0.0;
-  long long activations_finished = 0;
-  long long activations_failed = 0;    ///< failed attempts (re-executed)
-  long long activations_hung = 0;      ///< injected hangs aborted by watchdog
-  long long tuples_lost = 0;           ///< exhausted their attempt budget
-  std::map<std::string, RunningStats> per_activity_seconds;
-  std::vector<std::string> failure_messages;  ///< first error per lost tuple
+  /// The last attempt's error of each lost tuple, in input-tuple order.
+  std::vector<std::string> failure_messages;
 };
 
 class NativeExecutor {

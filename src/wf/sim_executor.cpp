@@ -85,12 +85,11 @@ SimReport SimulatedExecutor::run(const Relation& input,
     std::vector<std::string> chain;
     std::size_t stage = 0;
     int attempts_at_stage = 0;
-    bool lost = false;
   };
   std::vector<TupleState> tuples;
   tuples.reserve(input.size());
   for (const Tuple& t : input.tuples()) {
-    tuples.push_back(TupleState{pipeline_.chain_for(t), 0, 0, false});
+    tuples.push_back(TupleState{pipeline_.chain_for(t)});
   }
 
   // ---- scheduling state ----
@@ -98,7 +97,11 @@ SimReport SimulatedExecutor::run(const Relation& input,
   long long next_act_id = 1;
   std::map<long long, int> free_slots;  ///< usable (booted) VM -> free cores
   long long busy = 0;                   ///< in-flight activations
-  long long completed_tuples = 0;
+  // Every tuple has completed or been lost.
+  auto drained = [&] {
+    return report.tuples_completed + report.tuples_lost ==
+           static_cast<long long>(tuples.size());
+  };
 
   auto tuple_of = [&input](std::size_t idx) -> const Tuple& {
     return input.tuples()[idx];
@@ -152,45 +155,25 @@ SimReport SimulatedExecutor::run(const Relation& input,
     ++free_slots[vm_id];
 
     const double duration = sim.now() - started;
-    std::string status;
-    switch (outcome) {
-      case cloud::ActivationOutcome::Success: {
-        status = std::string(prov::kStatusFinished);
-        ++report.activations_finished;
-        report.per_activity_seconds[tag].add(duration);
-        ts.attempts_at_stage = 0;
-        ++ts.stage;
-        if (ts.stage >= ts.chain.size()) {
-          ++completed_tuples;
-          ++report.tuples_completed;
-          if (counters.tuples_completed != nullptr) {
-            counters.tuples_completed->inc();
-          }
-        } else {
-          enqueue(tuple_idx);
-        }
-        break;
+    const std::string status(
+        outcome == cloud::ActivationOutcome::Success ? prov::kStatusFinished
+        : outcome == cloud::ActivationOutcome::Hang  ? prov::kStatusAborted
+                                                     : prov::kStatusFailed);
+    report.close_attempt(tag, status, attempt, duration, counters);
+    if (outcome == cloud::ActivationOutcome::Success) {
+      ts.attempts_at_stage = 0;
+      ++ts.stage;
+      if (ts.stage >= ts.chain.size()) {
+        report.close_tuple(/*completed=*/true, counters);
+      } else {
+        enqueue(tuple_idx);
       }
-      case cloud::ActivationOutcome::Failure:
-      case cloud::ActivationOutcome::Hang: {
-        const bool hang = outcome == cloud::ActivationOutcome::Hang;
-        status = hang ? std::string(prov::kStatusAborted)
-                      : std::string(prov::kStatusFailed);
-        if (hang) ++report.activations_hung;
-        else ++report.activations_failed;
-        ++ts.attempts_at_stage;
-        const bool retry = !no_retry && options_.reexecute_failures &&
-                           ts.attempts_at_stage < options_.failure.max_attempts;
-        if (retry) {
-          enqueue(tuple_idx);
-        } else {
-          ts.lost = true;
-          ++completed_tuples;
-          ++report.tuples_lost;
-          if (counters.tuples_lost != nullptr) counters.tuples_lost->inc();
-        }
-        break;
-      }
+    } else {
+      ++ts.attempts_at_stage;
+      const bool retry = !no_retry && options_.reexecute_failures &&
+                         ts.attempts_at_stage < options_.failure.max_attempts;
+      if (retry) enqueue(tuple_idx);
+      else report.close_tuple(/*completed=*/false, counters);
     }
     if (prov != nullptr) {
       const long long taskid = prov->begin_activation(
@@ -198,20 +181,6 @@ SimReport SimulatedExecutor::run(const Relation& input,
           tuple_of(tuple_idx).get("pair").value_or(""));
       prov->end_activation(taskid, sim.now(), status,
                            status == prov::kStatusFinished ? 0 : 1, attempt);
-    }
-    // One counter bump per attempt, mirroring the one hactivation row
-    // above so reconciliation holds row for row.
-    if (counters.started != nullptr) {
-      counters.started->inc();
-      if (attempt > 1) counters.retried->inc();
-      if (status == prov::kStatusFinished) {
-        counters.finished->inc();
-        counters.activation_seconds->observe(duration);
-      } else if (status == prov::kStatusAborted) {
-        counters.aborted->inc();
-      } else {
-        counters.failed->inc();
-      }
     }
     if (trace != nullptr) {
       trace->complete_span(tag, "activation", started * 1e6, duration * 1e6,
@@ -231,9 +200,7 @@ SimReport SimulatedExecutor::run(const Relation& input,
     }
     // The run ends with its last activation: an elasticity tick or a VM
     // boot still queued must not stretch the TET or the bill.
-    if (completed_tuples == static_cast<long long>(tuples.size())) {
-      sim.stop();
-    }
+    if (drained()) sim.stop();
     dispatch();
   };
 
@@ -359,7 +326,7 @@ SimReport SimulatedExecutor::run(const Relation& input,
   // ---- elasticity controller ----
   std::function<void()> controller;
   controller = [&] {
-    if (completed_tuples >= static_cast<long long>(tuples.size())) return;
+    if (drained()) return;
     const int alive = cluster.alive_count();
     const int cores_per_vm = std::max(1, options_.elastic_vm_type.cores);
     const int target = std::clamp(

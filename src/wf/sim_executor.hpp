@@ -19,8 +19,8 @@
 #include "cloud/sim.hpp"
 #include "obs/obs.hpp"
 #include "prov/prov.hpp"
-#include "util/stats.hpp"
 #include "wf/pipeline.hpp"
+#include "wf/run_tally.hpp"
 #include "wf/scheduler.hpp"
 
 namespace scidock::wf {
@@ -69,19 +69,13 @@ struct SimActivationRecord {
   std::string status;  ///< FINISHED / FAILED / ABORTED
 };
 
-struct SimReport {
+struct SimReport : RunTally {
   double total_execution_time_s = 0.0;   ///< the paper's TET
-  long long activations_finished = 0;
-  long long activations_failed = 0;      ///< failed attempts (re-executed)
-  long long activations_hung = 0;        ///< looping-state aborts
-  long long tuples_completed = 0;
-  long long tuples_lost = 0;             ///< only when re-execution is off
   double scheduling_overhead_s = 0.0;    ///< summed planning time
   double data_staging_s = 0.0;           ///< summed shared-FS time
   double cloud_cost_usd = 0.0;
   int peak_alive_vms = 0;
   int total_cores = 0;
-  std::map<std::string, RunningStats> per_activity_seconds;
   std::vector<SimActivationRecord> records;
 };
 

@@ -168,12 +168,12 @@ std::string digest(const sql::ResultSet& rs) {
 /// shows here; both shard counts print the same text.
 TEST(ShippedQueryResults, ProvQueriesArePinned) {
   const std::map<std::string, std::string> expected = {
-      {"figure5-histogram", "ed98b3feb5fab6c4"},
-      {"query1-statistics", "4b7c20aa1dde4dbe"},
+      {"figure5-histogram", "614d4571e7c1968f"},
+      {"query1-statistics", "cc9c2fd2580402f7"},
       {"query2-dlg-files", "a3b5d5e5aa9fb2c4"},
       {"forensics-failed-by-activity", "925115de62fe6f9a"},
       {"forensics-hg-aborts", "5cf8ca6e15dfd66c"},
-      {"steering-longest-activations", "b84ca6290b04d0a4"},
+      {"steering-longest-activations", "55d87c87c5917b3e"},
       {"reconcile-workflow-id", "374b08f4b3b09e19"},
       {"reconcile-activation-count", "0c15c74d582d1ff3"},
       {"reconcile-activations-by-status", "1a66b3e2559b2535"},

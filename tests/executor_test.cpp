@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <atomic>
 #include <map>
+#include <optional>
 #include <set>
 #include <utility>
 
@@ -158,17 +159,32 @@ TEST(NativeExecutor, SplitMapFansOut) {
 }
 
 TEST(NativeExecutor, DeterministicAcrossThreadCounts) {
-  // The per-tuple forked RNG makes results independent of scheduling.
-  const Pipeline p = toy_pipeline();
-  vfs::SharedFileSystem fs1, fs2;
-  prov::ProvenanceStore s1, s2;
-  NativeExecutorOptions o1, o2;
-  o1.threads = 1;
-  o2.threads = 4;
-  const NativeReport r1 = NativeExecutor(p, fs1, s1, o1).run(numbers(8), "a");
-  const NativeReport r2 = NativeExecutor(p, fs2, s2, o2).run(numbers(8), "b");
-  ASSERT_EQ(r1.output.size(), r2.output.size());
-  // Compare sets of (id, doubled) pairs.
+  // The per-tuple forked RNG and per-tuple tallies make the output, every
+  // count and the order of the failure messages independent of
+  // scheduling, faults included.
+  Pipeline p = toy_pipeline();
+  // A third stage rejects ids 2 and 7 on every attempt: both tuples
+  // exhaust their budget and are lost.
+  p.add_stage(Stage{
+      "reject", AlgebraicOp::Map,
+      [](const Tuple& in, ActivationContext&) {
+        const int id = std::stoi(in.require("id"));
+        if (id % 5 == 2) {
+          throw ActivityError("reject id " + std::to_string(id));
+        }
+        return std::vector<Tuple>{in};
+      },
+      nullptr, nullptr, nullptr});
+  // First attempts hang at "double" for ids 0, 4, 8 and fail at
+  // "stringify" for ids 1, 5, 9; the retries succeed.
+  const FaultInjectorFn faults = [](const std::string& tag, const Tuple& t,
+                                    int attempt) {
+    const int id = std::stoi(t.require("id"));
+    if (attempt != 1) return InjectedFault::None;
+    if (tag == "double" && id % 4 == 0) return InjectedFault::Hang;
+    if (tag == "stringify" && id % 4 == 1) return InjectedFault::Failure;
+    return InjectedFault::None;
+  };
   auto key_set = [](const Relation& rel) {
     std::set<std::string> keys;
     for (const Tuple& t : rel.tuples()) {
@@ -176,7 +192,44 @@ TEST(NativeExecutor, DeterministicAcrossThreadCounts) {
     }
     return keys;
   };
-  EXPECT_EQ(key_set(r1.output), key_set(r2.output));
+  auto activity_counts = [](const NativeReport& r) {
+    std::map<std::string, std::size_t> counts;
+    for (const auto& [tag, stats] : r.per_activity_seconds) {
+      counts[tag] = stats.count();
+    }
+    return counts;
+  };
+
+  std::optional<NativeReport> serial;
+  for (int threads = 1; threads <= 4; ++threads) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    vfs::SharedFileSystem fs;
+    prov::ProvenanceStore store;
+    NativeExecutorOptions opts;
+    opts.threads = threads;
+    opts.max_attempts = 3;
+    opts.fault_injector = faults;
+    NativeReport r = NativeExecutor(p, fs, store, opts).run(numbers(12), "d");
+    if (!serial) {
+      EXPECT_EQ(r.activations_finished, 12 + 12 + 10);
+      EXPECT_EQ(r.activations_failed, 3 + 2 * 3);
+      EXPECT_EQ(r.activations_hung, 3);
+      EXPECT_EQ(r.tuples_completed, 10);
+      EXPECT_EQ(r.tuples_lost, 2);
+      EXPECT_EQ(r.failure_messages,
+                (std::vector<std::string>{"reject id 2", "reject id 7"}));
+      serial = std::move(r);
+      continue;
+    }
+    EXPECT_EQ(r.activations_finished, serial->activations_finished);
+    EXPECT_EQ(r.activations_failed, serial->activations_failed);
+    EXPECT_EQ(r.activations_hung, serial->activations_hung);
+    EXPECT_EQ(r.tuples_completed, serial->tuples_completed);
+    EXPECT_EQ(r.tuples_lost, serial->tuples_lost);
+    EXPECT_EQ(activity_counts(r), activity_counts(*serial));
+    EXPECT_EQ(r.failure_messages, serial->failure_messages);
+    EXPECT_EQ(key_set(r.output), key_set(serial->output));
+  }
 }
 
 TEST(NativeExecutor, StagesRelationFilesOnSharedFs) {

@@ -370,10 +370,10 @@ std::vector<std::string> sharded_equivalence_queries() {
   };
 }
 
-/// Order-independent row-set canonicalisation. Doubles are printed at 9
-/// significant digits: a sharded store scans a partitioned table shard
-/// by shard, so sums fold rows in a different order than a single shard
-/// does and the last bits may legally differ.
+/// Order-independent row-set canonicalisation. Doubles are printed
+/// exactly: a sharded store scans a partitioned table shard by shard, but
+/// sum and avg add in value order, so every shard count gives the single
+/// shard's bits.
 std::vector<std::string> canonical_rows(const sql::ResultSet& rs) {
   std::vector<std::string> out;
   out.reserve(rs.rows.size());
@@ -383,7 +383,7 @@ std::vector<std::string> canonical_rows(const sql::ResultSet& rs) {
       if (v.is_null()) {
         s += "|null";
       } else if (v.is_double()) {
-        s += strformat("|d:%.9g", v.as_double());
+        s += strformat("|d:%.17g", v.as_double());
       } else if (v.is_int()) {
         s += strformat("|i:%lld", static_cast<long long>(v.as_int()));
       } else {

@@ -10,6 +10,7 @@
 #include "sql/parser.hpp"
 #include "sql/table.hpp"
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace scidock::sql {
 namespace {
@@ -126,6 +127,17 @@ TEST(Value, Rendering) {
   EXPECT_EQ(Value().to_string(), "NULL");
   EXPECT_EQ(Value(42).to_string(), "42");
   EXPECT_EQ(Value("x").to_string(), "x");
+}
+
+TEST(Value, RealsPrintTheShortestTextThatReadsBack) {
+  // %.6g would print 1.00006e+06 and 0.333333: neither reads back equal.
+  for (const double x : {1000060.25, 1.0 / 3.0, 0.1 + 0.2, -2.5e-9}) {
+    const std::string text = Value(x).to_string();
+    EXPECT_EQ(parse_double(text), x) << text;
+  }
+  EXPECT_EQ(Value(1000060.25).to_string(), "1000060.25");
+  EXPECT_EQ(Value(2.5).to_string(), "2.5");
+  EXPECT_EQ(Value(-0.5).to_string(), "-0.5");
 }
 
 // --------------------------------------------------------------- engine
