@@ -36,9 +36,13 @@ std::vector<std::string> violations_of(
 RunSummary summary_of(const char* executor, const wf::RunTally& tally,
                       std::size_t input_tuples, int attempt_budget) {
   RunSummary s;
-  static_cast<wf::RunTally&>(s) = tally;
   s.executor = executor;
   s.input_tuples = input_tuples;
+  s.activations_finished = tally.activations_finished;
+  s.activations_failed = tally.activations_failed;
+  s.activations_hung = tally.activations_hung;
+  s.tuples_completed = tally.tuples_completed;
+  s.tuples_lost = tally.tuples_lost;
   s.attempt_budget = attempt_budget;
   return s;
 }
@@ -81,6 +85,9 @@ RunSummary summarize(const wf::NativeReport& report,
                      std::size_t input_tuples) {
   RunSummary s =
       summary_of("native", report, input_tuples, options.max_attempts);
+  // Conservation counts the output relation, not the tally, so a row the
+  // slot merge dropped or duplicated shows (Map-only pipelines).
+  s.tuples_completed = static_cast<long long>(report.output.size());
   // The native report has no per-attempt records; 0 marks "unknown" and
   // check_provenance recovers the true maximum from the store. (A lost
   // native tuple always exhausted its budget by construction of the
@@ -89,8 +96,8 @@ RunSummary summarize(const wf::NativeReport& report,
   // relation must be byte-identical across replays.
   std::string d = strformat(
       "native finished=%lld failed=%lld hung=%lld completed=%lld lost=%lld\n",
-      report.activations_finished, report.activations_failed,
-      report.activations_hung, report.tuples_completed, report.tuples_lost);
+      s.activations_finished, s.activations_failed, s.activations_hung,
+      s.tuples_completed, s.tuples_lost);
   for (const auto& [tag, stats] : report.per_activity_seconds) {
     d += strformat("act %s n=%zu\n", tag.c_str(), stats.count());
   }

@@ -25,13 +25,18 @@
 
 namespace scidock::chaos {
 
-/// Executor-neutral view of one run: the report's RunTally plus what the
-/// checks need. `digest` is a canonical serialisation of everything that
-/// must be reproducible from the seed (wall-clock timings are excluded
-/// for the native executor).
-struct RunSummary : wf::RunTally {
+/// Executor-neutral view of one run: the report's RunTally counts plus
+/// what the checks need. `digest` is a canonical serialisation of
+/// everything that must be reproducible from the seed (wall-clock timings
+/// are excluded for the native executor).
+struct RunSummary {
   std::string executor;            ///< "native" | "sim"
   std::size_t input_tuples = 0;
+  long long activations_finished = 0;
+  long long activations_failed = 0;
+  long long activations_hung = 0;
+  long long tuples_completed = 0;
+  long long tuples_lost = 0;
   int attempt_budget = 0;          ///< max attempts per stage
   int max_observed_attempt = 0;    ///< highest attempt number that ran
   /// Losses that are by design, not re-execution bugs (pre-aborted

@@ -1,6 +1,8 @@
 #include "sql/engine.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -295,31 +297,99 @@ void collect_conjuncts(const Expr& e, std::vector<const Expr*>& out) {
 // Aggregation
 // ---------------------------------------------------------------------
 
+/// An exactly rounded sum, whatever order the terms come in, so a store
+/// sharded N ways sums a group to the same double as one store. A finite
+/// double is an integer times 2^-1074; it is added exactly into base-2^32
+/// digits held in int64 (each takes 2^31 additions before a carry), and
+/// the total rounds to nearest-even once.
+class ExactSum {
+ public:
+  void add(double x) {
+    if (!std::isfinite(x)) {
+      special_ += x;  // inf, -inf or NaN, combined as IEEE adds them
+      return;
+    }
+    const auto bits = std::bit_cast<std::uint64_t>(x);
+    const int biased = static_cast<int>(bits >> 52 & 0x7ff);
+    const std::uint64_t m = (bits & ((1ULL << 52) - 1)) | (biased != 0 ? 1ULL << 52 : 0);
+    const int p = std::max(biased, 1) - 1;  // |x| = m * 2^(p - 1074)
+    const U128 shifted = static_cast<U128>(m) << (p % 32);
+    for (int k = 0; k < 3; ++k) {
+      const auto digit = static_cast<std::int64_t>(shifted >> (32 * k) & 0xffffffff);
+      digits_[static_cast<std::size_t>(p / 32 + k)] += x < 0 ? -digit : digit;
+    }
+    if (++adds_ % (1U << 30) == 0) carry(digits_);
+  }
+
+  double value() const {
+    if (special_ != 0.0) return special_;
+    Digits d = digits_;
+    carry(d);
+    const bool negative = d.back() < 0;
+    if (negative) {
+      for (std::int64_t& digit : d) digit = -digit;
+      carry(d);
+    }
+    // Past 2^64 the top three digits hold at least 65 bits. Folding any
+    // nonzero lower digit into their last bit rounds them to odd, which
+    // keeps the one conversion to double correctly rounded.
+    std::size_t top = d.size() - 1;
+    while (top > 0 && d[top] == 0) --top;
+    const std::size_t base = top < 2 ? 0 : top - 2;
+    U128 window = 0;
+    for (std::size_t k = top + 1; k-- > base;) {
+      window = window << 32 | static_cast<std::uint64_t>(d[k]);
+    }
+    if (std::any_of(d.begin(), d.begin() + static_cast<std::ptrdiff_t>(base),
+                    [](std::int64_t digit) { return digit != 0; })) {
+      window |= 1;
+    }
+    const double magnitude =
+        std::ldexp(static_cast<double>(window), static_cast<int>(32 * base) - 1074);
+    return negative ? -magnitude : magnitude;
+  }
+
+ private:
+  using U128 = unsigned __int128;
+  /// 2^2176 of range: 2^1024 times 2^31 terms, with a digit to spare.
+  using Digits = std::array<std::int64_t, 68>;
+
+  /// Moves each digit's overflow into the next, leaving every digit but
+  /// the top one in [0, 2^32).
+  static void carry(Digits& d) {
+    for (std::size_t i = 0; i + 1 < d.size(); ++i) {
+      d[i + 1] += d[i] >> 32;
+      d[i] &= 0xffffffff;
+    }
+  }
+
+  Digits digits_{};
+  std::uint32_t adds_ = 0;  ///< carried every 2^30 additions
+  double special_ = 0.0;
+};
+
 struct Aggregator {
   FunctionId fn = FunctionId::Count;
   bool star = false;
   std::size_t count = 0;
-  std::vector<double> terms;  ///< sum/avg inputs
+  ExactSum sum;
   Value min_v;
   Value max_v;
 
   void add(const Value& v) {
     if (!star && v.is_null()) return;
     ++count;
-    if (!star && (fn == FunctionId::Sum || fn == FunctionId::Avg)) terms.push_back(v.as_double());
+    if (!star && (fn == FunctionId::Sum || fn == FunctionId::Avg)) sum.add(v.as_double());
     if (fn == FunctionId::Min && (min_v.is_null() || v.compare(min_v) == std::strong_ordering::less)) min_v = v;
     if (fn == FunctionId::Max && (max_v.is_null() || v.compare(max_v) == std::strong_ordering::greater)) max_v = v;
   }
 
-  Value result() {
+  Value result() const {
     if (fn == FunctionId::Count) return Value(static_cast<std::int64_t>(count));
     if (count == 0) return Value();
-    if (fn == FunctionId::Min || fn == FunctionId::Max) return fn == FunctionId::Min ? min_v : max_v;
-    // Add in value order, not scan order: a store sharded N ways sums a
-    // group to the same double as one store.
-    std::ranges::sort(terms, [](double a, double b) { return std::strong_order(a, b) < 0; });
-    const double sum = std::accumulate(terms.begin(), terms.end(), 0.0);
-    return Value(fn == FunctionId::Sum ? sum : sum / static_cast<double>(count));
+    if (fn == FunctionId::Sum) return Value(sum.value());
+    if (fn == FunctionId::Avg) return Value(sum.value() / static_cast<double>(count));
+    return fn == FunctionId::Min ? min_v : max_v;
   }
 };
 

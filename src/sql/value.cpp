@@ -49,10 +49,17 @@ std::string Value::to_string() const {
   if (is_null()) return "NULL";
   if (is_int()) return std::to_string(std::get<std::int64_t>(v_));
   if (is_double()) {
-    // The shortest text that reads back to the same double, as PostgreSQL
-    // 12+ prints double precision.
-    char buf[32];
-    const auto end = std::to_chars(buf, buf + sizeof buf, std::get<double>(v_)).ptr;
+    // The shortest text that reads back to the same double: fixed notation
+    // from 1e-4 up to 1e15, scientific outside (the thresholds PostgreSQL
+    // 12+ uses for a finite double precision), so a count-like sum prints
+    // 100000, not 1e+05.
+    const double d = std::get<double>(v_);
+    const double mag = std::fabs(d);
+    const auto format = mag == 0.0 || (mag >= 1e-4 && mag < 1e15)
+                            ? std::chars_format::fixed
+                            : std::chars_format::scientific;
+    char buf[64];
+    const auto end = std::to_chars(buf, buf + sizeof buf, d, format).ptr;
     return std::string(buf, end);
   }
   return std::get<std::string>(v_);

@@ -43,17 +43,17 @@ NativeReport NativeExecutor::run(const Relation& input,
                                              std::string(to_string(st.op)));
   }
 
-  // SciCumulus relations are file-backed (Figure 2: input_1.txt); stage
-  // the input relation on the shared FS and record it in provenance so
-  // Query-2-style lookups can find it.
-  {
-    const std::string rel_path = options_.expdir + "/relations/input_1.txt";
-    const std::string text = input.to_file_text();
-    const std::size_t size = text.size();
-    fs_.write(rel_path, text, 0.0, workflow_tag);
-    const auto [dir, name] = vfs::split_path(rel_path);
-    prov_.record_file(wkfid, 0, 0, name, size, dir);
-  }
+  // SciCumulus relations are file-backed (Figure 2: input_1.txt); the
+  // input and output relations land on the shared FS and in provenance so
+  // Query-2-style lookups can find them.
+  const auto stage_relation = [&](const std::string& file, const Relation& rel,
+                                  double now) {
+    const std::string dir = options_.expdir + "/relations/";
+    const std::string text = rel.to_file_text();
+    fs_.write(dir + file, text, now, workflow_tag);
+    prov_.record_file(wkfid, 0, 0, file, text.size(), dir);
+  };
+  stage_relation("input_1.txt", input, 0.0);
 
   // Each input tuple tallies into its own slot, written by exactly one
   // task; the slots merge in tuple order after the parallel_for join.
@@ -194,15 +194,7 @@ NativeReport NativeExecutor::run(const Relation& input,
     }
   }
 
-  // The final output relation also lands on the shared FS.
-  {
-    const std::string rel_path = options_.expdir + "/relations/output_1.txt";
-    const std::string text = report.output.to_file_text();
-    const std::size_t size = text.size();
-    fs_.write(rel_path, text, wall_now() - t0, workflow_tag);
-    const auto [dir, name] = vfs::split_path(rel_path);
-    prov_.record_file(wkfid, 0, 0, name, size, dir);
-  }
+  stage_relation("output_1.txt", report.output, wall_now() - t0);
 
   report.wall_seconds = wall_now() - t0;
   prov_.end_workflow(wkfid, report.wall_seconds);

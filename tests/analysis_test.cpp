@@ -169,7 +169,7 @@ std::string digest(const sql::ResultSet& rs) {
 TEST(ShippedQueryResults, ProvQueriesArePinned) {
   const std::map<std::string, std::string> expected = {
       {"figure5-histogram", "614d4571e7c1968f"},
-      {"query1-statistics", "cc9c2fd2580402f7"},
+      {"query1-statistics", "6e7f6a62f17e8be1"},
       {"query2-dlg-files", "a3b5d5e5aa9fb2c4"},
       {"forensics-failed-by-activity", "925115de62fe6f9a"},
       {"forensics-hg-aborts", "5cf8ca6e15dfd66c"},

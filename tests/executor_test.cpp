@@ -216,6 +216,7 @@ TEST(NativeExecutor, DeterministicAcrossThreadCounts) {
       EXPECT_EQ(r.activations_hung, 3);
       EXPECT_EQ(r.tuples_completed, 10);
       EXPECT_EQ(r.tuples_lost, 2);
+      ASSERT_EQ(r.output.size(), 10u);
       EXPECT_EQ(r.failure_messages,
                 (std::vector<std::string>{"reject id 2", "reject id 7"}));
       serial = std::move(r);
@@ -228,6 +229,7 @@ TEST(NativeExecutor, DeterministicAcrossThreadCounts) {
     EXPECT_EQ(r.tuples_lost, serial->tuples_lost);
     EXPECT_EQ(activity_counts(r), activity_counts(*serial));
     EXPECT_EQ(r.failure_messages, serial->failure_messages);
+    ASSERT_EQ(r.output.size(), serial->output.size());
     EXPECT_EQ(key_set(r.output), key_set(serial->output));
   }
 }

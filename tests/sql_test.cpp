@@ -2,14 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <utility>
+#include <vector>
 
 #include "sql/engine.hpp"
 #include "sql/lexer.hpp"
 #include "sql/parser.hpp"
 #include "sql/table.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 #include "util/strings.hpp"
 
 namespace scidock::sql {
@@ -138,6 +142,17 @@ TEST(Value, RealsPrintTheShortestTextThatReadsBack) {
   EXPECT_EQ(Value(1000060.25).to_string(), "1000060.25");
   EXPECT_EQ(Value(2.5).to_string(), "2.5");
   EXPECT_EQ(Value(-0.5).to_string(), "-0.5");
+  // Fixed notation from 1e-4 up to 1e15, scientific outside.
+  EXPECT_EQ(Value(100000.0).to_string(), "100000");
+  EXPECT_EQ(Value(-200000.0).to_string(), "-200000");
+  EXPECT_EQ(Value(0.0001).to_string(), "0.0001");
+  EXPECT_EQ(Value(123456789012345.0).to_string(), "123456789012345");
+  EXPECT_EQ(Value(1e15).to_string(), "1e+15");
+  EXPECT_EQ(Value(1.5e-5).to_string(), "1.5e-05");
+  EXPECT_EQ(Value(0.0).to_string(), "0");
+  for (const double x : {100000.0, 0.0001, 1e15, 1.5e-5}) {
+    EXPECT_EQ(parse_double(Value(x).to_string()), x);
+  }
 }
 
 // --------------------------------------------------------------- engine
@@ -606,6 +621,60 @@ TEST_F(EngineTest, UpdateAllRowsAndUnknownColumn) {
   const ResultSet rs = engine->execute("UPDATE runs SET vm = 9");
   EXPECT_EQ(rs.rows[0][0].as_int(), 5);
   EXPECT_THROW(engine->execute("UPDATE runs SET nope = 1"), Error);
+}
+
+/// sum(x) over `xs`, inserted in order and dealt round-robin over `shards`.
+double sql_sum(const std::vector<double>& xs, std::size_t shards) {
+  std::vector<Database> dbs(shards);
+  std::vector<Database*> ptrs;
+  for (Database& db : dbs) {
+    db.create_table("t", {"x"});
+    ptrs.push_back(&db);
+  }
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    dbs[i % shards].table("t").insert({Value(xs[i])});
+  }
+  return Engine(ptrs, {"t"}).execute("SELECT sum(x) FROM t").rows[0][0].as_double();
+}
+
+TEST(Aggregate, SumIsExactlyRoundedInAnyOrder) {
+  // Scan-order addition gives 0 or 1 here depending on the order.
+  std::vector<double> xs = {1e16, 1.0, -1e16};
+  std::sort(xs.begin(), xs.end());
+  do {
+    EXPECT_EQ(sql_sum(xs, 1), 1.0);
+  } while (std::next_permutation(xs.begin(), xs.end()));
+  const double max = std::numeric_limits<double>::max();
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(sql_sum({0.1, 0.2}, 1), 0.1 + 0.2);  // a tie, to even
+  EXPECT_EQ(sql_sum({0x1p53, 1.0}, 1), 0x1p53);  // a tie, to even
+  EXPECT_EQ(sql_sum({0x1p53, 1.0, 0x1p-60}, 1), 0x1p53 + 2);  // past the tie
+  EXPECT_EQ(sql_sum({-1.5, -2.25}, 1), -3.75);
+  EXPECT_EQ(sql_sum({tiny, tiny, tiny}, 1), 3 * tiny);
+  EXPECT_EQ(sql_sum({max, tiny, -max}, 1), tiny);
+  EXPECT_EQ(sql_sum({max, max}, 1), inf);
+  EXPECT_EQ(sql_sum({inf, 1.0}, 1), inf);
+  EXPECT_TRUE(std::isnan(sql_sum({inf, 1.0, -inf}, 1)));
+
+  // Multiples of 2^-30 below 2^22: their sum is an int64 count of 2^-30,
+  // which converts to double rounded once. Any shuffle and shard count
+  // gives that double.
+  Rng rng(17);
+  std::vector<double> terms;
+  std::int64_t units = 0;
+  for (int i = 0; i < 500; ++i) {
+    const std::int64_t m = rng.range(-(std::int64_t{1} << 52), std::int64_t{1} << 52);
+    units += m;
+    terms.push_back(std::ldexp(static_cast<double>(m), -30));
+  }
+  const double exact = std::ldexp(static_cast<double>(units), -30);
+  for (int round = 0; round < 5; ++round) {
+    std::shuffle(terms.begin(), terms.end(), rng);
+    for (const std::size_t shards : {1, 3, 4}) {
+      EXPECT_EQ(sql_sum(terms, shards), exact) << "shards=" << shards;
+    }
+  }
 }
 
 TEST(Database, TableLifecycle) {
