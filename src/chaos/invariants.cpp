@@ -44,6 +44,7 @@ RunSummary summary_of(const char* executor, const wf::RunTally& tally,
   s.tuples_completed = tally.tuples_completed;
   s.tuples_lost = tally.tuples_lost;
   s.attempt_budget = attempt_budget;
+  s.max_observed_attempt = tally.max_attempt;
   return s;
 }
 
@@ -51,14 +52,12 @@ RunSummary summary_of(const char* executor, const wf::RunTally& tally,
 
 RunSummary summarize(const wf::SimReport& report,
                      const wf::SimExecutorOptions& options,
-                     std::size_t input_tuples) {
+                     std::size_t input_tuples,
+                     prov::ProvenanceStore* prov) {
   RunSummary s =
       summary_of("sim", report, input_tuples, options.failure.max_attempts);
-  for (const wf::SimActivationRecord& r : report.records) {
-    s.max_observed_attempt = std::max(s.max_observed_attempt, r.attempt);
-  }
   // The simulation is deterministic to the last double, so the digest
-  // covers every timing and the complete activation record stream.
+  // covers every timing and, with a store, every attempt it recorded.
   std::string d = strformat(
       "sim tet=%.17g finished=%lld failed=%lld hung=%lld completed=%lld "
       "lost=%lld sched=%.17g staging=%.17g cost=%.17g\n",
@@ -71,11 +70,7 @@ RunSummary summarize(const wf::SimReport& report,
     d += strformat("act %s n=%zu sum=%.17g\n", tag.c_str(), stats.count(),
                    stats.sum());
   }
-  for (const wf::SimActivationRecord& r : report.records) {
-    d += strformat("rec %s t=%zu s=%.17g e=%.17g vm=%lld a=%d %s\n",
-                   r.tag.c_str(), r.tuple_index, r.start, r.end, r.vm_id,
-                   r.attempt, r.status.c_str());
-  }
+  if (prov != nullptr) d += "store " + prov->content_digest() + "\n";
   s.digest = std::move(d);
   return s;
 }
@@ -88,10 +83,6 @@ RunSummary summarize(const wf::NativeReport& report,
   // Conservation counts the output relation, not the tally, so a row the
   // slot merge dropped or duplicated shows (Map-only pipelines).
   s.tuples_completed = static_cast<long long>(report.output.size());
-  // The native report has no per-attempt records; 0 marks "unknown" and
-  // check_provenance recovers the true maximum from the store. (A lost
-  // native tuple always exhausted its budget by construction of the
-  // attempt loop, so conservation needs no headroom clause here.)
   // Wall-clock timings are excluded: only counters and the output
   // relation must be byte-identical across replays.
   std::string d = strformat(
@@ -122,7 +113,7 @@ bool InvariantChecker::check_conservation(const RunSummary& summary) {
   }
   const long long unexpected_losses =
       summary.tuples_lost - summary.expected_hazard_losses;
-  if (unexpected_losses > 0 && summary.max_observed_attempt > 0 &&
+  if (unexpected_losses > 0 &&
       summary.max_observed_attempt < summary.attempt_budget) {
     ok = fail(strformat(
         "[%s] conservation: %lld tuple(s) lost although the re-execution "

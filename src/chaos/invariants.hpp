@@ -38,7 +38,7 @@ struct RunSummary {
   long long tuples_completed = 0;
   long long tuples_lost = 0;
   int attempt_budget = 0;          ///< max attempts per stage
-  int max_observed_attempt = 0;    ///< highest attempt number that ran
+  int max_observed_attempt = 0;    ///< RunTally::max_attempt
   /// Losses that are by design, not re-execution bugs (pre-aborted
   /// hazards such as the Hg receptors); conservation tolerates these.
   long long expected_hazard_losses = 0;
@@ -46,11 +46,14 @@ struct RunSummary {
 };
 
 /// Summaries. The native digest covers counters plus the sorted output
-/// relation; the sim digest additionally covers TET and the full
-/// activation record list (the sim is deterministic to the last double).
+/// relation. The sim digest covers counters, TET and the per-activity
+/// sums (the sim is deterministic to the last double) and, when `prov` is
+/// the store the run recorded into, its content_digest: every
+/// hactivation row with its simulated timestamps.
 RunSummary summarize(const wf::SimReport& report,
                      const wf::SimExecutorOptions& options,
-                     std::size_t input_tuples);
+                     std::size_t input_tuples,
+                     prov::ProvenanceStore* prov = nullptr);
 RunSummary summarize(const wf::NativeReport& report,
                      const wf::NativeExecutorOptions& options,
                      std::size_t input_tuples);

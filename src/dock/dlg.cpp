@@ -127,21 +127,21 @@ DlgSummary parse_docking_log(std::string_view text) {
       const auto f = split_ws(lv);
       // "... = <value> kcal/mol"
       for (std::size_t i = 0; i + 1 < f.size(); ++i) {
-        if (f[i] == "=") summary.best_feb = parse_double(f[i + 1], "dlg FEB");
+        if (f[i] == "=") summary.best_feb = parse_finite_double(f[i + 1], "dlg FEB");
       }
     } else if (starts_with(lv, "RMSD from reference structure")) {
       const auto f = split_ws(lv);
       for (std::size_t i = 0; i + 1 < f.size(); ++i) {
-        if (f[i] == "=") summary.best_rmsd = parse_double(f[i + 1], "dlg RMSD");
+        if (f[i] == "=") summary.best_rmsd = parse_finite_double(f[i + 1], "dlg RMSD");
       }
     } else if (starts_with(lv, "BEST_FEB")) {
-      summary.best_feb = parse_double(value_after("BEST_FEB"), "log FEB");
+      summary.best_feb = parse_finite_double(value_after("BEST_FEB"), "log FEB");
     } else if (starts_with(lv, "BEST_RMSD")) {
-      summary.best_rmsd = parse_double(value_after("BEST_RMSD"), "log RMSD");
+      summary.best_rmsd = parse_finite_double(value_after("BEST_RMSD"), "log RMSD");
     } else if (starts_with(lv, "MEAN_FEB")) {
-      summary.mean_feb = parse_double(value_after("MEAN_FEB"), "log mean FEB");
+      summary.mean_feb = parse_finite_double(value_after("MEAN_FEB"), "log mean FEB");
     } else if (starts_with(lv, "MEAN_RMSD")) {
-      summary.mean_rmsd = parse_double(value_after("MEAN_RMSD"), "log mean RMSD");
+      summary.mean_rmsd = parse_finite_double(value_after("MEAN_RMSD"), "log mean RMSD");
     } else if (starts_with(lv, "CLUSTERS")) {
       summary.clusters = static_cast<int>(parse_int(value_after("CLUSTERS"), "log clusters"));
     } else if (starts_with(lv, "NUMBER OF RUNS:")) {

@@ -109,11 +109,16 @@ NativeReport NativeExecutor::run(const Relation& input,
             status = prov::kStatusFailed;
             last_error = "injected failure at " + st.tag;
           } else {
+            // Whatever a stage throws fails this attempt only: a
+            // std::stoi on a malformed field must not end the run.
             try {
               out = st.impl(in_tuple, ctx);
-            } catch (const Error& e) {
+            } catch (const std::exception& e) {
               status = prov::kStatusFailed;
               last_error = e.what();
+            } catch (...) {
+              status = prov::kStatusFailed;
+              last_error = "non-standard exception at " + st.tag;
             }
           }
           done = status == prov::kStatusFinished;

@@ -44,7 +44,7 @@ struct ActivationContext {
 /// An activity implementation: consumes one tuple, produces zero or more
 /// output tuples (Map: exactly one; Filter: zero or one; SplitMap: many).
 /// Throws ActivityError to signal a failed activation (the engine's
-/// re-execution machinery catches it).
+/// re-execution machinery catches it, and any other exception alike).
 using ActivityFn =
     std::function<std::vector<Tuple>(const Tuple&, ActivationContext&)>;
 

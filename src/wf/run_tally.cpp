@@ -1,5 +1,7 @@
 #include "wf/run_tally.hpp"
 
+#include <algorithm>
+
 #include "prov/prov.hpp"
 
 namespace scidock::wf {
@@ -9,6 +11,7 @@ void RunTally::close_attempt(const std::string& tag, std::string_view status,
                              const obs::ExecutorCounters& counters) {
   const bool finished = status == prov::kStatusFinished;
   const bool hung = status == prov::kStatusAborted;
+  max_attempt = std::max(max_attempt, attempt);
   if (finished) {
     ++activations_finished;
     per_activity_seconds[tag].add(seconds);
@@ -42,6 +45,7 @@ void RunTally::merge(const RunTally& other) {
   activations_hung += other.activations_hung;
   tuples_completed += other.tuples_completed;
   tuples_lost += other.tuples_lost;
+  max_attempt = std::max(max_attempt, other.max_attempt);
   for (const auto& [tag, stats] : other.per_activity_seconds) {
     per_activity_seconds[tag].merge(stats);
   }

@@ -25,11 +25,13 @@ struct RunTally {
   /// Tuples that never finish their chain: the re-execution budget ran
   /// out, re-execution is off, or the simulator pre-aborted a hazard.
   long long tuples_lost = 0;
+  int max_attempt = 0;  ///< highest attempt number closed
   /// Durations of FINISHED attempts, by activity tag.
   std::map<std::string, RunningStats> per_activity_seconds;
 
   /// One attempt of `tag` ended with `status` (prov::kStatus*): bumps
-  /// started, the status's field and series, and retried when attempt > 1.
+  /// started, the status's field and series, retried when attempt > 1,
+  /// and max_attempt.
   /// A FINISHED attempt also records `seconds`.
   void close_attempt(const std::string& tag, std::string_view status,
                      int attempt, double seconds,

@@ -149,7 +149,7 @@ SimReport SimulatedExecutor::run(const Relation& input,
     const std::string tag = ts.chain[ts.stage];
     // The attempt number of the activation that just completed; captured
     // before the counter is reset (success) or advanced (failure) so
-    // provenance and the report see the real 1-based attempt.
+    // provenance and the tally see the real 1-based attempt.
     const int attempt = ts.attempts_at_stage + 1;
     --busy;
     ++free_slots[vm_id];
@@ -193,10 +193,6 @@ SimReport SimulatedExecutor::run(const Relation& input,
                                                       : "activation-failure",
                        "fault", sim.now() * 1e6, vm_id);
       }
-    }
-    if (report.records.size() < 500000) {
-      report.records.push_back(SimActivationRecord{
-          tag, tuple_idx, started, sim.now(), vm_id, attempt, status});
     }
     // The run ends with its last activation: an elasticity tick or a VM
     // boot still queued must not stretch the TET or the bill.

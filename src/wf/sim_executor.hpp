@@ -59,16 +59,6 @@ struct SimExecutorOptions {
   obs::Observability obs;
 };
 
-struct SimActivationRecord {
-  std::string tag;
-  std::size_t tuple_index = 0;
-  double start = 0.0;
-  double end = 0.0;
-  long long vm_id = 0;
-  int attempt = 1;
-  std::string status;  ///< FINISHED / FAILED / ABORTED
-};
-
 struct SimReport : RunTally {
   double total_execution_time_s = 0.0;   ///< the paper's TET
   double scheduling_overhead_s = 0.0;    ///< summed planning time
@@ -76,7 +66,6 @@ struct SimReport : RunTally {
   double cloud_cost_usd = 0.0;
   int peak_alive_vms = 0;
   int total_cores = 0;
-  std::vector<SimActivationRecord> records;
 };
 
 class SimulatedExecutor {
@@ -86,7 +75,8 @@ class SimulatedExecutor {
 
   /// Replay the workflow over `input`. When `prov` is non-null every
   /// attempt is recorded with simulated timestamps under a new workflow
-  /// id (`workflow_tag`).
+  /// id (`workflow_tag`); that store is the run's only per-attempt log,
+  /// and the report keeps counts and sums.
   SimReport run(const Relation& input, prov::ProvenanceStore* prov = nullptr,
                 const std::string& workflow_tag = "scidock-sim");
 

@@ -414,23 +414,50 @@ TEST(SeedDeterminism, IdenticalSimSeedsReproduceExactly) {
   const ChaosEngine engine(chaos_profile_light(), 21);
   const wf::SimExecutorOptions opts = sim_options(engine, "greedy-cost", 21);
   const Relation input = chaos_input(25);
-  const wf::SimReport a =
-      wf::SimulatedExecutor(p, chaos_cost_model(), opts).run(input);
-  const wf::SimReport b =
-      wf::SimulatedExecutor(p, chaos_cost_model(), opts).run(input);
+  prov::ProvenanceStore store_a, store_b;
+  const wf::SimReport a = wf::SimulatedExecutor(p, chaos_cost_model(), opts)
+                              .run(input, &store_a, "seed");
+  const wf::SimReport b = wf::SimulatedExecutor(p, chaos_cost_model(), opts)
+                              .run(input, &store_b, "seed");
   EXPECT_DOUBLE_EQ(a.total_execution_time_s, b.total_execution_time_s);
   EXPECT_EQ(a.activations_finished, b.activations_finished);
   EXPECT_EQ(a.activations_failed, b.activations_failed);
   EXPECT_EQ(a.activations_hung, b.activations_hung);
-  ASSERT_EQ(a.records.size(), b.records.size());
-  for (std::size_t i = 0; i < a.records.size(); ++i) {
-    EXPECT_EQ(a.records[i].tag, b.records[i].tag) << i;
-    EXPECT_EQ(a.records[i].tuple_index, b.records[i].tuple_index) << i;
-    EXPECT_DOUBLE_EQ(a.records[i].start, b.records[i].start) << i;
-    EXPECT_DOUBLE_EQ(a.records[i].end, b.records[i].end) << i;
-    EXPECT_EQ(a.records[i].attempt, b.records[i].attempt) << i;
-    EXPECT_EQ(a.records[i].status, b.records[i].status) << i;
-  }
+  // Every attempt, with its simulated timestamps, lands in the store
+  // identically.
+  const char* const attempts = "SELECT count(*) FROM hactivation";
+  EXPECT_EQ(store_a.query(attempts).rows[0][0].as_int(),
+            a.activations_finished + a.activations_failed + a.activations_hung);
+  EXPECT_EQ(store_a.content_digest(), store_b.content_digest());
+}
+
+TEST(SeedDeterminism, TamperedStoreBreaksReplay) {
+  // The sim digest covers the store the run recorded into: one moved
+  // endtime must break a same-seed replay that the report alone passes.
+  const Pipeline p = chaos_pipeline();
+  const ChaosEngine engine(chaos_profile_light(), 21);
+  const wf::SimExecutorOptions opts = sim_options(engine, "greedy-cost", 21);
+  const Relation input = chaos_input(25);
+  prov::ProvenanceStore store_a, store_b;
+  const wf::SimReport a = wf::SimulatedExecutor(p, chaos_cost_model(), opts)
+                              .run(input, &store_a, "replay");
+  const wf::SimReport b = wf::SimulatedExecutor(p, chaos_cost_model(), opts)
+                              .run(input, &store_b, "replay");
+  const auto replays = [&] {
+    InvariantChecker checker;
+    return checker.check_replay(summarize(a, opts, input.size(), &store_a),
+                                summarize(b, opts, input.size(), &store_b));
+  };
+  ASSERT_TRUE(replays());
+  const sql::ResultSet victim =
+      store_b.query("SELECT min(taskid) FROM hactivation");
+  const sql::ResultSet moved = store_b.query(
+      "UPDATE hactivation SET endtime = endtime + 1 WHERE taskid = " +
+      victim.rows[0][0].to_string());
+  ASSERT_EQ(moved.rows[0][0].as_int(), 1);
+  EXPECT_FALSE(replays());
+  EXPECT_EQ(summarize(a, opts, input.size()).digest,
+            summarize(b, opts, input.size()).digest);
 }
 
 TEST(SeedDeterminism, DifferentSeedsDiverge) {

@@ -366,6 +366,15 @@ TEST(Dlg, ParseRejectsForeignText) {
   EXPECT_THROW(parse_docking_log("hello world\n"), ParseError);
 }
 
+TEST(Dlg, ParseRejectsNonFiniteValues) {
+  // A nan or inf summary value fails the parse instead of reaching a
+  // result row.
+  EXPECT_THROW(parse_docking_log("ENGINE: Vina\nBEST_FEB nan\n"), ParseError);
+  EXPECT_THROW(parse_docking_log("ENGINE: AutoDock4\n"
+                                 "RMSD from reference structure = inf A\n"),
+               ParseError);
+}
+
 TEST(DockingResult, FavorablePredicate) {
   DockingResult r = sample_result();
   EXPECT_TRUE(r.favorable());

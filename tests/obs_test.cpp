@@ -21,6 +21,7 @@
 #include <map>
 #include <set>
 #include <thread>
+#include <tuple>
 
 #include "chaos/chaos.hpp"
 #include "chaos/invariants.hpp"
@@ -514,36 +515,44 @@ TEST(GoldenTrace, SimulatedRunMatchesItsRecordStream) {
   opts.fleet = wf::m3_fleet_for_cores(8);
   opts.seed = 4242;
   opts.obs.trace = &trace;
-  const wf::SimReport report =
-      wf::SimulatedExecutor(p, obs_cost_model(), opts).run(input);
+  prov::ProvenanceStore store;
+  wf::SimulatedExecutor(p, obs_cost_model(), opts).run(input, &store, "golden");
 
   const SpanTree tree = build_span_tree(trace.events());
   ASSERT_TRUE(tree.errors.empty()) << tree.errors.front();
-  std::vector<SpanNode> acts = activation_spans(tree);
-  ASSERT_EQ(acts.size(), report.records.size());
+  const std::vector<SpanNode> acts = activation_spans(tree);
+
+  // Each hactivation row, keyed by (workload, activity, attempt), which
+  // names one attempt.
+  struct Attempt {
+    long long vmid;
+    double start, end;
+    std::string status;
+  };
+  std::map<std::tuple<std::string, std::string, std::string>, Attempt> rows;
+  for (const sql::Row& r :
+       store
+           .query("SELECT t.workload, a.tag, t.attempts, t.vmid, "
+                  "t.starttime, t.endtime, t.status "
+                  "FROM hactivity a, hactivation t WHERE a.actid = t.actid")
+           .rows) {
+    rows[{r[0].as_string(), r[1].as_string(), r[2].to_string()}] =
+        Attempt{r[3].as_int(), r[4].as_double(), r[5].as_double(),
+                r[6].as_string()};
+  }
+  ASSERT_EQ(acts.size(), rows.size());
 
   // Simulated spans are stamped with simulated seconds x 1e6 on the VM's
-  // trace row; sort both sides identically and compare field by field.
-  std::sort(acts.begin(), acts.end(),
-            [](const SpanNode& a, const SpanNode& b) {
-              return a.start_us != b.start_us ? a.start_us < b.start_us
-                                              : a.tid < b.tid;
-            });
-  std::vector<wf::SimActivationRecord> recs = report.records;
-  std::sort(recs.begin(), recs.end(),
-            [](const wf::SimActivationRecord& a,
-               const wf::SimActivationRecord& b) {
-              return a.start != b.start ? a.start < b.start
-                                        : a.vm_id < b.vm_id;
-            });
-  for (std::size_t i = 0; i < acts.size(); ++i) {
-    EXPECT_EQ(acts[i].name, recs[i].tag) << i;
-    EXPECT_EQ(acts[i].tid, recs[i].vm_id) << i;
-    EXPECT_DOUBLE_EQ(acts[i].start_us, recs[i].start * 1e6) << i;
-    EXPECT_DOUBLE_EQ(acts[i].end_us, recs[i].end * 1e6) << i;
-    EXPECT_EQ(arg_value(acts[i], "status"), recs[i].status) << i;
-    EXPECT_EQ(arg_value(acts[i], "attempt"), std::to_string(recs[i].attempt))
-        << i;
+  // trace row; each one matches its attempt's row field by field.
+  for (const SpanNode& span : acts) {
+    const auto it = rows.find({"pair-" + arg_value(span, "tuple"), span.name,
+                               arg_value(span, "attempt")});
+    ASSERT_TRUE(it != rows.end()) << span.name;
+    const Attempt& row = it->second;
+    EXPECT_EQ(span.tid, row.vmid) << span.name;
+    EXPECT_DOUBLE_EQ(span.start_us, row.start * 1e6) << span.name;
+    EXPECT_DOUBLE_EQ(span.end_us, row.end * 1e6) << span.name;
+    EXPECT_EQ(arg_value(span, "status"), row.status) << span.name;
   }
 
   // One vm-boot span per fleet VM.
@@ -562,28 +571,22 @@ TEST(GoldenTrace, RecordingDoesNotPerturbTheSimulation) {
   const core::Experiment exp = core::make_experiment(
       data::table2_receptors(), data::table2_ligands(), 500);
   for (const int workers : {2, 4, 8}) {
-    const wf::SimReport plain = core::run_simulated(exp, workers);
+    prov::ProvenanceStore plain_store, recorded_store;
+    const wf::SimReport plain = core::run_simulated(exp, workers, &plain_store);
     TraceRecorder trace;
     MetricsRegistry metrics;
     wf::SimExecutorOptions opts;
     opts.obs = {&trace, &metrics};
-    const wf::SimReport recorded =
-        core::run_simulated(exp, workers, nullptr, std::move(opts));
+    const wf::SimReport recorded = core::run_simulated(
+        exp, workers, &recorded_store, std::move(opts));
     ASSERT_GT(trace.event_count(), 0u);
     EXPECT_EQ(recorded.total_execution_time_s, plain.total_execution_time_s)
         << workers;
     EXPECT_EQ(recorded.scheduling_overhead_s, plain.scheduling_overhead_s)
         << workers;
-    ASSERT_EQ(recorded.records.size(), plain.records.size()) << workers;
-    for (std::size_t i = 0; i < plain.records.size(); ++i) {
-      const wf::SimActivationRecord& a = plain.records[i];
-      const wf::SimActivationRecord& b = recorded.records[i];
-      EXPECT_TRUE(a.tag == b.tag && a.tuple_index == b.tuple_index &&
-                  a.start == b.start && a.end == b.end &&
-                  a.vm_id == b.vm_id && a.attempt == b.attempt &&
-                  a.status == b.status)
-          << workers << " workers, record " << i;
-    }
+    // Every attempt's row, timestamps to the last bit, is the same.
+    EXPECT_EQ(recorded_store.content_digest(), plain_store.content_digest())
+        << workers;
   }
 }
 
@@ -610,6 +613,10 @@ TEST(Reconciliation, SimCountersMatchProvenanceAcrossSeeds) {
     const wf::SimReport report =
         wf::SimulatedExecutor(p, model, opts).run(input, &store, "obs-sim");
 
+    EXPECT_EQ(report.max_attempt,
+              store.query("SELECT max(attempts) FROM hactivation")
+                  .rows[0][0].as_int())
+        << "seed=" << seed;
     const RunSummary summary = chaos::summarize(report, opts, input.size());
     InvariantChecker checker;
     checker.check_conservation(summary);
@@ -647,6 +654,10 @@ TEST(Reconciliation, NativeCountersMatchProvenanceAcrossSeeds) {
     const wf::NativeReport report =
         wf::NativeExecutor(p, fs, store, opts).run(input, "obs-native");
 
+    EXPECT_EQ(report.max_attempt,
+              store.query("SELECT max(attempts) FROM hactivation")
+                  .rows[0][0].as_int())
+        << "seed=" << seed;
     const RunSummary summary = chaos::summarize(report, opts, input.size());
     InvariantChecker checker;
     checker.check_conservation(summary);
